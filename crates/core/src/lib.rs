@@ -83,7 +83,9 @@ pub use scheme::{
 };
 pub use sink::{RejectReason, SinkConfig, SinkCounters, SinkEngine, SinkOutcome};
 pub use stage::{StageMetrics, STAGE_NAMES};
-pub use store::{Evidence, EvidenceStore, LogStore, MemStore, RecordKind, StoreError, StoreReplay};
+pub use store::{
+    DeltaWriter, Evidence, EvidenceStore, LogStore, MemStore, RecordKind, StoreError, StoreReplay,
+};
 pub use verify::{
     AnonTable, CandidateSet, Resolution, SinkVerifier, StopReason, TopologyResolver, VerifiedChain,
     VerifyMode,

@@ -16,6 +16,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use pnm_wire::NodeId;
 
+use crate::store::Evidence;
+
 /// What the reconstructed route implies about mole locations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Localization {
@@ -134,19 +136,45 @@ impl RouteReconstructor {
     /// Consecutive pairs become order-matrix entries. A chain of one node
     /// still registers the node's existence (its mark was collected).
     pub fn observe_chain(&mut self, chain: &[NodeId]) {
+        self.observe_chain_recording(chain, None);
+    }
+
+    /// [`RouteReconstructor::observe_chain`] that also records its growth
+    /// into `delta`: nodes and edges new to the graph, and the head- and
+    /// edge-support increments.
+    pub(crate) fn observe_chain_recording(
+        &mut self,
+        chain: &[NodeId],
+        mut delta: Option<&mut Evidence>,
+    ) {
         if let Some(head) = chain.first() {
             self.chains_observed += 1;
             *self.head_support.entry(head.raw()).or_default() += 1;
+            if let Some(d) = delta.as_deref_mut() {
+                *d.head_support.entry(head.raw()).or_default() += 1;
+            }
         }
         let mut changed = false;
         for n in chain {
-            changed |= self.nodes.insert(n.raw());
+            if self.nodes.insert(n.raw()) {
+                changed = true;
+                if let Some(d) = delta.as_deref_mut() {
+                    d.nodes.insert(n.raw());
+                }
+            }
         }
         for w in chain.windows(2) {
             let (u, v) = (w[0].raw(), w[1].raw());
             if u != v {
-                changed |= self.edges.entry(u).or_default().insert(v);
+                let new_edge = self.edges.entry(u).or_default().insert(v);
+                changed |= new_edge;
                 *self.edge_support.entry((u, v)).or_default() += 1;
+                if let Some(d) = delta.as_deref_mut() {
+                    if new_edge {
+                        d.edges.insert((u, v));
+                    }
+                    *d.edge_support.entry((u, v)).or_default() += 1;
+                }
             }
         }
         if changed {
@@ -201,27 +229,42 @@ impl RouteReconstructor {
         &self.edge_support
     }
 
-    /// Merges raw evidence parts into this reconstructor — the inverse of
-    /// the export accessors, with the same commutative-monoid semantics
-    /// as [`RouteReconstructor::merge`]. Invalidates the cached source.
-    pub(crate) fn install(
-        &mut self,
-        nodes: impl IntoIterator<Item = u16>,
-        edges: impl IntoIterator<Item = (u16, u16)>,
-        chains_observed: usize,
-        head_support: impl IntoIterator<Item = (u16, usize)>,
-        edge_support: impl IntoIterator<Item = ((u16, u16), usize)>,
-    ) {
-        self.nodes.extend(nodes);
-        for (u, v) in edges {
-            self.edges.entry(u).or_default().insert(v);
+    /// Merges an evidence value's route parts into this reconstructor —
+    /// the inverse of the export accessors, with the same
+    /// commutative-monoid semantics as [`RouteReconstructor::merge`] —
+    /// recording the growth into `delta`, if given, as
+    /// [`RouteReconstructor::observe_chain_recording`] does. Invalidates
+    /// the cached source.
+    pub(crate) fn install(&mut self, evidence: &Evidence, mut delta: Option<&mut Evidence>) {
+        for &n in &evidence.nodes {
+            if self.nodes.insert(n) {
+                if let Some(d) = delta.as_deref_mut() {
+                    d.nodes.insert(n);
+                }
+            }
         }
-        self.chains_observed += chains_observed;
-        for (n, c) in head_support {
+        for &(u, v) in &evidence.edges {
+            if self.edges.entry(u).or_default().insert(v) {
+                if let Some(d) = delta.as_deref_mut() {
+                    d.edges.insert((u, v));
+                }
+            }
+        }
+        self.chains_observed += evidence.chains_observed;
+        for (&n, &c) in &evidence.head_support {
             *self.head_support.entry(n).or_default() += c;
         }
-        for (e, c) in edge_support {
+        for (&e, &c) in &evidence.edge_support {
             *self.edge_support.entry(e).or_default() += c;
+        }
+        // A zero count adds nothing, so it is never recorded as growth.
+        if let Some(d) = delta {
+            for (&n, &c) in evidence.head_support.iter().filter(|(_, &c)| c > 0) {
+                *d.head_support.entry(n).or_default() += c;
+            }
+            for (&e, &c) in evidence.edge_support.iter().filter(|(_, &c)| c > 0) {
+                *d.edge_support.entry(e).or_default() += c;
+            }
         }
         self.cached_source = std::sync::OnceLock::new();
     }

@@ -47,7 +47,7 @@ use crate::isolation::{quarantine_set, IsolationPolicy, QuarantineFilter};
 use crate::reconstruct::{AnnotatedLocalization, Localization, RouteReconstructor, SourceRegion};
 use crate::replay::DuplicateSuppressor;
 use crate::stage::StageMetrics;
-use crate::store::{Evidence, EvidenceStore, RecordKind, StoreError};
+use crate::store::{counters_since, DeltaWriter, Evidence, EvidenceStore, StoreError};
 use crate::verify::{AnonTable, SinkVerifier, TopologyResolver, VerifiedChain, VerifyMode};
 
 /// Default number of per-report anonymous-ID tables the engine keeps live.
@@ -401,7 +401,8 @@ pub struct SinkEngine {
     tracer: Tracer,
     stage_timing: bool,
     stages: StageMetrics,
-    store: Option<EngineStore>,
+    store: Option<DeltaWriter>,
+    pending: PendingDelta,
     /// Trace context of the packet currently in the pipeline
     /// ([`TraceContext::NONE`] outside [`SinkEngine::ingest_ctx`]):
     /// stage spans open as its children, so one wire-carried context
@@ -409,13 +410,22 @@ pub struct SinkEngine {
     current_ctx: TraceContext,
 }
 
-/// An attached evidence store plus the high-water mark of what it has
-/// already been given, so checkpoints append only the delta.
-#[derive(Clone, Debug)]
-struct EngineStore {
-    store: Arc<dyn EvidenceStore>,
-    shard: u32,
-    last_persisted: Evidence,
+/// The evidence grown since the last checkpoint, kept incrementally so a
+/// checkpoint costs the size of the delta rather than a full
+/// [`SinkEngine::evidence`] export and diff.
+///
+/// Set members and support increments are recorded into `grown` where the
+/// evidence grows (new nodes and edges only if absent). Counters,
+/// `chains_observed` and `first_unequivocal` are differenced against the
+/// values marked at the last take.
+#[derive(Clone, Debug, Default)]
+struct PendingDelta {
+    /// `None` until the first take: an engine nobody checkpoints records
+    /// nothing, and its first delta is simply all of its evidence.
+    grown: Option<Evidence>,
+    counters: SinkCounters,
+    chains_observed: usize,
+    first_unequivocal: Option<usize>,
 }
 
 /// A lap clock for stage timing: reads the monotonic clock only when
@@ -486,6 +496,7 @@ impl SinkEngine {
             stage_timing: config.stage_timing,
             stages: StageMetrics::new(),
             store: None,
+            pending: PendingDelta::default(),
             current_ctx: TraceContext::NONE,
         }
     }
@@ -648,7 +659,8 @@ impl SinkEngine {
 
         // Stage 4: fold into the reconstructed route.
         let reconstruct_span = tracer.span_traced("sink.reconstruct", ctx);
-        self.reconstructor.observe_chain(&chain.nodes);
+        self.reconstructor
+            .observe_chain_recording(&chain.nodes, self.pending.grown.as_mut());
         if self.first_unequivocal.is_none() && self.reconstructor.is_unequivocal() {
             self.first_unequivocal = Some(self.counters.packets);
         }
@@ -686,8 +698,7 @@ impl SinkEngine {
     }
 
     /// Folds another engine's accumulated evidence into this one: counters
-    /// sum, route graphs union ([`RouteReconstructor::merge`]), and
-    /// quarantine sets union ([`QuarantineFilter::merge`]).
+    /// and support sum, route graphs and quarantine sets union.
     ///
     /// This is the cross-shard merge a sharded traceback service performs
     /// at snapshot/drain time: because the route graph and quarantine set
@@ -704,22 +715,24 @@ impl SinkEngine {
     /// partition (they do — identical bytes share a report).
     ///
     /// **Interaction with an attached store:** absorb merges in memory
-    /// only — it appends nothing and does not advance the persistence
-    /// high-water mark, so the absorbed evidence is carried by the *next*
-    /// [`SinkEngine::checkpoint_to_store`] delta exactly once. Replaying
-    /// the store therefore never double-counts absorbed evidence. The
-    /// other engine's store attachment (if any) is not taken over.
+    /// only — it appends nothing, and the absorbed evidence joins the
+    /// pending delta, so it is carried by the *next*
+    /// [`SinkEngine::checkpoint_to_store`] exactly once. Replaying the
+    /// store therefore never double-counts absorbed evidence. The other
+    /// engine's store attachment (if any) is not taken over.
+    ///
+    /// Evidence-wise this is [`SinkEngine::install_evidence`] of the other
+    /// engine's [`SinkEngine::evidence`]; the stage histograms merge too.
     pub fn absorb(&mut self, other: &SinkEngine) {
         debug_assert_eq!(self.mode, other.mode, "absorbing mismatched verify modes");
-        self.counters += other.counters;
+        self.install_evidence(&other.evidence());
         self.stages.merge(&other.stages);
-        self.reconstructor.merge(&other.reconstructor);
-        self.quarantine.merge(&other.quarantine);
-        self.first_unequivocal = match (self.first_unequivocal, other.first_unequivocal) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.last_quarantined_source = None;
+    }
+
+    /// Folds stage latency histograms into this engine's — how a restarted
+    /// engine keeps the observability history its evidence does not carry.
+    pub fn merge_stage_metrics(&mut self, stages: &StageMetrics) {
+        self.stages.merge(stages);
     }
 
     /// Verify + anonymous-ID resolution for one admitted packet. Returns
@@ -860,7 +873,20 @@ impl SinkEngine {
                 .map(|v| v.iter().copied().map(NodeId).collect())
                 .unwrap_or_default()
         });
-        self.quarantine.quarantine(set);
+        self.quarantine_recording(set);
+    }
+
+    /// Quarantines `nodes`, recording the newly quarantined ones in the
+    /// pending delta.
+    fn quarantine_recording(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        let fresh: Vec<NodeId> = nodes
+            .into_iter()
+            .filter(|&n| self.quarantine.permits(n))
+            .collect();
+        if let Some(grown) = &mut self.pending.grown {
+            grown.quarantined.extend(fresh.iter().map(|n| n.raw()));
+        }
+        self.quarantine.quarantine(fresh);
     }
 
     /// Recomputes the quarantine from the full current localization
@@ -987,16 +1013,16 @@ impl SinkEngine {
     /// union, `first_unequivocal` takes the minimum. Installing the
     /// evidence of an uninterrupted run into a fresh engine reproduces
     /// its localization, quarantine, and counters exactly.
+    ///
+    /// The installed evidence joins the pending delta like any other
+    /// growth; [`SinkEngine::attach_store`] or
+    /// [`SinkEngine::take_evidence_delta`] after installing marks it as
+    /// already checkpointed.
     pub fn install_evidence(&mut self, evidence: &Evidence) {
         self.counters += evidence.counters;
-        self.reconstructor.install(
-            evidence.nodes.iter().copied(),
-            evidence.edges.iter().copied(),
-            evidence.chains_observed,
-            evidence.head_support.iter().map(|(&n, &c)| (n, c)),
-            evidence.edge_support.iter().map(|(&e, &c)| (e, c)),
-        );
-        self.quarantine.quarantine(evidence.quarantined_nodes());
+        self.reconstructor
+            .install(evidence, self.pending.grown.as_mut());
+        self.quarantine_recording(evidence.quarantined_nodes());
         self.first_unequivocal = match (
             self.first_unequivocal,
             evidence.first_unequivocal.map(|v| v as usize),
@@ -1007,17 +1033,56 @@ impl SinkEngine {
         self.last_quarantined_source = None;
     }
 
-    /// Attaches a persistence backend. The engine's *current* evidence
-    /// becomes the persistence high-water mark — it is presumed already
-    /// in the store (true both for a fresh engine and for one just
-    /// rebuilt via [`SinkEngine::install_evidence`] from that store), so
-    /// the first checkpoint appends only what happens after attachment.
+    /// The evidence grown since the last take (or since construction or
+    /// [`SinkEngine::attach_store`]), as one delta; the next delta starts
+    /// empty. From the first take on, growth is recorded as it happens and
+    /// only counters, `chains_observed` and `first_unequivocal` are
+    /// differenced at the take, so a take costs the size of the delta, not
+    /// of the evidence. The first take itself exports the full evidence:
+    /// an engine that is never checkpointed records nothing.
+    ///
+    /// Merging every delta taken, in order, into the evidence held at the
+    /// first take's start reproduces [`SinkEngine::evidence`] exactly.
+    /// This is what a checkpoint records. With a store attached, use
+    /// [`SinkEngine::checkpoint_to_store`] instead, which takes the delta
+    /// and appends it; a delta taken here is the caller's to keep.
+    pub fn take_evidence_delta(&mut self) -> Evidence {
+        let mut delta = match self.pending.grown.replace(Evidence::default()) {
+            Some(grown) => grown,
+            // Recording starts at the first take; before it, the delta is
+            // everything since construction. A zero support count is no
+            // growth, so it is left out as recording leaves it out.
+            None => {
+                let mut all = self.evidence();
+                all.head_support.retain(|_, c| *c > 0);
+                all.edge_support.retain(|_, c| *c > 0);
+                all
+            }
+        };
+        let mark = &mut self.pending;
+        let chains_observed = self.reconstructor.chains_observed();
+        delta.counters = counters_since(&self.counters, &mark.counters);
+        delta.chains_observed = chains_observed - mark.chains_observed;
+        // Only a changed index is news: merge keeps the minimum, and the
+        // index only ever appears or falls.
+        delta.first_unequivocal = self
+            .first_unequivocal
+            .filter(|_| self.first_unequivocal != mark.first_unequivocal)
+            .map(|v| v as u64);
+        mark.counters = self.counters;
+        mark.chains_observed = chains_observed;
+        mark.first_unequivocal = self.first_unequivocal;
+        delta
+    }
+
+    /// Attaches a persistence backend. The engine's *current* evidence is
+    /// presumed already in the store (true both for a fresh engine and
+    /// for one just rebuilt via [`SinkEngine::install_evidence`] from that
+    /// store): the pending delta restarts empty, so the first checkpoint
+    /// appends only what happens after attachment.
     pub fn attach_store(&mut self, store: Arc<dyn EvidenceStore>, shard: u32) {
-        self.store = Some(EngineStore {
-            shard,
-            last_persisted: self.evidence(),
-            store,
-        });
+        self.take_evidence_delta();
+        self.store = Some(DeltaWriter::new(store, shard));
     }
 
     /// Whether a persistence backend is attached.
@@ -1026,29 +1091,23 @@ impl SinkEngine {
     }
 
     /// Appends the evidence accumulated since the last checkpoint (or
-    /// attachment) to the attached store as one delta record. Returns
-    /// `Ok(false)` when nothing changed (no record written).
+    /// attachment) to the attached store as one delta record, in O(delta)
+    /// work ([`SinkEngine::take_evidence_delta`]). Returns `Ok(false)`
+    /// when nothing changed (no record written).
     ///
     /// # Errors
     ///
     /// [`StoreError::NotAttached`] without a store; otherwise whatever
-    /// the backend's append returns. On error the high-water mark is not
-    /// advanced, so the failed delta is retried in full by the next
-    /// checkpoint.
+    /// the backend's append returns. On error the attachment keeps the
+    /// failed delta ([`DeltaWriter`]), so the next checkpoint retries it
+    /// merged with whatever accrued since.
     pub fn checkpoint_to_store(&mut self) -> Result<bool, StoreError> {
-        let now = self.evidence();
-        let Some(attached) = &mut self.store else {
+        let Some(mut writer) = self.store.take() else {
             return Err(StoreError::NotAttached);
         };
-        let delta = now.delta_since(&attached.last_persisted);
-        if delta.is_empty() {
-            return Ok(false);
-        }
-        attached
-            .store
-            .append(attached.shard, RecordKind::Delta, &delta)?;
-        attached.last_persisted = now;
-        Ok(true)
+        let appended = writer.append(self.take_evidence_delta());
+        self.store = Some(writer);
+        appended
     }
 }
 
@@ -1938,6 +1997,137 @@ mod proptests {
             })
             .collect();
         (keys, mode, packets)
+    }
+
+    /// A store that keeps every appended record's encoding, in order.
+    #[derive(Debug, Default)]
+    struct RecordingStore(std::sync::Mutex<Vec<Vec<u8>>>);
+
+    impl EvidenceStore for RecordingStore {
+        fn append(
+            &self,
+            _shard: u32,
+            _kind: crate::store::RecordKind,
+            evidence: &Evidence,
+        ) -> Result<(), StoreError> {
+            self.0.lock().unwrap().push(evidence.to_bytes());
+            Ok(())
+        }
+
+        fn replay(&self) -> Result<crate::store::StoreReplay, StoreError> {
+            unimplemented!("records are read directly")
+        }
+
+        fn compact(&self) -> Result<(), StoreError> {
+            Ok(())
+        }
+
+        fn sync(&self) -> Result<(), StoreError> {
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The incremental checkpoint delta equals the full-diff oracle
+        /// `now.delta_since(&prev)` byte for byte at every checkpoint —
+        /// through duplicates, malformed bytes, quarantine growth, and
+        /// evidence installed or absorbed before attachment and mid-run —
+        /// and an empty oracle writes no record at all.
+        #[test]
+        fn incremental_delta_matches_delta_since_oracle(
+            path_len in 3u16..12,
+            n_packets in 1usize..30,
+            n_reports in 1usize..6,
+            interval_idx in 0usize..3,
+            isolation in any::<bool>(),
+            pre_install in any::<bool>(),
+            pre_absorb in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let interval = [1usize, 3, 7][interval_idx];
+            let (keys, mode, packets) = scenario(3, path_len, n_packets, n_reports, seed);
+            let mut cfg = SinkConfig::new(mode).dedup(64);
+            if isolation {
+                cfg = cfg.isolation(IsolationPolicy::SuspectsOnly);
+            }
+            // The wire stream: every packet, every third one duplicated,
+            // and garbage after every fourth.
+            let mut stream: Vec<Vec<u8>> = Vec::new();
+            for (i, p) in packets.iter().enumerate() {
+                stream.push(p.to_bytes());
+                if i % 3 == 1 {
+                    stream.push(p.to_bytes());
+                }
+                if i % 4 == 2 {
+                    stream.push(vec![0xA5; i % 7]);
+                }
+            }
+            // Evidence from elsewhere: a second engine over other reports.
+            let (_, _, others) = scenario(4, path_len, 6, 3, seed ^ 0x5eed);
+            let mut other = SinkEngine::new(Arc::clone(&keys), cfg.clone());
+            other.ingest_batch(&others);
+            other.refresh_quarantine();
+
+            let mut engine = SinkEngine::new(Arc::clone(&keys), cfg);
+            if pre_install {
+                engine.install_evidence(&other.evidence());
+            }
+            if pre_absorb {
+                engine.absorb(&other);
+            }
+            // The same run with no store, taking deltas itself: its first
+            // take, with nothing recorded yet, exports everything since
+            // construction.
+            let mut mirror = engine.clone();
+            let mut mirror_prev = Evidence::default();
+            let store = Arc::new(RecordingStore::default());
+            engine.attach_store(Arc::clone(&store) as Arc<dyn EvidenceStore>, 0);
+            let attached_at = engine.evidence();
+            let mut prev = attached_at.clone();
+            for (i, bytes) in stream.iter().enumerate() {
+                for e in [&mut engine, &mut mirror] {
+                    e.ingest_bytes(bytes);
+                    if i == stream.len() / 2 {
+                        e.absorb(&other);
+                    }
+                }
+                if (i + 1) % interval != 0 && i + 1 != stream.len() {
+                    continue;
+                }
+                if isolation && i % 2 == 0 {
+                    engine.refresh_quarantine();
+                    mirror.refresh_quarantine();
+                }
+                let mirror_now = mirror.evidence();
+                prop_assert_eq!(
+                    mirror.take_evidence_delta().to_bytes(),
+                    mirror_now.delta_since(&mirror_prev).to_bytes()
+                );
+                mirror_prev = mirror_now;
+                let now = engine.evidence();
+                let oracle = now.delta_since(&prev);
+                let before = store.0.lock().unwrap().len();
+                let wrote = engine.checkpoint_to_store().unwrap();
+                let records = store.0.lock().unwrap();
+                prop_assert_eq!(wrote, !oracle.is_empty());
+                prop_assert_eq!(records.len(), before + usize::from(wrote));
+                if wrote {
+                    prop_assert_eq!(records.last().unwrap(), &oracle.to_bytes());
+                }
+                prev = now;
+            }
+            // The records rebuild the evidence from the attachment point.
+            let mut replayed = attached_at;
+            for record in store.0.lock().unwrap().iter() {
+                replayed.merge(&Evidence::from_bytes(record).unwrap());
+            }
+            prop_assert_eq!(replayed.to_bytes(), engine.evidence().to_bytes());
+            // Nothing accrued since the last checkpoint: the next delta is
+            // empty.
+            prop_assert!(engine.take_evidence_delta().is_empty());
+        }
     }
 
     proptest! {

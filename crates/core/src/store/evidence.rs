@@ -15,9 +15,11 @@
 //!   stream in any order equals processing the whole stream sequentially
 //!   (the same property `SinkEngine::absorb` relies on).
 //! * **Evidence grows monotonically** — no pipeline step ever removes a
-//!   node, edge, or count. [`Evidence::delta_since`] therefore exists and
-//!   is exact: `prev.merge(&now.delta_since(&prev)) == now`, which is what
-//!   lets a store persist compact deltas instead of full snapshots.
+//!   node, edge, or count. The growth between two checkpoints is therefore
+//!   itself an `Evidence` value, and `prev.merge(&delta) == now`, which is
+//!   what lets a store persist compact deltas instead of full snapshots.
+//!   `SinkEngine` records that delta as the evidence grows, so a
+//!   checkpoint costs the delta's size, not the evidence's.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -95,6 +97,19 @@ fn counters_from_fields(f: [usize; 11]) -> SinkCounters {
         malformed: f[9],
         duplicates_suppressed: f[10],
     }
+}
+
+/// The field-wise difference `now − prev` of two readings of one
+/// monotone counter set.
+pub(crate) fn counters_since(now: &SinkCounters, prev: &SinkCounters) -> SinkCounters {
+    let now = counter_fields(now);
+    let old = counter_fields(prev);
+    let mut diff = [0usize; 11];
+    for i in 0..11 {
+        debug_assert!(now[i] >= old[i], "counters must be monotone");
+        diff[i] = now[i].saturating_sub(old[i]);
+    }
+    counters_from_fields(diff)
 }
 
 /// Incremental big-endian reader over a byte slice with structured errors.
@@ -202,14 +217,11 @@ impl Evidence {
     /// sets take the set difference. Satisfies
     /// `prev.merge(&self.delta_since(&prev)) == self` whenever `prev` is a
     /// past state of the same accumulation (debug-asserted field-wise).
-    pub fn delta_since(&self, prev: &Evidence) -> Evidence {
-        let now = counter_fields(&self.counters);
-        let old = counter_fields(&prev.counters);
-        let mut diff = [0usize; 11];
-        for i in 0..11 {
-            debug_assert!(now[i] >= old[i], "counters must be monotone");
-            diff[i] = now[i].saturating_sub(old[i]);
-        }
+    ///
+    /// The test oracle for the engine's incremental checkpoint delta,
+    /// which must equal this byte for byte at every checkpoint.
+    #[cfg(test)]
+    pub(crate) fn delta_since(&self, prev: &Evidence) -> Evidence {
         debug_assert!(self.chains_observed >= prev.chains_observed);
         let head_support = self
             .head_support
@@ -232,7 +244,7 @@ impl Evidence {
             (_, now) => now,
         };
         Evidence {
-            counters: counters_from_fields(diff),
+            counters: counters_since(&self.counters, &prev.counters),
             chains_observed: self.chains_observed.saturating_sub(prev.chains_observed),
             nodes: self.nodes.difference(&prev.nodes).copied().collect(),
             edges: self.edges.difference(&prev.edges).copied().collect(),

@@ -24,6 +24,7 @@ mod evidence;
 mod log;
 mod mem;
 
+pub(crate) use evidence::counters_since;
 pub use evidence::{Evidence, MAX_EVIDENCE_BYTES};
 pub use log::{crc32, LogStore, MAX_FRAME_BYTES};
 pub use mem::MemStore;
@@ -210,6 +211,54 @@ impl EvidenceStore for Arc<dyn EvidenceStore> {
     }
 }
 
+/// One shard's append handle on a store: writes checkpoint deltas as
+/// [`RecordKind::Delta`] records, and carries a delta whose append failed
+/// into the next append, so a failed write is retried rather than lost.
+///
+/// The carried delta lives here, not in an engine, so it survives an
+/// engine being rebuilt from its checkpoint.
+#[derive(Clone, Debug)]
+pub struct DeltaWriter {
+    store: Arc<dyn EvidenceStore>,
+    shard: u32,
+    /// Deltas whose append failed, merged; empty after every success.
+    unpersisted: Evidence,
+}
+
+impl DeltaWriter {
+    /// A writer appending `shard`'s records to `store`.
+    pub fn new(store: Arc<dyn EvidenceStore>, shard: u32) -> Self {
+        DeltaWriter {
+            store,
+            shard,
+            unpersisted: Evidence::default(),
+        }
+    }
+
+    /// Appends `delta`, merged with whatever earlier failed appends left
+    /// unpersisted, as one record. Returns `Ok(false)` when there is
+    /// nothing to write (no record appended).
+    ///
+    /// # Errors
+    ///
+    /// Whatever the store's append returns; the merged delta is then kept
+    /// and written by the next call.
+    pub fn append(&mut self, delta: Evidence) -> Result<bool, StoreError> {
+        if self.unpersisted.is_empty() {
+            self.unpersisted = delta;
+        } else {
+            self.unpersisted.merge(&delta);
+        }
+        if self.unpersisted.is_empty() {
+            return Ok(false);
+        }
+        self.store
+            .append(self.shard, RecordKind::Delta, &self.unpersisted)?;
+        self.unpersisted = Evidence::default();
+        Ok(true)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +290,65 @@ mod tests {
         replay.apply(1, RecordKind::Delta, b);
         let merged = replay.merged();
         assert_eq!(merged.nodes.len(), 2);
+    }
+
+    /// A [`MemStore`] whose appends fail while `failing` is set.
+    #[derive(Debug, Default)]
+    struct Flaky {
+        inner: MemStore,
+        failing: std::sync::atomic::AtomicBool,
+    }
+
+    impl EvidenceStore for Flaky {
+        fn append(&self, shard: u32, kind: RecordKind, ev: &Evidence) -> Result<(), StoreError> {
+            if self.failing.load(std::sync::atomic::Ordering::Relaxed) {
+                return Err(std::io::Error::other("injected append failure").into());
+            }
+            self.inner.append(shard, kind, ev)
+        }
+
+        fn replay(&self) -> Result<StoreReplay, StoreError> {
+            self.inner.replay()
+        }
+
+        fn compact(&self) -> Result<(), StoreError> {
+            self.inner.compact()
+        }
+
+        fn sync(&self) -> Result<(), StoreError> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn delta_writer_carries_a_failed_delta_into_the_next_append() {
+        let store = Arc::new(Flaky::default());
+        let mut writer = DeltaWriter::new(Arc::clone(&store) as Arc<dyn EvidenceStore>, 3);
+        let delta = |node: u16| {
+            let mut e = Evidence::default();
+            e.nodes.insert(node);
+            e.counters.packets = 1;
+            e
+        };
+        assert!(
+            !writer.append(Evidence::default()).unwrap(),
+            "empty: no record"
+        );
+        assert!(writer.append(delta(1)).unwrap());
+        store
+            .failing
+            .store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(writer.append(delta(2)).is_err());
+        store
+            .failing
+            .store(false, std::sync::atomic::Ordering::Relaxed);
+        // The failed delta rides the next record, merged with the new one.
+        assert!(writer.append(delta(3)).unwrap());
+        assert_eq!(store.inner.len(), 2);
+        let replay = store.replay().unwrap();
+        assert_eq!(replay.shards[&3].counters.packets, 3);
+        assert_eq!(replay.shards[&3].nodes.len(), 3);
+        assert!(!writer.append(Evidence::default()).unwrap());
     }
 
     #[test]

@@ -140,10 +140,13 @@ impl ServiceConfig {
     }
 
     /// Sets how many successfully processed packets a shard handles
-    /// between checkpoints of its engine (≥ 1; default 1). The checkpoint
-    /// is the "last good merge" a crashed shard restarts from: a larger
-    /// interval trades per-packet clone cost for losing up to
-    /// `interval − 1` packets of evidence on a crash.
+    /// between checkpoints (≥ 1; default 1). At each checkpoint the shard
+    /// takes its engine's evidence delta, merges it into the in-memory
+    /// checkpoint a panicked shard restarts from, and appends it to the
+    /// attached store, if any. A checkpoint costs the size of that delta,
+    /// so the default checkpoints every packet; a larger interval writes
+    /// fewer, larger store records but loses up to `interval − 1` packets
+    /// of evidence on a panic or crash.
     pub fn checkpoint_interval(mut self, interval: u64) -> Self {
         self.checkpoint_interval = interval.max(1);
         self
@@ -183,8 +186,9 @@ impl ServiceConfig {
     /// rebuilt with [`ServicePool::recover`](crate::ServicePool::recover).
     /// Append failures are counted per shard (see
     /// [`ShardSnapshot::store_errors`](crate::ShardSnapshot)) rather than
-    /// crashing the worker. Without a store, checkpoints stay the
-    /// in-memory engine clones they always were.
+    /// crashing the worker; a failed delta is carried into the shard's
+    /// next append, across a poison restart too. Without a store,
+    /// checkpoints stay in memory.
     ///
     /// [`checkpoint_interval`]: ServiceConfig::checkpoint_interval
     pub fn store(mut self, store: Arc<dyn EvidenceStore>) -> Self {
@@ -233,7 +237,7 @@ impl ServiceConfig {
         self.poison_hook.as_ref()
     }
 
-    /// Configured checkpoint interval (packets between engine clones).
+    /// Configured checkpoint interval (packets between evidence deltas).
     pub fn checkpoint_interval_packets(&self) -> u64 {
         self.checkpoint_interval
     }

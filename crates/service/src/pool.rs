@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use pnm_core::store::{Evidence, EvidenceStore, LogStore, StoreError};
+use pnm_core::store::{DeltaWriter, Evidence, EvidenceStore, LogStore, StoreError};
 use pnm_core::{SinkConfig, SinkEngine, SinkOutcome, StageMetrics};
 use pnm_crypto::KeyStore;
 use pnm_obs::{Counter, FieldValue, FlightRecorder, Registry, TraceContext};
@@ -106,11 +106,11 @@ struct ShardContext {
     /// failure, tagged with the offending trace id.
     flight: Option<Arc<FlightRecorder>>,
     done: Sender<(usize, ShardFinal)>,
-    /// Durable evidence backend; when set, checkpoints append deltas here
-    /// instead of staying purely in-memory.
+    /// Durable evidence backend; when set, every checkpoint delta is also
+    /// appended here.
     store: Option<Arc<dyn EvidenceStore>>,
-    /// Evidence replayed from the store for this shard (crash recovery);
-    /// installed into the engine before the store is attached.
+    /// Evidence replayed from the store for this shard (crash recovery):
+    /// the worker's first checkpoint, already in the store.
     recover: Option<Evidence>,
 }
 
@@ -231,13 +231,15 @@ impl ServicePool {
     /// is replayed once; each persisted shard's evidence is installed
     /// into the worker shard it maps to (`log shard % shard count`, so a
     /// pool may recover a log written with a different shard count), and
-    /// the same store is re-attached for continued appends. Because every
-    /// worker installs its evidence *before* attaching, recovery never
-    /// re-appends what was replayed.
+    /// the same store is re-attached for continued appends. The replayed
+    /// evidence is each worker's first checkpoint, and a checkpoint's
+    /// deltas start after it, so recovery never re-appends what was
+    /// replayed.
     ///
-    /// The same replay also serves the poison-quarantine restart: a shard
-    /// recovered this way restarts from replayed evidence exactly as a
-    /// panicked shard restarts from its checkpoint.
+    /// Recovery and the poison-quarantine restart share one code path: a
+    /// fresh engine plus [`SinkEngine::install_evidence`] of the
+    /// checkpoint, whether that checkpoint was replayed from the log or
+    /// kept in memory by a running shard.
     ///
     /// # Errors
     ///
@@ -722,16 +724,34 @@ impl Drop for ServicePool {
     }
 }
 
+/// A fresh shard engine holding exactly `evidence`: the one restart path,
+/// shared by crash recovery (evidence replayed from the store) and poison
+/// restart (the last good checkpoint). `stages` seeds the latency
+/// histograms, which are observability and so not part of the evidence.
+fn restore_engine(ctx: &ShardContext, evidence: &Evidence, stages: &StageMetrics) -> SinkEngine {
+    let mut engine = SinkEngine::new(Arc::clone(&ctx.keys), ctx.sink.clone());
+    engine.install_evidence(evidence);
+    engine.merge_stage_metrics(stages);
+    // The installed evidence is the checkpoint itself, already in the
+    // store when there is one: the next delta starts after it.
+    engine.take_evidence_delta();
+    engine
+}
+
 /// One shard's supervised processing loop.
 ///
-/// Each packet runs under [`catch_unwind`]: a panic — whether from the
-/// engine or from an injected [`PoisonHook`](crate::config::PoisonHook) —
-/// is caught, the packet is recorded as poison, and the shard restarts
-/// from a fresh engine plus [`SinkEngine::absorb`] of the last good
-/// checkpoint, taken every `checkpoint_interval` successful packets.
-/// Before exiting, the worker hands its final state to the drain watchdog
-/// through the `done` channel.
-fn shard_worker(rx: Receiver<Job>, ctx: ShardContext) {
+/// Every `checkpoint_interval` successful packets the worker takes the
+/// engine's evidence delta ([`SinkEngine::take_evidence_delta`]), merges
+/// it into the in-memory checkpoint, and appends it to the store, if one
+/// is attached. Each packet runs under [`catch_unwind`]: a panic — whether
+/// from the engine or from an injected
+/// [`PoisonHook`](crate::config::PoisonHook) — is caught, the packet is
+/// recorded as poison, and the shard restarts from a fresh engine holding
+/// the checkpoint, exactly as crash recovery restarts from the replayed
+/// log. The store writer outlives the engine, so a delta whose append
+/// failed is still written after a restart. Before exiting, the worker
+/// hands its final state to the drain watchdog through the `done` channel.
+fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
     {
         let (lock, cvar) = &*ctx.gate;
         let mut paused = lock.lock().expect("gate lock");
@@ -739,17 +759,14 @@ fn shard_worker(rx: Receiver<Job>, ctx: ShardContext) {
             paused = cvar.wait(paused).expect("gate wait");
         }
     }
-    let mut engine = SinkEngine::new(Arc::clone(&ctx.keys), ctx.sink.clone());
-    if let Some(evidence) = &ctx.recover {
-        engine.install_evidence(evidence);
-    }
-    if let Some(store) = &ctx.store {
-        // Install before attach: attachment pins the persistence
-        // high-water mark at the current evidence, so replayed evidence
-        // is never appended a second time.
-        engine.attach_store(Arc::clone(store), ctx.shard as u32);
-    }
-    let mut checkpoint = engine.clone();
+    // The last good checkpoint: the evidence as of the latest cadence
+    // point, starting from whatever the store replayed for this shard.
+    let mut checkpoint = ctx.recover.take().unwrap_or_default();
+    let mut engine = restore_engine(&ctx, &checkpoint, &StageMetrics::new());
+    let mut writer = ctx
+        .store
+        .as_ref()
+        .map(|store| DeltaWriter::new(Arc::clone(store), ctx.shard as u32));
     let mut since_checkpoint = 0u64;
     let mut outcomes = Vec::new();
     let mut poisoned = Vec::new();
@@ -770,14 +787,14 @@ fn shard_worker(rx: Receiver<Job>, ctx: ShardContext) {
                 since_checkpoint += 1;
                 let mut store_failed = false;
                 if since_checkpoint >= ctx.checkpoint_interval {
-                    checkpoint = engine.clone();
                     since_checkpoint = 0;
-                    // Durable checkpoint: append the evidence delta. A
-                    // failed append is counted, never fatal — the
-                    // high-water mark stays put, so the next checkpoint
-                    // retries the cumulative delta.
-                    if engine.store_attached() {
-                        store_failed = engine.checkpoint_to_store().is_err();
+                    let delta = engine.take_evidence_delta();
+                    checkpoint.merge(&delta);
+                    // Durable checkpoint: append the same delta. A failed
+                    // append is counted, never fatal — the writer keeps
+                    // the delta and retries it with the next one.
+                    if let Some(writer) = &mut writer {
+                        store_failed = writer.append(delta).is_err();
                     }
                 }
                 if store_failed {
@@ -811,17 +828,10 @@ fn shard_worker(rx: Receiver<Job>, ctx: ShardContext) {
             Err(payload) => {
                 // The panic may have left the engine mid-mutation (memory
                 // safe but logically partial), so restart from the last
-                // state known to be a complete merge.
-                let mut fresh = SinkEngine::new(Arc::clone(&ctx.keys), ctx.sink.clone());
-                fresh.absorb(&checkpoint);
-                if let Some(store) = &ctx.store {
-                    // Re-attach with the checkpoint's evidence as the
-                    // high-water mark: checkpoint clones and store
-                    // appends share the same cadence point, so this is
-                    // exactly what the log already holds for this shard.
-                    fresh.attach_store(Arc::clone(store), ctx.shard as u32);
-                }
-                engine = fresh;
+                // state known to be a complete merge. The stage histograms
+                // resume from the last good packet's telemetry.
+                let stages = ctx.slot.lock().expect("telemetry lock").stages.clone();
+                engine = restore_engine(&ctx, &checkpoint, &stages);
                 since_checkpoint = 0;
                 let record = PoisonRecord {
                     seq: job.seq,
@@ -854,8 +864,10 @@ fn shard_worker(rx: Receiver<Job>, ctx: ShardContext) {
     // Final durable checkpoint: whatever accrued since the last cadence
     // point is flushed before the shard hands in its state, so a drained
     // pool's log always holds its complete evidence.
-    if engine.store_attached() && engine.checkpoint_to_store().is_err() {
-        ctx.slot.lock().expect("telemetry lock").store_errors += 1;
+    if let Some(writer) = &mut writer {
+        if writer.append(engine.take_evidence_delta()).is_err() {
+            ctx.slot.lock().expect("telemetry lock").store_errors += 1;
+        }
     }
     // The receiver is gone when drain's watchdog already gave up on the
     // whole pool; nothing useful remains to do with the state then.
@@ -1105,6 +1117,15 @@ mod tests {
         assert_eq!(report.outcomes.len(), 40);
         assert!(report.outcomes.iter().all(|(s, _)| *s != poison_seq));
         assert_eq!(report.engine.unequivocal_source(), Some(NodeId(0)));
+        // The restarted shard kept the stage histograms its evidence does
+        // not carry: every surviving packet is sampled once per stage.
+        for (stage, hist) in report.engine.stage_metrics().iter() {
+            assert_eq!(hist.count(), 40, "stage {stage}");
+        }
+        assert_eq!(
+            &report.snapshot.stage_metrics(),
+            report.engine.stage_metrics()
+        );
     }
 
     #[test]

@@ -12,7 +12,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pnm_core::store::{EvidenceStore, LogStore, MemStore};
+use pnm_core::store::{
+    Evidence, EvidenceStore, LogStore, MemStore, RecordKind, StoreError, StoreReplay,
+};
 use pnm_core::{
     IsolationPolicy, MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig,
     SinkEngine, VerifyMode,
@@ -194,6 +196,97 @@ fn recovery_remaps_shards_when_count_changes() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A marked packet the tests' poison hooks crash on.
+fn poison_packet(ks: &KeyStore, n: u16) -> Packet {
+    let mut rng = StdRng::seed_from_u64(99);
+    let report = Report::new(b"poison-x".to_vec(), Location::new(0.0, 0.0), 7);
+    let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
+    let mut pkt = Packet::new(report);
+    for hop in 0..n {
+        let ctx = NodeContext::new(NodeId(hop), *ks.key(hop).unwrap());
+        scheme.mark(&ctx, &mut pkt, &mut rng);
+    }
+    pkt
+}
+
+fn is_poison(pkt: &Packet) -> bool {
+    pkt.report.event.starts_with(b"poison")
+}
+
+/// A [`MemStore`] whose `fail_on`-th append (1-based) fails, once.
+#[derive(Debug)]
+struct FailNthAppend {
+    inner: MemStore,
+    appends: AtomicUsize,
+    fail_on: usize,
+}
+
+impl EvidenceStore for FailNthAppend {
+    fn append(&self, shard: u32, kind: RecordKind, ev: &Evidence) -> Result<(), StoreError> {
+        if self.appends.fetch_add(1, Ordering::SeqCst) + 1 == self.fail_on {
+            return Err(std::io::Error::other("injected append failure").into());
+        }
+        self.inner.append(shard, kind, ev)
+    }
+
+    fn replay(&self) -> Result<StoreReplay, StoreError> {
+        self.inner.replay()
+    }
+
+    fn compact(&self) -> Result<(), StoreError> {
+        self.inner.compact()
+    }
+
+    fn sync(&self) -> Result<(), StoreError> {
+        self.inner.sync()
+    }
+}
+
+#[test]
+fn failed_append_survives_poison_restart() {
+    // Regression: the append for packet 20 fails, then packet 21 poisons
+    // the shard. The restarted shard must still write the failed delta,
+    // so the log holds every surviving packet — not one fewer than the
+    // drained pool.
+    let n = 8u16;
+    let ks = keys(n);
+    let packets = workload(&ks, n, 40);
+    let store = Arc::new(FailNthAppend {
+        inner: MemStore::new(),
+        appends: AtomicUsize::new(0),
+        fail_on: 20,
+    });
+    let config = ServiceConfig::new(sink_config())
+        .shards(1)
+        .store(Arc::clone(&store) as Arc<dyn EvidenceStore>)
+        .poison_hook(is_poison);
+    let pool = ServicePool::new(Arc::clone(&ks), config);
+    for p in &packets[..20] {
+        pool.ingest(p.clone()).unwrap();
+    }
+    pool.ingest(poison_packet(&ks, n)).unwrap();
+    for p in &packets[20..] {
+        pool.ingest(p.clone()).unwrap();
+    }
+    let report = pool.drain();
+    assert_eq!(report.poisoned.len(), 1);
+    assert_eq!(report.snapshot.store_errors, 1);
+
+    let replayed = store.replay().unwrap().merged();
+    assert_eq!(replayed.counters.packets, 40);
+    assert_eq!(replayed.counters, report.engine.counters());
+    // Rebuilt from the log alone, the evidence is byte-identical to the
+    // drained pool's (the drain-time quarantine sweep re-applied).
+    let mut rebuilt = SinkEngine::new(Arc::clone(&ks), sink_config());
+    rebuilt.install_evidence(&replayed);
+    rebuilt.refresh_quarantine();
+    rebuilt.quarantine_source_regions();
+    assert_eq!(
+        rebuilt.evidence().to_bytes(),
+        report.engine.evidence().to_bytes()
+    );
+}
+
 #[test]
 fn poison_restart_with_store_does_not_double_count() {
     // A shard that panics restarts from its checkpoint and re-attaches
@@ -208,23 +301,12 @@ fn poison_restart_with_store_does_not_double_count() {
     let config = ServiceConfig::new(sink_config())
         .shards(2)
         .store(Arc::clone(&store) as Arc<dyn EvidenceStore>)
-        .poison_hook(|pkt: &Packet| pkt.report.event.starts_with(b"poison"));
+        .poison_hook(is_poison);
     let pool = ServicePool::new(Arc::clone(&ks), config);
-    let mut rng = StdRng::seed_from_u64(99);
     for p in &packets[..20] {
         pool.ingest(p.clone()).unwrap();
     }
-    let poison = {
-        let report = Report::new(b"poison-x".to_vec(), Location::new(0.0, 0.0), 7);
-        let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
-        let mut pkt = Packet::new(report);
-        for hop in 0..n {
-            let ctx = NodeContext::new(NodeId(hop), *ks.key(hop).unwrap());
-            scheme.mark(&ctx, &mut pkt, &mut rng);
-        }
-        pkt
-    };
-    pool.ingest(poison).unwrap();
+    pool.ingest(poison_packet(&ks, n)).unwrap();
     for p in &packets[20..] {
         pool.ingest(p.clone()).unwrap();
     }
