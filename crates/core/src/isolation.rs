@@ -79,12 +79,6 @@ impl QuarantineFilter {
         self.quarantined.extend(nodes);
     }
 
-    /// Absorbs another filter's quarantine set (set union) — how a sharded
-    /// sink combines per-shard quarantine state into one global filter.
-    pub fn merge(&mut self, other: &QuarantineFilter) {
-        self.quarantined.extend(other.quarantined.iter().copied());
-    }
-
     /// Lifts quarantine from a node (e.g., cleared by inspection),
     /// returning whether it was quarantined.
     pub fn release(&mut self, node: NodeId) -> bool {
@@ -174,23 +168,5 @@ mod tests {
         assert!(!f.release(NodeId(7)));
         assert!(f.permits(NodeId(7)));
         assert_eq!(f.quarantined().collect::<Vec<_>>(), vec![NodeId(8)]);
-    }
-
-    #[test]
-    fn merge_unions_quarantine_sets() {
-        let mut a = QuarantineFilter::new();
-        a.quarantine([NodeId(1), NodeId(2)]);
-        let mut b = QuarantineFilter::new();
-        b.quarantine([NodeId(2), NodeId(3)]);
-        a.merge(&b);
-        assert_eq!(
-            a.quarantined().collect::<Vec<_>>(),
-            vec![NodeId(1), NodeId(2), NodeId(3)]
-        );
-        // Merging is idempotent.
-        let snapshot: Vec<NodeId> = a.quarantined().collect();
-        let b2 = b.clone();
-        a.merge(&b2);
-        assert_eq!(a.quarantined().collect::<Vec<_>>(), snapshot);
     }
 }

@@ -182,31 +182,6 @@ impl RouteReconstructor {
         }
     }
 
-    /// Merges another reconstructor's observations into this one.
-    ///
-    /// The order matrix is a set union, so merging is commutative,
-    /// associative, and idempotent: feeding a packet stream through any
-    /// partition of reconstructors and merging yields exactly the graph a
-    /// single reconstructor would have built from the whole stream. This is
-    /// what lets a sharded service combine per-shard route evidence into
-    /// one global localization.
-    pub fn merge(&mut self, other: &RouteReconstructor) {
-        self.nodes.extend(other.nodes.iter().copied());
-        for (u, vs) in &other.edges {
-            self.edges.entry(*u).or_default().extend(vs.iter().copied());
-        }
-        self.chains_observed += other.chains_observed;
-        // Support counts sum: each chain was observed in exactly one
-        // partition, so partitioned-and-merged equals sequential.
-        for (&n, &c) in &other.head_support {
-            *self.head_support.entry(n).or_default() += c;
-        }
-        for (&e, &c) in &other.edge_support {
-            *self.edge_support.entry(e).or_default() += c;
-        }
-        self.cached_source = std::sync::OnceLock::new();
-    }
-
     /// Raw node set, for evidence export.
     pub(crate) fn nodes_set(&self) -> &BTreeSet<u16> {
         &self.nodes
@@ -230,11 +205,18 @@ impl RouteReconstructor {
     }
 
     /// Merges an evidence value's route parts into this reconstructor —
-    /// the inverse of the export accessors, with the same
-    /// commutative-monoid semantics as [`RouteReconstructor::merge`] —
-    /// recording the growth into `delta`, if given, as
+    /// the inverse of the export accessors — recording the growth into
+    /// `delta`, if given, as
     /// [`RouteReconstructor::observe_chain_recording`] does. Invalidates
     /// the cached source.
+    ///
+    /// The order matrix is a set union and support counts sum, so
+    /// merging is commutative and associative: feeding a packet stream
+    /// through any partition of reconstructors and installing each
+    /// one's exported routes into one yields exactly the graph a single
+    /// reconstructor would have built from the whole stream. This is
+    /// what lets a sharded service combine per-shard route evidence into
+    /// one global localization.
     pub(crate) fn install(&mut self, evidence: &Evidence, mut delta: Option<&mut Evidence>) {
         for &n in &evidence.nodes {
             if self.nodes.insert(n) {
@@ -824,19 +806,26 @@ mod tests {
         assert!(r.source_regions().is_empty());
     }
 
-    #[test]
-    fn merge_equals_single_reconstructor() {
-        let chains: Vec<Vec<NodeId>> = vec![
-            ids(&[1, 2, 3]),
-            ids(&[5, 6, 3, 9]),
-            ids(&[2, 3, 9, 10]),
-            ids(&[1, 2]),
-        ];
+    /// The route parts of `r`'s evidence, as `SinkEngine::evidence`
+    /// exports them.
+    fn route_evidence(r: &RouteReconstructor) -> Evidence {
+        Evidence {
+            chains_observed: r.chains_observed(),
+            nodes: r.nodes_set().clone(),
+            edges: r.edge_pairs().collect(),
+            head_support: r.head_support_map().clone(),
+            edge_support: r.edge_support_map().clone(),
+            ..Evidence::default()
+        }
+    }
+
+    /// Feeds `chains` to one reconstructor, and alternately to two
+    /// that are then merged through `install`.
+    fn whole_and_installed(chains: &[Vec<NodeId>]) -> (RouteReconstructor, RouteReconstructor) {
         let mut whole = RouteReconstructor::new();
-        for c in &chains {
+        for c in chains {
             whole.observe_chain(c);
         }
-        // Partition the chains across two reconstructors and merge.
         let mut a = RouteReconstructor::new();
         let mut b = RouteReconstructor::new();
         for (i, c) in chains.iter().enumerate() {
@@ -846,23 +835,23 @@ mod tests {
                 b.observe_chain(c);
             }
         }
-        a.merge(&b);
+        a.install(&route_evidence(&b), None);
+        (whole, a)
+    }
+
+    #[test]
+    fn install_equals_single_reconstructor() {
+        let chains: Vec<Vec<NodeId>> = vec![
+            ids(&[1, 2, 3]),
+            ids(&[5, 6, 3, 9]),
+            ids(&[2, 3, 9, 10]),
+            ids(&[1, 2]),
+        ];
+        let (whole, a) = whole_and_installed(&chains);
         assert_eq!(a.localize(), whole.localize());
         assert_eq!(a.source_regions(), whole.source_regions());
         assert_eq!(a.observed_count(), whole.observed_count());
         assert_eq!(a.chains_observed(), whole.chains_observed());
-    }
-
-    #[test]
-    fn merge_invalidates_cached_source() {
-        let mut a = RouteReconstructor::new();
-        a.observe_chain(&ids(&[2, 3]));
-        assert_eq!(a.unequivocal_source(), Some(NodeId(2)));
-        let mut b = RouteReconstructor::new();
-        b.observe_chain(&ids(&[1, 2]));
-        a.merge(&b);
-        // The merged graph has a new most-upstream node.
-        assert_eq!(a.unequivocal_source(), Some(NodeId(1)));
     }
 
     #[test]
@@ -948,23 +937,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_support_counts() {
+    fn install_sums_support_counts() {
         let chains: Vec<Vec<NodeId>> =
             vec![ids(&[1, 2, 3]), ids(&[1, 2]), ids(&[2, 3]), ids(&[1, 3])];
-        let mut whole = RouteReconstructor::new();
-        for c in &chains {
-            whole.observe_chain(c);
-        }
-        let mut a = RouteReconstructor::new();
-        let mut b = RouteReconstructor::new();
-        for (i, c) in chains.iter().enumerate() {
-            if i % 2 == 0 {
-                a.observe_chain(c);
-            } else {
-                b.observe_chain(c);
-            }
-        }
-        a.merge(&b);
+        let (whole, a) = whole_and_installed(&chains);
         for n in [1u16, 2, 3] {
             assert_eq!(a.head_support(NodeId(n)), whole.head_support(NodeId(n)));
         }

@@ -1432,6 +1432,25 @@ mod tests {
     }
 
     #[test]
+    fn install_evidence_invalidates_cached_source() {
+        let route = |u: u16, v: u16| Evidence {
+            chains_observed: 1,
+            nodes: [u, v].into(),
+            edges: [(u, v)].into(),
+            head_support: [(u, 1)].into(),
+            edge_support: [((u, v), 1)].into(),
+            ..Evidence::default()
+        };
+        let mut engine = SinkEngine::new(keys(4), SinkConfig::new(VerifyMode::Nested));
+        engine.install_evidence(&route(2, 3));
+        // Computes and caches the source.
+        assert_eq!(engine.unequivocal_source(), Some(NodeId(2)));
+        engine.install_evidence(&route(1, 2));
+        // The installed graph has a new most-upstream node.
+        assert_eq!(engine.unequivocal_source(), Some(NodeId(1)));
+    }
+
+    #[test]
     fn absorb_with_attached_store_emits_delta_once() {
         // Satellite check: absorb merges in memory only; the absorbed
         // evidence rides the *next* checkpoint delta exactly once, so a

@@ -2,8 +2,9 @@
 //!
 //! Used by the benches, the integration tests, and the README quickstart;
 //! also a reference implementation for anyone speaking the envelope
-//! protocol from another language. One connection, requests answered in
-//! order, [`ingest`](GatewayClient::ingest) pipelined with no response.
+//! protocol from another language. One connection, one request at a time,
+//! every request answered in order — including each ingest frame, whose
+//! [`IngestAck`] is checked before it is returned.
 //!
 //! The client is transport-generic ([`Transport`]): the connect helpers
 //! build TCP/UDS streams with [`ClientConfig`] timeouts applied in one
@@ -17,7 +18,9 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
-use crate::envelope::{Envelope, IngestAck, OpCode, Response, Status};
+use pnm_obs::TraceContext;
+
+use crate::envelope::{AckCode, Envelope, IngestAck, OpCode, Response, Status};
 use crate::tenant::DrainVerdict;
 use crate::transport::Transport;
 
@@ -133,19 +136,10 @@ impl GatewayClient {
         Ok(Self::from_transport(transport))
     }
 
-    /// Sends one canonical packet for `tenant`. Fire-and-forget: returns
-    /// as soon as the kernel accepts the frame; admission outcomes are
-    /// visible in the gateway's metrics, not per packet.
-    pub fn ingest(&mut self, tenant: &[u8], packet_bytes: &[u8]) -> io::Result<()> {
-        self.transport
-            .write_all(&Envelope::ingest(tenant, packet_bytes).encode())
-    }
-
-    /// Sends one **sequenced** packet and waits for its [`IngestAck`] —
-    /// the acked, exactly-once delivery path. The ack is integrity-checked
-    /// (CRC) and its echoed sequence number verified against `seq`, so a
-    /// damaged or misattributed ack surfaces as `InvalidData` (retryable
-    /// by reconnecting) rather than being trusted.
+    /// Sends one untraced packet and waits for its [`IngestAck`] — the
+    /// acked, exactly-once delivery path. Shorthand for
+    /// [`ingest_seq_ctx`](Self::ingest_seq_ctx) with
+    /// [`TraceContext::NONE`].
     pub fn ingest_seq(
         &mut self,
         tenant: &[u8],
@@ -153,57 +147,46 @@ impl GatewayClient {
         seq: u64,
         packet_bytes: &[u8],
     ) -> io::Result<IngestAck> {
-        let payload = self.request(Envelope::ingest_seq(tenant, session, seq, packet_bytes))?;
-        let ack = IngestAck::decode(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        // Corrupt/UnknownTenant acks echo seq 0: the server could not
-        // trust (or find) the frame's own numbers.
-        if ack.seq != seq && ack.seq != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("ack echoes seq {} for request seq {seq}", ack.seq),
-            ));
-        }
-        Ok(ack)
+        self.ingest_seq_ctx(tenant, TraceContext::NONE, session, seq, packet_bytes)
     }
 
-    /// Sends one **traced** sequenced packet and waits for its
-    /// [`IngestAck`] — [`ingest_seq`](Self::ingest_seq) carrying the
-    /// client's trace context (`trace`, `parent`) across the wire. The
-    /// ack's echoed trace id is verified against `trace` in addition to
-    /// the sequence check, so an ack cannot close the wrong trace.
-    #[allow(clippy::too_many_arguments)]
-    pub fn ingest_traced(
+    /// Sends one packet under the client's trace context `ctx` and waits
+    /// for its [`IngestAck`]. The ack is integrity-checked (CRC) and must
+    /// echo `seq` and `ctx.trace`, so a damaged or misattributed ack
+    /// surfaces as `InvalidData` (retryable by reconnecting) rather than
+    /// being trusted — it cannot book the wrong packet or close the wrong
+    /// trace.
+    pub fn ingest_seq_ctx(
         &mut self,
         tenant: &[u8],
-        trace: u64,
-        parent: u64,
+        ctx: TraceContext,
         session: u64,
         seq: u64,
         packet_bytes: &[u8],
     ) -> io::Result<IngestAck> {
-        let payload = self.request(Envelope::ingest_traced(
+        let payload = self.request(Envelope::ingest_seq_ctx(
             tenant,
-            trace,
-            parent,
+            ctx,
             session,
             seq,
             packet_bytes,
         ))?;
         let ack = IngestAck::decode(&payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if ack.seq != seq && ack.seq != 0 {
+        // Only a Corrupt ack may echo zeros: the server could not trust
+        // the frame's own numbers. Any other ack names its request.
+        let echoed = (ack.seq, ack.trace) == (seq, ctx.trace)
+            || (ack.code == AckCode::Corrupt && (ack.seq, ack.trace) == (0, 0));
+        if !echoed {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("ack echoes seq {} for request seq {seq}", ack.seq),
-            ));
-        }
-        // Corrupt acks (seq 0) carry no trace; everything else must echo
-        // ours.
-        if ack.trace != trace && ack.seq != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("ack echoes trace {:#x} for trace {trace:#x}", ack.trace),
+                format!(
+                    "{} ack echoes seq {} trace {:#x} for request seq {seq} trace {:#x}",
+                    ack.code.reason(),
+                    ack.seq,
+                    ack.trace,
+                    ctx.trace
+                ),
             ));
         }
         Ok(ack)
@@ -296,5 +279,75 @@ impl GatewayClient {
                 Err(e) => return Err(e),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// A transport that answers every request with one canned ack.
+    struct CannedAck {
+        reply: Vec<u8>,
+    }
+
+    impl Transport for CannedAck {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.reply.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.reply[..n]);
+            self.reply.drain(..n);
+            Ok(n)
+        }
+
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn set_read_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn set_write_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn shutdown(&self) {}
+    }
+
+    fn answered_with(ack: IngestAck, ctx: TraceContext, seq: u64) -> io::Result<IngestAck> {
+        let reply = Response::new(Status::Ok, ack.encode()).encode();
+        GatewayClient::from_transport(Box::new(CannedAck { reply }))
+            .ingest_seq_ctx(b"alpha", ctx, 1, seq, b"packet")
+    }
+
+    #[test]
+    fn ack_must_echo_its_request() {
+        let traced = TraceContext {
+            trace: 0xabc,
+            parent: 0x1,
+        };
+        // An Accepted ack echoing seq 0 for a seq-5 request is
+        // misattributed, not counted.
+        let err =
+            answered_with(IngestAck::new(AckCode::Accepted, 0), TraceContext::NONE, 5).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // So is one echoing the right seq under the wrong (or no) trace.
+        for wrong in [0, 0xdef] {
+            let ack = IngestAck::new(AckCode::Accepted, 5).with_trace(wrong);
+            assert_eq!(
+                answered_with(ack, traced, 5).unwrap_err().kind(),
+                io::ErrorKind::InvalidData
+            );
+        }
+        // A Corrupt ack echoes zeros, and only a Corrupt ack may.
+        let corrupt = IngestAck::new(AckCode::Corrupt, 0);
+        assert_eq!(answered_with(corrupt, traced, 5).unwrap(), corrupt);
+        assert!(answered_with(IngestAck::new(AckCode::Malformed, 0), traced, 5).is_err());
+        // A faithful echo is trusted, traced or not.
+        let ok = IngestAck::new(AckCode::Accepted, 5).with_trace(0xabc);
+        assert_eq!(answered_with(ok, traced, 5).unwrap(), ok);
+        let ok = IngestAck::new(AckCode::Duplicate, 5);
+        assert_eq!(answered_with(ok, TraceContext::NONE, 5).unwrap(), ok);
     }
 }

@@ -1,12 +1,15 @@
 //! Per-tenant bounded dedup window: the server half of exactly-once
 //! ingest.
 //!
-//! A client retries an [`crate::OpCode::IngestSeq`] frame whenever it is
-//! not sure the last one landed — the connection died before the ack, the
-//! ack was corrupted, a timeout fired. The only way a retry is safe is if
-//! the server remembers which `(session, seq)` pairs it has already
-//! absorbed: the first copy is counted and acked `Accepted`, every later
-//! copy is acked `Duplicate` without touching the evidence monoid.
+//! Every packet enters the gateway as an [`crate::OpCode::IngestSeq`]
+//! frame, and a client retries one whenever it is not sure the last one
+//! landed — the connection died before the ack, the ack was corrupted, a
+//! timeout fired. The only way a retry is safe is if the server remembers
+//! which `(session, seq)` pairs it has already absorbed: the first copy is
+//! counted and acked `Accepted`, every later copy is acked `Duplicate`
+//! without touching the evidence monoid. The window keys on
+//! `(session, seq)` alone; the frame's trace context plays no part, so
+//! traced and untraced frames are deduplicated alike.
 //!
 //! Memory is bounded in both dimensions:
 //!

@@ -12,16 +12,18 @@
 //!   payload. Decoding is total in the `pnm-wire` sense — garbage,
 //!   bit-flips, and truncation become counted rejections or "need more
 //!   bytes", never a panic, and no unvalidated length field drives an
-//!   allocation. Opcodes: [`OpCode::Ingest`] (fire-and-forget packet
-//!   delivery), [`OpCode::Snapshot`], [`OpCode::MetricsText`],
-//!   [`OpCode::Drain`], and — since protocol version 2 —
-//!   [`OpCode::IngestSeq`] (acked, exactly-once delivery),
-//!   [`OpCode::Health`], and [`OpCode::Ready`].
-//! * **Resilience.** Sequenced ingest carries a client session id, a
-//!   monotone sequence number, and an end-to-end CRC ([`SeqFrame`]); the
-//!   server answers every frame with an [`IngestAck`] and deduplicates
-//!   retries through a bounded per-tenant window ([`dedup`]), so a frame
-//!   is absorbed into the evidence monoid **exactly once** no matter how
+//!   allocation. One protocol version ([`VERSION`]) is spoken; any other
+//!   version byte is a counted `bad_version` rejection. Opcodes:
+//!   [`OpCode::IngestSeq`] (acked, exactly-once packet delivery — the one
+//!   ingest path), [`OpCode::Snapshot`], [`OpCode::MetricsText`],
+//!   [`OpCode::Drain`], [`OpCode::Health`], [`OpCode::Ready`], and
+//!   [`OpCode::Ops`].
+//! * **Resilience.** Every ingest frame carries the client's trace
+//!   context (all-zero when untraced), a client session id, a monotone
+//!   sequence number, and an end-to-end CRC ([`SeqFrame`]); the server
+//!   answers every frame with an [`IngestAck`] and deduplicates retries
+//!   through a bounded per-tenant window ([`dedup`]), so a frame is
+//!   absorbed into the evidence monoid **exactly once** no matter how
 //!   often the connection dies mid-ack. [`ResilientClient`] wraps
 //!   reconnect, capped seeded-jitter backoff ([`BackoffPolicy`]), and
 //!   per-request timeouts; [`ChaosTransport`] injects deterministic
@@ -72,13 +74,11 @@ pub use backoff::{BackoffPolicy, BackoffSchedule, MAX_JITTER};
 pub use chaos::{ChaosCounters, ChaosPlan, ChaosTransport};
 pub use client::{ClientConfig, GatewayClient, CLIENT_MAX_RESPONSE};
 pub use envelope::{
-    AckCode, Envelope, EnvelopeError, IngestAck, OpCode, Response, SeqFrame, Status, TracedFrame,
-    DEFAULT_MAX_PAYLOAD, FIXED_HEADER, INGEST_ACK_LEN, INGEST_ACK_TRACED_LEN, MAGIC,
-    MAX_TENANT_LEN, MIN_VERSION, SEQ_FRAME_HEADER, TRACED_FRAME_HEADER, VERSION,
+    AckCode, Envelope, EnvelopeError, IngestAck, OpCode, Response, SeqFrame, Status,
+    DEFAULT_MAX_PAYLOAD, FIXED_HEADER, INGEST_ACK_LEN, MAGIC, MAX_TENANT_LEN, SEQ_FRAME_HEADER,
+    VERSION,
 };
 pub use resilient::{ClientReport, Connector, ResilientClient, ResilientConfig, SendOutcome};
 pub use server::{Gateway, GatewayConfig, GatewayHandle};
-pub use tenant::{
-    DrainVerdict, IngestStatus, RateLimit, TenantConfig, TenantRegistry, TenantRegistryBuilder,
-};
+pub use tenant::{DrainVerdict, RateLimit, TenantConfig, TenantRegistry, TenantRegistryBuilder};
 pub use transport::Transport;

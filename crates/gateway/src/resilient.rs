@@ -24,12 +24,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pnm_obs::{Registry, Tracer};
+use pnm_obs::{Registry, TraceContext, Tracer};
 
 use crate::backoff::{BackoffPolicy, BackoffSchedule};
 use crate::chaos::{splitmix64, ChaosCounters, ChaosPlan, ChaosTransport};
 use crate::client::{ClientConfig, GatewayClient};
-use crate::envelope::{AckCode, IngestAck};
+use crate::envelope::AckCode;
 use crate::tenant::DrainVerdict;
 use crate::transport::Transport;
 
@@ -292,11 +292,11 @@ impl ResilientClient {
     }
 
     /// Attaches a tracer: every [`send`](Self::send) opens a root
-    /// `client.send` span, mints a trace id under it, and ships the
-    /// packet as an [`crate::OpCode::IngestTraced`] frame — the client
-    /// end of end-to-end causal tracing. Retries stay inside the same
-    /// span and resend the same trace id, and the server's ack must echo
-    /// it back. Without a tracer, sends stay plain `IngestSeq` frames.
+    /// `client.send` span, mints a trace id under it, and carries that
+    /// context in the packet's [`crate::SeqFrame`] — the client end of
+    /// end-to-end causal tracing. Retries stay inside the same span and
+    /// resend the same trace id, and the server's ack must echo it back.
+    /// Without a tracer, frames carry the all-zero context.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
         self
@@ -370,8 +370,11 @@ impl ResilientClient {
             .as_ref()
             .filter(|t| t.enabled())
             .map(|t| t.span_root("client.send"));
-        let ctx = span.as_ref().and_then(|s| s.context());
-        let trace = ctx.map(|c| c.trace).unwrap_or(0);
+        let ctx = span
+            .as_ref()
+            .and_then(|s| s.context())
+            .unwrap_or(TraceContext::NONE);
+        let trace = ctx.trace;
         let mut hint = Duration::ZERO;
         for attempt in 0..self.max_attempts {
             if attempt > 0 {
@@ -383,12 +386,9 @@ impl ResilientClient {
             self.report.attempts += 1;
             self.mark("pnm_client_attempts_total");
             let session = self.session;
-            let ack: io::Result<IngestAck> = self.client_mut().and_then(|c| match ctx {
-                Some(ctx) => {
-                    c.ingest_traced(tenant, ctx.trace, ctx.parent, session, seq, packet_bytes)
-                }
-                None => c.ingest_seq(tenant, session, seq, packet_bytes),
-            });
+            let ack = self
+                .client_mut()
+                .and_then(|c| c.ingest_seq_ctx(tenant, ctx, session, seq, packet_bytes));
             let ack = match ack {
                 Ok(ack) => ack,
                 Err(_) => {

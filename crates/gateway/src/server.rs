@@ -13,10 +13,10 @@
 //! per-connection caps bound buffered bytes and stall time
 //! ([`crate::admission::ConnLimits`]); per-tenant token buckets and the
 //! service pools' own Block/Shed queues sit behind those
-//! ([`TenantRegistry::ingest`]). Under `Block` backpressure a full queue
-//! stalls the worker, the kernel socket buffers fill, and the TCP window
-//! closes — the service-layer policy becomes end-to-end flow control for
-//! free. `Shed` keeps workers responsive and counts the drops instead;
+//! ([`TenantRegistry::ingest_seq`]). Under `Block` backpressure a full
+//! queue stalls the worker, the kernel socket buffers fill, and the TCP
+//! window closes — the service-layer policy becomes end-to-end flow
+//! control for free. `Shed` keeps workers responsive and counts the drops instead;
 //! prefer it for multi-tenant gateways so one tenant's burst cannot stall
 //! a worker serving others.
 
@@ -572,14 +572,6 @@ impl Worker {
 
     fn dispatch(&mut self, i: usize, env: Envelope) {
         let response = match env.opcode {
-            OpCode::Ingest => {
-                // Fire-and-forget: rejection reasons are visible as
-                // counters, not per-packet responses, so clients can
-                // pipeline at line rate.
-                self.registry
-                    .ingest(&env.tenant, &env.payload, Instant::now());
-                return;
-            }
             OpCode::Snapshot => match self.registry.snapshot_json(&env.tenant) {
                 Some(json) => Response::new(Status::Ok, json),
                 None => Response::new(Status::Rejected, "unknown tenant"),
@@ -590,21 +582,11 @@ impl Worker {
                 None => Response::new(Status::Rejected, "unknown tenant"),
             },
             OpCode::IngestSeq => {
-                // Acked ingest: every frame gets an IngestAck carrying its
+                // Every ingest frame gets an IngestAck carrying its
                 // admission outcome, so clients can retry safely.
                 let ack = self
                     .registry
                     .ingest_seq(&env.tenant, &env.payload, Instant::now());
-                Response::new(Status::Ok, ack.encode())
-            }
-            OpCode::IngestTraced => {
-                // Traced acked ingest: same exactly-once admission as
-                // IngestSeq, with the client's trace context threaded
-                // through to the tenant's shard engine and echoed in the
-                // ack.
-                let ack = self
-                    .registry
-                    .ingest_traced(&env.tenant, &env.payload, Instant::now());
                 Response::new(Status::Ok, ack.encode())
             }
             OpCode::Ops => {
@@ -720,7 +702,7 @@ mod tests {
         let addr = gw.listen_tcp("127.0.0.1:0").unwrap();
         let handle = gw.spawn().unwrap();
 
-        let mut frame = Envelope::ingest(b"alpha", &[0u8; 4]).encode();
+        let mut frame = Envelope::ingest_seq(b"alpha", 0, 0, &[0u8; 4]).encode();
         // Rewrite payload_len to a huge value; never send the body.
         let len_off = crate::envelope::FIXED_HEADER + 5;
         frame[len_off..len_off + 4].copy_from_slice(&u32::MAX.to_be_bytes());

@@ -22,13 +22,13 @@ use std::time::Instant;
 
 use pnm_core::store::{LogStore, StoreError};
 use pnm_crypto::KeyStore;
-use pnm_obs::{Counter, FlightRecorder, JsonValue, Registry, TraceContext, Tracer};
+use pnm_obs::{Counter, FlightRecorder, JsonValue, Registry, Tracer};
 use pnm_service::{IngestError, ServiceConfig, ServicePool};
 use pnm_wire::Packet;
 
 use crate::admission::TokenBucket;
 use crate::dedup::{DedupState, DedupVerdict, DEFAULT_MAX_SESSIONS, DEFAULT_WINDOW};
-use crate::envelope::{AckCode, IngestAck, SeqFrame, TracedFrame, MAX_TENANT_LEN};
+use crate::envelope::{AckCode, IngestAck, SeqFrame, MAX_TENANT_LEN};
 
 /// Per-tenant ingest rate limit (token bucket parameters).
 #[derive(Clone, Copy, Debug)]
@@ -92,39 +92,6 @@ impl TenantConfig {
     }
 }
 
-/// Why the gateway refused (or accepted) one ingest frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IngestStatus {
-    /// Enqueued into the tenant's pool.
-    Accepted,
-    /// The envelope named no provisioned tenant.
-    UnknownTenant,
-    /// The payload failed `Packet::from_bytes` — counted, never a panic,
-    /// exactly as `SinkEngine::ingest_bytes` counts malformed bytes.
-    Malformed,
-    /// The tenant's token bucket was empty.
-    RateLimited,
-    /// The tenant's pool shed the packet (bounded queue full under
-    /// [`pnm_service::BackpressurePolicy::Shed`]).
-    Shed,
-    /// The tenant was already drained; its verdict is final.
-    Drained,
-}
-
-impl IngestStatus {
-    /// Stable rejection-counter label (`None` for `Accepted`).
-    pub fn reason(&self) -> Option<&'static str> {
-        match self {
-            IngestStatus::Accepted => None,
-            IngestStatus::UnknownTenant => Some("unknown_tenant"),
-            IngestStatus::Malformed => Some("malformed"),
-            IngestStatus::RateLimited => Some("rate_limited"),
-            IngestStatus::Shed => Some("shed"),
-            IngestStatus::Drained => Some("drained"),
-        }
-    }
-}
-
 /// A drained tenant's final, immutable verdict.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DrainVerdict {
@@ -179,7 +146,7 @@ struct Tenant {
     bucket: Option<Mutex<TokenBucket>>,
     /// Exactly-once window for sequenced ingest.
     dedup: Mutex<DedupState>,
-    /// The tenant pool's tracer — traced ingest opens its
+    /// The tenant pool's tracer — a traced ingest frame opens its
     /// `gateway.ingest` span here so the gateway span and the shard
     /// engine's stage spans land in the same collector.
     tracer: Tracer,
@@ -325,53 +292,10 @@ impl TenantRegistry {
         &self.registry
     }
 
-    /// Admits one ingest frame: token bucket, then packet decode, then
-    /// the tenant's pool (whose Block/Shed policy applies as configured).
-    /// Every outcome is counted under the tenant's metrics namespace;
-    /// nothing here panics on hostile payload bytes.
-    pub fn ingest(&self, tenant: &[u8], payload: &[u8], now: Instant) -> IngestStatus {
-        let Some(t) = self.tenants.get(tenant) else {
-            self.rejected_unknown.inc();
-            return IngestStatus::UnknownTenant;
-        };
-        if let Some(bucket) = &t.bucket {
-            if !bucket.lock().expect("bucket lock").try_take_at(now) {
-                t.rejected_rate.inc();
-                return IngestStatus::RateLimited;
-            }
-        }
-        let packet = match Packet::from_bytes(payload) {
-            Ok(p) => p,
-            Err(_) => {
-                t.rejected_malformed.inc();
-                return IngestStatus::Malformed;
-            }
-        };
-        let pool = t.pool.lock().expect("pool lock");
-        match pool.as_ref() {
-            Some(pool) => match pool.ingest(packet) {
-                Ok(_) => {
-                    t.ingested.inc();
-                    IngestStatus::Accepted
-                }
-                Err(IngestError::Shed) => {
-                    t.rejected_shed.inc();
-                    IngestStatus::Shed
-                }
-                Err(IngestError::Closed) => {
-                    t.rejected_drained.inc();
-                    IngestStatus::Drained
-                }
-            },
-            None => {
-                t.rejected_drained.inc();
-                IngestStatus::Drained
-            }
-        }
-    }
-
-    /// Admits one **sequenced** ingest frame and returns the ack the
-    /// server should send back — the exactly-once path.
+    /// Admits one ingest frame and returns the ack the server sends back —
+    /// the gateway's one, exactly-once ingest path. Every outcome is
+    /// counted under the tenant's metrics namespace; nothing here panics
+    /// on hostile payload bytes.
     ///
     /// Admission order is chosen so that retries are cheap and never
     /// double-counted: CRC/decode of the sequence frame first (`Corrupt`
@@ -384,6 +308,14 @@ impl TenantRegistry {
     /// re-derives the same verdict) → the pool (`Accepted` / `Busy` with a
     /// retry hint / `Drained`). The dedup window records a frame **only**
     /// when the pool actually absorbed it, so acked ≡ counted holds.
+    ///
+    /// A frame carrying a trace context is admitted identically. When the
+    /// context names a trace and the tenant's tracer is enabled, a
+    /// `gateway.ingest` span opens inside it and the packet rides the
+    /// shard queue under that span — so the client span, the gateway span,
+    /// and every sink stage span form one trace. Tracing changes no
+    /// admission outcome and no evidence byte. Every ack but `Corrupt`
+    /// echoes the frame's sequence number and trace id.
     pub fn ingest_seq(&self, tenant: &[u8], payload: &[u8], now: Instant) -> IngestAck {
         let t = self.tenants.get(tenant);
         let frame = match SeqFrame::decode_payload(tenant, payload) {
@@ -393,172 +325,69 @@ impl TenantRegistry {
                     Some(t) => t.rejected_corrupt.inc(),
                     None => self.rejected_corrupt_unattributed.inc(),
                 }
+                // The sequence number and trace id are inside the damaged
+                // region, so the ack cannot echo them.
                 return IngestAck::new(AckCode::Corrupt, 0);
             }
         };
-        let seq = frame.seq;
+        let ack = |code| IngestAck::new(code, frame.seq).with_trace(frame.ctx.trace);
         let Some(t) = t else {
             // The CRC passed over this tenant id, so the client really
             // sent it: genuinely unknown, terminal.
             self.rejected_unknown.inc();
-            return IngestAck::new(AckCode::UnknownTenant, seq);
+            return ack(AckCode::UnknownTenant);
         };
         if t.dedup
             .lock()
             .expect("dedup lock")
-            .lookup(frame.session, seq)
+            .lookup(frame.session, frame.seq)
             == DedupVerdict::Duplicate
         {
             t.duplicate.inc();
-            return IngestAck::new(AckCode::Duplicate, seq);
+            return ack(AckCode::Duplicate);
         }
         if let Some(bucket) = &t.bucket {
             if !bucket.lock().expect("bucket lock").try_take_at(now) {
                 t.rejected_rate.inc();
-                return IngestAck::new(AckCode::RateLimited, seq)
-                    .with_retry_after(t.busy_retry_after_ms);
+                return ack(AckCode::RateLimited).with_retry_after(t.busy_retry_after_ms);
             }
         }
         let packet = match Packet::from_bytes(&frame.packet) {
             Ok(p) => p,
             Err(_) => {
                 t.rejected_malformed.inc();
-                return IngestAck::new(AckCode::Malformed, seq);
+                return ack(AckCode::Malformed);
             }
         };
         let pool = t.pool.lock().expect("pool lock");
-        let outcome = match pool.as_ref() {
-            Some(pool) => match pool.ingest(packet) {
-                Ok(_) => {
-                    let mut dedup = t.dedup.lock().expect("dedup lock");
-                    dedup.record(frame.session, seq);
-                    t.dedup_evicted.store(dedup.evicted_sessions());
-                    t.ingested.inc();
-                    AckCode::Accepted
-                }
-                Err(IngestError::Shed) => {
-                    t.rejected_shed.inc();
-                    AckCode::Busy
-                }
-                Err(IngestError::Closed) => {
-                    t.rejected_drained.inc();
-                    AckCode::Drained
-                }
-            },
-            None => {
+        let Some(pool) = pool.as_ref() else {
+            t.rejected_drained.inc();
+            return ack(AckCode::Drained);
+        };
+        // Open the gateway's span inside the client's context and enqueue
+        // under it, so queue hand-off and sink stages hang off this span.
+        // The span closes when the packet is enqueued — shard-side time
+        // is the sink spans' own.
+        let span = (frame.ctx.is_traced() && t.tracer.enabled())
+            .then(|| t.tracer.span_in("gateway.ingest", frame.ctx));
+        let ctx = span.as_ref().and_then(|s| s.context()).unwrap_or(frame.ctx);
+        let now_us = packet.report.timestamp;
+        match pool.ingest_ctx(packet, now_us, ctx) {
+            Ok(_) => {
+                let mut dedup = t.dedup.lock().expect("dedup lock");
+                dedup.record(frame.session, frame.seq);
+                t.dedup_evicted.store(dedup.evicted_sessions());
+                t.ingested.inc();
+                ack(AckCode::Accepted)
+            }
+            Err(IngestError::Shed) => {
+                t.rejected_shed.inc();
+                ack(AckCode::Busy).with_retry_after(t.busy_retry_after_ms)
+            }
+            Err(IngestError::Closed) => {
                 t.rejected_drained.inc();
-                AckCode::Drained
+                ack(AckCode::Drained)
             }
-        };
-        let ack = IngestAck::new(outcome, seq);
-        if outcome == AckCode::Busy {
-            ack.with_retry_after(t.busy_retry_after_ms)
-        } else {
-            ack
-        }
-    }
-
-    /// Admits one **traced** sequenced ingest frame and returns the ack
-    /// (which echoes the frame's trace id) — [`ingest_seq`] plus causal
-    /// context.
-    ///
-    /// Admission order, dedup semantics, and "acked ≡ counted exactly
-    /// once" are identical to [`ingest_seq`]; the only addition is that
-    /// when the pool absorbs the packet, a `gateway.ingest` span is
-    /// opened inside the client's wire context and the packet rides the
-    /// shard queue under that span — so the client span, the gateway
-    /// span, and every sink stage span form one trace. Tracing changes
-    /// no admission outcome and no evidence byte: a traced run's
-    /// artifacts are byte-identical to an untraced run of the same
-    /// stream.
-    ///
-    /// [`ingest_seq`]: Self::ingest_seq
-    pub fn ingest_traced(&self, tenant: &[u8], payload: &[u8], now: Instant) -> IngestAck {
-        let t = self.tenants.get(tenant);
-        let frame = match TracedFrame::decode_payload(tenant, payload) {
-            Ok(f) => f,
-            Err(_) => {
-                match t {
-                    Some(t) => t.rejected_corrupt.inc(),
-                    None => self.rejected_corrupt_unattributed.inc(),
-                }
-                // The trace id itself is inside the damaged region, so
-                // the corrupt ack cannot echo it.
-                return IngestAck::new(AckCode::Corrupt, 0);
-            }
-        };
-        let (seq, trace) = (frame.seq, frame.trace);
-        let Some(t) = t else {
-            self.rejected_unknown.inc();
-            return IngestAck::new(AckCode::UnknownTenant, seq).with_trace(trace);
-        };
-        if t.dedup
-            .lock()
-            .expect("dedup lock")
-            .lookup(frame.session, seq)
-            == DedupVerdict::Duplicate
-        {
-            t.duplicate.inc();
-            return IngestAck::new(AckCode::Duplicate, seq).with_trace(trace);
-        }
-        if let Some(bucket) = &t.bucket {
-            if !bucket.lock().expect("bucket lock").try_take_at(now) {
-                t.rejected_rate.inc();
-                return IngestAck::new(AckCode::RateLimited, seq)
-                    .with_retry_after(t.busy_retry_after_ms)
-                    .with_trace(trace);
-            }
-        }
-        let packet = match Packet::from_bytes(&frame.packet) {
-            Ok(p) => p,
-            Err(_) => {
-                t.rejected_malformed.inc();
-                return IngestAck::new(AckCode::Malformed, seq).with_trace(trace);
-            }
-        };
-        let wire_ctx = TraceContext {
-            trace,
-            parent: frame.parent,
-        };
-        let pool = t.pool.lock().expect("pool lock");
-        let outcome = match pool.as_ref() {
-            Some(pool) => {
-                // Open the gateway's span inside the client's context and
-                // enqueue under it, so queue hand-off and sink stages hang
-                // off this span. The span closes when the packet is
-                // enqueued — shard-side time is the sink spans' own.
-                let span = (wire_ctx.is_traced() && t.tracer.enabled())
-                    .then(|| t.tracer.span_in("gateway.ingest", wire_ctx));
-                let ctx = span.as_ref().and_then(|s| s.context()).unwrap_or(wire_ctx);
-                let now_us = packet.report.timestamp;
-                match pool.ingest_ctx(packet, now_us, ctx) {
-                    Ok(_) => {
-                        let mut dedup = t.dedup.lock().expect("dedup lock");
-                        dedup.record(frame.session, seq);
-                        t.dedup_evicted.store(dedup.evicted_sessions());
-                        t.ingested.inc();
-                        AckCode::Accepted
-                    }
-                    Err(IngestError::Shed) => {
-                        t.rejected_shed.inc();
-                        AckCode::Busy
-                    }
-                    Err(IngestError::Closed) => {
-                        t.rejected_drained.inc();
-                        AckCode::Drained
-                    }
-                }
-            }
-            None => {
-                t.rejected_drained.inc();
-                AckCode::Drained
-            }
-        };
-        let ack = IngestAck::new(outcome, seq).with_trace(trace);
-        if outcome == AckCode::Busy {
-            ack.with_retry_after(t.busy_retry_after_ms)
-        } else {
-            ack
         }
     }
 
@@ -785,6 +614,7 @@ impl TenantRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::SEQ_FRAME_HEADER;
     use pnm_core::{
         MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode,
     };
@@ -817,6 +647,23 @@ mod tests {
         pkt
     }
 
+    /// Admits `packet` for `tenant` as sequence number `seq` of session 1.
+    fn admit(
+        reg: &TenantRegistry,
+        tenant: &[u8],
+        seq: u64,
+        packet: &[u8],
+        now: Instant,
+    ) -> AckCode {
+        let ack = reg.ingest_seq(
+            tenant,
+            &SeqFrame::encode_payload(tenant, 1, seq, packet),
+            now,
+        );
+        assert_eq!(ack.seq, seq, "every clean frame's ack echoes its seq");
+        ack.code
+    }
+
     #[test]
     fn unknown_and_malformed_are_counted_not_fatal() {
         let reg = TenantRegistry::builder()
@@ -825,20 +672,28 @@ mod tests {
             .unwrap();
         let now = Instant::now();
         assert_eq!(
-            reg.ingest(b"nope", b"anything", now),
-            IngestStatus::UnknownTenant
+            admit(&reg, b"nope", 1, b"anything", now),
+            AckCode::UnknownTenant
         );
         assert_eq!(
-            reg.ingest(b"alpha", b"\xff\xff garbage", now),
-            IngestStatus::Malformed
+            admit(&reg, b"alpha", 2, b"\xff\xff garbage", now),
+            AckCode::Malformed
         );
         let ok = marked_packet(b"alpha", 6, 1).to_bytes();
-        assert_eq!(reg.ingest(b"alpha", &ok, now), IngestStatus::Accepted);
+        assert_eq!(admit(&reg, b"alpha", 3, &ok, now), AckCode::Accepted);
+        // A frame whose CRC fails is Corrupt and echoes nothing.
+        let mut damaged = SeqFrame::encode_payload(b"alpha", 1, 4, &ok);
+        damaged[SEQ_FRAME_HEADER] ^= 1;
+        assert_eq!(
+            reg.ingest_seq(b"alpha", &damaged, now),
+            IngestAck::new(AckCode::Corrupt, 0)
+        );
         let text = reg.metrics_text();
         assert!(text.contains("pnm_gateway_rejected_total{reason=\"unknown_tenant\"} 1"));
         assert!(
             text.contains("pnm_gateway_rejected_total{reason=\"malformed\",tenant=\"alpha\"} 1")
         );
+        assert!(text.contains("pnm_gateway_rejected_total{reason=\"corrupt\",tenant=\"alpha\"} 1"));
         assert!(text.contains("pnm_gateway_ingested_total{tenant=\"alpha\"} 1"));
         reg.drain(b"alpha");
     }
@@ -846,18 +701,33 @@ mod tests {
     #[test]
     fn rate_limit_sheds_exactly_beyond_burst() {
         let reg = TenantRegistry::builder()
-            .tenant("alpha", tenant_config(b"alpha", 4).rate_limit(1.0, 2.0))
+            .tenant(
+                "alpha",
+                tenant_config(b"alpha", 4)
+                    .rate_limit(1.0, 2.0)
+                    .busy_retry_after_ms(9),
+            )
             .build()
             .unwrap();
         let now = Instant::now();
         let bytes = marked_packet(b"alpha", 4, 1).to_bytes();
-        assert_eq!(reg.ingest(b"alpha", &bytes, now), IngestStatus::Accepted);
-        assert_eq!(reg.ingest(b"alpha", &bytes, now), IngestStatus::Accepted);
-        assert_eq!(reg.ingest(b"alpha", &bytes, now), IngestStatus::RateLimited);
+        assert_eq!(admit(&reg, b"alpha", 1, &bytes, now), AckCode::Accepted);
+        assert_eq!(admit(&reg, b"alpha", 2, &bytes, now), AckCode::Accepted);
+        let limited = reg.ingest_seq(
+            b"alpha",
+            &SeqFrame::encode_payload(b"alpha", 1, 3, &bytes),
+            now,
+        );
+        assert_eq!(
+            limited,
+            IngestAck::new(AckCode::RateLimited, 3).with_retry_after(9)
+        );
+        // A retry of a counted frame is a Duplicate and burns no token.
+        assert_eq!(admit(&reg, b"alpha", 1, &bytes, now), AckCode::Duplicate);
         // One second refills one token.
         assert_eq!(
-            reg.ingest(b"alpha", &bytes, now + Duration::from_secs(1)),
-            IngestStatus::Accepted
+            admit(&reg, b"alpha", 3, &bytes, now + Duration::from_secs(1)),
+            AckCode::Accepted
         );
         assert!(reg
             .metrics_text()
@@ -874,7 +744,7 @@ mod tests {
         let now = Instant::now();
         for seq in 0..20 {
             let bytes = marked_packet(b"alpha", 6, seq).to_bytes();
-            assert_eq!(reg.ingest(b"alpha", &bytes, now), IngestStatus::Accepted);
+            assert_eq!(admit(&reg, b"alpha", seq, &bytes, now), AckCode::Accepted);
         }
         let v1 = reg.drain(b"alpha").unwrap();
         let v2 = reg.drain(b"alpha").unwrap();
@@ -884,7 +754,7 @@ mod tests {
         assert!(v1.summary_json.contains("\"processed\": 20"));
         // Post-drain ingest is a counted rejection.
         let bytes = marked_packet(b"alpha", 6, 99).to_bytes();
-        assert_eq!(reg.ingest(b"alpha", &bytes, now), IngestStatus::Drained);
+        assert_eq!(admit(&reg, b"alpha", 99, &bytes, now), AckCode::Drained);
         // Round trip of the response payload.
         let decoded = DrainVerdict::decode(&v1.encode()).unwrap();
         assert_eq!(&decoded, v1.as_ref());

@@ -24,7 +24,7 @@ use pnm_core::{
 };
 use pnm_crypto::KeyStore;
 use pnm_gateway::{
-    Gateway, GatewayClient, GatewayConfig, IngestStatus, Response, Status, TenantConfig,
+    AckCode, Gateway, GatewayClient, GatewayConfig, Response, SeqFrame, Status, TenantConfig,
     TenantRegistry,
 };
 use pnm_service::{ServiceConfig, ServicePool};
@@ -139,20 +139,26 @@ fn gateway_verdicts_byte_identical_to_sequential_runs() {
     // Two tenants stream concurrently on separate connections, each with
     // hostile traffic woven in: alpha's client intersperses malformed
     // packet payloads, beta's client intersperses frames for a tenant
-    // that does not exist.
+    // that does not exist. Every frame is acked, and the hostile ones
+    // are acked with their terminal rejection.
     let alpha_thread = {
         let sock = sock.clone();
         let packets = alpha_packets.clone();
         std::thread::spawn(move || {
             let mut c = GatewayClient::connect_uds(&sock).unwrap();
+            let mut seq = 0..;
             for (i, p) in packets.iter().enumerate() {
-                c.ingest(b"alpha", &p.to_bytes()).unwrap();
+                let ack = c
+                    .ingest_seq(b"alpha", 1, seq.next().unwrap(), &p.to_bytes())
+                    .unwrap();
+                assert_eq!(ack.code, AckCode::Accepted);
                 if i % 7 == 0 {
-                    c.ingest(b"alpha", b"not a canonical packet").unwrap();
+                    let ack = c
+                        .ingest_seq(b"alpha", 1, seq.next().unwrap(), b"not a canonical packet")
+                        .unwrap();
+                    assert_eq!(ack.code, AckCode::Malformed);
                 }
             }
-            // A response-bearing request syncs the stream: once answered,
-            // every prior frame on this connection has been dispatched.
             c.snapshot(b"alpha").unwrap()
         })
     };
@@ -161,10 +167,17 @@ fn gateway_verdicts_byte_identical_to_sequential_runs() {
         let packets = beta_packets.clone();
         std::thread::spawn(move || {
             let mut c = GatewayClient::connect_uds(&sock).unwrap();
+            let mut seq = 0..;
             for (i, p) in packets.iter().enumerate() {
-                c.ingest(b"beta", &p.to_bytes()).unwrap();
+                let ack = c
+                    .ingest_seq(b"beta", 2, seq.next().unwrap(), &p.to_bytes())
+                    .unwrap();
+                assert_eq!(ack.code, AckCode::Accepted);
                 if i % 9 == 0 {
-                    c.ingest(b"ghost", &p.to_bytes()).unwrap();
+                    let ack = c
+                        .ingest_seq(b"ghost", 2, seq.next().unwrap(), &p.to_bytes())
+                        .unwrap();
+                    assert_eq!(ack.code, AckCode::UnknownTenant);
                 }
             }
             c.snapshot(b"beta").unwrap()
@@ -266,17 +279,14 @@ fn per_tenant_evidence_logs_are_namespaced_and_recover_independently() {
         .unwrap();
 
     let now = Instant::now();
-    for p in &alpha_packets {
-        assert_eq!(
-            registry.ingest(b"alpha", &p.to_bytes(), now),
-            IngestStatus::Accepted
-        );
-    }
-    for p in &beta_packets {
-        assert_eq!(
-            registry.ingest(b"beta", &p.to_bytes(), now),
-            IngestStatus::Accepted
-        );
+    for (tenant, packets) in [(&b"alpha"[..], &alpha_packets), (b"beta", &beta_packets)] {
+        for (seq, p) in (0..).zip(packets) {
+            let frame = SeqFrame::encode_payload(tenant, 1, seq, &p.to_bytes());
+            assert_eq!(
+                registry.ingest_seq(tenant, &frame, now).code,
+                AckCode::Accepted
+            );
+        }
     }
     wait_for_quiescence(&registry);
     let va = registry.drain(b"alpha").unwrap();

@@ -3,7 +3,7 @@
 //! connection is wrapped in a [`ChaosTransport`].
 //!
 //! The tentpole property: a `ResilientClient` with a tracer attached
-//! sends every packet as an `IngestTraced` frame under a trace id minted
+//! sends every packet in an `IngestSeq` frame carrying a trace id minted
 //! once per logical send. Retries resend the same id, the server's dedup
 //! window absorbs the packet at most once, and the shard engine opens its
 //! stage spans inside the propagated context — so the collector ends up

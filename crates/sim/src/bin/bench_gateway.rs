@@ -9,12 +9,13 @@
 //! Each run stands up one [`Gateway`] over a fresh UDS path with N
 //! tenants (N ∈ {1, 4, 16}), each tenant with its own keystore and its
 //! own single-shard [`pnm_service`] pool. One client connection per
-//! tenant pipelines a pre-marked packet batch through the framed
-//! envelope protocol, then syncs with a `Snapshot` round-trip. Two wall
-//! clocks are kept:
+//! tenant pipelines a pre-framed batch of acked `IngestSeq` frames,
+//! keeping at most [`WINDOW`] of them unacked, and checks every ack: it
+//! must be `Accepted` and echo its frame's sequence number, in order.
+//! Two wall clocks are kept:
 //!
-//! - **ingest wall**: first byte sent → every tenant's sync response,
-//!   i.e. every frame parsed, admitted, and enqueued;
+//! - **ingest wall**: first byte sent → every tenant's last ack, i.e.
+//!   every frame parsed, admitted, and enqueued;
 //! - **end-to-end wall**: first byte sent → every tenant's backlog at
 //!   zero, i.e. every packet carries a verdict. Throughput is computed
 //!   against this clock — frames parked in a queue are not "done".
@@ -26,10 +27,12 @@
 //! starved tenant cannot hide behind a fast one.
 //!
 //! `--smoke` runs a 2-tenant batch with tiny counts, asserts the books
-//! balance (every frame accepted, verdicts drain cleanly), and writes
-//! nothing — CI-sized, UDS only, no TCP port.
+//! balance (every frame acked `Accepted`, verdicts drain cleanly), and
+//! writes nothing — CI-sized, UDS only, no TCP port.
 
 use std::env;
+use std::io::{self, Read, Write};
+use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -37,7 +40,10 @@ use std::time::{Duration, Instant};
 
 use pnm_core::{MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode};
 use pnm_crypto::KeyStore;
-use pnm_gateway::{Gateway, GatewayClient, GatewayConfig, TenantConfig, TenantRegistry};
+use pnm_gateway::{
+    AckCode, Envelope, Gateway, GatewayConfig, IngestAck, Response, Status, TenantConfig,
+    TenantRegistry, CLIENT_MAX_RESPONSE,
+};
 use pnm_service::ServiceConfig;
 use pnm_wire::{Location, NodeId, Packet, Report};
 use rand::rngs::StdRng;
@@ -49,6 +55,10 @@ const NODES: u16 = 6;
 const HOPS: u16 = 4;
 /// Gateway worker threads serving connections.
 const WORKERS: usize = 2;
+/// Frames a client keeps in flight before it waits for an ack.
+const WINDOW: usize = 64;
+/// Client session id every tenant's connection sends under.
+const SESSION: u64 = 1;
 
 fn temp_sock(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -76,9 +86,9 @@ fn scan_u64(text: &str, anchor: &str, key: &str) -> u64 {
     rest[..end].parse().unwrap_or(0)
 }
 
-/// A tenant's pre-marked ingest batch: canonical packet bytes, ready to
-/// frame. Built outside the timed region.
-fn marked_batch(keys: &KeyStore, tenant_seed: u64, packets: usize) -> Vec<Vec<u8>> {
+/// A tenant's pre-marked ingest batch as encoded `IngestSeq` frames,
+/// sequence numbers from 0. Built outside the timed region.
+fn framed_batch(tenant: &str, keys: &KeyStore, tenant_seed: u64, packets: usize) -> Vec<Vec<u8>> {
     let scheme = ProbabilisticNestedMarking::paper_default(NODES.into());
     let mut rng = StdRng::seed_from_u64(0x6077_0000 ^ tenant_seed);
     (0..packets)
@@ -93,9 +103,57 @@ fn marked_batch(keys: &KeyStore, tenant_seed: u64, packets: usize) -> Vec<Vec<u8
                 let ctx = NodeContext::new(NodeId(hop), *keys.key(hop).unwrap());
                 scheme.mark(&ctx, &mut pkt, &mut rng);
             }
-            pkt.to_bytes()
+            Envelope::ingest_seq(tenant.as_bytes(), SESSION, seq as u64, &pkt.to_bytes()).encode()
         })
         .collect()
+}
+
+/// Sends every frame, keeping at most [`WINDOW`] unacked, and checks
+/// every ack: `Accepted`, echoing its frame's sequence number, in order.
+/// Returning means the last frame was admitted and enqueued.
+fn pipeline(stream: &mut UnixStream, frames: &[Vec<u8>]) -> io::Result<()> {
+    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+    let (mut sent, mut acked) = (0usize, 0usize);
+    let (mut out, mut buf) = (Vec::new(), Vec::new());
+    let mut chunk = [0u8; 16 * 1024];
+    while acked < frames.len() {
+        let room = (WINDOW - (sent - acked)).min(frames.len() - sent);
+        if room > 0 {
+            out.clear();
+            for frame in &frames[sent..sent + room] {
+                out.extend_from_slice(frame);
+            }
+            stream.write_all(&out)?;
+            sent += room;
+        }
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "gateway hung up",
+            ));
+        }
+        buf.extend_from_slice(&chunk[..n]);
+        let mut used = 0;
+        while let Some((resp, len)) = Response::decode(&buf[used..], CLIENT_MAX_RESPONSE)
+            .map_err(|e| invalid(e.to_string()))?
+        {
+            used += len;
+            if resp.status != Status::Ok {
+                return Err(invalid(String::from_utf8_lossy(&resp.payload).into_owned()));
+            }
+            let ack = IngestAck::decode(&resp.payload).map_err(|e| invalid(e.into()))?;
+            if ack.code != AckCode::Accepted || ack.seq != acked as u64 {
+                return Err(invalid(format!(
+                    "frame {acked} acked {:?} with seq {}",
+                    ack.code, ack.seq
+                )));
+            }
+            acked += 1;
+        }
+        buf.drain(..used);
+    }
+    Ok(())
 }
 
 struct RunResult {
@@ -137,30 +195,27 @@ fn run_scenario(tenants: usize, packets_per_tenant: usize) -> RunResult {
     gw.listen_uds(&sock).expect("bind UDS");
     let handle = gw.spawn().expect("spawn gateway");
 
-    // Frame payloads are built before the clock starts.
-    let batches: Vec<Vec<Vec<u8>>> = stores
+    // Frames are built before the clock starts.
+    let batches: Vec<Vec<Vec<u8>>> = names
         .iter()
+        .zip(&stores)
         .enumerate()
-        .map(|(i, keys)| marked_batch(keys, i as u64, packets_per_tenant))
+        .map(|(i, (name, keys))| framed_batch(name, keys, i as u64, packets_per_tenant))
         .collect();
 
     let barrier = Arc::new(Barrier::new(tenants + 1));
-    let clients: Vec<_> = names
-        .iter()
-        .zip(batches)
-        .map(|(name, batch)| {
-            let name = name.clone();
+    let clients: Vec<_> = batches
+        .into_iter()
+        .map(|batch| {
             let sock = sock.clone();
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let mut client = GatewayClient::connect_uds(&sock).expect("connect");
+                let mut stream = UnixStream::connect(&sock).expect("connect");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .expect("read timeout");
                 barrier.wait();
-                for bytes in &batch {
-                    client.ingest(name.as_bytes(), bytes).expect("ingest");
-                }
-                // The snapshot round-trip proves every prior frame on
-                // this connection was parsed and dispatched.
-                client.snapshot(name.as_bytes()).expect("sync snapshot");
+                pipeline(&mut stream, &batch).expect("every frame acked Accepted");
             })
         })
         .collect();
@@ -283,9 +338,11 @@ fn main() -> ExitCode {
         concat!(
             "{{\n",
             "  \"scenario\": \"multi-tenant gateway ingest over a Unix-domain socket\",\n",
-            "  \"note\": \"one pipelined connection per tenant; throughput is against the \
-             end-to-end clock (every packet carries a verdict); p50/p99 are the worst \
-             tenant's server-side enqueue-to-verdict quantiles\",\n",
+            "  \"note\": \"one connection per tenant pipelining acked IngestSeq frames, at \
+             most {} unacked, every ack checked Accepted; ingest wall ends at the last \
+             tenant's last ack; throughput is against the end-to-end clock (every packet \
+             carries a verdict); p50/p99 are the worst tenant's server-side \
+             enqueue-to-verdict quantiles\",\n",
             "  \"workers\": {},\n",
             "  \"nodes_per_tenant\": {},\n",
             "  \"packets_per_tenant\": 500,\n",
@@ -293,6 +350,7 @@ fn main() -> ExitCode {
             "  \"runs\": [\n{}\n  ]\n",
             "}}\n"
         ),
+        WINDOW,
         WORKERS,
         NODES,
         std::thread::available_parallelism().map_or(1, usize::from),
