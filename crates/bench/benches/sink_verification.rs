@@ -34,11 +34,11 @@ fn anon_table_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("anon_table_build");
     g.sample_size(20);
     for n in [1000u16, 2000, 4000] {
-        let keys = KeyStore::derive_from_master(b"sink-bench", n);
+        let schedule = KeyStore::derive_from_master(b"sink-bench", n).schedule();
         let rb = report_packet().report.to_bytes();
         g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(n), &keys, |b, keys| {
-            b.iter(|| AnonTable::build(black_box(keys), black_box(&rb)))
+        g.bench_with_input(BenchmarkId::from_parameter(n), &schedule, |b, schedule| {
+            b.iter(|| AnonTable::build(black_box(schedule), black_box(&rb)))
         });
     }
     g.finish();
@@ -95,10 +95,10 @@ fn packet_verification_shared_table(c: &mut Criterion) {
             break pkt;
         }
     };
-    let table = AnonTable::build(&keys, &pkt.report.to_bytes());
+    let table = AnonTable::build(&keys.schedule(), &pkt.report.to_bytes());
     let verifier = SinkVerifier::new(keys);
     c.bench_function("packet_verification_shared_table", |b| {
-        b.iter(|| verifier.verify_nested_with_table(black_box(&pkt), black_box(&table)))
+        b.iter(|| verifier.verify_nested_with_table_batched(black_box(&pkt), black_box(&table)))
     });
 }
 
@@ -116,10 +116,10 @@ fn resolution_topology_ablation(c: &mut Criterion) {
     let aid = anon_id(keys.key(target).unwrap(), &rb, target);
     let anchor = NodeId(target - 1);
 
-    let table_keys = keys.clone();
+    let schedule = keys.schedule();
     g.bench_function("exhaustive_table", |b| {
         b.iter(|| {
-            let table = AnonTable::build(black_box(&table_keys), black_box(&rb));
+            let table = AnonTable::build(black_box(&schedule), black_box(&rb));
             black_box(table.resolve(&aid).to_vec())
         })
     });

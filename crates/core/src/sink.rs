@@ -25,11 +25,14 @@
 //! [`SinkEngine::ingest_batch`]. Both run the identical code path — batch
 //! ingestion produces byte-identical chains and counters — but the engine
 //! amortizes the expensive anonymous-ID work across packets: a multi-entry
-//! table cache keyed by report bytes means `k` distinct reports cost `k`
-//! table builds no matter how many packets carry them, and reusable scratch
-//! buffers keep per-mark verification allocation-free. Uniform
-//! instrumentation ([`SinkCounters`]) reports hash evaluations, mark
-//! verdicts, cache behavior, and resolver fallbacks.
+//! LRU table cache keyed by report bytes means `k` distinct reports cost
+//! `k` table builds no matter how many packets carry them, as long as `k`
+//! fits the cache ([`SinkConfig::table_cache_capacity`], default 8). A
+//! stream cycling through more live reports than that — or a fresh report
+//! per packet — builds a table per packet. Reusable scratch buffers keep
+//! per-mark verification allocation-free. Uniform instrumentation
+//! ([`SinkCounters`]) reports hash evaluations, mark verdicts, cache
+//! behavior, and resolver fallbacks.
 
 use std::collections::HashMap;
 use std::ops::{Add, AddAssign};
@@ -67,16 +70,13 @@ const DEFAULT_TABLE_CACHE_CAPACITY: usize = 8;
 pub struct SinkConfig {
     mode: VerifyMode,
     table_cache_capacity: usize,
-    table_build_threads: usize,
     adjacency: Option<HashMap<u16, Vec<u16>>>,
-    max_radius: Option<usize>,
     classifier: Option<TrafficClassifier>,
     isolation: Option<IsolationPolicy>,
     dedup_capacity: Option<usize>,
     min_support: usize,
     tracer: Tracer,
     stage_timing: bool,
-    lane_crypto: bool,
 }
 
 impl SinkConfig {
@@ -85,29 +85,14 @@ impl SinkConfig {
         SinkConfig {
             mode,
             table_cache_capacity: DEFAULT_TABLE_CACHE_CAPACITY,
-            table_build_threads: 1,
             adjacency: None,
-            max_radius: None,
             classifier: None,
             isolation: None,
             dedup_capacity: None,
             min_support: 1,
             tracer: Tracer::noop(),
             stage_timing: false,
-            lane_crypto: true,
         }
-    }
-
-    /// Toggles lane-parallel (SIMD multi-buffer) crypto in the verify and
-    /// resolve stages: batched MAC checks
-    /// ([`SinkVerifier::verify_nested_with_table_batched`]) and lane
-    /// anonymous-ID table builds ([`AnonTable::build_parallel_lanes_with`]).
-    /// On by default; verdicts, chains, and counters are identical either
-    /// way (pinned by test) — `false` selects the scalar path, for
-    /// comparison benchmarks or debugging.
-    pub fn lane_crypto(mut self, on: bool) -> Self {
-        self.lane_crypto = on;
-        self
     }
 
     /// Sets how many per-report anonymous-ID tables stay cached (≥ 1).
@@ -116,27 +101,11 @@ impl SinkConfig {
         self
     }
 
-    /// Builds anonymous-ID tables with `threads` workers
-    /// ([`AnonTable::build_parallel`]); default 1 = serial. The resulting
-    /// tables — and therefore every verdict, localization, and counter —
-    /// are identical at any thread count; only table-build latency on
-    /// multi-core sinks changes.
-    pub fn table_build_threads(mut self, threads: usize) -> Self {
-        self.table_build_threads = threads.max(1);
-        self
-    }
-
     /// Supplies sink-known adjacency, switching anonymous-ID resolution to
     /// the §7 topology-guided ring search (and giving the quarantine stage
     /// its one-hop neighborhoods).
     pub fn topology(mut self, adjacency: HashMap<u16, Vec<u16>>) -> Self {
         self.adjacency = Some(adjacency);
-        self
-    }
-
-    /// Ring-search radius before the resolver falls back to a full scan.
-    pub fn max_search_radius(mut self, radius: usize) -> Self {
-        self.max_radius = Some(radius);
         self
     }
 
@@ -386,8 +355,6 @@ pub struct SinkEngine {
     /// LRU cache of per-report anonymous-ID tables, most recent last.
     table_cache: Vec<(Vec<u8>, AnonTable)>,
     table_cache_capacity: usize,
-    table_build_threads: usize,
-    lane_crypto: bool,
     /// Reusable MAC-message buffer (shared across marks and packets).
     scratch: Vec<u8>,
     /// Reusable candidate-id buffer for anonymous-ID disambiguation.
@@ -444,9 +411,12 @@ impl StageClock {
     fn lap_ns(&mut self) -> u64 {
         match &mut self.0 {
             Some(t) => {
-                let elapsed = t.elapsed().as_nanos() as u64;
-                *t = Instant::now();
-                elapsed
+                // One clock read per lap: the instant that ends this lap
+                // starts the next, so consecutive laps tile the timeline.
+                let now = Instant::now();
+                let ns = (now - *t).as_nanos() as u64;
+                *t = now;
+                ns
             }
             None => 0,
         }
@@ -464,13 +434,10 @@ impl SinkEngine {
     /// material.
     pub fn new(keys: impl Into<Arc<KeyStore>>, config: SinkConfig) -> Self {
         let keys = keys.into();
-        let resolver = config.adjacency.clone().map(|adj| {
-            let r = TopologyResolver::new(Arc::clone(&keys), adj);
-            match config.max_radius {
-                Some(radius) => r.with_max_radius(radius),
-                None => r,
-            }
-        });
+        let resolver = config
+            .adjacency
+            .clone()
+            .map(|adj| TopologyResolver::new(Arc::clone(&keys), adj));
         SinkEngine {
             verifier: SinkVerifier::new(Arc::clone(&keys)),
             keys,
@@ -482,8 +449,6 @@ impl SinkEngine {
             reconstructor: RouteReconstructor::new(),
             table_cache: Vec::new(),
             table_cache_capacity: config.table_cache_capacity,
-            table_build_threads: config.table_build_threads,
-            lane_crypto: config.lane_crypto,
             scratch: Vec::new(),
             cand_buf: Vec::new(),
             counters: SinkCounters::default(),
@@ -692,7 +657,10 @@ impl SinkEngine {
     /// by one on this engine — but because the engine's table cache and
     /// scratch buffers persist across the batch, `k` distinct reports cost
     /// `k` anonymous-ID table builds regardless of batch size, where `n`
-    /// independent single-packet sinks would pay `n`.
+    /// independent single-packet sinks would pay `n` — provided `k` fits
+    /// the cache ([`SinkConfig::table_cache_capacity`], default 8). Past
+    /// that, LRU eviction can rebuild a report's table each time it
+    /// returns.
     pub fn ingest_batch(&mut self, packets: &[Packet]) -> Vec<SinkOutcome> {
         packets.iter().map(|p| self.ingest(p)).collect()
     }
@@ -790,22 +758,13 @@ impl SinkEngine {
         let idx = self.lookup_or_build_table(&report_bytes);
         drop(resolve_span);
         let resolve_ns = start.map_or(0, |s| s.elapsed().as_nanos() as u64);
+        // Stage every mark's candidate MAC message, check all tags in one
+        // lane-parallel sweep, then replay the stop-at-first-invalid walk.
+        // Verdict-identical to the §4.1 scalar walk (pinned by test).
         let table = &self.table_cache[idx].1;
-        let chain = if self.lane_crypto {
-            // Batched path: stage every mark's candidate MAC message, check
-            // all tags in one lane-parallel sweep, then replay the
-            // stop-at-first-invalid walk. Verdict-identical to the scalar
-            // walk (pinned by test).
-            self.verifier
-                .verify_batched_impl(packet, table, &mut self.scratch)
-        } else {
-            self.verifier.verify_nested_with(
-                packet,
-                &mut self.scratch,
-                &mut self.cand_buf,
-                &mut |aid, _anchor, out| out.extend_from_slice(table.resolve(aid)),
-            )
-        };
+        let chain = self
+            .verifier
+            .verify_batched_impl(packet, table, &mut self.scratch);
         (chain, resolve_ns)
     }
 
@@ -825,21 +784,12 @@ impl SinkEngine {
             let entry = self.table_cache.remove(pos);
             self.table_cache.push(entry);
         } else {
-            let table = if self.lane_crypto {
-                AnonTable::build_parallel_lanes_with(
-                    &self.keys.schedule(),
-                    report_bytes,
-                    self.table_build_threads,
-                )
-            } else {
-                AnonTable::build_parallel(&self.keys, report_bytes, self.table_build_threads)
-            };
+            let table = AnonTable::build(self.verifier.schedule(), report_bytes);
             self.counters.table_builds += 1;
             self.counters.hash_count += table.hash_count;
             self.tracer
                 .event_in("sink.table_build", self.current_ctx, |f| {
                     f.push(("hashes", table.hash_count.into()));
-                    f.push(("threads", self.table_build_threads.into()));
                 });
             if self.table_cache.len() >= self.table_cache_capacity {
                 self.table_cache.remove(0);
@@ -1669,31 +1619,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_table_builds_match_serial_engine() {
-        let n = 16u16;
-        let ks = keys(n);
-        let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
-        let mut rng = StdRng::seed_from_u64(23);
-        let packets: Vec<Packet> = (0..30)
-            .map(|s| packet(&ks, &scheme, n, s, &mut rng))
-            .collect();
-
-        let mut serial = SinkEngine::new(Arc::clone(&ks), SinkConfig::new(VerifyMode::Nested));
-        let serial_out = serial.ingest_batch(&packets);
-
-        let mut threaded = SinkEngine::new(
-            Arc::clone(&ks),
-            SinkConfig::new(VerifyMode::Nested).table_build_threads(4),
-        );
-        let threaded_out = threaded.ingest_batch(&packets);
-
-        assert_eq!(serial_out, threaded_out);
-        assert_eq!(serial.counters(), threaded.counters());
-        assert_eq!(serial.localize(), threaded.localize());
-        assert_eq!(serial.unequivocal_source(), threaded.unequivocal_source());
-    }
-
-    #[test]
     fn non_nested_modes_skip_table_machinery() {
         let n = 5u16;
         let ks = keys(n);
@@ -1865,6 +1790,26 @@ mod tests {
         assert_eq!(engine.counters().table_builds, 0);
     }
 
+    /// Each lap ends at the instant the next one starts, so a packet's
+    /// stage laps add up to its whole pass with nothing lost between two
+    /// clock reads.
+    #[test]
+    fn stage_clock_laps_sum_to_elapsed() {
+        let mut clock = StageClock::start(true);
+        let start = clock.0.expect("an enabled clock holds its start");
+        let mut laps = 0u64;
+        for i in 0..5u64 {
+            std::hint::black_box((0..1000 * (i + 1)).sum::<u64>());
+            laps += clock.lap_ns();
+        }
+        let end = clock.0.expect("an enabled clock holds its last lap");
+        assert_eq!(laps, (end - start).as_nanos() as u64);
+
+        let mut off = StageClock::start(false);
+        assert_eq!(off.lap_ns(), 0);
+        assert!(!off.enabled());
+    }
+
     /// `absorb` folds stage histograms exactly like counters.
     #[test]
     fn absorb_merges_stage_metrics() {
@@ -1901,12 +1846,13 @@ mod lane_tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Engine-level pin for the batched verify path: with `lane_crypto` on
-    /// (the default) and off, every outcome, counter, and stage-sample
-    /// count matches — including tampered chains, where the batched sweep
-    /// must replay the scalar walk's stop-at-first-invalid semantics.
+    /// Engine-level pin for the batched verify path: every outcome's chain
+    /// matches the §4.1 scalar oracle (scalar table build, scalar backward
+    /// walk) — including tampered chains, where the batched sweep must
+    /// replay the scalar walk's stop-at-first-invalid semantics — and the
+    /// counters add up to what the oracle verified.
     #[test]
-    fn lane_crypto_matches_scalar_engine() {
+    fn engine_matches_scalar_oracle() {
         let keys = Arc::new(KeyStore::derive_from_master(b"lane-sink", 12));
         let cfg = MarkingConfig::builder().marking_probability(1.0).build();
         let scheme = ProbabilisticNestedMarking::new(cfg);
@@ -1938,21 +1884,27 @@ mod lane_tests {
         }
 
         let cfg = SinkConfig::new(VerifyMode::Nested).stage_timing(true);
-        let mut lanes = SinkEngine::new(Arc::clone(&keys), cfg.clone());
-        let mut scalar = SinkEngine::new(Arc::clone(&keys), cfg.lane_crypto(false));
+        let mut engine = SinkEngine::new(Arc::clone(&keys), cfg);
+        let oracle = SinkVerifier::new(Arc::clone(&keys));
+        let (mut verified, mut rejected) = (0, 0);
         for pkt in &packets {
-            assert_eq!(lanes.ingest(pkt), scalar.ingest(pkt));
+            let expect = oracle.verify_nested_scalar(pkt);
+            verified += expect.nodes.len();
+            rejected += expect.total_marks - expect.nodes.len();
+            assert_eq!(engine.ingest(pkt).chain, Some(expect));
         }
-        assert_eq!(lanes.counters(), scalar.counters());
-        assert_eq!(lanes.unequivocal_source(), scalar.unequivocal_source());
-        // Stage histograms saw the same packets (sample values differ —
-        // they are wall-clock — but every stage recorded equally often).
-        for ((name, a), (_, b)) in lanes
-            .stage_metrics()
-            .iter()
-            .zip(scalar.stage_metrics().iter())
-        {
-            assert_eq!(a.count(), b.count(), "stage {name}");
+        // Six distinct reports fit the default 8-table cache: one table
+        // build (hashing every node) per report.
+        let reports: std::collections::HashSet<Vec<u8>> =
+            packets.iter().map(|p| p.report.to_bytes()).collect();
+        let c = engine.counters();
+        assert_eq!(c.marks_verified, verified);
+        assert_eq!(c.marks_rejected, rejected);
+        assert_eq!(c.table_builds, reports.len());
+        assert_eq!(c.hash_count, reports.len() * keys.len());
+        // Every stage recorded every packet.
+        for (name, h) in engine.stage_metrics().iter() {
+            assert_eq!(h.count(), packets.len() as u64, "stage {name}");
         }
     }
 }
@@ -2179,29 +2131,17 @@ mod proptests {
             prop_assert_eq!(seq.unequivocal_source(), batch.unequivocal_source());
             prop_assert_eq!(seq.first_unequivocal(), batch.first_unequivocal());
 
-            // Parallel anon-table builds are a pure optimization: an engine
-            // building tables with 4 worker threads produces byte-identical
-            // outcomes, counters, and localization.
-            let mut threaded = SinkEngine::new(
-                Arc::clone(&keys),
-                SinkConfig::new(mode).table_build_threads(4),
-            );
-            let threaded_out = threaded.ingest_batch(&packets);
-            prop_assert_eq!(&batch_out, &threaded_out);
-            prop_assert_eq!(batch.counters(), threaded.counters());
-            prop_assert_eq!(batch.localize(), threaded.localize());
-
-            // Lane-parallel crypto (the default) is likewise a pure
-            // optimization: disabling it selects the scalar verify/resolve
-            // path with byte-identical outcomes, counters, and localization.
-            let mut scalar = SinkEngine::new(
-                Arc::clone(&keys),
-                SinkConfig::new(mode).lane_crypto(false),
-            );
-            let scalar_out = scalar.ingest_batch(&packets);
-            prop_assert_eq!(&batch_out, &scalar_out);
-            prop_assert_eq!(batch.counters(), scalar.counters());
-            prop_assert_eq!(batch.localize(), scalar.localize());
+            // Lane-parallel crypto is a pure optimization: every chain is
+            // the one the §4.1 scalar oracle verifies (non-nested modes have
+            // no lane path and answer through `verify`).
+            let oracle = batch.verifier();
+            for (p, out) in packets.iter().zip(&batch_out) {
+                let expect = match mode {
+                    VerifyMode::Nested => oracle.verify_nested_scalar(p),
+                    _ => oracle.verify(p, mode),
+                };
+                prop_assert_eq!(out.chain.as_ref(), Some(&expect));
+            }
 
             // Strict amortization vs independent engines whenever the
             // workload actually repeats a report under nested verification

@@ -2,11 +2,12 @@
 //!
 //! [`StageMetrics`] holds one mergeable [`LatencyHistogram`] per pipeline
 //! stage (classify → verify → anon-resolve → reconstruct → localize).
-//! The engine records into it when stage timing is enabled
-//! ([`SinkConfig::stage_timing`](crate::SinkConfig::stage_timing) or an
-//! attached tracer); shards merge their stage metrics exactly like their
-//! counters, and the service/bench layers surface the result in
-//! snapshots, JSON breakdowns, and Prometheus exposition.
+//! The engine records into it only when
+//! [`SinkConfig::stage_timing`](crate::SinkConfig::stage_timing) is on —
+//! an attached tracer does not turn it on. Shards merge their stage
+//! metrics exactly like their counters, and the service/bench layers
+//! surface the result in snapshots, JSON breakdowns, and Prometheus
+//! exposition.
 
 use pnm_obs::{JsonValue, LatencyHistogram};
 use serde::{Deserialize, Serialize};

@@ -13,6 +13,10 @@
 //! the low sensor data rate (§4.2). [`TopologyResolver`] implements the §7
 //! optimization that narrows the search to the neighborhood of the
 //! previously verified node.
+//!
+//! Table builds and table-backed verification run on the lane-parallel
+//! SHA-256 engine. The scalar backward walk serves the topology resolver,
+//! and in tests it is the oracle the lane paths are checked against.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -221,9 +225,8 @@ impl FromIterator<u16> for CandidateSet {
 /// kept as candidate lists and disambiguated by MAC verification, so a hash
 /// collision can never cause a wrong attribution.
 ///
-/// Builds run off the keystore's precomputed [`KeySchedule`] in ascending
-/// id order, so serial and parallel construction yield identical tables
-/// (`assert_eq!` holds; see [`AnonTable::build_parallel`]).
+/// Built off the keystore's precomputed [`KeySchedule`] in ascending id
+/// order, so collision candidate lists come out ascending.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AnonTable {
     map: HashMap<AnonId, CandidateSet, AnonIdBuildHasher>,
@@ -232,134 +235,13 @@ pub struct AnonTable {
 }
 
 impl AnonTable {
-    /// Builds the table for one report over every provisioned node.
-    pub fn build(keys: &KeyStore, report_bytes: &[u8]) -> Self {
-        Self::build_with(&keys.schedule(), report_bytes)
-    }
-
-    /// [`AnonTable::build`] over an already-shared [`KeySchedule`].
-    pub fn build_with(schedule: &KeySchedule, report_bytes: &[u8]) -> Self {
-        let mut map: HashMap<AnonId, CandidateSet, AnonIdBuildHasher> =
-            HashMap::with_capacity_and_hasher(schedule.len(), AnonIdBuildHasher);
-        let mut hash_count = 0;
-        for (id, key) in schedule.iter() {
-            let aid = anon_id_prepared(key, report_bytes, id);
-            hash_count += 1;
-            map.entry(aid).or_default().push(id);
-        }
-        AnonTable { map, hash_count }
-    }
-
-    /// Builds the table with `threads` workers over contiguous shards of
-    /// the id space, producing a table identical to [`AnonTable::build`]
-    /// (same map, same `hash_count`).
+    /// Builds the table for one report over every node in `schedule`.
     ///
-    /// Each worker hashes one ascending-id shard; shards are merged in
-    /// shard order, so collision candidate lists come out in the same
-    /// ascending order the serial build produces. `threads <= 1` (or a
-    /// near-empty schedule) falls back to the serial build. Uses
-    /// [`std::thread::scope`] — no extra dependencies, and worker panics
-    /// propagate to the caller.
-    pub fn build_parallel(keys: &KeyStore, report_bytes: &[u8], threads: usize) -> Self {
-        Self::build_parallel_with(&keys.schedule(), report_bytes, threads)
-    }
-
-    /// Minimum schedule size at which thread-parallel table builds pay off.
-    ///
-    /// Below this, spawn + join overhead exceeds the hashing work and the
-    /// thread-parallel build is *slower* than serial (measured: 120 µs
-    /// parallel vs 68 µs serial at 100 nodes, `BENCH_crypto.json` PR 7), so
-    /// [`AnonTable::parallel_workers`] falls back to one worker. Small
-    /// tables are lane-shaped, not thread-shaped: the SIMD lane build
-    /// ([`AnonTable::build_lanes`]) speeds them up with zero dispatch cost.
-    pub const PARALLEL_MIN_NODES: usize = 512;
-
-    /// Number of workers [`AnonTable::build_parallel`] actually dispatches
-    /// for a schedule of `n` keys and a requested `threads` count: one for
-    /// the serial fallback (`threads <= 1` or `n` below
-    /// [`AnonTable::PARALLEL_MIN_NODES`]), otherwise one per shard,
-    /// `min(threads, n)`. The count is a property of the dispatch, not of
-    /// the host's core count — workers beyond the available cores still run
-    /// (interleaved by the OS scheduler), which is what lets a benchmark
-    /// exercise the real sharded path on any machine.
-    pub fn parallel_workers(n: usize, threads: usize) -> usize {
-        if threads <= 1 || n < Self::PARALLEL_MIN_NODES {
-            1
-        } else {
-            threads.min(n)
-        }
-    }
-
-    /// [`AnonTable::build_parallel`] over an already-shared [`KeySchedule`].
-    pub fn build_parallel_with(
-        schedule: &KeySchedule,
-        report_bytes: &[u8],
-        threads: usize,
-    ) -> Self {
-        let n = schedule.len();
-        if Self::parallel_workers(n, threads) == 1 {
-            return Self::build_with(schedule, report_bytes);
-        }
-        fn hash_shard(
-            ids: &[u16],
-            keys: &[pnm_crypto::HmacKey],
-            report_bytes: &[u8],
-        ) -> Vec<(AnonId, u16)> {
-            ids.iter()
-                .zip(keys)
-                .map(|(&id, key)| (anon_id_prepared(key, report_bytes, id), id))
-                .collect()
-        }
-        let chunk = n.div_ceil(Self::parallel_workers(n, threads));
-        let shards: Vec<Vec<(AnonId, u16)>> = std::thread::scope(|scope| {
-            let mut chunks = schedule
-                .ids()
-                .chunks(chunk)
-                .zip(schedule.prepared().chunks(chunk));
-            // The calling thread works the first shard itself; only the
-            // remaining shards cost a spawn.
-            let own = chunks.next();
-            let handles: Vec<_> = chunks
-                .map(|(ids, keys)| scope.spawn(move || hash_shard(ids, keys, report_bytes)))
-                .collect();
-            let mut shards = Vec::with_capacity(handles.len() + 1);
-            if let Some((ids, keys)) = own {
-                shards.push(hash_shard(ids, keys, report_bytes));
-            }
-            shards.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("anon-table shard worker panicked")),
-            );
-            shards
-        });
-        let mut map: HashMap<AnonId, CandidateSet, AnonIdBuildHasher> =
-            HashMap::with_capacity_and_hasher(n, AnonIdBuildHasher);
-        let mut hash_count = 0;
-        for shard in shards {
-            for (aid, id) in shard {
-                hash_count += 1;
-                map.entry(aid).or_default().push(id);
-            }
-        }
-        AnonTable { map, hash_count }
-    }
-
-    /// Builds the table with the lane-parallel SIMD engine
-    /// ([`pnm_crypto::Sha256xN`]): all `H'` evaluations for the report run
-    /// as one batched call, 4/8 messages per compression. Map- and
-    /// `hash_count`-identical to [`AnonTable::build`] (pinned by test and
-    /// proptest).
-    ///
-    /// This is the right shape for small schedules where thread dispatch
-    /// costs more than it saves (see [`AnonTable::PARALLEL_MIN_NODES`]):
-    /// lanes have zero dispatch overhead.
-    pub fn build_lanes(keys: &KeyStore, report_bytes: &[u8]) -> Self {
-        Self::build_lanes_with(&keys.schedule(), report_bytes)
-    }
-
-    /// [`AnonTable::build_lanes`] over an already-shared [`KeySchedule`].
-    pub fn build_lanes_with(schedule: &KeySchedule, report_bytes: &[u8]) -> Self {
+    /// All `H'` evaluations run as one batched call on the lane-parallel
+    /// SIMD engine ([`pnm_crypto::Sha256xN`]), 4/8 messages per
+    /// compression. Map- and `hash_count`-identical to the per-node scalar
+    /// loop the paper describes (pinned by test and proptest).
+    pub fn build(schedule: &KeySchedule, report_bytes: &[u8]) -> Self {
         let aids = anon_id_many_prepared(schedule.prepared(), report_bytes, schedule.ids());
         let mut map: HashMap<AnonId, CandidateSet, AnonIdBuildHasher> =
             HashMap::with_capacity_and_hasher(schedule.len(), AnonIdBuildHasher);
@@ -372,57 +254,38 @@ impl AnonTable {
         }
     }
 
-    /// Lane-parallel build with optional thread sharding on top: each of
-    /// [`AnonTable::parallel_workers`] workers hashes its ascending-id
-    /// shard through the lane engine. Below the thread threshold this is
-    /// exactly [`AnonTable::build_lanes_with`]. Output is identical to the
-    /// serial build at any thread count.
+    /// [`AnonTable::build`]; `_threads` is ignored. Kept only so the
+    /// `perfbench` harness builds unchanged; remove it when that harness
+    /// next changes.
+    #[doc(hidden)]
     pub fn build_parallel_lanes_with(
         schedule: &KeySchedule,
         report_bytes: &[u8],
-        threads: usize,
+        _threads: usize,
     ) -> Self {
-        let n = schedule.len();
-        let workers = Self::parallel_workers(n, threads);
-        if workers == 1 {
-            return Self::build_lanes_with(schedule, report_bytes);
+        Self::build(schedule, report_bytes)
+    }
+
+    /// The table for a packet without anonymous marks: resolves nothing,
+    /// costs no hashes.
+    fn empty() -> Self {
+        AnonTable {
+            map: HashMap::default(),
+            hash_count: 0,
         }
-        fn hash_shard_lanes(
-            ids: &[u16],
-            keys: &[pnm_crypto::HmacKey],
-            report_bytes: &[u8],
-        ) -> Vec<AnonId> {
-            anon_id_many_prepared(keys, report_bytes, ids)
-        }
-        let chunk = n.div_ceil(workers);
-        let shards: Vec<Vec<AnonId>> = std::thread::scope(|scope| {
-            let mut chunks = schedule
-                .ids()
-                .chunks(chunk)
-                .zip(schedule.prepared().chunks(chunk));
-            let own = chunks.next();
-            let handles: Vec<_> = chunks
-                .map(|(ids, keys)| scope.spawn(move || hash_shard_lanes(ids, keys, report_bytes)))
-                .collect();
-            let mut shards = Vec::with_capacity(handles.len() + 1);
-            if let Some((ids, keys)) = own {
-                shards.push(hash_shard_lanes(ids, keys, report_bytes));
-            }
-            shards.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("anon-table lane shard worker panicked")),
-            );
-            shards
-        });
+    }
+
+    /// The §4.2 definition, one scalar `H'` per node in ascending id
+    /// order: the oracle [`AnonTable::build`] is checked against.
+    #[cfg(test)]
+    pub(crate) fn build_scalar(schedule: &KeySchedule, report_bytes: &[u8]) -> Self {
         let mut map: HashMap<AnonId, CandidateSet, AnonIdBuildHasher> =
-            HashMap::with_capacity_and_hasher(n, AnonIdBuildHasher);
+            HashMap::with_capacity_and_hasher(schedule.len(), AnonIdBuildHasher);
         let mut hash_count = 0;
-        for (shard, ids) in shards.iter().zip(schedule.ids().chunks(chunk)) {
-            for (aid, &id) in shard.iter().zip(ids) {
-                hash_count += 1;
-                map.entry(*aid).or_default().push(id);
-            }
+        for (id, key) in schedule.iter() {
+            let aid = anon_id_prepared(key, report_bytes, id);
+            hash_count += 1;
+            map.entry(aid).or_default().push(id);
         }
         AnonTable { map, hash_count }
     }
@@ -490,29 +353,23 @@ impl SinkVerifier {
             VerifyMode::PlainTrust => self.verify_plain(packet),
             VerifyMode::Ams => self.verify_ams(packet),
             VerifyMode::Nested => {
-                // Lazily build the anon table only if an anonymous mark
-                // appears.
-                let report_bytes = packet.report.to_bytes();
-                let schedule = &self.schedule;
-                let mut local: Option<AnonTable> = None;
-                self.verify_nested_with(
-                    packet,
-                    &mut Vec::new(),
-                    &mut Vec::new(),
-                    &mut |aid, _anchor, out| {
-                        let table = local
-                            .get_or_insert_with(|| AnonTable::build_with(schedule, &report_bytes));
-                        out.extend_from_slice(table.resolve(aid));
-                    },
-                )
+                // Build the anon table only if an anonymous mark appears.
+                let table = if packet.marks.iter().any(|m| m.id.as_anon().is_some()) {
+                    AnonTable::build(&self.schedule, &packet.report.to_bytes())
+                } else {
+                    AnonTable::empty()
+                };
+                self.verify_nested_with_table_batched(packet, &table)
             }
         }
     }
 
-    /// Nested verification with a pre-built anonymous-ID table (reuse the
-    /// table across marks of the same packet; the caller may also share it
-    /// across packets carrying the same report).
-    pub fn verify_nested_with_table(&self, packet: &Packet, table: &AnonTable) -> VerifiedChain {
+    /// The §4.1 and §4.2 definitions end to end — the scalar table build,
+    /// then the scalar backward walk over it: the oracle every lane path
+    /// is checked against.
+    #[cfg(test)]
+    pub(crate) fn verify_nested_scalar(&self, packet: &Packet) -> VerifiedChain {
+        let table = AnonTable::build_scalar(&self.schedule, &packet.report.to_bytes());
         self.verify_nested_with(
             packet,
             &mut Vec::new(),
@@ -521,14 +378,17 @@ impl SinkVerifier {
         )
     }
 
-    /// [`SinkVerifier::verify_nested_with_table`] with lane-parallel MAC
-    /// checking: collects every mark's candidate `(key, message, tag)` job
-    /// along the backward walk first, computes all MACs in one batched
-    /// [`pnm_crypto::verify_mark_macs_prepared`] call (4/8 lanes per
-    /// SHA-256 compression), then replays the stop-at-first-invalid walk
-    /// over the precomputed verdicts.
+    /// Nested verification with a pre-built anonymous-ID table (reuse the
+    /// table across marks of the same packet; the caller may also share it
+    /// across packets carrying the same report).
     ///
-    /// Returns a [`VerifiedChain`] identical to the scalar path for every
+    /// Lane-parallel MAC checking: collects every mark's candidate
+    /// `(key, message, tag)` job along the backward walk first, computes
+    /// all MACs in one batched [`pnm_crypto::verify_mark_macs_prepared`]
+    /// call (4/8 lanes per SHA-256 compression), then replays the
+    /// stop-at-first-invalid walk over the precomputed verdicts.
+    ///
+    /// Returns the [`VerifiedChain`] of the §4.1 scalar walk for every
     /// packet (pinned by test and proptest): each mark's verdict depends
     /// only on its own message prefix and the table, never on other
     /// verdicts, so precomputing is observation-equivalent. The one
@@ -736,6 +596,10 @@ impl SinkVerifier {
     /// MAC must cover the exact preceding message bytes. Stops at the first
     /// invalid mark.
     ///
+    /// This scalar walk serves the §7 [`TopologyResolver`], whose ring
+    /// search starts from the previously verified node and so cannot be
+    /// batched ahead of the walk.
+    ///
     /// `resolve_anon` receives the anonymous ID, the previously verified
     /// (next-downstream) node as a topology anchor, and the buffer to push
     /// candidate real ids into. `scratch` and `cands` are reusable buffers so
@@ -844,9 +708,11 @@ pub struct TopologyResolver {
     schedule: Arc<KeySchedule>,
     /// adjacency[i] = ids of i's one-hop neighbors.
     adjacency: HashMap<u16, Vec<u16>>,
-    /// Maximum ring radius before falling back to a full scan.
-    max_radius: usize,
 }
+
+/// Neighborhood rings [`TopologyResolver`] searches before falling back to
+/// a full scan.
+const MAX_RING_RADIUS: usize = 3;
 
 /// Result of a topology-aware resolution, including its cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -869,14 +735,7 @@ impl TopologyResolver {
             keys,
             schedule,
             adjacency,
-            max_radius: 3,
         }
-    }
-
-    /// Sets how many neighborhood rings to search before the full scan.
-    pub fn with_max_radius(mut self, radius: usize) -> Self {
-        self.max_radius = radius;
-        self
     }
 
     /// Read access to the key table.
@@ -901,7 +760,7 @@ impl TopologyResolver {
             // Ring-by-ring BFS from the anchor.
             let mut frontier: Vec<u16> = vec![anchor.raw()];
             tried.insert(anchor.raw());
-            for _radius in 0..=self.max_radius {
+            for _radius in 0..=MAX_RING_RADIUS {
                 for &cand in &frontier {
                     if let Some(key) = self.schedule.get(cand) {
                         hash_count += 1;
@@ -1120,11 +979,12 @@ mod tests {
         let scheme = ProbabilisticNestedMarking::new(cfg);
         let pkt = marked_packet(&keys, &scheme, 15, 3);
         let verifier = SinkVerifier::new(keys.clone());
-        let table = AnonTable::build(&keys, &pkt.report.to_bytes());
+        let table = AnonTable::build(&keys.schedule(), &pkt.report.to_bytes());
         assert_eq!(table.hash_count, 15);
-        let with_table = verifier.verify_nested_with_table(&pkt, &table);
+        let with_table = verifier.verify_nested_with_table_batched(&pkt, &table);
         let without = verifier.verify(&pkt, VerifyMode::Nested);
         assert_eq!(with_table, without);
+        assert_eq!(without, verifier.verify_nested_scalar(&pkt));
     }
 
     #[test]
@@ -1205,7 +1065,7 @@ mod tests {
     fn anon_table_resolves_every_node() {
         let keys = keystore(100);
         let rb = report().to_bytes();
-        let table = AnonTable::build(&keys, &rb);
+        let table = AnonTable::build(&keys.schedule(), &rb);
         assert!(!table.is_empty());
         for (id, key) in keys.iter() {
             let aid = anon_id(key, &rb, id);
@@ -1304,40 +1164,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial() {
-        let rb = report().to_bytes();
-        for n in [0u16, 1, 2, 7, 100] {
-            let keys = keystore(n);
-            let serial = AnonTable::build(&keys, &rb);
-            for threads in [1usize, 2, 3, 4, 8, 200] {
-                let parallel = AnonTable::build_parallel(&keys, &rb, threads);
-                assert_eq!(serial, parallel, "n={n}, threads={threads}");
-                assert_eq!(parallel.hash_count, n as usize);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_keeps_collision_order() {
-        // Two distinct real ids behind one AnonId: the shared-key collision
-        // below forces every node to the same anonymous id, so candidate
-        // lists must come out ascending under any thread count.
-        let shared = MacKey::derive(b"collide", 0);
-        let keys: KeyStore = (0..16u16).map(|i| (i, shared)).collect();
-        let rb = report().to_bytes();
-        let serial = AnonTable::build(&keys, &rb);
-        assert_eq!(serial.len(), 16, "same key, distinct ids: no collision");
-        // Genuine collisions need identical (key, id) inputs, impossible
-        // across distinct ids — so check ordering through the table that
-        // CAN collide: identical ids can't repeat in a KeyStore, so instead
-        // assert the serial/parallel maps agree entry-for-entry.
-        for threads in 2..=8 {
-            let parallel = AnonTable::build_parallel(&keys, &rb, threads);
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn verifier_schedule_is_shared_with_keystore() {
         let keys = Arc::new(keystore(10));
         let verifier = SinkVerifier::new(Arc::clone(&keys));
@@ -1345,37 +1171,14 @@ mod tests {
     }
 
     #[test]
-    fn small_inputs_fall_back_to_serial_dispatch() {
-        // The regression this guards: at 100 nodes the thread-parallel
-        // build measured ~1.8× *slower* than serial (BENCH_crypto.json),
-        // so below PARALLEL_MIN_NODES exactly one worker may dispatch.
-        assert_eq!(AnonTable::parallel_workers(100, 4), 1);
-        assert_eq!(
-            AnonTable::parallel_workers(AnonTable::PARALLEL_MIN_NODES - 1, 8),
-            1
-        );
-        assert_eq!(
-            AnonTable::parallel_workers(AnonTable::PARALLEL_MIN_NODES, 4),
-            4
-        );
-        assert_eq!(AnonTable::parallel_workers(1000, 8), 8);
-        assert_eq!(AnonTable::parallel_workers(1000, 1), 1);
-    }
-
-    #[test]
     fn lane_build_matches_serial() {
         let rb = report().to_bytes();
         for n in [0u16, 1, 2, 7, 100, 600] {
-            let keys = keystore(n);
-            let serial = AnonTable::build(&keys, &rb);
-            let lanes = AnonTable::build_lanes(&keys, &rb);
+            let schedule = keystore(n).schedule();
+            let serial = AnonTable::build_scalar(&schedule, &rb);
+            let lanes = AnonTable::build(&schedule, &rb);
             assert_eq!(serial, lanes, "n={n}");
             assert_eq!(lanes.hash_count, n as usize);
-            for threads in [1usize, 2, 4, 8] {
-                let sharded = AnonTable::build_parallel_lanes_with(&keys.schedule(), &rb, threads);
-                assert_eq!(serial, sharded, "n={n}, threads={threads}");
-                assert_eq!(sharded.hash_count, n as usize);
-            }
         }
     }
 
@@ -1405,10 +1208,16 @@ mod tests {
                     variants.push(p);
                 }
                 for pkt in &variants {
-                    let table = AnonTable::build(&keys, &pkt.report.to_bytes());
+                    let table = AnonTable::build(&keys.schedule(), &pkt.report.to_bytes());
+                    let oracle = verifier.verify_nested_scalar(pkt);
                     assert_eq!(
                         verifier.verify_nested_with_table_batched(pkt, &table),
-                        verifier.verify_nested_with_table(pkt, &table),
+                        oracle,
+                        "seed={seed}"
+                    );
+                    assert_eq!(
+                        verifier.verify(pkt, VerifyMode::Nested),
+                        oracle,
                         "seed={seed}"
                     );
                 }
@@ -1420,12 +1229,12 @@ mod tests {
     fn batched_verify_handles_empty_and_unknown() {
         let keys = keystore(4);
         let verifier = SinkVerifier::new(keys.clone());
-        let table = AnonTable::build(&keys, &report().to_bytes());
+        let table = AnonTable::build(&keys.schedule(), &report().to_bytes());
         // Empty packet.
         let empty = Packet::new(report());
         assert_eq!(
             verifier.verify_nested_with_table_batched(&empty, &table),
-            verifier.verify_nested_with_table(&empty, &table)
+            verifier.verify_nested_scalar(&empty)
         );
         // Unknown plain id and unresolvable anon id.
         let scheme = NestedMarking::new(MarkingConfig::default());
@@ -1437,49 +1246,34 @@ mod tests {
         pkt.push_mark(Mark::plain(NodeId(4000), mac));
         let mac2 = fake_key.mark_mac(&pkt.to_bytes(), 8);
         pkt.push_mark(Mark::anon(AnonId::from_bytes([0xEE; 8]), mac2));
+        let oracle = verifier.verify_nested_scalar(&pkt);
         assert_eq!(
             verifier.verify_nested_with_table_batched(&pkt, &table),
-            verifier.verify_nested_with_table(&pkt, &table)
+            oracle
         );
+        assert_eq!(verifier.verify(&pkt, VerifyMode::Nested), oracle);
     }
 
     proptest! {
-        /// `build_parallel` is map-identical to the serial build for any
-        /// report bytes, network size, and thread count 1..=8.
-        #[test]
-        fn prop_parallel_table_equals_serial(
-            report in proptest::collection::vec(any::<u8>(), 0..64),
-            n in 0u16..64,
-            threads in 1usize..=8,
-        ) {
-            let keys = keystore(n);
-            let serial = AnonTable::build(&keys, &report);
-            let parallel = AnonTable::build_parallel(&keys, &report, threads);
-            prop_assert_eq!(&serial, &parallel);
-            prop_assert_eq!(parallel.hash_count, n as usize);
-        }
-
         /// The lane-parallel table build is map- and count-identical to the
-        /// serial build for any report and population, alone and under
-        /// thread sharding.
+        /// scalar build for any report and population.
         #[test]
         fn prop_lane_table_equals_serial(
             report in proptest::collection::vec(any::<u8>(), 0..64),
             n in 0u16..64,
-            threads in 1usize..=8,
         ) {
-            let keys = keystore(n);
-            let serial = AnonTable::build(&keys, &report);
-            prop_assert_eq!(&serial, &AnonTable::build_lanes(&keys, &report));
+            let schedule = keystore(n).schedule();
             prop_assert_eq!(
-                &serial,
-                &AnonTable::build_parallel_lanes_with(&keys.schedule(), &report, threads)
+                AnonTable::build_scalar(&schedule, &report),
+                AnonTable::build(&schedule, &report)
             );
         }
 
-        /// Batched (lane-parallel) nested verification returns the exact
-        /// `VerifiedChain` of the scalar walk for arbitrary path lengths,
-        /// marking probabilities, and an arbitrary single tamper.
+        /// Batched (lane-parallel) nested verification — over a shared
+        /// table and through `verify(_, Nested)` — returns the exact
+        /// `VerifiedChain` of the scalar oracle for anonymous (PNM) and
+        /// plain-id (nested) marks, arbitrary path lengths, marking
+        /// probabilities, and an arbitrary single tamper.
         #[test]
         fn prop_batched_verify_equals_scalar(
             n in 1u16..24,
@@ -1487,11 +1281,14 @@ mod tests {
             prob in 0.3f64..=1.0,
             tamper in 0usize..4,
             at in 0usize..24,
+            anonymous in any::<bool>(),
         ) {
             let keys = keystore(n);
             let cfg = MarkingConfig::builder().marking_probability(prob).build();
-            let scheme = ProbabilisticNestedMarking::new(cfg);
-            let mut pkt = marked_packet(&keys, &scheme, n, seed);
+            let pnm = ProbabilisticNestedMarking::new(cfg);
+            let nested = NestedMarking::new(cfg);
+            let scheme: &dyn MarkingScheme = if anonymous { &pnm } else { &nested };
+            let mut pkt = marked_packet(&keys, scheme, n, seed);
             if !pkt.marks.is_empty() {
                 let i = at % pkt.marks.len();
                 match tamper {
@@ -1502,11 +1299,13 @@ mod tests {
                 }
             }
             let verifier = SinkVerifier::new(keys.clone());
-            let table = AnonTable::build(&keys, &pkt.report.to_bytes());
+            let table = AnonTable::build(&keys.schedule(), &pkt.report.to_bytes());
+            let oracle = verifier.verify_nested_scalar(&pkt);
             prop_assert_eq!(
-                verifier.verify_nested_with_table_batched(&pkt, &table),
-                verifier.verify_nested_with_table(&pkt, &table)
+                &verifier.verify_nested_with_table_batched(&pkt, &table),
+                &oracle
             );
+            prop_assert_eq!(&verifier.verify(&pkt, VerifyMode::Nested), &oracle);
         }
     }
 }

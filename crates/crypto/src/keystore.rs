@@ -158,9 +158,9 @@ impl Extend<(u16, MacKey)> for KeyStore {
 /// id order.
 ///
 /// One [`HmacKey`] per node: the RFC 2104 inner/outer pad blocks are
-/// compressed once here instead of on every MAC. The parallel anon-table
-/// builder additionally relies on the ascending order to shard the id space
-/// deterministically (`pnm-core::verify::AnonTable::build_parallel`).
+/// compressed once here instead of on every MAC. The anon-table build
+/// (`pnm-core::verify::AnonTable::build`) hashes the schedule in this
+/// ascending order, so collision candidate lists come out ascending.
 #[derive(Clone, Debug)]
 pub struct KeySchedule {
     /// Provisioned ids, ascending.

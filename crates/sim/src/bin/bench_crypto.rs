@@ -1,5 +1,5 @@
 //! Measures the precomputed-key HMAC pipeline against the one-shot baseline,
-//! serial vs parallel vs lane-parallel anonymous-ID table builds, and the
+//! the anonymous-ID table build against its one-shot baseline, and the
 //! lane-parallel (SIMD multi-buffer) batched MAC path, recording the results
 //! in `BENCH_crypto.json`.
 //!
@@ -23,23 +23,13 @@
 //!    struct-of-arrays fallback).
 //! 3. **Anon-table build** at N ∈ {100, 300, 1000} nodes: the pre-change
 //!    serial baseline (one-shot `anon_id` per node into a `Vec`-per-entry
-//!    map), the precomputed serial build (`AnonTable::build`), the sharded
-//!    build (`AnonTable::build_parallel`, 4 threads requested), and the
-//!    lane-parallel build (`AnonTable::build_parallel_lanes_with`).
+//!    map) vs the sink's one build (`AnonTable::build`: precomputed key
+//!    schedule, lane-parallel hashing).
 //!
 //! Every variant is checked for output equivalence before timing — the fast
 //! paths must be pure optimizations. `--smoke` runs the equivalence checks
-//! with tiny iteration counts and writes nothing, for CI.
-//!
-//! The parallel builds dispatch the requested worker count **without**
-//! clamping to `available_parallelism`; `parallel_workers` per table entry
-//! reports what [`AnonTable::parallel_workers`] actually dispatched. Since
-//! the small-input regression fix, builds under
-//! [`AnonTable::PARALLEL_MIN_NODES`] nodes dispatch serially (workers = 1):
-//! at 100 nodes the 4-thread spawn+join overhead cost ~1.8× the serial
-//! build. That dispatch threshold is asserted here so it cannot silently
-//! regress; `host_cores` records the machine so a reader can judge how much
-//! true concurrency backed the parallel numbers.
+//! with tiny iteration counts and writes nothing, for CI. `host_cores`
+//! records the machine; every path timed here is single-threaded.
 
 use std::collections::HashMap;
 use std::env;
@@ -52,37 +42,15 @@ use pnm_crypto::{
 };
 
 const TABLE_SIZES: [u16; 3] = [100, 300, 1000];
-const PARALLEL_THREADS: usize = 4;
 const MAC_WIDTH: usize = 8;
 /// Batch sizes swept by the lanes section: one SIMD group (4/8), a
 /// two-group batch, and a chain-of-marks-sized batch.
 const LANE_BATCHES: [usize; 4] = [4, 8, 16, 64];
 
-/// The host's core count, recorded alongside the dispatch counts so the
-/// artifact is honest about how much true concurrency backed them.
+/// The host's core count, recorded so a reader knows the machine behind
+/// the timings.
 fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
-}
-
-/// Pins the small-input dispatch threshold (the 100-node parallel-build
-/// regression fix): bench-sized small tables must dispatch serially, the
-/// 1000-node table must actually shard.
-fn check_dispatch_thresholds() {
-    assert_eq!(
-        AnonTable::parallel_workers(100, PARALLEL_THREADS),
-        1,
-        "small builds must fall back to serial dispatch"
-    );
-    assert_eq!(
-        AnonTable::parallel_workers(AnonTable::PARALLEL_MIN_NODES - 1, 8),
-        1,
-        "below-threshold builds must fall back to serial dispatch"
-    );
-    assert_eq!(
-        AnonTable::parallel_workers(1000, PARALLEL_THREADS),
-        PARALLEL_THREADS,
-        "large builds must shard across all requested threads"
-    );
 }
 
 /// A mark-sized message: the canonical bench report bytes plus the 8-byte
@@ -126,7 +94,7 @@ fn time_interleaved<T, const N: usize>(
 
 /// The pre-change serial table build: one-shot `anon_id` per node (the pad
 /// blocks re-derived per hash), heap-allocated candidate list per entry.
-/// Kept as the timing baseline the precomputed builds are compared against.
+/// Kept as the timing baseline [`AnonTable::build`] is compared against.
 fn build_oneshot_baseline(keys: &KeyStore, report_bytes: &[u8]) -> HashMap<AnonId, Vec<u16>> {
     let mut map: HashMap<AnonId, Vec<u16>> = HashMap::with_capacity(keys.len());
     for (id, key) in keys.iter() {
@@ -137,26 +105,14 @@ fn build_oneshot_baseline(keys: &KeyStore, report_bytes: &[u8]) -> HashMap<AnonI
     map
 }
 
-/// Asserts the table-build variants — serial, thread-parallel, and
-/// lane-parallel — resolve identically to the one-shot baseline.
+/// Asserts the table build resolves identically to the one-shot baseline.
 fn check_table_equivalence(keys: &KeyStore, report_bytes: &[u8]) {
     let baseline = build_oneshot_baseline(keys, report_bytes);
-    let serial = AnonTable::build(keys, report_bytes);
-    let parallel = AnonTable::build_parallel(keys, report_bytes, PARALLEL_THREADS);
-    let lanes = AnonTable::build_lanes(keys, report_bytes);
-    let lanes_parallel =
-        AnonTable::build_parallel_lanes_with(&keys.schedule(), report_bytes, PARALLEL_THREADS);
-    assert_eq!(serial, parallel, "parallel build must be map-identical");
-    assert_eq!(serial, lanes, "lane build must be map-identical");
-    assert_eq!(
-        serial, lanes_parallel,
-        "parallel lane build must be map-identical"
-    );
-    assert_eq!(serial.len(), baseline.len());
+    let table = AnonTable::build(&keys.schedule(), report_bytes);
+    assert_eq!(table.len(), baseline.len());
+    assert_eq!(table.hash_count, keys.len());
     for (aid, cands) in &baseline {
-        assert_eq!(serial.resolve(aid), cands.as_slice(), "aid {aid}");
-        assert_eq!(parallel.resolve(aid), cands.as_slice(), "aid {aid}");
-        assert_eq!(lanes.resolve(aid), cands.as_slice(), "aid {aid}");
+        assert_eq!(table.resolve(aid), cands.as_slice(), "aid {aid}");
     }
 }
 
@@ -256,11 +212,8 @@ fn bench_lanes(repeats: usize, iters: usize) -> Vec<LaneResult> {
 
 struct TableResult {
     nodes: u16,
-    workers: usize,
     oneshot_ns: f64,
-    serial_ns: f64,
-    parallel_ns: f64,
-    lanes_ns: f64,
+    build_ns: f64,
 }
 
 fn bench_table(nodes: u16, repeats: usize, iters: usize) -> TableResult {
@@ -271,26 +224,18 @@ fn bench_table(nodes: u16, repeats: usize, iters: usize) -> TableResult {
     // (the schedule is built once per deployment, not per report).
     let schedule = keys.schedule();
 
-    let [oneshot_ns, serial_ns, parallel_ns, lanes_ns] = time_interleaved(
+    let [oneshot_ns, build_ns] = time_interleaved(
         repeats,
         iters,
         &mut [
             &mut || build_oneshot_baseline(&keys, &report_bytes).len(),
-            &mut || AnonTable::build(&keys, &report_bytes).len(),
-            &mut || AnonTable::build_parallel(&keys, &report_bytes, PARALLEL_THREADS).len(),
-            &mut || {
-                AnonTable::build_parallel_lanes_with(&schedule, &report_bytes, PARALLEL_THREADS)
-                    .len()
-            },
+            &mut || AnonTable::build(&schedule, &report_bytes).len(),
         ],
     );
     TableResult {
         nodes,
-        workers: AnonTable::parallel_workers(nodes as usize, PARALLEL_THREADS),
         oneshot_ns,
-        serial_ns,
-        parallel_ns,
-        lanes_ns,
+        build_ns,
     }
 }
 
@@ -315,7 +260,6 @@ fn main() -> ExitCode {
         }
     }
 
-    check_dispatch_thresholds();
     let backend = Sha256xN::backend();
 
     if smoke {
@@ -367,25 +311,15 @@ fn main() -> ExitCode {
                 concat!(
                     "    {{\n",
                     "      \"nodes\": {},\n",
-                    "      \"parallel_workers\": {},\n",
                     "      \"serial_oneshot_ns\": {:.0},\n",
-                    "      \"serial_precomputed_ns\": {:.0},\n",
-                    "      \"parallel_precomputed_ns\": {:.0},\n",
-                    "      \"lanes_ns\": {:.0},\n",
-                    "      \"speedup_serial_precomputed\": {:.2},\n",
-                    "      \"speedup_parallel_vs_oneshot\": {:.2},\n",
-                    "      \"speedup_lanes_vs_serial\": {:.2}\n",
+                    "      \"build_ns\": {:.0},\n",
+                    "      \"speedup_vs_oneshot\": {:.2}\n",
                     "    }}"
                 ),
                 t.nodes,
-                t.workers,
                 t.oneshot_ns,
-                t.serial_ns,
-                t.parallel_ns,
-                t.lanes_ns,
-                t.oneshot_ns / t.serial_ns,
-                t.oneshot_ns / t.parallel_ns,
-                t.serial_ns / t.lanes_ns,
+                t.build_ns,
+                t.oneshot_ns / t.build_ns,
             )
         })
         .collect();
@@ -394,9 +328,9 @@ fn main() -> ExitCode {
             "{{\n",
             "  \"scenario\": \"precomputed-key HMAC pipeline vs one-shot baseline\",\n",
             "  \"note\": \"serial_oneshot is the pre-change path: RFC 2104 pads re-derived per hash; ",
-            "precomputed paths reuse the keystore's cached midstate schedule; lane paths additionally ",
-            "hash up to MAX_LANES independent messages per SHA-256 compression\",\n",
-            "  \"parallel_threads_requested\": {},\n",
+            "precomputed paths reuse the keystore's cached midstate schedule; lane paths and the ",
+            "table build (AnonTable::build) additionally hash up to MAX_LANES independent messages ",
+            "per SHA-256 compression\",\n",
             "  \"host_cores\": {},\n",
             "  \"mac\": {{\n",
             "    \"message_len\": {},\n",
@@ -413,7 +347,6 @@ fn main() -> ExitCode {
             "  \"anon_table_builds\": [\n{}\n  ]\n",
             "}}\n"
         ),
-        PARALLEL_THREADS,
         host_cores(),
         mac.message_len,
         MAC_WIDTH,
