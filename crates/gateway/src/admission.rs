@@ -65,19 +65,19 @@ impl TokenBucket {
     }
 }
 
-/// Per-connection byte-level limits enforced by the server loop.
+/// Per-connection byte-level limits, enforced by each connection's thread.
 #[derive(Clone, Copy, Debug)]
 pub struct ConnLimits {
     /// Cap on one request payload; a frame declaring more is rejected
     /// before buffering and the connection closed.
     pub max_payload: usize,
     /// Cap on buffered-but-unparsed request bytes per connection (the
-    /// "max in-flight bytes" bound). With `max_payload` below this, a
-    /// well-formed client can never hit it; a flooder can.
+    /// "max in-flight bytes" bound). Each read is parsed at once, so with
+    /// `max_payload` well below this cap no client hits it.
     pub max_buffer: usize,
     /// How long a connection may sit with a partial frame buffered, or
-    /// with unread response bytes pending, before it is evicted as a slow
-    /// client.
+    /// blocked writing responses its client does not read, before it is
+    /// evicted as a slow client.
     pub stall_deadline: Duration,
 }
 

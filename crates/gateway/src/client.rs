@@ -199,7 +199,7 @@ impl GatewayClient {
         String::from_utf8(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
-    /// Liveness probe: `Ok(())` means a worker answered.
+    /// Liveness probe: `Ok(())` means the gateway answered.
     pub fn health(&mut self) -> io::Result<()> {
         self.request(Envelope::control(OpCode::Health, b"_"))
             .map(|_| ())

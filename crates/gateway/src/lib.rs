@@ -47,10 +47,10 @@
 //!   over-rate tenants at token buckets ([`TokenBucket`]), and finally
 //!   the service pools' own Block/Shed queue policies. Every refusal is a
 //!   labelled counter.
-//! * **Serving.** No async runtime, no dependencies: a nonblocking
-//!   acceptor thread deals connections to worker readiness loops
-//!   ([`Gateway`]); connection state never crosses threads after accept.
-//!   [`GatewayClient`] is the matching blocking client.
+//! * **Serving.** No async runtime, no dependencies: one blocking thread
+//!   per listener and one per connection ([`Gateway`]), so a frame is
+//!   served as soon as it arrives and connection state never leaves its
+//!   thread. [`GatewayClient`] is the matching blocking client.
 //!
 //! The `bench-gateway` binary in `pnm-sim` measures end-to-end ingest
 //! throughput and latency at 1/4/16 tenants over this stack.

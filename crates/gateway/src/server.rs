@@ -1,12 +1,14 @@
-//! The gateway server: nonblocking listeners and worker readiness loops.
+//! The gateway server: one blocking thread per listener and per connection.
 //!
-//! No async runtime and no new dependencies — a hand-rolled readiness
-//! loop over `std::net` sockets in nonblocking mode. One acceptor thread
-//! drains every listener (TCP and Unix-domain) and deals connections
-//! round-robin to a fixed set of worker threads; each worker owns its
-//! connections outright and loops: flush pending writes, read what the
-//! kernel has, parse complete frames, dispatch, repeat. Ownership never
-//! crosses threads after accept, so there are no locks on the data path.
+//! No async runtime and no new dependencies. Each listener (TCP or
+//! Unix-domain) has a thread blocked in `accept`; each connection has a
+//! thread that serves it through the [`Transport`](crate::Transport)
+//! trait: read, dispatch every complete frame, write the batched
+//! responses with one `write_all`, read again. A frame is served as soon
+//! as it arrives, and connection state never leaves its thread. The read
+//! timeout is a short tick, so an idle connection sees a graceful drain
+//! within one tick; the write timeout is the stall deadline, so a client
+//! that stops reading its responses is evicted.
 //!
 //! Admission composes in layers. The envelope decoder rejects garbage and
 //! oversized frames before any unbounded buffering ([`crate::envelope`]);
@@ -14,62 +16,52 @@
 //! ([`crate::admission::ConnLimits`]); per-tenant token buckets and the
 //! service pools' own Block/Shed queues sit behind those
 //! ([`TenantRegistry::ingest_seq`]). Under `Block` backpressure a full
-//! queue stalls the worker, the kernel socket buffers fill, and the TCP
-//! window closes — the service-layer policy becomes end-to-end flow
-//! control for free. `Shed` keeps workers responsive and counts the drops instead;
-//! prefer it for multi-tenant gateways so one tenant's burst cannot stall
-//! a worker serving others.
+//! queue parks only the connection whose ingest hit it: its thread stops
+//! reading, the kernel socket buffers fill, and the TCP window closes —
+//! the service-layer policy becomes end-to-end flow control for free.
+//! Other connections keep being served, and scrapes and snapshots do not
+//! wait behind the parked ingest, except while a `Drain` of its tenant is
+//! pending: every read of that tenant's pool, the fleet-wide
+//! `MetricsText` included, then waits behind the drain. `Shed` answers
+//! `Busy` and counts the drop instead.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use pnm_obs::Counter;
 
 use crate::admission::ConnLimits;
 use crate::envelope::{Envelope, OpCode, Response, Status};
 use crate::tenant::TenantRegistry;
 
-/// Tuning for a [`Gateway`].
-#[derive(Clone, Copy, Debug)]
-pub struct GatewayConfig {
-    workers: usize,
-    limits: ConnLimits,
-    poll_interval: Duration,
-}
+/// How long a connection blocks in `read` before it checks for a drain
+/// and a stalled partial frame (capped at the stall deadline).
+const TICK: Duration = Duration::from_millis(25);
+/// Bytes asked of the kernel per `read`.
+const READ_CHUNK: usize = 64 * 1024;
+/// Pause after a failed `accept` (out of descriptors, say) before the
+/// next one.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
+/// How long shutdown tries to reach a TCP listener to wake its `accept`.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        GatewayConfig {
-            workers: 2,
-            limits: ConnLimits::default(),
-            poll_interval: Duration::from_micros(300),
-        }
-    }
+/// Tuning for a [`Gateway`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct GatewayConfig {
+    limits: ConnLimits,
 }
 
 impl GatewayConfig {
-    /// Number of worker threads (connections are dealt round-robin).
-    /// Clamped to at least 1.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// Per-connection byte and stall limits.
     pub fn limits(mut self, limits: ConnLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// How long an idle acceptor or worker sleeps between polls. Smaller
-    /// is lower latency, larger is kinder to a shared host.
-    pub fn poll_interval(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
         self
     }
 }
@@ -107,8 +99,8 @@ pub struct Gateway {
     registry: Arc<TenantRegistry>,
     config: GatewayConfig,
     tcp: Vec<TcpListener>,
-    uds: Vec<UnixListener>,
-    uds_paths: Vec<PathBuf>,
+    /// Each Unix listener with its socket file and that file's inode.
+    uds: Vec<(UnixListener, PathBuf, u64)>,
 }
 
 impl Gateway {
@@ -120,7 +112,6 @@ impl Gateway {
             config,
             tcp: Vec::new(),
             uds: Vec::new(),
-            uds_paths: Vec::new(),
         }
     }
 
@@ -128,7 +119,6 @@ impl Gateway {
     /// let the kernel pick).
     pub fn listen_tcp(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let bound = listener.local_addr()?;
         self.tcp.push(listener);
         Ok(bound)
@@ -136,7 +126,7 @@ impl Gateway {
 
     /// Binds a Unix-domain listener at `path`, removing a stale socket
     /// file from a previous run first. The file is removed again on
-    /// shutdown.
+    /// shutdown, unless it has been replaced by then.
     pub fn listen_uds(&mut self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
         match std::fs::remove_file(path) {
@@ -145,17 +135,19 @@ impl Gateway {
             Err(e) => return Err(e),
         }
         let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
-        self.uds.push(listener);
-        self.uds_paths.push(path.to_path_buf());
+        let ino = std::fs::metadata(path)?.ino();
+        self.uds.push((listener, path.to_path_buf(), ino));
         Ok(())
     }
 
-    /// Starts the acceptor and worker threads and returns their handle.
+    /// Starts one accept thread per listener and returns their handle.
+    /// Each accepted connection is served on a thread of its own.
     ///
     /// # Errors
     ///
-    /// `InvalidInput` if no listener was bound.
+    /// `InvalidInput` if no listener was bound; otherwise the error of a
+    /// failed address lookup or thread spawn, after stopping the threads
+    /// already started.
     pub fn spawn(self) -> io::Result<GatewayHandle> {
         if self.tcp.is_empty() && self.uds.is_empty() {
             return Err(io::Error::new(
@@ -163,92 +155,94 @@ impl Gateway {
                 "gateway has no listeners; call listen_tcp or listen_uds first",
             ));
         }
-        let stop = Arc::new(AtomicBool::new(false));
-        let draining = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
-        let mut threads = Vec::with_capacity(self.config.workers + 1);
-        let mut senders = Vec::with_capacity(self.config.workers);
-        for id in 0..self.config.workers {
-            let (tx, rx) = channel::<Conn>();
-            senders.push(tx);
-            let worker = Worker {
-                registry: Arc::clone(&self.registry),
+        // On an early return, dropping `handle` stops what it holds.
+        let mut handle = GatewayHandle {
+            shared: Arc::new(Shared {
+                connections: self
+                    .registry
+                    .registry()
+                    .counter("pnm_gateway_connections_total", &[]),
+                registry: self.registry,
                 limits: self.config.limits,
-                poll_interval: self.config.poll_interval,
-                stop: Arc::clone(&stop),
-                draining: Arc::clone(&draining),
-                active: Arc::clone(&active),
-                rx,
-                conns: Vec::new(),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("pnm-gateway-worker-{id}"))
-                    .spawn(move || worker.run())?,
-            );
-        }
-        let acceptor = Acceptor {
-            registry: Arc::clone(&self.registry),
-            tcp: self.tcp,
-            uds: self.uds,
-            senders,
-            poll_interval: self.config.poll_interval,
-            stop: Arc::clone(&stop),
-            draining: Arc::clone(&draining),
-            active: Arc::clone(&active),
+                draining: AtomicBool::new(false),
+                conns: Mutex::new(Vec::new()),
+            }),
+            acceptors: Vec::new(),
         };
-        threads.push(
-            std::thread::Builder::new()
-                .name("pnm-gateway-acceptor".into())
-                .spawn(move || acceptor.run())?,
-        );
-        Ok(GatewayHandle {
-            registry: self.registry,
-            stop,
-            draining,
-            active,
-            threads,
-            uds_paths: self.uds_paths,
-        })
+        for listener in self.tcp {
+            let mut addr = listener.local_addr()?;
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let thread = handle.shared.spawn_acceptor(move || {
+                listener.accept().and_then(|(s, _)| Ok((s.try_clone()?, s)))
+            })?;
+            let wake = move || TcpStream::connect_timeout(&addr, WAKE_TIMEOUT).is_ok();
+            handle.acceptors.push((thread, Box::new(wake)));
+        }
+        for (listener, path, ino) in self.uds {
+            let thread = handle.shared.spawn_acceptor(move || {
+                listener.accept().and_then(|(s, _)| Ok((s.try_clone()?, s)))
+            })?;
+            // A socket file that was removed, or replaced by another
+            // listener's, no longer leads here and is not ours to remove.
+            let wake = move || {
+                let ours = std::fs::metadata(&path).is_ok_and(|m| m.ino() == ino);
+                let woken = ours && UnixStream::connect(&path).is_ok();
+                if ours {
+                    let _ = std::fs::remove_file(&path);
+                }
+                woken
+            };
+            handle.acceptors.push((thread, Box::new(wake)));
+        }
+        Ok(handle)
     }
 }
 
 /// A running gateway. Dropping it (or calling
 /// [`shutdown`](GatewayHandle::shutdown)) stops the threads, closes every
-/// connection, and removes Unix socket files. Shutting the server down
-/// does **not** drain tenant pools — send [`OpCode::Drain`] per tenant, or
-/// keep a handle to the [`TenantRegistry`] and drain in-process. For a
-/// shutdown that lets in-flight work land first, use
+/// connection, and removes the Unix socket files it still owns. Shutting
+/// the server down does **not** drain tenant pools — send
+/// [`OpCode::Drain`] per tenant, or keep a handle to the
+/// [`TenantRegistry`] and drain in-process. For a shutdown that lets
+/// in-flight work land first, use
 /// [`shutdown_graceful`](GatewayHandle::shutdown_graceful).
 pub struct GatewayHandle {
-    registry: Arc<TenantRegistry>,
-    stop: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    threads: Vec<JoinHandle<()>>,
-    uds_paths: Vec<PathBuf>,
+    shared: Arc<Shared>,
+    /// One accept thread per listener, each with its [`Wake`].
+    acceptors: Vec<(JoinHandle<()>, Wake)>,
 }
+
+/// Wakes a blocked `accept` with a throwaway connection to its listener
+/// (loopback for an unspecified TCP address; for a Unix listener, also
+/// removes its socket file), and says whether the connection got there.
+type Wake = Box<dyn FnOnce() -> bool + Send + Sync>;
 
 impl GatewayHandle {
     /// The tenant registry this gateway serves (for in-process scrapes,
     /// drains, and tests).
     pub fn registry(&self) -> &Arc<TenantRegistry> {
-        &self.registry
+        &self.shared.registry
     }
 
     /// Stops accepting, closes every connection, and joins the threads.
+    /// Each connection's socket is shut down first, so a thread blocked
+    /// reading or writing returns at once, whatever its client does.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
-    /// Graceful shutdown, in order: (1) stop accepting — the acceptor
-    /// exits and every listener closes, and [`OpCode::Ready`] starts
+    /// Graceful shutdown, in order: (1) stop accepting — every accept
+    /// thread exits, every listener closes, and [`OpCode::Ready`] starts
     /// answering `Rejected("draining")` so load balancers steer away;
-    /// (2) let in-flight connections finish — workers serve what is
-    /// buffered and close each connection once it goes idle; (3) flush
-    /// every tenant pool — shard workers run their queues dry and write
-    /// their **final durable checkpoint** to the tenant's evidence log;
-    /// (4) stop the threads and remove socket files.
+    /// (2) let in-flight connections finish — each closes once it has
+    /// answered every frame it read; (3) flush every tenant pool — shard
+    /// workers run their queues dry and write their **final durable
+    /// checkpoint** to the tenant's evidence log; (4) stop the threads.
     ///
     /// Returns `true` if both the connections and every pool flushed
     /// within `timeout`; `false` means the deadline cut something off
@@ -258,12 +252,17 @@ impl GatewayHandle {
     /// rejection.
     pub fn shutdown_graceful(mut self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        self.draining.store(true, Ordering::Release);
-        while self.active.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
+        self.shared.draining.store(true, Ordering::Release);
+        self.close_listeners();
+        let conns_done = || {
+            let conns = self.shared.conns.lock().expect("conns lock");
+            conns.iter().all(|(t, _)| t.is_finished())
+        };
+        while !conns_done() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let conns_flushed = self.active.load(Ordering::Acquire) == 0;
-        let pools_flushed = self.registry.flush_all(deadline);
+        let conns_flushed = conns_done();
+        let pools_flushed = self.shared.registry.flush_all(deadline);
         self.stop_and_join();
         conns_flushed && pools_flushed
     }
@@ -271,16 +270,33 @@ impl GatewayHandle {
     /// Whether a graceful shutdown has begun (readiness is the wire-level
     /// view of the same flag).
     pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
+        self.shared.draining.load(Ordering::Acquire)
+    }
+
+    /// Wakes each accept thread, which has seen the drain flag set first,
+    /// and joins it (closing its listener). A thread that cannot be
+    /// reached is left detached: it owns only its listener, and spawns
+    /// nothing once the flag is set.
+    fn close_listeners(&mut self) {
+        for (thread, wake) in self.acceptors.drain(..) {
+            if wake() {
+                let _ = thread.join();
+            }
+        }
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        self.shared.draining.store(true, Ordering::Release);
+        self.close_listeners();
+        // Accept threads add none once the flag is set. This runs in `Drop`,
+        // so a poisoned lock is taken as is: every update leaves it whole.
+        let conns =
+            std::mem::take(&mut *self.shared.conns.lock().unwrap_or_else(|e| e.into_inner()));
+        for (_, stream) in &conns {
+            stream.shutdown();
         }
-        for p in self.uds_paths.drain(..) {
-            let _ = std::fs::remove_file(p);
+        for (t, _) in conns {
+            let _ = t.join();
         }
     }
 }
@@ -291,287 +307,149 @@ impl Drop for GatewayHandle {
     }
 }
 
-/// Either flavor of accepted stream; everything downstream is
-/// transport-agnostic.
-enum Sock {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Sock {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.read(buf),
-            Sock::Unix(s) => s.read(buf),
-        }
-    }
-
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write(buf),
-            Sock::Unix(s) => s.write(buf),
-        }
-    }
-}
-
-/// One connection owned by one worker.
-struct Conn {
-    sock: Sock,
-    /// Bytes read but not yet parsed into frames.
-    inbuf: Vec<u8>,
-    /// Encoded responses not yet accepted by the kernel.
-    outbuf: Vec<u8>,
-    /// Last moment the connection made progress (bytes moved either way).
-    last_progress: Instant,
-    /// Peer closed its write half; serve what is buffered, flush, close.
-    eof: bool,
-    /// Protocol violation: stop reading, flush the error response, close.
-    poisoned: bool,
-}
-
-impl Conn {
-    fn new(sock: Sock) -> Self {
-        Conn {
-            sock,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
-            last_progress: Instant::now(),
-            eof: false,
-            poisoned: false,
-        }
-    }
-}
-
-/// What one service pass over a connection concluded.
-enum ConnFate {
-    /// Keep polling it.
-    Keep,
-    /// Finished or failed; drop it.
-    Close,
-}
-
-struct Acceptor {
-    registry: Arc<TenantRegistry>,
-    tcp: Vec<TcpListener>,
-    uds: Vec<UnixListener>,
-    senders: Vec<Sender<Conn>>,
-    poll_interval: Duration,
-    stop: Arc<AtomicBool>,
-    /// Graceful shutdown: exit the accept loop (closing every listener)
-    /// while workers keep serving what is already connected.
-    draining: Arc<AtomicBool>,
-    /// Connections accepted and not yet closed by a worker.
-    active: Arc<AtomicUsize>,
-}
-
-impl Acceptor {
-    fn run(self) {
-        let accepted = self
-            .registry
-            .registry()
-            .counter("pnm_gateway_connections_total", &[]);
-        let mut next = 0usize;
-        while !self.stop.load(Ordering::Acquire) && !self.draining.load(Ordering::Acquire) {
-            let mut any = false;
-            for l in &self.tcp {
-                while let Ok((s, _)) = l.accept() {
-                    if s.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    any = true;
-                    accepted.inc();
-                    self.dispatch(Conn::new(Sock::Tcp(s)), &mut next);
-                }
-            }
-            for l in &self.uds {
-                while let Ok((s, _)) = l.accept() {
-                    if s.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    any = true;
-                    accepted.inc();
-                    self.dispatch(Conn::new(Sock::Unix(s)), &mut next);
-                }
-            }
-            if !any {
-                std::thread::sleep(self.poll_interval);
-            }
-        }
-    }
-
-    fn dispatch(&self, conn: Conn, next: &mut usize) {
-        let w = *next % self.senders.len();
-        *next = next.wrapping_add(1);
-        self.active.fetch_add(1, Ordering::AcqRel);
-        // A worker can only be gone during shutdown; drop the connection.
-        if self.senders[w].send(conn).is_err() {
-            self.active.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-}
-
-struct Worker {
+/// What every gateway thread shares.
+struct Shared {
     registry: Arc<TenantRegistry>,
     limits: ConnLimits,
-    poll_interval: Duration,
-    stop: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    rx: Receiver<Conn>,
-    conns: Vec<Conn>,
+    /// Connections ever accepted.
+    connections: Counter,
+    /// Set by either shutdown: stop accepting, and close each connection
+    /// once it has nothing buffered.
+    draining: AtomicBool,
+    /// Live connection threads; finished ones are pruned on each accept.
+    conns: Mutex<Vec<ConnThread>>,
 }
 
-impl Worker {
-    fn run(mut self) {
-        while !self.stop.load(Ordering::Acquire) {
-            while let Ok(conn) = self.rx.try_recv() {
-                self.conns.push(conn);
-            }
-            let mut progressed = false;
-            let mut i = 0;
-            while i < self.conns.len() {
-                let before = (self.conns[i].inbuf.len(), self.conns[i].outbuf.len());
-                match self.service(i) {
-                    ConnFate::Close => {
-                        // swap_remove: order between connections carries no
-                        // meaning, only order *within* one connection does.
-                        self.conns.swap_remove(i);
-                        self.active.fetch_sub(1, Ordering::AcqRel);
-                        progressed = true;
-                    }
-                    ConnFate::Keep => {
-                        let after = (self.conns[i].inbuf.len(), self.conns[i].outbuf.len());
-                        progressed |= before != after;
-                        i += 1;
-                    }
+/// A connection thread, and a clone of its socket for a hard stop to shut
+/// down.
+type ConnThread = (JoinHandle<()>, Box<dyn crate::Transport>);
+
+impl Shared {
+    /// `accept` yields a clone of each accepted socket, then the socket.
+    fn spawn_acceptor<S: crate::Transport + 'static>(
+        self: &Arc<Self>,
+        accept: impl Fn() -> io::Result<(S, S)> + Send + 'static,
+    ) -> io::Result<JoinHandle<()>> {
+        let shared = Arc::clone(self);
+        std::thread::Builder::new()
+            .name("pnm-gateway-accept".into())
+            .spawn(move || loop {
+                let accepted = accept();
+                // Shutdown sets a flag, then wakes `accept` with a
+                // throwaway connection.
+                if shared.draining.load(Ordering::Acquire) {
+                    return;
                 }
-            }
-            if !progressed {
-                std::thread::sleep(self.poll_interval);
-            }
-        }
-        // Hard stop: connections dropped without a graceful close still
-        // leave the active gauge consistent.
-        self.active.fetch_sub(self.conns.len(), Ordering::AcqRel);
+                match accepted {
+                    Ok((clone, stream)) => shared.spawn_conn(clone, stream),
+                    Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+                }
+            })
     }
 
-    /// One pass: flush, read, parse, dispatch, enforce deadlines.
-    fn service(&mut self, i: usize) -> ConnFate {
-        if let ConnFate::Close = self.flush(i) {
-            return ConnFate::Close;
+    fn spawn_conn<S: crate::Transport + 'static>(self: &Arc<Self>, clone: S, mut stream: S) {
+        self.connections.inc();
+        let shared = Arc::clone(self);
+        let spawned = std::thread::Builder::new()
+            .name("pnm-gateway-conn".into())
+            .spawn(move || {
+                shared.serve(&mut stream);
+                // The clone holds the socket open: end it for the client now.
+                stream.shutdown();
+            });
+        let mut conns = self.conns.lock().expect("conns lock");
+        conns.retain(|(t, _)| !t.is_finished());
+        // A failed spawn drops both ends here, closing the connection.
+        if let Ok(t) = spawned {
+            conns.push((t, Box::new(clone)));
         }
-        let conn = &mut self.conns[i];
-        if conn.poisoned {
-            // Error response flushed (outbuf empty after flush) → done.
-            if conn.outbuf.is_empty() {
-                return ConnFate::Close;
-            }
-        } else if !conn.eof {
-            if let ConnFate::Close = self.fill(i) {
-                return ConnFate::Close;
-            }
-            if let ConnFate::Close = self.parse(i) {
-                return ConnFate::Close;
-            }
-            // Try to hand freshly produced responses to the kernel now
-            // rather than waiting a poll cycle.
-            if let ConnFate::Close = self.flush(i) {
-                return ConnFate::Close;
-            }
-        }
-        let conn = &mut self.conns[i];
-        if conn.eof && conn.outbuf.is_empty() && !conn.poisoned {
-            return ConnFate::Close;
-        }
-        // Graceful drain: once the gateway stops accepting, an idle
-        // connection (nothing buffered either way) is flushed by
-        // definition — close it so shutdown can proceed. A connection
-        // mid-frame keeps its stall-deadline budget to finish.
-        if conn.inbuf.is_empty() && conn.outbuf.is_empty() && self.draining.load(Ordering::Acquire)
+    }
+
+    /// Serves one connection until EOF, a socket or framing error, an
+    /// eviction, or nothing left buffered once a shutdown begins.
+    fn serve(&self, stream: &mut impl crate::Transport) {
+        // A socket rejects a zero timeout; floor both.
+        let stall = self.limits.stall_deadline.max(Duration::from_millis(1));
+        if stream.set_read_timeout(Some(TICK.min(stall))).is_err()
+            || stream.set_write_timeout(Some(stall)).is_err()
         {
-            return ConnFate::Close;
+            return;
         }
-        // Slow-client eviction: a parked partial frame or an unread
-        // response pins buffer memory; cut it loose at the deadline.
-        if (!conn.inbuf.is_empty() || !conn.outbuf.is_empty())
-            && conn.last_progress.elapsed() > self.limits.stall_deadline
-        {
-            self.evict("stalled");
-            return ConnFate::Close;
-        }
-        ConnFate::Keep
-    }
-
-    fn flush(&mut self, i: usize) -> ConnFate {
-        let conn = &mut self.conns[i];
-        while !conn.outbuf.is_empty() {
-            match conn.sock.write(&conn.outbuf) {
-                Ok(0) => return ConnFate::Close,
-                Ok(n) => {
-                    conn.outbuf.drain(..n);
-                    conn.last_progress = Instant::now();
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return ConnFate::Close,
-            }
-        }
-        ConnFate::Keep
-    }
-
-    fn fill(&mut self, i: usize) -> ConnFate {
-        let conn = &mut self.conns[i];
-        let mut chunk = [0u8; 8192];
+        let mut chunk = vec![0u8; READ_CHUNK];
+        let mut inbuf = Vec::new();
+        let mut out = Vec::new();
+        let mut last_read = Instant::now();
         loop {
-            match conn.sock.read(&mut chunk) {
-                Ok(0) => {
-                    conn.eof = true;
-                    return ConnFate::Keep;
-                }
-                Ok(n) => {
-                    if conn.inbuf.len() + n > self.limits.max_buffer {
-                        self.evict("buffer_overflow");
-                        return ConnFate::Close;
+            // A connection has answered every frame it read when nothing is
+            // buffered: a busy one closes there, an idle one within a tick.
+            if inbuf.is_empty() && self.draining.load(Ordering::Acquire) {
+                return;
+            }
+            let n = match stream.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => n,
+                // A tick with nothing to read: a parked partial frame is
+                // cut loose at the stall deadline.
+                Err(e) if is_timeout(&e) => {
+                    if !inbuf.is_empty() && last_read.elapsed() > self.limits.stall_deadline {
+                        self.evict("stalled");
+                        return;
                     }
-                    conn.inbuf.extend_from_slice(&chunk[..n]);
-                    conn.last_progress = Instant::now();
+                    continue;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ConnFate::Keep,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return ConnFate::Close,
+                Err(_) => return,
+            };
+            if inbuf.len() + n > self.limits.max_buffer {
+                self.evict("buffer_overflow");
+                return;
+            }
+            inbuf.extend_from_slice(&chunk[..n]);
+            last_read = Instant::now();
+            let open = self.parse(&mut inbuf, &mut out);
+            if let Err(e) = stream.write_all(&out) {
+                // The client stopped reading its responses.
+                if is_timeout(&e) {
+                    self.evict("stalled");
+                }
+                return;
+            }
+            out.clear();
+            if !open {
+                return;
             }
         }
     }
 
-    fn parse(&mut self, i: usize) -> ConnFate {
-        loop {
-            let conn = &mut self.conns[i];
-            match Envelope::decode(&conn.inbuf, self.limits.max_payload) {
-                Ok(Some((env, used))) => {
-                    conn.inbuf.drain(..used);
-                    self.dispatch(i, env);
+    /// Dispatches every complete frame in `inbuf`, appending each
+    /// response to `out`, then drops the consumed bytes in one move.
+    /// Returns `false` after a framing error: the stream cannot resync,
+    /// so its `Error` response is the connection's last.
+    fn parse(&self, inbuf: &mut Vec<u8>, out: &mut Vec<u8>) -> bool {
+        let mut used = 0;
+        let open = loop {
+            match Envelope::decode(&inbuf[used..], self.limits.max_payload) {
+                Ok(Some((env, len))) => {
+                    used += len;
+                    out.extend_from_slice(&self.dispatch(env).encode());
                 }
-                Ok(None) => return ConnFate::Keep,
+                Ok(None) => break true,
                 Err(e) => {
-                    // The stream cannot resync after a framing error:
-                    // count it, say why, stop reading, close once flushed.
                     self.registry
                         .registry()
                         .counter("pnm_gateway_bad_frames_total", &[("reason", e.reason())])
                         .inc();
-                    let conn = &mut self.conns[i];
-                    conn.poisoned = true;
-                    conn.inbuf.clear();
-                    conn.outbuf
-                        .extend_from_slice(&Response::new(Status::Error, e.to_string()).encode());
-                    return ConnFate::Keep;
+                    out.extend_from_slice(&Response::new(Status::Error, e.to_string()).encode());
+                    break false;
                 }
             }
-        }
+        };
+        inbuf.drain(..used);
+        open
     }
 
-    fn dispatch(&mut self, i: usize, env: Envelope) {
-        let response = match env.opcode {
+    fn dispatch(&self, env: Envelope) -> Response {
+        match env.opcode {
             OpCode::Snapshot => match self.registry.snapshot_json(&env.tenant) {
                 Some(json) => Response::new(Status::Ok, json),
                 None => Response::new(Status::Rejected, "unknown tenant"),
@@ -601,7 +479,7 @@ impl Worker {
                     }
                 }
             }
-            // Liveness: the worker answered, so the process serves.
+            // Liveness: the gateway answered, so the process serves.
             OpCode::Health => Response::new(Status::Ok, "ok"),
             // Readiness: flips to Rejected the moment a graceful
             // shutdown begins, steering traffic away before the
@@ -613,8 +491,7 @@ impl Worker {
                     Response::new(Status::Ok, "ready")
                 }
             }
-        };
-        self.conns[i].outbuf.extend_from_slice(&response.encode());
+        }
     }
 
     fn evict(&self, reason: &str) {
@@ -625,14 +502,25 @@ impl Worker {
     }
 }
 
+/// A read or write that ran out its socket timeout.
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::GatewayClient;
+    use crate::envelope::AckCode;
     use crate::tenant::TenantConfig;
     use pnm_core::{SinkConfig, VerifyMode};
     use pnm_crypto::KeyStore;
     use pnm_service::ServiceConfig;
+    use pnm_wire::{Location, Packet, Report};
+    use std::io::{Read, Write};
 
     fn registry() -> Arc<TenantRegistry> {
         Arc::new(
@@ -649,18 +537,46 @@ mod tests {
         )
     }
 
-    fn fast_config() -> GatewayConfig {
-        GatewayConfig::default()
-            .workers(1)
-            .poll_interval(Duration::from_micros(200))
+    /// A gateway for `registry()` with `limits` on a loopback TCP port.
+    fn tcp_gateway(limits: ConnLimits) -> (GatewayHandle, SocketAddr) {
+        let mut gw = Gateway::new(registry(), GatewayConfig::default().limits(limits));
+        let addr = gw.listen_tcp("127.0.0.1:0").unwrap();
+        (gw.spawn().unwrap(), addr)
+    }
+
+    /// A default gateway for `registry()` on a Unix socket named by `tag`.
+    fn uds_gateway(tag: &str) -> (GatewayHandle, PathBuf) {
+        let sock =
+            std::env::temp_dir().join(format!("pnm-gw-server-{}-{tag}.sock", std::process::id()));
+        let mut gw = Gateway::new(registry(), GatewayConfig::default());
+        gw.listen_uds(&sock).unwrap();
+        (gw.spawn().unwrap(), sock)
+    }
+
+    /// An unmarked packet: a sink accepts it and it costs next to nothing.
+    fn packet(seq: u64) -> Vec<u8> {
+        Packet::new(Report::new(vec![], Location::new(0.0, 0.0), seq)).to_bytes()
+    }
+
+    /// A connection that has finished one round trip and stays open.
+    fn idle_client(sock: &Path) -> UnixStream {
+        let conn = UnixStream::connect(sock).unwrap();
+        let mut client = GatewayClient::from_transport(Box::new(conn.try_clone().unwrap()));
+        client.health().unwrap();
+        conn
+    }
+
+    /// Runs `f` on a thread of its own, asserting that it returns within a
+    /// second (a hung `f` fails the test rather than hanging it).
+    fn within_a_second<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(1)).expect("too slow")
     }
 
     #[test]
     fn tcp_metrics_and_snapshot_round_trip() {
-        let mut gw = Gateway::new(registry(), fast_config());
-        let addr = gw.listen_tcp("127.0.0.1:0").unwrap();
-        let handle = gw.spawn().unwrap();
-
+        let (handle, addr) = tcp_gateway(ConnLimits::default());
         let mut client = GatewayClient::connect_tcp(addr).unwrap();
         let text = client.metrics_text().unwrap();
         assert!(text.contains("pnm_gateway_connections_total 1"));
@@ -675,10 +591,7 @@ mod tests {
 
     #[test]
     fn garbage_frame_is_counted_and_connection_closed() {
-        let mut gw = Gateway::new(registry(), fast_config());
-        let addr = gw.listen_tcp("127.0.0.1:0").unwrap();
-        let handle = gw.spawn().unwrap();
-
+        let (handle, addr) = tcp_gateway(ConnLimits::default());
         let mut raw = TcpStream::connect(addr).unwrap();
         raw.write_all(b"\xde\xad\xbe\xef").unwrap();
         // Server answers with an Error response, then closes.
@@ -698,10 +611,7 @@ mod tests {
             max_payload: 128,
             ..ConnLimits::default()
         };
-        let mut gw = Gateway::new(registry(), fast_config().limits(limits));
-        let addr = gw.listen_tcp("127.0.0.1:0").unwrap();
-        let handle = gw.spawn().unwrap();
-
+        let (handle, addr) = tcp_gateway(limits);
         let mut frame = Envelope::ingest_seq(b"alpha", 0, 0, &[0u8; 4]).encode();
         // Rewrite payload_len to a huge value; never send the body.
         let len_off = crate::envelope::FIXED_HEADER + 5;
@@ -723,29 +633,115 @@ mod tests {
             stall_deadline: Duration::from_millis(50),
             ..ConnLimits::default()
         };
-        let mut gw = Gateway::new(registry(), fast_config().limits(limits));
-        let addr = gw.listen_tcp("127.0.0.1:0").unwrap();
-        let handle = gw.spawn().unwrap();
-
+        let (handle, addr) = tcp_gateway(limits);
         let mut raw = TcpStream::connect(addr).unwrap();
-        // First half of a valid frame, then silence.
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // First half of a valid frame, then silence: the server hangs up.
         let frame = Envelope::control(OpCode::Snapshot, b"alpha").encode();
         raw.write_all(&frame[..3]).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let text = handle.registry().metrics_text();
-            if text.contains("pnm_gateway_evicted_total{reason=\"stalled\"} 1") {
-                break;
-            }
-            assert!(Instant::now() < deadline, "eviction never happened");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let mut rest = Vec::new();
+        raw.read_to_end(&mut rest)
+            .expect("evicted before the read timeout");
+        assert!(rest.is_empty());
+        let text = handle.registry().metrics_text();
+        assert!(text.contains("pnm_gateway_evicted_total{reason=\"stalled\"} 1"));
         handle.shutdown();
     }
 
     #[test]
+    fn frame_beyond_buffer_cap_is_evicted() {
+        let limits = ConnLimits {
+            max_buffer: 64,
+            ..ConnLimits::default()
+        };
+        let (handle, addr) = tcp_gateway(limits);
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // Well-formed, within `max_payload`, but it can never fit.
+        let frame = Envelope::ingest_seq(b"alpha", 1, 1, &[0u8; 256]).encode();
+        raw.write_all(&frame).unwrap();
+        // The server hangs up; EOF or a reset, either way it is gone.
+        let _ = raw.read_to_end(&mut Vec::new());
+        let text = handle.registry().metrics_text();
+        assert!(text.contains("pnm_gateway_evicted_total{reason=\"buffer_overflow\"} 1"));
+        handle.shutdown();
+    }
+
+    /// A frame is served the moment it arrives: no poll interval sits
+    /// inside a closed-loop round trip.
+    #[test]
+    fn closed_loop_round_trip_pays_no_poll_floor() {
+        let (handle, sock) = uds_gateway("rtt");
+        let mut client = GatewayClient::connect_uds(&sock).unwrap();
+        let mut rtt = Vec::new();
+        for seq in 0..200 {
+            let bytes = packet(seq);
+            let start = Instant::now();
+            let ack = client.ingest_seq(b"alpha", 1, seq, &bytes).unwrap();
+            rtt.push(start.elapsed());
+            assert_eq!(ack.code, AckCode::Accepted);
+        }
+        rtt.sort();
+        let median = rtt[rtt.len() / 2];
+        assert!(median < Duration::from_micros(150), "median {median:?}");
+        handle.shutdown();
+    }
+
+    /// Graceful shutdown closes an idle connection within a read tick,
+    /// and a busy one at its first frame boundary after the drain starts.
+    #[test]
+    fn graceful_shutdown_closes_idle_and_busy_connections() {
+        let (handle, sock) = uds_gateway("graceful");
+        let mut idle = idle_client(&sock);
+        let mut busy = GatewayClient::connect_uds(&sock).unwrap();
+        let (acked, first_ack) = std::sync::mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            for seq in 1.. {
+                if busy.ingest_seq(b"alpha", 2, seq, &packet(seq)).is_err() {
+                    return;
+                }
+                let _ = acked.send(());
+            }
+        });
+        first_ack.recv().unwrap();
+        assert!(within_a_second(
+            move || handle.shutdown_graceful(Duration::from_secs(5))
+        ));
+        sender.join().unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(idle.read(&mut [0u8; 16]).unwrap(), 0, "client reads EOF");
+    }
+
+    /// A hard stop waits for no client: neither an idle one nor one that
+    /// stopped reading while its responses fill the socket buffers.
+    #[test]
+    fn hard_shutdown_does_not_wait_for_clients() {
+        let (handle, sock) = uds_gateway("hard");
+        let _idle = idle_client(&sock);
+        let mut unread = UnixStream::connect(&sock).unwrap();
+        // Each scrape is tens of KB: far more in all than a socket buffers.
+        let request = Envelope::control(OpCode::MetricsText, b"_").encode();
+        unread.write_all(&request.repeat(64)).unwrap();
+        // The first response byte: the server is writing the rest.
+        unread.read_exact(&mut [0u8; 1]).unwrap();
+        within_a_second(move || handle.shutdown());
+    }
+
+    /// Shutdown neither waits on nor removes a socket file that is no
+    /// longer its own: replaced by another gateway's, or removed.
+    #[test]
+    fn shutdown_leaves_a_socket_file_it_no_longer_owns() {
+        let (old, sock) = uds_gateway("taken-over");
+        let (new, _) = uds_gateway("taken-over");
+        within_a_second(move || old.shutdown());
+        GatewayClient::connect_uds(&sock).unwrap().health().unwrap();
+        std::fs::remove_file(&sock).unwrap();
+        within_a_second(move || new.shutdown());
+    }
+
+    #[test]
     fn spawn_without_listeners_is_an_error() {
-        let gw = Gateway::new(registry(), fast_config());
+        let gw = Gateway::new(registry(), GatewayConfig::default());
         assert!(gw.spawn().is_err());
     }
 }

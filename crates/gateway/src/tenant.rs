@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use pnm_core::store::{LogStore, StoreError};
@@ -139,8 +139,10 @@ impl DrainVerdict {
 /// One provisioned tenant.
 struct Tenant {
     name: String,
-    /// `Some` while running; taken by the first drain.
-    pool: Mutex<Option<ServicePool>>,
+    /// `Some` while running; taken by the first drain, the only writer. A
+    /// `Block` ingest parked on a full queue holds up no reader, unless a
+    /// drain of this tenant waits for it: new readers queue behind that.
+    pool: RwLock<Option<ServicePool>>,
     /// Set by the first drain; subsequent drains return the same verdict.
     verdict: Mutex<Option<Arc<DrainVerdict>>>,
     bucket: Option<Mutex<TokenBucket>>,
@@ -238,7 +240,7 @@ impl TenantRegistryBuilder {
             let tracer = service.tracer_handle().clone();
             let flight = service.flight_recorder_handle().cloned();
             let tenant = Tenant {
-                pool: Mutex::new(Some(ServicePool::new(config.keys, service))),
+                pool: RwLock::new(Some(ServicePool::new(config.keys, service))),
                 tracer,
                 flight,
                 bucket: config
@@ -359,7 +361,7 @@ impl TenantRegistry {
                 return ack(AckCode::Malformed);
             }
         };
-        let pool = t.pool.lock().expect("pool lock");
+        let pool = t.pool.read().expect("pool lock");
         let Some(pool) = pool.as_ref() else {
             t.rejected_drained.inc();
             return ack(AckCode::Drained);
@@ -402,7 +404,7 @@ impl TenantRegistry {
     pub fn flush_all(&self, deadline: Instant) -> bool {
         let mut all = true;
         for t in self.tenants.values() {
-            let pool = t.pool.lock().expect("pool lock");
+            let pool = t.pool.read().expect("pool lock");
             if let Some(pool) = pool.as_ref() {
                 all &= pool.close_and_join(deadline);
             }
@@ -414,7 +416,7 @@ impl TenantRegistry {
     /// drain summary once drained. `None` for unknown tenants.
     pub fn snapshot_json(&self, tenant: &[u8]) -> Option<String> {
         let t = self.tenants.get(tenant)?;
-        if let Some(pool) = t.pool.lock().expect("pool lock").as_ref() {
+        if let Some(pool) = t.pool.read().expect("pool lock").as_ref() {
             return Some(pool.snapshot().to_json());
         }
         let verdict = t.verdict.lock().expect("verdict lock");
@@ -436,7 +438,7 @@ impl TenantRegistry {
         let t = self.tenants.get(tenant)?;
         // Take the pool out of the slot first, so a concurrent ingest
         // observes "drained" rather than blocking behind the (long) drain.
-        let pool = t.pool.lock().expect("pool lock").take();
+        let pool = t.pool.write().expect("pool lock").take();
         if let Some(pool) = pool {
             let report = pool.drain();
             let engine = &report.engine;
@@ -493,7 +495,7 @@ impl TenantRegistry {
     pub fn metrics_text(&self) -> String {
         let mut out = self.registry.prometheus_text();
         for t in self.tenants.values() {
-            if let Some(pool) = t.pool.lock().expect("pool lock").as_ref() {
+            if let Some(pool) = t.pool.read().expect("pool lock").as_ref() {
                 out.push_str(&pool.metrics_text_labelled(&[("tenant", &t.name)]));
             }
         }
@@ -528,7 +530,7 @@ impl TenantRegistry {
     }
 
     fn ops_value(&self, t: &Tenant) -> JsonValue {
-        let pool = t.pool.lock().expect("pool lock");
+        let pool = t.pool.read().expect("pool lock");
         let snap = pool.as_ref().map(|p| p.snapshot());
         drop(pool);
         let state = if snap.is_some() { "running" } else { "drained" };
@@ -602,7 +604,7 @@ impl TenantRegistry {
             .values()
             .filter_map(|t| {
                 t.pool
-                    .lock()
+                    .read()
                     .expect("pool lock")
                     .as_ref()
                     .map(|p| p.snapshot().backlog())

@@ -10,7 +10,6 @@ use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use pnm_core::{MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode};
 use pnm_crypto::KeyStore;
@@ -144,12 +143,7 @@ fn hostile_streams_over_socket_never_panic_and_are_exactly_counted() {
             .build()
             .unwrap(),
     );
-    let mut gw = Gateway::new(
-        Arc::clone(&registry),
-        GatewayConfig::default()
-            .workers(1)
-            .poll_interval(Duration::from_micros(200)),
-    );
+    let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
     let sock = temp_sock("hostile");
     gw.listen_uds(&sock).unwrap();
     let handle = gw.spawn().unwrap();

@@ -126,12 +126,7 @@ fn gateway_verdicts_byte_identical_to_sequential_runs() {
     let beta_packets = workload(&beta_keys, 6, 120, 22);
 
     let registry = two_tenant_registry(&alpha_keys, &beta_keys);
-    let mut gw = Gateway::new(
-        Arc::clone(&registry),
-        GatewayConfig::default()
-            .workers(2)
-            .poll_interval(Duration::from_micros(200)),
-    );
+    let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
     let sock = temp_path("isolation.sock");
     gw.listen_uds(&sock).unwrap();
     let handle = gw.spawn().unwrap();

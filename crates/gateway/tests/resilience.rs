@@ -10,10 +10,12 @@
 //! identity, the server's dedup window absorbs each frame at most once,
 //! and the client's accounting balances exactly.
 
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pnm_core::store::Evidence;
 use pnm_core::{
@@ -22,8 +24,9 @@ use pnm_core::{
 };
 use pnm_crypto::KeyStore;
 use pnm_gateway::{
-    AckCode, BackoffPolicy, ChaosPlan, ClientConfig, Connector, Gateway, GatewayClient,
-    GatewayConfig, ResilientClient, ResilientConfig, SendOutcome, TenantConfig, TenantRegistry,
+    AckCode, BackoffPolicy, ChaosPlan, ClientConfig, Connector, Envelope, Gateway, GatewayClient,
+    GatewayConfig, IngestAck, ResilientClient, ResilientConfig, Response, SendOutcome,
+    TenantConfig, TenantRegistry,
 };
 use pnm_service::{BackpressurePolicy, ServiceConfig, ServicePool};
 use pnm_wire::{Location, NodeId, Packet, Report};
@@ -82,12 +85,6 @@ fn metric(text: &str, name: &str, labels: &[&str]) -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
-fn fast_config() -> GatewayConfig {
-    GatewayConfig::default()
-        .workers(2)
-        .poll_interval(Duration::from_micros(200))
-}
-
 /// The tentpole: full-intensity chaos on the client's wire, and the acked
 /// packet stream still lands exactly once — evidence byte-identical to a
 /// fault-free run of the same packets, client accounting balanced to the
@@ -111,7 +108,7 @@ fn acked_ingest_under_full_chaos_is_exactly_once() {
             .build()
             .unwrap(),
     );
-    let mut gw = Gateway::new(Arc::clone(&registry), fast_config());
+    let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
     let sock = temp_path("chaos.sock");
     gw.listen_uds(&sock).unwrap();
     let handle = gw.spawn().unwrap();
@@ -223,7 +220,7 @@ fn drain_twice_is_cached_and_ingest_after_drain_is_structured_rejection() {
             .build()
             .unwrap(),
     );
-    let mut gw = Gateway::new(Arc::clone(&registry), fast_config());
+    let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
     let sock = temp_path("drain.sock");
     gw.listen_uds(&sock).unwrap();
     let handle = gw.spawn().unwrap();
@@ -282,7 +279,7 @@ fn graceful_shutdown_flushes_a_recoverable_final_checkpoint() {
             .build()
             .unwrap(),
     );
-    let mut gw = Gateway::new(Arc::clone(&registry), fast_config());
+    let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
     let sock = temp_path("graceful.sock");
     gw.listen_uds(&sock).unwrap();
     let handle = gw.spawn().unwrap();
@@ -356,7 +353,7 @@ fn busy_shed_carries_retry_hint_and_dedup_needs_no_queue_space() {
             .build()
             .unwrap(),
     );
-    let mut gw = Gateway::new(Arc::clone(&registry), fast_config());
+    let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
     let sock = temp_path("busy.sock");
     gw.listen_uds(&sock).unwrap();
     let handle = gw.spawn().unwrap();
@@ -403,6 +400,72 @@ fn busy_shed_carries_retry_hint_and_dedup_needs_no_queue_space() {
         ),
         Some(1)
     );
+
+    handle.shutdown();
+}
+
+/// A `Block`-policy ingest parked on a full shard queue holds up only its
+/// own connection: a scrape from another connection, which reads every
+/// tenant's pool, answers at once, and the parked frames are all accepted
+/// once the shard catches up.
+#[test]
+fn stalled_ingest_does_not_hold_up_other_connections() {
+    let ks = keys(b"stall-secret");
+    let packets = workload(&ks, 3, 0x57A1);
+    let registry = Arc::new(
+        TenantRegistry::builder()
+            .tenant(
+                "slow",
+                TenantConfig::new(
+                    Arc::clone(&ks),
+                    ServiceConfig::new(sink_config())
+                        .shards(1)
+                        .queue_capacity(1)
+                        .poison_hook(|_| {
+                            std::thread::sleep(Duration::from_secs(1));
+                            false
+                        }),
+                ),
+            )
+            .build()
+            .unwrap(),
+    );
+    let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
+    let sock = temp_path("stall.sock");
+    gw.listen_uds(&sock).unwrap();
+    let handle = gw.spawn().unwrap();
+
+    // Connection A sends three frames without reading: the shard sleeps
+    // on the first, the queue holds the second, and the third parks A's
+    // ingest until the shard takes the second.
+    let mut a = UnixStream::connect(&sock).unwrap();
+    a.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    for (seq, p) in packets.iter().enumerate() {
+        a.write_all(&Envelope::ingest_seq(b"slow", 5, seq as u64, p).encode())
+            .unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(100));
+
+    let mut b = GatewayClient::connect_uds(&sock).unwrap();
+    let start = Instant::now();
+    b.metrics_text().unwrap();
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_millis(500),
+        "scrape waited {waited:?} behind a stalled ingest"
+    );
+
+    let (mut buf, mut chunk, mut acks) = (Vec::new(), [0u8; 1024], Vec::new());
+    while acks.len() < packets.len() {
+        let n = a.read(&mut chunk).unwrap();
+        assert!(n > 0, "gateway hung up before acking");
+        buf.extend_from_slice(&chunk[..n]);
+        while let Some((resp, used)) = Response::decode(&buf, 1 << 16).unwrap() {
+            buf.drain(..used);
+            acks.push(IngestAck::decode(&resp.payload).unwrap().code);
+        }
+    }
+    assert_eq!(acks, vec![AckCode::Accepted; packets.len()]);
 
     handle.shutdown();
 }

@@ -75,12 +75,6 @@ fn workload(ks: &KeyStore, count: u64, seed: u64) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn fast_config() -> GatewayConfig {
-    GatewayConfig::default()
-        .workers(2)
-        .poll_interval(Duration::from_micros(200))
-}
-
 /// Index one trace's span-open events by name.
 fn opens_by_name(events: &[Event], trace: u64) -> BTreeMap<&'static str, Vec<&Event>> {
     let mut by_name: BTreeMap<&'static str, Vec<&Event>> = BTreeMap::new();
@@ -185,7 +179,7 @@ fn chaos_wire_yields_one_complete_trace_per_packet() {
             .build()
             .unwrap(),
     );
-    let mut gw = Gateway::new(Arc::clone(&registry), fast_config());
+    let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
     let sock = temp_path("chain.sock");
     gw.listen_uds(&sock).unwrap();
     let handle = gw.spawn().unwrap();
@@ -285,7 +279,7 @@ proptest! {
                 .build()
                 .unwrap(),
         );
-        let mut gw = Gateway::new(Arc::clone(&registry), fast_config());
+        let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
         let sock = temp_path("prop.sock");
         gw.listen_uds(&sock).unwrap();
         let handle = gw.spawn().unwrap();

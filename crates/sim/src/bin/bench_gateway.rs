@@ -53,8 +53,6 @@ use rand::SeedableRng;
 const NODES: u16 = 6;
 /// Marking hops stamped onto every benched packet.
 const HOPS: u16 = 4;
-/// Gateway worker threads serving connections.
-const WORKERS: usize = 2;
 /// Frames a client keeps in flight before it waits for an ack.
 const WINDOW: usize = 64;
 /// Client session id every tenant's connection sends under.
@@ -185,12 +183,7 @@ fn run_scenario(tenants: usize, packets_per_tenant: usize) -> RunResult {
     }
     let registry = Arc::new(builder.build().expect("registry"));
 
-    let mut gw = Gateway::new(
-        Arc::clone(&registry),
-        GatewayConfig::default()
-            .workers(WORKERS)
-            .poll_interval(Duration::from_micros(200)),
-    );
+    let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
     let sock = temp_sock("run");
     gw.listen_uds(&sock).expect("bind UDS");
     let handle = gw.spawn().expect("spawn gateway");
@@ -339,11 +332,10 @@ fn main() -> ExitCode {
             "{{\n",
             "  \"scenario\": \"multi-tenant gateway ingest over a Unix-domain socket\",\n",
             "  \"note\": \"one connection per tenant pipelining acked IngestSeq frames, at \
-             most {} unacked, every ack checked Accepted; ingest wall ends at the last \
-             tenant's last ack; throughput is against the end-to-end clock (every packet \
-             carries a verdict); p50/p99 are the worst tenant's server-side \
-             enqueue-to-verdict quantiles\",\n",
-            "  \"workers\": {},\n",
+             most {} unacked, every ack checked Accepted; the gateway runs one thread per \
+             connection; ingest wall ends at the last tenant's last ack; throughput is \
+             against the end-to-end clock (every packet carries a verdict); p50/p99 are \
+             the worst tenant's server-side enqueue-to-verdict quantiles\",\n",
             "  \"nodes_per_tenant\": {},\n",
             "  \"packets_per_tenant\": 500,\n",
             "  \"host_cores\": {},\n",
@@ -351,7 +343,6 @@ fn main() -> ExitCode {
             "}}\n"
         ),
         WINDOW,
-        WORKERS,
         NODES,
         std::thread::available_parallelism().map_or(1, usize::from),
         run_json.join(",\n"),

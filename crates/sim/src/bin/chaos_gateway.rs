@@ -200,12 +200,7 @@ fn run_point(
             .build()
             .expect("tenant registry"),
     );
-    let mut gw = Gateway::new(
-        Arc::clone(&registry),
-        GatewayConfig::default()
-            .workers(2)
-            .poll_interval(Duration::from_micros(200)),
-    );
+    let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
     let sock = temp_sock(&format!("i{:03}", (intensity * 100.0) as u32));
     gw.listen_uds(&sock).expect("listen");
     let handle = gw.spawn().expect("spawn");
