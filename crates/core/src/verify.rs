@@ -1075,30 +1075,57 @@ mod tests {
         assert!(table.resolve(&bogus).is_empty() || !table.resolve(&bogus).contains(&60000));
     }
 
+    /// Four-neighbour adjacency of a `cols` × `rows` grid, ids row-major,
+    /// each list in the order left, right, up, down.
+    fn grid_adjacency(cols: u16, rows: u16) -> HashMap<u16, Vec<u16>> {
+        (0..cols * rows)
+            .map(|i| {
+                let (x, y) = (i % cols, i / cols);
+                let mut n = Vec::new();
+                if x > 0 {
+                    n.push(i - 1);
+                }
+                if x + 1 < cols {
+                    n.push(i + 1);
+                }
+                if y > 0 {
+                    n.push(i - cols);
+                }
+                if y + 1 < rows {
+                    n.push(i + cols);
+                }
+                (i, n)
+            })
+            .collect()
+    }
+
+    /// §7: a ring search anchored at the verified neighbour resolves an
+    /// anonymous ID in radius 0 plus radius 1, i.e. at most `1 + deg`
+    /// hashes, where the §4.2 table build costs one hash per node.
     #[test]
     fn topology_resolver_prefers_neighbors() {
-        // Chain topology 0-1-2-...-9; resolving node 4 anchored at node 5
-        // must cost far fewer hashes than the 100-node full scan.
-        let keys = keystore(100);
-        let mut adjacency: HashMap<u16, Vec<u16>> = HashMap::new();
-        for i in 0..100u16 {
-            let mut n = Vec::new();
-            if i > 0 {
-                n.push(i - 1);
-            }
-            if i < 99 {
-                n.push(i + 1);
-            }
-            adjacency.insert(i, n);
+        // (cols, rows, target, anchor, exact hashes): a 100-node chain, and
+        // a 32×32 grid with node 500 anchored at its left neighbour 499.
+        for (cols, rows, target, anchor, hashes) in [(100, 1, 4, 5, 2), (32, 32, 500, 499, 3)] {
+            let n = cols * rows;
+            let keys = keystore(n);
+            let adjacency = grid_adjacency(cols, rows);
+            let degree = adjacency[&anchor].len();
+            let rb = report().to_bytes();
+            assert_eq!(
+                AnonTable::build(&keys.schedule(), &rb).hash_count,
+                n as usize
+            );
+            let aid = anon_id(keys.key(target).unwrap(), &rb, target);
+            let resolver = TopologyResolver::new(keys, adjacency);
+            let res = resolver
+                .resolve(&rb, &aid, Some(NodeId(anchor)))
+                .expect("resolves");
+            assert_eq!(res.id, NodeId(target));
+            assert!(!res.via_fallback);
+            assert_eq!(res.hash_count, hashes, "{cols}x{rows}");
+            assert!(res.hash_count <= 1 + degree);
         }
-        let rb = report().to_bytes();
-        let aid = anon_id(keys.key(4).unwrap(), &rb, 4);
-        let resolver = TopologyResolver::new(keys, adjacency);
-        let res = resolver
-            .resolve(&rb, &aid, Some(NodeId(5)))
-            .expect("resolves");
-        assert_eq!(res.id, NodeId(4));
-        assert!(res.hash_count <= 8, "hash_count = {}", res.hash_count);
     }
 
     #[test]
@@ -1173,7 +1200,8 @@ mod tests {
     #[test]
     fn lane_build_matches_serial() {
         let rb = report().to_bytes();
-        for n in [0u16, 1, 2, 7, 100, 600] {
+        // 1000–4000 nodes: the §4.2 "few thousand nodes" table.
+        for n in [0u16, 1, 2, 7, 100, 600, 1000, 2000, 4000] {
             let schedule = keystore(n).schedule();
             let serial = AnonTable::build_scalar(&schedule, &rb);
             let lanes = AnonTable::build(&schedule, &rb);

@@ -19,11 +19,9 @@
 //! queue parks only the connection whose ingest hit it: its thread stops
 //! reading, the kernel socket buffers fill, and the TCP window closes —
 //! the service-layer policy becomes end-to-end flow control for free.
-//! Other connections keep being served, and scrapes and snapshots do not
-//! wait behind the parked ingest, except while a `Drain` of its tenant is
-//! pending: every read of that tenant's pool, the fleet-wide
-//! `MetricsText` included, then waits behind the drain. `Shed` answers
-//! `Busy` and counts the drop instead.
+//! Other connections keep being served, and no scrape, snapshot or
+//! `Drain` waits behind the parked ingest's lock. `Shed` answers `Busy`
+//! and counts the drop instead.
 
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

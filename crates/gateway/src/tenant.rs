@@ -17,8 +17,8 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use pnm_core::store::{LogStore, StoreError};
 use pnm_crypto::KeyStore;
@@ -139,10 +139,11 @@ impl DrainVerdict {
 /// One provisioned tenant.
 struct Tenant {
     name: String,
-    /// `Some` while running; taken by the first drain, the only writer. A
-    /// `Block` ingest parked on a full queue holds up no reader, unless a
-    /// drain of this tenant waits for it: new readers queue behind that.
-    pool: RwLock<Option<ServicePool>>,
+    /// `Some` while running; the first drain takes it. Every other caller
+    /// clones the `Arc` out and releases the lock at once (see
+    /// [`Tenant::pool`]), so a `Block` ingest parked on a full queue holds
+    /// up no other call on this tenant.
+    pool: Mutex<Option<Arc<ServicePool>>>,
     /// Set by the first drain; subsequent drains return the same verdict.
     verdict: Mutex<Option<Arc<DrainVerdict>>>,
     bucket: Option<Mutex<TokenBucket>>,
@@ -164,6 +165,13 @@ struct Tenant {
     rejected_shed: Counter,
     rejected_drained: Counter,
     rejected_corrupt: Counter,
+}
+
+impl Tenant {
+    /// The running pool, or `None` once a drain has taken it.
+    fn pool(&self) -> Option<Arc<ServicePool>> {
+        self.pool.lock().expect("pool lock").clone()
+    }
 }
 
 /// The gateway's tenant table plus its own metrics registry.
@@ -240,7 +248,7 @@ impl TenantRegistryBuilder {
             let tracer = service.tracer_handle().clone();
             let flight = service.flight_recorder_handle().cloned();
             let tenant = Tenant {
-                pool: RwLock::new(Some(ServicePool::new(config.keys, service))),
+                pool: Mutex::new(Some(Arc::new(ServicePool::new(config.keys, service)))),
                 tracer,
                 flight,
                 bucket: config
@@ -361,8 +369,7 @@ impl TenantRegistry {
                 return ack(AckCode::Malformed);
             }
         };
-        let pool = t.pool.read().expect("pool lock");
-        let Some(pool) = pool.as_ref() else {
+        let Some(pool) = t.pool() else {
             t.rejected_drained.inc();
             return ack(AckCode::Drained);
         };
@@ -404,8 +411,7 @@ impl TenantRegistry {
     pub fn flush_all(&self, deadline: Instant) -> bool {
         let mut all = true;
         for t in self.tenants.values() {
-            let pool = t.pool.read().expect("pool lock");
-            if let Some(pool) = pool.as_ref() {
+            if let Some(pool) = t.pool() {
                 all &= pool.close_and_join(deadline);
             }
         }
@@ -416,7 +422,7 @@ impl TenantRegistry {
     /// drain summary once drained. `None` for unknown tenants.
     pub fn snapshot_json(&self, tenant: &[u8]) -> Option<String> {
         let t = self.tenants.get(tenant)?;
-        if let Some(pool) = t.pool.read().expect("pool lock").as_ref() {
+        if let Some(pool) = t.pool() {
             return Some(pool.snapshot().to_json());
         }
         let verdict = t.verdict.lock().expect("verdict lock");
@@ -438,8 +444,21 @@ impl TenantRegistry {
         let t = self.tenants.get(tenant)?;
         // Take the pool out of the slot first, so a concurrent ingest
         // observes "drained" rather than blocking behind the (long) drain.
-        let pool = t.pool.write().expect("pool lock").take();
-        if let Some(pool) = pool {
+        let pool = t.pool.lock().expect("pool lock").take();
+        if let Some(mut pool) = pool {
+            // Callers that cloned the pool before the take still hold it,
+            // a `Block` ingest parked on a full queue among them. Release
+            // the workers so its send completes, refuse new sends, and
+            // wait for the last clone to go.
+            pool.resume();
+            pool.close();
+            let pool = loop {
+                match Arc::try_unwrap(pool) {
+                    Ok(pool) => break pool,
+                    Err(shared) => pool = shared,
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            };
             let report = pool.drain();
             let engine = &report.engine;
             let summary = JsonValue::obj(vec![
@@ -495,7 +514,7 @@ impl TenantRegistry {
     pub fn metrics_text(&self) -> String {
         let mut out = self.registry.prometheus_text();
         for t in self.tenants.values() {
-            if let Some(pool) = t.pool.read().expect("pool lock").as_ref() {
+            if let Some(pool) = t.pool() {
                 out.push_str(&pool.metrics_text_labelled(&[("tenant", &t.name)]));
             }
         }
@@ -508,10 +527,11 @@ impl TenantRegistry {
     ///
     /// One object per tenant: lifecycle state, backlog, the admission
     /// error budget (every rejection counter next to the accept
-    /// counters), rolling latency p99s (end-to-end, queue wait, and each
-    /// sink stage), fault counters (panics, store errors, wedged-shard
-    /// detaches show up as backlog + last anomaly), and the last
-    /// black-box the tenant's flight recorder dumped.
+    /// counters), rolling latency p99s (end-to-end and queue wait in µs,
+    /// each sink stage in ns, as the key suffixes say), fault counters
+    /// (panics, store errors, wedged-shard detaches show up as backlog +
+    /// last anomaly), and the last black-box the tenant's flight recorder
+    /// dumped.
     pub fn ops_snapshot_json(&self, tenant: &[u8]) -> Option<String> {
         let t = self.tenants.get(tenant)?;
         Some(self.ops_value(t).render_pretty())
@@ -530,9 +550,7 @@ impl TenantRegistry {
     }
 
     fn ops_value(&self, t: &Tenant) -> JsonValue {
-        let pool = t.pool.read().expect("pool lock");
-        let snap = pool.as_ref().map(|p| p.snapshot());
-        drop(pool);
+        let snap = t.pool().map(|p| p.snapshot());
         let state = if snap.is_some() { "running" } else { "drained" };
         let mut entries = vec![
             ("tenant", JsonValue::Str(t.name.clone())),
@@ -567,7 +585,7 @@ impl TenantRegistry {
             ];
             for (stage, hist) in snap.stage_metrics().iter() {
                 p99.push((
-                    format!("stage_{stage}_us"),
+                    format!("stage_{stage}_ns"),
                     JsonValue::UInt(hist.quantile_us(0.99)),
                 ));
             }
@@ -602,13 +620,7 @@ impl TenantRegistry {
     pub fn backlog(&self) -> u64 {
         self.tenants
             .values()
-            .filter_map(|t| {
-                t.pool
-                    .read()
-                    .expect("pool lock")
-                    .as_ref()
-                    .map(|p| p.snapshot().backlog())
-            })
+            .filter_map(|t| t.pool().map(|p| p.snapshot().backlog()))
             .sum()
     }
 }
@@ -618,7 +630,7 @@ mod tests {
     use super::*;
     use crate::envelope::SEQ_FRAME_HEADER;
     use pnm_core::{
-        MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode,
+        MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode, STAGE_NAMES,
     };
     use pnm_wire::{Location, NodeId, Report};
     use rand::rngs::StdRng;
@@ -760,6 +772,30 @@ mod tests {
         // Round trip of the response payload.
         let decoded = DrainVerdict::decode(&v1.encode()).unwrap();
         assert_eq!(&decoded, v1.as_ref());
+    }
+
+    #[test]
+    fn ops_p99_keys_name_their_histogram_units() {
+        let reg = TenantRegistry::builder()
+            .tenant("alpha", tenant_config(b"alpha", 6))
+            .build()
+            .unwrap();
+        let now = Instant::now();
+        for seq in 0..8 {
+            let bytes = marked_packet(b"alpha", 6, seq).to_bytes();
+            assert_eq!(admit(&reg, b"alpha", seq, &bytes, now), AckCode::Accepted);
+        }
+        let ops = pnm_obs::json::parse(&reg.ops_snapshot_json(b"alpha").unwrap()).unwrap();
+        let Some(JsonValue::Object(p99)) = ops.get("p99") else {
+            panic!("running tenant has no p99 block: {ops:?}");
+        };
+        let keys: Vec<&str> = p99.iter().map(|(k, _)| k.as_str()).collect();
+        // The service histograms record µs; the stage histograms record ns
+        // (Prometheus: `pnm_sink_stage_ns`).
+        let mut expected = vec!["total_us".to_string(), "queue_wait_us".to_string()];
+        expected.extend(STAGE_NAMES.iter().map(|stage| format!("stage_{stage}_ns")));
+        assert_eq!(keys, expected);
+        reg.drain(b"alpha");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,8 +25,8 @@ use pnm_core::{
 use pnm_crypto::KeyStore;
 use pnm_gateway::{
     AckCode, BackoffPolicy, ChaosPlan, ClientConfig, Connector, Envelope, Gateway, GatewayClient,
-    GatewayConfig, IngestAck, ResilientClient, ResilientConfig, Response, SendOutcome,
-    TenantConfig, TenantRegistry,
+    GatewayConfig, GatewayHandle, IngestAck, ResilientClient, ResilientConfig, Response,
+    SendOutcome, TenantConfig, TenantRegistry,
 };
 use pnm_service::{BackpressurePolicy, ServiceConfig, ServicePool};
 use pnm_wire::{Location, NodeId, Packet, Report};
@@ -404,12 +404,12 @@ fn busy_shed_carries_retry_hint_and_dedup_needs_no_queue_space() {
     handle.shutdown();
 }
 
-/// A `Block`-policy ingest parked on a full shard queue holds up only its
-/// own connection: a scrape from another connection, which reads every
-/// tenant's pool, answers at once, and the parked frames are all accepted
-/// once the shard catches up.
-#[test]
-fn stalled_ingest_does_not_hold_up_other_connections() {
+/// A gateway whose one tenant, `slow`, sleeps 1 s on every packet behind
+/// a one-slot `Block` queue, and a connection A that has sent it three
+/// frames without reading: the shard sleeps on the first, the queue holds
+/// the second, and the third parks A's ingest until the shard takes the
+/// second.
+fn stalled_gateway() -> (GatewayHandle, PathBuf, UnixStream, usize) {
     let ks = keys(b"stall-secret");
     let packets = workload(&ks, 3, 0x57A1);
     let registry = Arc::new(
@@ -430,14 +430,11 @@ fn stalled_ingest_does_not_hold_up_other_connections() {
             .build()
             .unwrap(),
     );
-    let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
+    let mut gw = Gateway::new(registry, GatewayConfig::default());
     let sock = temp_path("stall.sock");
     gw.listen_uds(&sock).unwrap();
     let handle = gw.spawn().unwrap();
 
-    // Connection A sends three frames without reading: the shard sleeps
-    // on the first, the queue holds the second, and the third parks A's
-    // ingest until the shard takes the second.
     let mut a = UnixStream::connect(&sock).unwrap();
     a.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     for (seq, p) in packets.iter().enumerate() {
@@ -445,19 +442,14 @@ fn stalled_ingest_does_not_hold_up_other_connections() {
             .unwrap();
     }
     std::thread::sleep(Duration::from_millis(100));
+    (handle, sock, a, packets.len())
+}
 
-    let mut b = GatewayClient::connect_uds(&sock).unwrap();
-    let start = Instant::now();
-    b.metrics_text().unwrap();
-    let waited = start.elapsed();
-    assert!(
-        waited < Duration::from_millis(500),
-        "scrape waited {waited:?} behind a stalled ingest"
-    );
-
+/// Reads `count` ingest acks off `stream`.
+fn read_acks(stream: &mut UnixStream, count: usize) -> Vec<AckCode> {
     let (mut buf, mut chunk, mut acks) = (Vec::new(), [0u8; 1024], Vec::new());
-    while acks.len() < packets.len() {
-        let n = a.read(&mut chunk).unwrap();
+    while acks.len() < count {
+        let n = stream.read(&mut chunk).unwrap();
         assert!(n > 0, "gateway hung up before acking");
         buf.extend_from_slice(&chunk[..n]);
         while let Some((resp, used)) = Response::decode(&buf, 1 << 16).unwrap() {
@@ -465,7 +457,54 @@ fn stalled_ingest_does_not_hold_up_other_connections() {
             acks.push(IngestAck::decode(&resp.payload).unwrap().code);
         }
     }
-    assert_eq!(acks, vec![AckCode::Accepted; packets.len()]);
+    acks
+}
 
+/// Asserts a `MetricsText` scrape over a fresh connection answers within
+/// 500 ms.
+fn assert_scrape_is_prompt(sock: &Path, behind: &str) {
+    let mut c = GatewayClient::connect_uds(sock).unwrap();
+    let start = Instant::now();
+    c.metrics_text().unwrap();
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_millis(500),
+        "scrape waited {waited:?} behind {behind}"
+    );
+}
+
+/// A `Block`-policy ingest parked on a full shard queue holds up only its
+/// own connection: a scrape from another connection, which reads every
+/// tenant's pool, answers at once, and the parked frames are all accepted
+/// once the shard catches up.
+#[test]
+fn stalled_ingest_does_not_hold_up_other_connections() {
+    let (handle, sock, mut a, sent) = stalled_gateway();
+    assert_scrape_is_prompt(&sock, "a stalled ingest");
+    assert_eq!(read_acks(&mut a, sent), vec![AckCode::Accepted; sent]);
+    handle.shutdown();
+}
+
+/// A `Drain` of the stalled tenant waits for the parked ingest, and
+/// nothing else waits for the drain: a scrape from a third connection
+/// answers at once, and the drained evidence holds every acked frame.
+#[test]
+fn drain_behind_a_stalled_ingest_does_not_hold_up_other_connections() {
+    let (handle, sock, mut a, sent) = stalled_gateway();
+    let drain = {
+        let sock = sock.clone();
+        std::thread::spawn(move || {
+            GatewayClient::connect_uds(&sock)
+                .unwrap()
+                .drain(b"slow")
+                .unwrap()
+        })
+    };
+    std::thread::sleep(Duration::from_millis(100));
+    assert_scrape_is_prompt(&sock, "a drain behind a stalled ingest");
+    assert_eq!(read_acks(&mut a, sent), vec![AckCode::Accepted; sent]);
+    let verdict = drain.join().unwrap();
+    let ev = Evidence::from_bytes(&verdict.evidence_bytes).unwrap();
+    assert_eq!(ev.counters.packets, sent);
     handle.shutdown();
 }

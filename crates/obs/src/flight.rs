@@ -2,12 +2,12 @@
 //! leave armed on the hot path, dumped as an anomaly-tagged JSONL
 //! black-box when something goes wrong.
 //!
-//! [`ShardedRingCollector`] replaces the single-`Mutex` ring for
-//! always-on use: each recording thread is pinned to one of N
-//! power-of-two shards via a thread-local hint, so the hot path is an
-//! uncontended lock plus a slot write into a preallocated ring —
-//! no deque rotation, no cross-thread cache bouncing. Export merges the
-//! shards and orders events by timestamp.
+//! [`ShardedRingCollector`] is cheap enough for always-on use: each
+//! recording thread is pinned to one of N power-of-two shards via a
+//! thread-local hint, so the hot path is an uncontended lock plus a slot
+//! write into a preallocated ring — no deque rotation, no cross-thread
+//! cache bouncing. Export merges the shards and orders events by
+//! timestamp.
 //!
 //! [`FlightRecorder`] wraps that ring as a [`Collector`] and adds the
 //! black-box: when an anomaly fires (poison quarantine, watchdog detach,
@@ -66,10 +66,10 @@ impl ShardBuf {
 /// flight recorder.
 ///
 /// Total capacity is `shards * capacity_per_shard`; each shard keeps its
-/// newest events and counts what it overwrote. Compared to
-/// [`RingCollector`](crate::RingCollector) the hot path avoids deque
-/// rotation and cross-thread lock contention, which is what makes it
+/// newest events and counts what it overwrote. The hot path has no deque
+/// rotation and no cross-thread lock contention, which is what makes it
 /// cheap enough to leave armed (`bench_obs` pins the overhead).
+/// [`Tracer::ring`](crate::Tracer::ring) builds a one-shard ring.
 #[derive(Debug)]
 pub struct ShardedRingCollector {
     shards: Vec<Mutex<ShardBuf>>,

@@ -7,8 +7,8 @@
 //!   with monotonic microsecond timing and structured fields, delivering
 //!   events to a pluggable [`Collector`]. The no-op tracer is completely
 //!   inert — instrumented code pays one `Option` check, pinned < 2%
-//!   end-to-end by the `bench_obs` bin in `pnm-sim`. The bounded
-//!   [`RingCollector`] buffers the newest events and exports JSONL.
+//!   end-to-end by the `bench_obs` bin in `pnm-sim`. [`Tracer::ring`]
+//!   buffers the newest events in a bounded ring that exports JSONL.
 //!   Spans carry causal identity: a [`TraceContext`] (trace id + parent
 //!   span) crosses threads, queues, and the gateway wire, so one
 //!   packet's journey is one trace.
@@ -63,6 +63,5 @@ pub use flight::{AnomalySummary, FlightRecorder, ShardedRingCollector};
 pub use json::JsonValue;
 pub use metrics::{Counter, Gauge, Histogram, LatencyHistogram, Registry, BUCKETS};
 pub use trace::{
-    Collector, Event, EventKind, FieldValue, NoopCollector, RingCollector, Span, TraceContext,
-    Tracer,
+    Collector, Event, EventKind, FieldValue, NoopCollector, Span, TraceContext, Tracer,
 };

@@ -18,13 +18,14 @@
 //! at creation and a `span_close` event (with duration and any attached
 //! fields) on drop; instant events carry fields directly. Events flow
 //! into a pluggable [`Collector`] — typically the bounded
-//! [`RingCollector`], which keeps the newest events and exports JSONL.
+//! [`ShardedRingCollector`], which keeps the newest events and exports
+//! JSONL.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
+use crate::flight::ShardedRingCollector;
 use crate::json::JsonValue;
 
 /// A structured field value attached to an event.
@@ -264,83 +265,6 @@ impl Collector for NoopCollector {
     fn record(&self, _event: Event) {}
 }
 
-/// A bounded in-memory collector: keeps the newest `capacity` events,
-/// counts what it had to drop, and exports JSONL.
-#[derive(Debug)]
-pub struct RingCollector {
-    capacity: usize,
-    buf: Mutex<VecDeque<Event>>,
-    dropped: AtomicU64,
-}
-
-impl RingCollector {
-    /// A ring holding at most `capacity` events (capacity 0 drops all).
-    pub fn new(capacity: usize) -> Self {
-        RingCollector {
-            capacity,
-            buf: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.buf.lock().expect("ring lock poisoned").len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events evicted (or refused, for capacity 0) since creation.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// A copy of the buffered events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.buf
-            .lock()
-            .expect("ring lock poisoned")
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Renders the buffered events as JSONL (one compact JSON object per
-    /// line), oldest first.
-    pub fn export_jsonl(&self) -> String {
-        let buf = self.buf.lock().expect("ring lock poisoned");
-        let mut out = String::new();
-        for event in buf.iter() {
-            out.push_str(&event.to_json_value().render());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes [`RingCollector::export_jsonl`] to `path`.
-    pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.export_jsonl())
-    }
-}
-
-impl Collector for RingCollector {
-    fn record(&self, event: Event) {
-        if self.capacity == 0 {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut buf = self.buf.lock().expect("ring lock poisoned");
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back(event);
-    }
-}
-
 struct TracerInner {
     collector: Arc<dyn Collector>,
     epoch: Instant,
@@ -380,10 +304,11 @@ impl Tracer {
         }
     }
 
-    /// A tracer feeding a fresh [`RingCollector`] of `capacity` events;
-    /// returns the collector too so the caller can export it later.
-    pub fn ring(capacity: usize) -> (Self, Arc<RingCollector>) {
-        let ring = Arc::new(RingCollector::new(capacity));
+    /// A tracer feeding a fresh one-shard [`ShardedRingCollector`] of
+    /// `capacity` events; returns the collector too so the caller can
+    /// export it later.
+    pub fn ring(capacity: usize) -> (Self, Arc<ShardedRingCollector>) {
+        let ring = Arc::new(ShardedRingCollector::new(1, capacity));
         (Tracer::new(ring.clone()), ring)
     }
 
@@ -784,7 +709,6 @@ mod tests {
     fn tracer_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Tracer>();
-        assert_send_sync::<RingCollector>();
         assert_send_sync::<NoopCollector>();
     }
 }

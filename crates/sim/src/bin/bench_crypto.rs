@@ -21,10 +21,11 @@
 //!    ([`pnm_crypto::Sha256xN`]); the recorded `backend` says which engine
 //!    ran (AVX2/SSE2/portable — `PNM_SHA256_FORCE_PORTABLE=1` forces the
 //!    struct-of-arrays fallback).
-//! 3. **Anon-table build** at N ∈ {100, 300, 1000} nodes: the pre-change
-//!    serial baseline (one-shot `anon_id` per node into a `Vec`-per-entry
-//!    map) vs the sink's one build (`AnonTable::build`: precomputed key
-//!    schedule, lane-parallel hashing).
+//! 3. **Anon-table build** at N ∈ {100, 300, 1000, 2000, 4000} nodes (the
+//!    upper three are §4.2's "few thousand nodes"): the pre-change serial
+//!    baseline (one-shot `anon_id` per node into a `Vec`-per-entry map) vs
+//!    the sink's one build (`AnonTable::build`: precomputed key schedule,
+//!    lane-parallel hashing).
 //!
 //! Every variant is checked for output equivalence before timing — the fast
 //! paths must be pure optimizations. `--smoke` runs the equivalence checks
@@ -41,7 +42,7 @@ use pnm_crypto::{
     anon_id, mark_mac_many_prepared, mark_mac_prepared, AnonId, HmacKey, KeyStore, MacKey, Sha256xN,
 };
 
-const TABLE_SIZES: [u16; 3] = [100, 300, 1000];
+const TABLE_SIZES: [u16; 5] = [100, 300, 1000, 2000, 4000];
 const MAC_WIDTH: usize = 8;
 /// Batch sizes swept by the lanes section: one SIMD group (4/8), a
 /// two-group batch, and a chain-of-marks-sized batch.

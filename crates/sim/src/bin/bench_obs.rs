@@ -13,11 +13,10 @@
 //!   path the whole workspace runs by default, and the bench **asserts**
 //!   its overhead over `baseline` stays under 2% (5% in `--smoke`, which
 //!   runs fewer, noisier rounds).
+//! * `noop_collector` — an enabled tracer over a discarding collector,
+//!   pricing event construction without storage.
 //! * `stage_timing` — per-stage latency histograms on (two clock reads
 //!   per stage).
-//! * `ring_collector` — the legacy single-`Mutex` ring recording every
-//!   span; kept as the yardstick the sharded collector replaces,
-//!   reported but not bounded.
 //! * `sharded_ring` — the [`ShardedRingCollector`] the flight recorder
 //!   keeps armed; the always-on configuration (one packet-level span
 //!   plus table-build instants — stage detail waits for a carried
@@ -60,18 +59,17 @@ const SMOKE_LIMIT_PCT: f64 = 5.0;
 const RING_FULL_LIMIT_PCT: f64 = 5.0;
 const RING_SMOKE_LIMIT_PCT: f64 = 12.0;
 
-const VARIANTS: [&str; 8] = [
+const VARIANTS: [&str; 7] = [
     "baseline",
     "noop_tracer",
     "noop_collector",
     "stage_timing",
-    "ring_collector",
     "sharded_ring",
     "flight_recorder",
     "trace_propagation",
 ];
 const NOOP_IDX: usize = 1;
-const SHARDED_IDX: usize = 5;
+const SHARDED_IDX: usize = 4;
 
 /// Builds the canonical distinct-report stream once; every variant
 /// ingests the identical packets.
@@ -126,7 +124,6 @@ fn run_variant(
             base.tracer(Tracer::new(Arc::new(pnm_obs::NoopCollector))),
         ),
         "stage_timing" => run_once(keys, stream, base.stage_timing(true)),
-        "ring_collector" => run_once(keys, stream, base.tracer(Tracer::ring(1 << 16).0)),
         "sharded_ring" => {
             let ring = Arc::new(ShardedRingCollector::new(8, 1 << 16));
             run_once(keys, stream, base.tracer(Tracer::new(ring)))
@@ -135,7 +132,7 @@ fn run_variant(
             // Armed but never triggered: the dump directory is only
             // created when an anomaly fires, so the bench writes nothing.
             let rec = Arc::new(FlightRecorder::new(
-                std::env::temp_dir().join("pnm-bench-obs-flight"),
+                std::env::temp_dir().join("pnm-obs-bench-flight"),
                 8,
                 1 << 16,
             ));

@@ -39,7 +39,7 @@ use rand::SeedableRng;
 const HOPS: u16 = 10;
 
 fn temp_log(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("pnm-bench-store-{}-{tag}.log", std::process::id()))
+    std::env::temp_dir().join(format!("pnm-store-bench-{}-{tag}.log", std::process::id()))
 }
 
 /// A delta-sized evidence record: the shape a per-checkpoint append
