@@ -11,6 +11,16 @@
 //! `(session, seq)` alone; the frame's trace context plays no part, so
 //! traced and untraced frames are deduplicated alike.
 //!
+//! A copy is absorbed only when the pool takes it, and a `Block` enqueue
+//! can park for as long as the shard is behind — long enough for the
+//! client to time out and resend on a new connection. So the check that
+//! finds a pair fresh also reserves it as **in flight**: a second copy
+//! arriving while the first is still being admitted reads
+//! [`DedupVerdict::InFlight`] and is answered `Busy` without being
+//! enqueued. The first copy's outcome settles the reservation: absorbed,
+//! it becomes a record ([`DedupState::record`]); refused, it is released
+//! ([`DedupState::release`]) and a retry is fresh again.
+//!
 //! Memory is bounded in both dimensions:
 //!
 //! * **Sessions per tenant** are capped; adding one beyond the cap evicts
@@ -26,9 +36,11 @@
 //!   pipelines more than one outstanding frame. If the window overflows,
 //!   the watermark jumps over the oldest gap — retries of seqs below the
 //!   watermark then read as `Duplicate` even if they were never counted.
-//!   With the [`crate::ResilientClient`] discipline (one outstanding
+//!   With the [`crate::GatewayClient::send`] discipline (one outstanding
 //!   frame, terminal outcomes are never retried) the window never holds
 //!   more than one entry and the degradation is unreachable.
+//! * **In-flight reservations** last only while a copy is being admitted,
+//!   so there are never more than the tenant's concurrent admissions.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -76,19 +88,25 @@ impl SessionWindow {
     }
 }
 
-/// Verdict of a dedup lookup.
+/// Verdict of a dedup reservation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DedupVerdict {
-    /// Never seen: admit it, then [`DedupState::record`] it.
+    /// Never seen, and now reserved as in flight: admit it, then
+    /// [`DedupState::record`] or [`DedupState::release`] it.
     Fresh,
     /// Already counted: ack `Duplicate`, do not absorb again.
     Duplicate,
+    /// Another copy is being admitted right now: ack `Busy`, do not
+    /// enqueue.
+    InFlight,
 }
 
 /// Bounded per-tenant dedup state across all of the tenant's sessions.
 #[derive(Debug)]
 pub struct DedupState {
     sessions: BTreeMap<u64, SessionWindow>,
+    /// `(session, seq)` pairs reserved and not yet recorded or released.
+    in_flight: BTreeSet<(u64, u64)>,
     max_sessions: usize,
     window: usize,
     tick: u64,
@@ -107,6 +125,7 @@ impl DedupState {
     pub fn new(max_sessions: usize, window: usize) -> Self {
         DedupState {
             sessions: BTreeMap::new(),
+            in_flight: BTreeSet::new(),
             max_sessions: max_sessions.max(1),
             window: window.max(1),
             tick: 0,
@@ -114,27 +133,35 @@ impl DedupState {
         }
     }
 
-    /// Whether `(session, seq)` was already counted.
-    pub fn lookup(&mut self, session: u64, seq: u64) -> DedupVerdict {
+    /// Whether `(session, seq)` was already counted or is in flight;
+    /// reserves it as in flight when it is neither.
+    pub fn reserve(&mut self, session: u64, seq: u64) -> DedupVerdict {
         self.tick += 1;
         let tick = self.tick;
-        match self.sessions.get_mut(&session) {
-            Some(w) => {
-                w.last_used = tick;
-                if w.is_acked(seq) {
-                    DedupVerdict::Duplicate
-                } else {
-                    DedupVerdict::Fresh
-                }
+        if let Some(w) = self.sessions.get_mut(&session) {
+            w.last_used = tick;
+            if w.is_acked(seq) {
+                return DedupVerdict::Duplicate;
             }
-            None => DedupVerdict::Fresh,
+        }
+        if self.in_flight.insert((session, seq)) {
+            DedupVerdict::Fresh
+        } else {
+            DedupVerdict::InFlight
         }
     }
 
-    /// Records `(session, seq)` as counted. Call only after the packet
-    /// was actually absorbed (acked ≡ counted — the record and the ack
-    /// must cover the same set).
+    /// Drops the in-flight reservation of `(session, seq)`: its copy was
+    /// not absorbed, so a retry is fresh.
+    pub fn release(&mut self, session: u64, seq: u64) {
+        self.in_flight.remove(&(session, seq));
+    }
+
+    /// Records `(session, seq)` as counted, ending its reservation. Call
+    /// only after the packet was actually absorbed (acked ≡ counted — the
+    /// record and the ack must cover the same set).
     pub fn record(&mut self, session: u64, seq: u64) {
+        self.release(session, seq);
         self.tick += 1;
         let tick = self.tick;
         if !self.sessions.contains_key(&session) && self.sessions.len() >= self.max_sessions {
@@ -171,26 +198,38 @@ mod tests {
     #[test]
     fn first_copy_fresh_every_retry_duplicate() {
         let mut d = DedupState::default();
-        assert_eq!(d.lookup(1, 0), DedupVerdict::Fresh);
+        assert_eq!(d.reserve(1, 0), DedupVerdict::Fresh);
         d.record(1, 0);
         for _ in 0..3 {
-            assert_eq!(d.lookup(1, 0), DedupVerdict::Duplicate);
+            assert_eq!(d.reserve(1, 0), DedupVerdict::Duplicate);
         }
         // Same seq on a different session is a different frame.
-        assert_eq!(d.lookup(2, 0), DedupVerdict::Fresh);
+        assert_eq!(d.reserve(2, 0), DedupVerdict::Fresh);
+    }
+
+    #[test]
+    fn a_reserved_seq_is_in_flight_until_recorded_or_released() {
+        let mut d = DedupState::default();
+        assert_eq!(d.reserve(1, 0), DedupVerdict::Fresh);
+        assert_eq!(d.reserve(1, 0), DedupVerdict::InFlight);
+        d.release(1, 0);
+        assert_eq!(d.reserve(1, 0), DedupVerdict::Fresh, "released");
+        d.record(1, 0);
+        assert_eq!(d.reserve(1, 0), DedupVerdict::Duplicate);
+        assert!(d.in_flight.is_empty());
     }
 
     #[test]
     fn contiguous_seqs_compress_into_the_watermark() {
         let mut d = DedupState::new(4, 4);
         for seq in 0..10_000u64 {
-            assert_eq!(d.lookup(9, seq), DedupVerdict::Fresh);
+            assert_eq!(d.reserve(9, seq), DedupVerdict::Fresh);
             d.record(9, seq);
         }
         let w = d.sessions.get(&9).unwrap();
         assert_eq!(w.watermark, 10_000);
         assert!(w.acked.is_empty(), "compressed, not retained");
-        assert_eq!(d.lookup(9, 123), DedupVerdict::Duplicate);
+        assert_eq!(d.reserve(9, 123), DedupVerdict::Duplicate);
     }
 
     #[test]
@@ -204,8 +243,8 @@ mod tests {
         let w = d.sessions.get(&9).unwrap();
         assert!(w.acked.len() <= 8, "window bound holds: {}", w.acked.len());
         // Recent seqs still dedup exactly.
-        assert_eq!(d.lookup(9, 99), DedupVerdict::Duplicate);
-        assert_eq!(d.lookup(9, 100), DedupVerdict::Fresh);
+        assert_eq!(d.reserve(9, 99), DedupVerdict::Duplicate);
+        assert_eq!(d.reserve(9, 100), DedupVerdict::Fresh);
     }
 
     #[test]
@@ -214,27 +253,27 @@ mod tests {
         d.record(1, 0);
         d.record(2, 0);
         // Touch session 1 so session 2 is the LRU.
-        assert_eq!(d.lookup(1, 0), DedupVerdict::Duplicate);
+        assert_eq!(d.reserve(1, 0), DedupVerdict::Duplicate);
         d.record(3, 0);
         assert_eq!(d.sessions(), 2);
         assert_eq!(d.evicted_sessions(), 1);
-        assert_eq!(d.lookup(1, 0), DedupVerdict::Duplicate, "kept");
-        assert_eq!(d.lookup(3, 0), DedupVerdict::Duplicate, "kept");
-        assert_eq!(d.lookup(2, 0), DedupVerdict::Fresh, "evicted");
+        assert_eq!(d.reserve(1, 0), DedupVerdict::Duplicate, "kept");
+        assert_eq!(d.reserve(3, 0), DedupVerdict::Duplicate, "kept");
+        assert_eq!(d.reserve(2, 0), DedupVerdict::Fresh, "evicted");
     }
 
     #[test]
     fn out_of_order_acks_within_the_window_dedup_exactly() {
         let mut d = DedupState::new(4, 16);
         for &seq in &[5u64, 3, 7, 0, 1] {
-            assert_eq!(d.lookup(4, seq), DedupVerdict::Fresh);
+            assert_eq!(d.reserve(4, seq), DedupVerdict::Fresh);
             d.record(4, seq);
         }
         for &seq in &[5u64, 3, 7, 0, 1] {
-            assert_eq!(d.lookup(4, seq), DedupVerdict::Duplicate);
+            assert_eq!(d.reserve(4, seq), DedupVerdict::Duplicate);
         }
         for &seq in &[2u64, 4, 6, 8] {
-            assert_eq!(d.lookup(4, seq), DedupVerdict::Fresh);
+            assert_eq!(d.reserve(4, seq), DedupVerdict::Fresh);
         }
     }
 }

@@ -24,8 +24,8 @@
 //!   answers every frame with an [`IngestAck`] and deduplicates retries
 //!   through a bounded per-tenant window ([`dedup`]), so a frame is
 //!   absorbed into the evidence monoid **exactly once** no matter how
-//!   often the connection dies mid-ack. [`ResilientClient`] wraps
-//!   reconnect, capped seeded-jitter backoff ([`BackoffPolicy`]), and
+//!   often the connection dies mid-ack. [`GatewayClient`] redials and
+//!   retries under capped seeded-jitter backoff ([`BackoffPolicy`]) and
 //!   per-request timeouts; [`ChaosTransport`] injects deterministic
 //!   socket-level faults to prove all of it under fire.
 //!   [`GatewayHandle::shutdown_graceful`] stops accepting, flushes
@@ -51,9 +51,6 @@
 //!   per listener and one per connection ([`Gateway`]), so a frame is
 //!   served as soon as it arrives and connection state never leaves its
 //!   thread. [`GatewayClient`] is the matching blocking client.
-//!
-//! The `bench-gateway` binary in `pnm-sim` measures end-to-end ingest
-//! throughput and latency at 1/4/16 tenants over this stack.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,7 +61,6 @@ mod chaos;
 mod client;
 pub mod dedup;
 mod envelope;
-mod resilient;
 mod server;
 mod tenant;
 mod transport;
@@ -72,13 +68,12 @@ mod transport;
 pub use admission::{ConnLimits, TokenBucket};
 pub use backoff::{BackoffPolicy, BackoffSchedule, MAX_JITTER};
 pub use chaos::{ChaosCounters, ChaosPlan, ChaosTransport};
-pub use client::{ClientConfig, GatewayClient, CLIENT_MAX_RESPONSE};
+pub use client::{ClientConfig, ClientReport, GatewayClient, SendOutcome, CLIENT_MAX_RESPONSE};
 pub use envelope::{
     AckCode, Envelope, EnvelopeError, IngestAck, OpCode, Response, SeqFrame, Status,
     DEFAULT_MAX_PAYLOAD, FIXED_HEADER, INGEST_ACK_LEN, MAGIC, MAX_TENANT_LEN, SEQ_FRAME_HEADER,
     VERSION,
 };
-pub use resilient::{ClientReport, Connector, ResilientClient, ResilientConfig, SendOutcome};
 pub use server::{Gateway, GatewayConfig, GatewayHandle};
 pub use tenant::{DrainVerdict, RateLimit, TenantConfig, TenantRegistry, TenantRegistryBuilder};
 pub use transport::Transport;

@@ -163,6 +163,7 @@ struct Tenant {
     rejected_malformed: Counter,
     rejected_rate: Counter,
     rejected_shed: Counter,
+    rejected_in_flight: Counter,
     rejected_drained: Counter,
     rejected_corrupt: Counter,
 }
@@ -171,6 +172,50 @@ impl Tenant {
     /// The running pool, or `None` once a drain has taken it.
     fn pool(&self) -> Option<Arc<ServicePool>> {
         self.pool.lock().expect("pool lock").clone()
+    }
+
+    /// Admits a fresh frame past the dedup window: rate limit, packet
+    /// decode, then the pool. Counts its own refusals.
+    fn admit(&self, frame: &SeqFrame, now: Instant) -> AckCode {
+        if let Some(bucket) = &self.bucket {
+            if !bucket.lock().expect("bucket lock").try_take_at(now) {
+                self.rejected_rate.inc();
+                return AckCode::RateLimited;
+            }
+        }
+        let packet = match Packet::from_bytes(&frame.packet) {
+            Ok(p) => p,
+            Err(_) => {
+                self.rejected_malformed.inc();
+                return AckCode::Malformed;
+            }
+        };
+        let Some(pool) = self.pool() else {
+            self.rejected_drained.inc();
+            return AckCode::Drained;
+        };
+        // Open the gateway's span inside the client's context and enqueue
+        // under it, so queue hand-off and sink stages hang off this span.
+        // The span closes when the packet is enqueued — shard-side time
+        // is the sink spans' own.
+        let span = (frame.ctx.is_traced() && self.tracer.enabled())
+            .then(|| self.tracer.span_in("gateway.ingest", frame.ctx));
+        let ctx = span.as_ref().and_then(|s| s.context()).unwrap_or(frame.ctx);
+        let now_us = packet.report.timestamp;
+        match pool.ingest_ctx(packet, now_us, ctx) {
+            Ok(_) => {
+                self.ingested.inc();
+                AckCode::Accepted
+            }
+            Err(IngestError::Shed) => {
+                self.rejected_shed.inc();
+                AckCode::Busy
+            }
+            Err(IngestError::Closed) => {
+                self.rejected_drained.inc();
+                AckCode::Drained
+            }
+        }
     }
 }
 
@@ -264,6 +309,7 @@ impl TenantRegistryBuilder {
                 rejected_malformed: rejected("malformed"),
                 rejected_rate: rejected("rate_limited"),
                 rejected_shed: rejected("shed"),
+                rejected_in_flight: rejected("in_flight"),
                 rejected_drained: rejected("drained"),
                 rejected_corrupt: rejected("corrupt"),
                 name,
@@ -313,11 +359,14 @@ impl TenantRegistry {
     /// retryable corruption, not a terminal `UnknownTenant`) → tenant
     /// lookup → dedup window (`Duplicate`, *before* the token bucket so a
     /// retry of an already-counted frame never burns a token or gets
-    /// bounced) → rate limit → packet decode (`Malformed`, terminal and
-    /// deterministic, so it is *not* recorded in the window — a retry
-    /// re-derives the same verdict) → the pool (`Accepted` / `Busy` with a
-    /// retry hint / `Drained`). The dedup window records a frame **only**
-    /// when the pool actually absorbed it, so acked ≡ counted holds.
+    /// bounced; `Busy` with a retry hint while another copy of the frame
+    /// is still being admitted, say parked on a full `Block` queue) → rate
+    /// limit → packet decode (`Malformed`, terminal and deterministic, so
+    /// it is *not* recorded in the window — a retry re-derives the same
+    /// verdict) → the pool (`Accepted` / `Busy` with a retry hint /
+    /// `Drained`). The dedup window reserves a fresh frame as in flight
+    /// and records it **only** when the pool actually absorbed it, so
+    /// acked ≡ counted holds; any other outcome releases the reservation.
     ///
     /// A frame carrying a trace context is admitted identically. When the
     /// context names a trace and the tenant's tracer is enabled, a
@@ -347,56 +396,33 @@ impl TenantRegistry {
             self.rejected_unknown.inc();
             return ack(AckCode::UnknownTenant);
         };
-        if t.dedup
-            .lock()
-            .expect("dedup lock")
-            .lookup(frame.session, frame.seq)
-            == DedupVerdict::Duplicate
-        {
-            t.duplicate.inc();
-            return ack(AckCode::Duplicate);
-        }
-        if let Some(bucket) = &t.bucket {
-            if !bucket.lock().expect("bucket lock").try_take_at(now) {
-                t.rejected_rate.inc();
-                return ack(AckCode::RateLimited).with_retry_after(t.busy_retry_after_ms);
+        let (session, seq) = (frame.session, frame.seq);
+        let verdict = t.dedup.lock().expect("dedup lock").reserve(session, seq);
+        let code = match verdict {
+            DedupVerdict::Duplicate => {
+                t.duplicate.inc();
+                return ack(AckCode::Duplicate);
             }
-        }
-        let packet = match Packet::from_bytes(&frame.packet) {
-            Ok(p) => p,
-            Err(_) => {
-                t.rejected_malformed.inc();
-                return ack(AckCode::Malformed);
+            DedupVerdict::InFlight => {
+                t.rejected_in_flight.inc();
+                AckCode::Busy
             }
-        };
-        let Some(pool) = t.pool() else {
-            t.rejected_drained.inc();
-            return ack(AckCode::Drained);
-        };
-        // Open the gateway's span inside the client's context and enqueue
-        // under it, so queue hand-off and sink stages hang off this span.
-        // The span closes when the packet is enqueued — shard-side time
-        // is the sink spans' own.
-        let span = (frame.ctx.is_traced() && t.tracer.enabled())
-            .then(|| t.tracer.span_in("gateway.ingest", frame.ctx));
-        let ctx = span.as_ref().and_then(|s| s.context()).unwrap_or(frame.ctx);
-        let now_us = packet.report.timestamp;
-        match pool.ingest_ctx(packet, now_us, ctx) {
-            Ok(_) => {
+            DedupVerdict::Fresh => {
+                let code = t.admit(&frame, now);
                 let mut dedup = t.dedup.lock().expect("dedup lock");
-                dedup.record(frame.session, frame.seq);
-                t.dedup_evicted.store(dedup.evicted_sessions());
-                t.ingested.inc();
-                ack(AckCode::Accepted)
+                if code == AckCode::Accepted {
+                    dedup.record(session, seq);
+                    t.dedup_evicted.store(dedup.evicted_sessions());
+                } else {
+                    dedup.release(session, seq);
+                }
+                code
             }
-            Err(IngestError::Shed) => {
-                t.rejected_shed.inc();
-                ack(AckCode::Busy).with_retry_after(t.busy_retry_after_ms)
-            }
-            Err(IngestError::Closed) => {
-                t.rejected_drained.inc();
-                ack(AckCode::Drained)
-            }
+        };
+        if code.is_retryable() {
+            ack(code).with_retry_after(t.busy_retry_after_ms)
+        } else {
+            ack(code)
         }
     }
 
@@ -563,6 +589,7 @@ impl TenantRegistry {
                     ("malformed", JsonValue::UInt(t.rejected_malformed.get())),
                     ("rate_limited", JsonValue::UInt(t.rejected_rate.get())),
                     ("shed", JsonValue::UInt(t.rejected_shed.get())),
+                    ("in_flight", JsonValue::UInt(t.rejected_in_flight.get())),
                     ("drained", JsonValue::UInt(t.rejected_drained.get())),
                     ("corrupt", JsonValue::UInt(t.rejected_corrupt.get())),
                 ]),
@@ -629,6 +656,7 @@ impl TenantRegistry {
 mod tests {
     use super::*;
     use crate::envelope::SEQ_FRAME_HEADER;
+    use pnm_core::store::Evidence;
     use pnm_core::{
         MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode, STAGE_NAMES,
     };
@@ -747,6 +775,53 @@ mod tests {
             .metrics_text()
             .contains("pnm_gateway_rejected_total{reason=\"rate_limited\",tenant=\"alpha\"} 1"));
         reg.drain(b"alpha");
+    }
+
+    /// A resend that arrives while the first copy is parked on a full
+    /// `Block` queue is answered `Busy` and not enqueued, so the frame
+    /// counts once.
+    #[test]
+    fn retry_racing_a_parked_copy_is_counted_once() {
+        let service = ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
+            .shards(1)
+            .queue_capacity(1)
+            .start_paused(true);
+        let reg = Arc::new(
+            TenantRegistry::builder()
+                .tenant(
+                    "alpha",
+                    TenantConfig::new(KeyStore::derive_from_master(b"alpha", 6), service)
+                        .busy_retry_after_ms(7),
+                )
+                .build()
+                .unwrap(),
+        );
+        let now = Instant::now();
+        let first = marked_packet(b"alpha", 6, 0).to_bytes();
+        assert_eq!(admit(&reg, b"alpha", 0, &first, now), AckCode::Accepted);
+        // Seq 0 fills the paused shard's one queue slot, so seq 1 parks in
+        // its enqueue; a resend of seq 1 arrives 200 ms later.
+        let second = marked_packet(b"alpha", 6, 1).to_bytes();
+        let send_after = |delay| {
+            let reg = Arc::clone(&reg);
+            let frame = SeqFrame::encode_payload(b"alpha", 1, 1, &second);
+            std::thread::spawn(move || {
+                std::thread::sleep(delay);
+                reg.ingest_seq(b"alpha", &frame, Instant::now())
+            })
+        };
+        let parked = send_after(Duration::ZERO);
+        let resend = send_after(Duration::from_millis(200));
+        std::thread::sleep(Duration::from_millis(400));
+        let verdict = reg.drain(b"alpha").unwrap();
+        assert_eq!(parked.join().unwrap(), IngestAck::new(AckCode::Accepted, 1));
+        assert_eq!(
+            resend.join().unwrap(),
+            IngestAck::new(AckCode::Busy, 1).with_retry_after(7)
+        );
+        let evidence = Evidence::from_bytes(&verdict.evidence_bytes).unwrap();
+        assert_eq!(evidence.counters.packets, 2);
+        assert_eq!(admit(&reg, b"alpha", 1, &second, now), AckCode::Duplicate);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! sockets.
 //!
 //! The headline property mirrors `isolation.rs`: a tenant fed through a
-//! [`ResilientClient`] whose every connection is wrapped in a
+//! retrying [`GatewayClient`] whose every connection is wrapped in a
 //! [`ChaosTransport`] (kills, resets, partial writes, bit flips, stalls)
 //! must produce evidence **byte-identical** to the same packet stream sent
 //! over a fault-free connection. Retries resend the same (session, seq)
@@ -24,9 +24,8 @@ use pnm_core::{
 };
 use pnm_crypto::KeyStore;
 use pnm_gateway::{
-    AckCode, BackoffPolicy, ChaosPlan, ClientConfig, Connector, Envelope, Gateway, GatewayClient,
-    GatewayConfig, GatewayHandle, IngestAck, ResilientClient, ResilientConfig, Response,
-    SendOutcome, TenantConfig, TenantRegistry,
+    AckCode, BackoffPolicy, ChaosPlan, ClientConfig, Envelope, Gateway, GatewayClient,
+    GatewayConfig, GatewayHandle, IngestAck, Response, SendOutcome, TenantConfig, TenantRegistry,
 };
 use pnm_service::{BackpressurePolicy, ServiceConfig, ServicePool};
 use pnm_wire::{Location, NodeId, Packet, Report};
@@ -114,7 +113,7 @@ fn acked_ingest_under_full_chaos_is_exactly_once() {
     let handle = gw.spawn().unwrap();
 
     // Fault-free reference stream into the "calm" tenant.
-    let mut calm = ResilientClient::new(Connector::uds(&sock), 1, ResilientConfig::default());
+    let mut calm = GatewayClient::connect_uds(&sock).unwrap().with_session(1);
     for p in &packets {
         let out = calm.send(b"calm", p).unwrap();
         assert!(matches!(
@@ -136,25 +135,18 @@ fn acked_ingest_under_full_chaos_is_exactly_once() {
     // resets, half-writes, bit-flips, stalls, and delays. The short read
     // timeout turns the rare silently-swallowed frame (a bit flip that
     // lands on the opcode) into a prompt retry.
-    let chaotic_wire = Connector::uds(&sock)
-        .config(
-            ClientConfig::default()
-                .connect_timeout(Duration::from_secs(2))
-                .read_timeout(Duration::from_millis(400))
-                .write_timeout(Duration::from_millis(400)),
+    let chaotic_wire = ClientConfig::default()
+        .connect_timeout(Duration::from_secs(2))
+        .read_timeout(Duration::from_millis(400))
+        .write_timeout(Duration::from_millis(400))
+        .chaos(ChaosPlan::at_intensity(1.0), 0x5EED)
+        .backoff(
+            BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(30)).jitter(0.25),
         )
-        .chaos(ChaosPlan::at_intensity(1.0), 0x5EED);
-    let mut chaos = ResilientClient::new(
-        chaotic_wire,
-        7,
-        ResilientConfig::default()
-            .backoff(
-                BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(30))
-                    .jitter(0.25),
-            )
-            .seed(0xA5A5)
-            .max_attempts(400),
-    );
+        .max_attempts(400);
+    let mut chaos = GatewayClient::connect_uds_with(&sock, chaotic_wire)
+        .unwrap()
+        .with_session(7);
     for p in &packets {
         let out = chaos.send(b"chaos", p).unwrap();
         assert!(out.is_counted(), "chaos wire never loses an acked packet");

@@ -2,7 +2,7 @@
 //! client → gateway → shard queue → sink stages, even when every
 //! connection is wrapped in a [`ChaosTransport`].
 //!
-//! The tentpole property: a `ResilientClient` with a tracer attached
+//! The tentpole property: a retrying `GatewayClient` with a tracer attached
 //! sends every packet in an `IngestSeq` frame carrying a trace id minted
 //! once per logical send. Retries resend the same id, the server's dedup
 //! window absorbs the packet at most once, and the shard engine opens its
@@ -23,8 +23,8 @@ use pnm_core::{
 };
 use pnm_crypto::KeyStore;
 use pnm_gateway::{
-    BackoffPolicy, ChaosPlan, ClientConfig, Connector, Gateway, GatewayConfig, ResilientClient,
-    ResilientConfig, TenantConfig, TenantRegistry,
+    BackoffPolicy, ChaosPlan, ClientConfig, Gateway, GatewayClient, GatewayConfig, TenantConfig,
+    TenantRegistry,
 };
 use pnm_obs::{Event, EventKind, ShardedRingCollector, Tracer};
 use pnm_service::ServiceConfig;
@@ -185,26 +185,19 @@ fn chaos_wire_yields_one_complete_trace_per_packet() {
     let handle = gw.spawn().unwrap();
 
     // Traced tenant through a hostile wire.
-    let wire = Connector::uds(&sock)
-        .config(
-            ClientConfig::default()
-                .connect_timeout(Duration::from_secs(2))
-                .read_timeout(Duration::from_millis(400))
-                .write_timeout(Duration::from_millis(400)),
+    let wire = ClientConfig::default()
+        .connect_timeout(Duration::from_secs(2))
+        .read_timeout(Duration::from_millis(400))
+        .write_timeout(Duration::from_millis(400))
+        .chaos(ChaosPlan::at_intensity(1.0), 0x7712)
+        .backoff(
+            BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(30)).jitter(0.25),
         )
-        .chaos(ChaosPlan::at_intensity(1.0), 0x7712);
-    let mut traced = ResilientClient::new(
-        wire,
-        11,
-        ResilientConfig::default()
-            .backoff(
-                BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(30))
-                    .jitter(0.25),
-            )
-            .seed(0x51de)
-            .max_attempts(400),
-    )
-    .with_tracer(tracer.clone());
+        .max_attempts(400);
+    let mut traced = GatewayClient::connect_uds_with(&sock, wire)
+        .unwrap()
+        .with_session(11)
+        .with_tracer(tracer.clone());
     let mut traces = Vec::new();
     for p in &packets {
         let out = traced.send(b"traced", p).unwrap();
@@ -220,7 +213,7 @@ fn chaos_wire_yields_one_complete_trace_per_packet() {
     );
 
     // Untraced reference stream over a calm wire.
-    let mut plain = ResilientClient::new(Connector::uds(&sock), 12, ResilientConfig::default());
+    let mut plain = GatewayClient::connect_uds(&sock).unwrap().with_session(12);
     for p in &packets {
         let out = plain.send(b"plain", p).unwrap();
         assert!(out.is_counted());
@@ -284,26 +277,20 @@ proptest! {
         gw.listen_uds(&sock).unwrap();
         let handle = gw.spawn().unwrap();
 
-        let wire = Connector::uds(&sock)
-            .config(
-                ClientConfig::default()
-                    .connect_timeout(Duration::from_secs(2))
-                    .read_timeout(Duration::from_millis(300))
-                    .write_timeout(Duration::from_millis(300)),
+        let wire = ClientConfig::default()
+            .connect_timeout(Duration::from_secs(2))
+            .read_timeout(Duration::from_millis(300))
+            .write_timeout(Duration::from_millis(300))
+            .chaos(ChaosPlan::at_intensity(intensity), seed)
+            .backoff(
+                BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(20))
+                    .jitter(0.25),
             )
-            .chaos(ChaosPlan::at_intensity(intensity), seed);
-        let mut client = ResilientClient::new(
-            wire,
-            seed ^ 0x5e55,
-            ResilientConfig::default()
-                .backoff(
-                    BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(20))
-                        .jitter(0.25),
-                )
-                .seed(seed)
-                .max_attempts(400),
-        )
-        .with_tracer(tracer.clone());
+            .max_attempts(400);
+        let mut client = GatewayClient::connect_uds_with(&sock, wire)
+            .unwrap()
+            .with_session(seed ^ 0x5e55)
+            .with_tracer(tracer.clone());
 
         let mut counted = BTreeSet::new();
         for p in &packets {

@@ -45,7 +45,6 @@ pub mod des;
 pub mod dynamics;
 pub mod energy;
 pub mod faults;
-pub mod gpsr;
 pub mod graph;
 pub mod network;
 pub mod radio;
@@ -57,7 +56,6 @@ pub use des::EventQueue;
 pub use dynamics::{heal_tree, relative_order_preserved, FailureSet};
 pub use energy::{EnergyLedger, EnergyModel};
 pub use faults::{FaultPlan, GilbertElliott};
-pub use gpsr::{gabriel_graph, gpsr_coverage, gpsr_route};
 pub use graph::{cut_vertices, stranded_by};
 pub use network::{
     Delivery, FaultCounters, GarbledDelivery, Injection, Network, NodeDecision, NodeHandler,

@@ -39,7 +39,6 @@ pub struct ServiceConfig {
     keep_outcomes: bool,
     start_paused: bool,
     poison_hook: Option<PoisonHook>,
-    checkpoint_interval: u64,
     drain_timeout: Duration,
     tracer: Tracer,
     stage_timing: bool,
@@ -57,7 +56,6 @@ impl std::fmt::Debug for ServiceConfig {
             .field("keep_outcomes", &self.keep_outcomes)
             .field("start_paused", &self.start_paused)
             .field("poison_hook", &self.poison_hook.as_ref().map(|_| "<fn>"))
-            .field("checkpoint_interval", &self.checkpoint_interval)
             .field("drain_timeout", &self.drain_timeout)
             .field("tracer", &self.tracer)
             .field("stage_timing", &self.stage_timing)
@@ -82,7 +80,6 @@ impl ServiceConfig {
             keep_outcomes: false,
             start_paused: false,
             poison_hook: None,
-            checkpoint_interval: 1,
             drain_timeout: Duration::from_secs(30),
             tracer: Tracer::noop(),
             stage_timing: true,
@@ -139,19 +136,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets how many successfully processed packets a shard handles
-    /// between checkpoints (≥ 1; default 1). At each checkpoint the shard
-    /// takes its engine's evidence delta, merges it into the in-memory
-    /// checkpoint a panicked shard restarts from, and appends it to the
-    /// attached store, if any. A checkpoint costs the size of that delta,
-    /// so the default checkpoints every packet; a larger interval writes
-    /// fewer, larger store records but loses up to `interval − 1` packets
-    /// of evidence on a panic or crash.
-    pub fn checkpoint_interval(mut self, interval: u64) -> Self {
-        self.checkpoint_interval = interval.max(1);
-        self
-    }
-
     /// Sets the drain watchdog budget: [`drain`](crate::ServicePool::drain)
     /// waits at most this long, in total, for shards to hand in their
     /// final state. Shards that miss the deadline are recorded as wedged
@@ -180,17 +164,16 @@ impl ServiceConfig {
     }
 
     /// Attaches a durable evidence store: every shard appends an evidence
-    /// delta at each checkpoint (the [`checkpoint_interval`] cadence) and
-    /// again as it exits at drain, so the store always holds the pool's
-    /// evidence up to the last checkpoint. A pool killed mid-ingest is
-    /// rebuilt with [`ServicePool::recover`](crate::ServicePool::recover).
+    /// delta at each checkpoint (after every successfully processed
+    /// packet) and again as it exits at drain, so the store always holds
+    /// the pool's evidence up to the last checkpoint. A pool killed
+    /// mid-ingest is rebuilt with
+    /// [`ServicePool::recover`](crate::ServicePool::recover).
     /// Append failures are counted per shard (see
     /// [`ShardSnapshot::store_errors`](crate::ShardSnapshot)) rather than
     /// crashing the worker; a failed delta is carried into the shard's
     /// next append, across a poison restart too. Without a store,
     /// checkpoints stay in memory.
-    ///
-    /// [`checkpoint_interval`]: ServiceConfig::checkpoint_interval
     pub fn store(mut self, store: Arc<dyn EvidenceStore>) -> Self {
         self.store = Some(store);
         self
@@ -235,11 +218,6 @@ impl ServiceConfig {
     /// The configured fault-injection predicate, if any.
     pub fn poison_hook_fn(&self) -> Option<&PoisonHook> {
         self.poison_hook.as_ref()
-    }
-
-    /// Configured checkpoint interval (packets between evidence deltas).
-    pub fn checkpoint_interval_packets(&self) -> u64 {
-        self.checkpoint_interval
     }
 
     /// Configured drain watchdog budget.

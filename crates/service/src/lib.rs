@@ -27,9 +27,9 @@
 //!   poison ([`PoisonRecord`]) and quarantined, and the shard restarts
 //!   from a fresh engine plus its last good checkpoint. A drain watchdog
 //!   ([`ServiceConfig::drain_timeout`]) bounds how long
-//!   [`ServicePool::drain`] waits for a wedged shard, and
-//!   [`ServicePool::ingest_with_retry`] adds bounded retry-with-backoff
-//!   under shedding.
+//!   [`ServicePool::drain`] waits for a wedged shard. The pool never
+//!   retries: a shed packet is the caller's to resend (the gateway
+//!   answers it `Busy`, and its client retries).
 //! * **Durability.** [`ServiceConfig::store`] attaches an
 //!   [`EvidenceStore`](pnm_core::EvidenceStore) (typically the
 //!   append-only [`LogStore`](pnm_core::LogStore)): each shard appends an

@@ -101,7 +101,6 @@ struct ShardContext {
     gate: Arc<(Mutex<bool>, Condvar)>,
     keep_outcomes: bool,
     poison: Option<PoisonHook>,
-    checkpoint_interval: u64,
     /// Armed black-box: dumped on poison quarantine and store-append
     /// failure, tagged with the offending trace id.
     flight: Option<Arc<FlightRecorder>>,
@@ -326,7 +325,6 @@ impl ServicePool {
                 gate: Arc::clone(&gate),
                 keep_outcomes: config.keeps_outcomes(),
                 poison: config.poison_hook_fn().cloned(),
-                checkpoint_interval: config.checkpoint_interval_packets(),
                 flight: config.flight_recorder_handle().cloned(),
                 done: done_tx.clone(),
                 store: config.store_handle().cloned(),
@@ -440,34 +438,6 @@ impl ServicePool {
         Ok(seq)
     }
 
-    /// Like [`ingest`](Self::ingest), but when the target shard sheds the
-    /// packet, sleeps and retries with exponential backoff — up to
-    /// `max_attempts` sends in total — before giving up with
-    /// [`IngestError::Shed`]. Every failed attempt is counted in the
-    /// shard's shed counter, so `max_attempts` tries that all shed leave
-    /// exactly `max_attempts` in the accounting. [`IngestError::Closed`]
-    /// is returned immediately — backoff cannot reopen a closed service.
-    pub fn ingest_with_retry(
-        &self,
-        packet: Packet,
-        max_attempts: u32,
-        initial_backoff: Duration,
-    ) -> Result<u64, IngestError> {
-        assert!(max_attempts >= 1, "retry needs at least one attempt");
-        let now_us = packet.report.timestamp;
-        let mut backoff = initial_backoff;
-        for attempt in 1..=max_attempts {
-            match self.ingest_at(packet.clone(), now_us) {
-                Err(IngestError::Shed) if attempt < max_attempts => {
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
-                result => return result,
-            }
-        }
-        Err(IngestError::Shed)
-    }
-
     /// Releases workers held at the start gate (no-op when not paused).
     pub fn resume(&self) {
         let (lock, cvar) = &*self.gate;
@@ -566,10 +536,11 @@ impl ServicePool {
 
     /// Renders the pool's current state in Prometheus text exposition
     /// format. Queue-admission counters (`pnm_service_accepted_total`,
-    /// `pnm_service_shed_total`) are live registry atomics; processed and
-    /// panic counts, the merged sink counters, the queue/service/total
-    /// latency histograms, and the five per-stage pipeline histograms are
-    /// mirrored from a fresh [`snapshot`](Self::snapshot) at scrape time.
+    /// `pnm_service_shed_total`) are live registry atomics; processed,
+    /// panic and store-error counts, the merged sink counters, the
+    /// queue/service/total latency histograms, and the five per-stage
+    /// pipeline histograms are mirrored from a fresh
+    /// [`snapshot`](Self::snapshot) at scrape time.
     pub fn metrics_text(&self) -> String {
         self.metrics_text_labelled(&[])
     }
@@ -589,6 +560,9 @@ impl ServicePool {
             self.registry
                 .counter("pnm_service_panics_total", &labels)
                 .store(s.panics);
+            self.registry
+                .counter("pnm_service_store_errors_total", &labels)
+                .store(s.store_errors);
             self.registry
                 .histogram("pnm_service_queue_wait_us", &labels)
                 .set(s.queue_wait_us.clone());
@@ -740,10 +714,10 @@ fn restore_engine(ctx: &ShardContext, evidence: &Evidence, stages: &StageMetrics
 
 /// One shard's supervised processing loop.
 ///
-/// Every `checkpoint_interval` successful packets the worker takes the
-/// engine's evidence delta ([`SinkEngine::take_evidence_delta`]), merges
-/// it into the in-memory checkpoint, and appends it to the store, if one
-/// is attached. Each packet runs under [`catch_unwind`]: a panic — whether
+/// After every successful packet the worker takes the engine's evidence
+/// delta ([`SinkEngine::take_evidence_delta`]), merges it into the
+/// in-memory checkpoint, and appends it to the store, if one is attached.
+/// Each packet runs under [`catch_unwind`]: a panic — whether
 /// from the engine or from an injected
 /// [`PoisonHook`](crate::config::PoisonHook) — is caught, the packet is
 /// recorded as poison, and the shard restarts from a fresh engine holding
@@ -759,15 +733,14 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
             paused = cvar.wait(paused).expect("gate wait");
         }
     }
-    // The last good checkpoint: the evidence as of the latest cadence
-    // point, starting from whatever the store replayed for this shard.
+    // The last good checkpoint: the evidence as of the last successful
+    // packet, starting from whatever the store replayed for this shard.
     let mut checkpoint = ctx.recover.take().unwrap_or_default();
     let mut engine = restore_engine(&ctx, &checkpoint, &StageMetrics::new());
     let mut writer = ctx
         .store
         .as_ref()
         .map(|store| DeltaWriter::new(Arc::clone(store), ctx.shard as u32));
-    let mut since_checkpoint = 0u64;
     let mut outcomes = Vec::new();
     let mut poisoned = Vec::new();
     while let Ok(job) = rx.recv() {
@@ -784,19 +757,14 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
         let service = dequeued.elapsed().as_micros() as u64;
         match result {
             Ok(outcome) => {
-                since_checkpoint += 1;
-                let mut store_failed = false;
-                if since_checkpoint >= ctx.checkpoint_interval {
-                    since_checkpoint = 0;
-                    let delta = engine.take_evidence_delta();
-                    checkpoint.merge(&delta);
-                    // Durable checkpoint: append the same delta. A failed
-                    // append is counted, never fatal — the writer keeps
-                    // the delta and retries it with the next one.
-                    if let Some(writer) = &mut writer {
-                        store_failed = writer.append(delta).is_err();
-                    }
-                }
+                let delta = engine.take_evidence_delta();
+                checkpoint.merge(&delta);
+                // Durable checkpoint: append the same delta. A failed
+                // append is counted, never fatal — the writer keeps the
+                // delta and retries it with the next one.
+                let store_failed = writer
+                    .as_mut()
+                    .is_some_and(|writer| writer.append(delta).is_err());
                 if store_failed {
                     // Growing store_errors is an anomaly: black-box the
                     // events that led to the failed append.
@@ -832,7 +800,6 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
                 // resume from the last good packet's telemetry.
                 let stages = ctx.slot.lock().expect("telemetry lock").stages.clone();
                 engine = restore_engine(&ctx, &checkpoint, &stages);
-                since_checkpoint = 0;
                 let record = PoisonRecord {
                     seq: job.seq,
                     shard: ctx.shard,
@@ -861,9 +828,9 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
             }
         }
     }
-    // Final durable checkpoint: whatever accrued since the last cadence
-    // point is flushed before the shard hands in its state, so a drained
-    // pool's log always holds its complete evidence.
+    // Final durable checkpoint: a delta whose append failed is flushed
+    // before the shard hands in its state, so a drained pool's log always
+    // holds its complete evidence.
     if let Some(writer) = &mut writer {
         if writer.append(engine.take_evidence_delta()).is_err() {
             ctx.slot.lock().expect("telemetry lock").store_errors += 1;
@@ -1164,65 +1131,7 @@ mod tests {
     }
 
     #[test]
-    fn retry_gives_up_with_exact_shed_accounting() {
-        let ks = keys(4);
-        let config = ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
-            .shards(1)
-            .queue_capacity(1)
-            .backpressure(BackpressurePolicy::Shed)
-            .start_paused(true);
-        let pool = ServicePool::new(Arc::clone(&ks), config);
-        let mut rng = StdRng::seed_from_u64(2);
-        pool.ingest(marked_packet(&ks, 4, 0, &mut rng)).unwrap();
-        let err = pool
-            .ingest_with_retry(
-                marked_packet(&ks, 4, 1, &mut rng),
-                3,
-                Duration::from_millis(1),
-            )
-            .unwrap_err();
-        assert_eq!(err, IngestError::Shed);
-        assert_eq!(pool.snapshot().shed, 3);
-        let report = pool.drain();
-        assert_eq!(report.snapshot.accepted, 1);
-        assert_eq!(report.snapshot.processed, 1);
-        assert_eq!(report.snapshot.shed, 3);
-    }
-
-    #[test]
-    fn retry_succeeds_once_the_shard_catches_up() {
-        let ks = keys(4);
-        let config = ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
-            .shards(1)
-            .queue_capacity(1)
-            .backpressure(BackpressurePolicy::Shed)
-            .start_paused(true);
-        let pool = Arc::new(ServicePool::new(Arc::clone(&ks), config));
-        let mut rng = StdRng::seed_from_u64(6);
-        pool.ingest(marked_packet(&ks, 4, 0, &mut rng)).unwrap();
-        let resumer = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                pool.resume();
-            })
-        };
-        // Failed attempts burn admission tickets, so the eventual ticket
-        // is > 1; what matters is that the retry lands.
-        pool.ingest_with_retry(
-            marked_packet(&ks, 4, 1, &mut rng),
-            10,
-            Duration::from_millis(10),
-        )
-        .expect("queue frees up once the worker resumes");
-        resumer.join().unwrap();
-        let pool = Arc::try_unwrap(pool).unwrap_or_else(|_| panic!("sole owner"));
-        let report = pool.drain();
-        assert_eq!(report.snapshot.processed, 2);
-    }
-
-    #[test]
-    fn ingest_after_close_fails_promptly_without_backoff() {
+    fn ingest_after_close_fails_promptly() {
         let ks = keys(4);
         let pool = ServicePool::new(
             Arc::clone(&ks),
@@ -1233,17 +1142,6 @@ mod tests {
         let started = Instant::now();
         assert_eq!(
             pool.ingest(marked_packet(&ks, 4, 0, &mut rng)).unwrap_err(),
-            IngestError::Closed
-        );
-        // Closed is terminal: the retry helper must not burn its backoff
-        // schedule (5 s initial here) before reporting it.
-        assert_eq!(
-            pool.ingest_with_retry(
-                marked_packet(&ks, 4, 1, &mut rng),
-                5,
-                Duration::from_secs(5)
-            )
-            .unwrap_err(),
             IngestError::Closed
         );
         assert!(started.elapsed() < Duration::from_secs(1));

@@ -11,6 +11,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pnm_core::store::{
     Evidence, EvidenceStore, LogStore, MemStore, RecordKind, StoreError, StoreReplay,
@@ -268,6 +269,11 @@ fn failed_append_survives_poison_restart() {
     for p in &packets[20..] {
         pool.ingest(p.clone()).unwrap();
     }
+    // The scrape shows the failed append once the workers are done.
+    assert!(pool.close_and_join(Instant::now() + Duration::from_secs(30)));
+    assert!(pool
+        .metrics_text()
+        .contains("pnm_service_store_errors_total{shard=\"0\"} 1"));
     let report = pool.drain();
     assert_eq!(report.poisoned.len(), 1);
     assert_eq!(report.snapshot.store_errors, 1);

@@ -7,7 +7,7 @@
 //! chaos-gateway [--smoke] [--out FILE]
 //! ```
 //!
-//! At every sweep point a [`ResilientClient`] pushes the same marked
+//! At every sweep point a retrying [`GatewayClient`] pushes the same marked
 //! packet stream through a [`ChaosTransport`](pnm_gateway::ChaosTransport)-wrapped wire into a fresh
 //! gateway, then the tenant is drained and the gateway shut down
 //! gracefully. The gates, all of which must hold at every intensity:
@@ -46,8 +46,8 @@ use pnm_core::{
 };
 use pnm_crypto::KeyStore;
 use pnm_gateway::{
-    BackoffPolicy, ChaosPlan, ClientConfig, ClientReport, Connector, Gateway, GatewayClient,
-    GatewayConfig, ResilientClient, ResilientConfig, TenantConfig, TenantRegistry,
+    BackoffPolicy, ChaosPlan, ClientConfig, ClientReport, Gateway, GatewayClient, GatewayConfig,
+    TenantConfig, TenantRegistry,
 };
 use pnm_obs::{JsonValue, Registry};
 use pnm_service::ServiceConfig;
@@ -205,31 +205,24 @@ fn run_point(
     gw.listen_uds(&sock).expect("listen");
     let handle = gw.spawn().expect("spawn");
 
-    let connector = Connector::uds(&sock)
-        .config(
-            ClientConfig::default()
-                .connect_timeout(Duration::from_secs(2))
-                .read_timeout(Duration::from_millis(400))
-                .write_timeout(Duration::from_millis(400)),
-        )
+    let config = ClientConfig::default()
+        .connect_timeout(Duration::from_secs(2))
+        .read_timeout(Duration::from_millis(400))
+        .write_timeout(Duration::from_millis(400))
         .chaos(
             ChaosPlan::at_intensity(intensity),
             SEED ^ intensity.to_bits(),
-        );
-    let counters = connector.chaos_counters();
+        )
+        .backoff(
+            BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(30)).jitter(0.25),
+        )
+        .max_attempts(400);
     let client_metrics = Registry::default();
-    let mut client = ResilientClient::new(
-        connector,
-        SEED,
-        ResilientConfig::default()
-            .backoff(
-                BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(30))
-                    .jitter(0.25),
-            )
-            .seed(SEED)
-            .max_attempts(400),
-    )
-    .with_metrics(&client_metrics, "edge");
+    let mut client = GatewayClient::connect_uds_with(&sock, config)
+        .expect("client connection")
+        .with_session(SEED)
+        .with_metrics(&client_metrics, "edge");
+    let counters = client.chaos_counters();
 
     let mut all_counted = true;
     for p in packets {
