@@ -82,7 +82,7 @@ pub use scheme::{
     ProbabilisticNestedMarking, ProbabilisticNestedPlainId,
 };
 pub use sink::{RejectReason, SinkConfig, SinkCounters, SinkEngine, SinkOutcome};
-pub use stage::{StageMetrics, STAGE_NAMES};
+pub use stage::{StageHistograms, StageMetrics, STAGE_NAMES};
 pub use store::{
     DeltaWriter, Evidence, EvidenceStore, LogStore, MemStore, RecordKind, StoreError, StoreReplay,
 };

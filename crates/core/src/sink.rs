@@ -49,7 +49,7 @@ use crate::classifier::{TrafficClassifier, Verdict};
 use crate::isolation::{quarantine_set, IsolationPolicy, QuarantineFilter};
 use crate::reconstruct::{AnnotatedLocalization, Localization, RouteReconstructor, SourceRegion};
 use crate::replay::DuplicateSuppressor;
-use crate::stage::StageMetrics;
+use crate::stage::{StageHistograms, StageMetrics};
 use crate::store::{counters_since, DeltaWriter, Evidence, EvidenceStore, StoreError};
 use crate::verify::{AnonTable, SinkVerifier, TopologyResolver, VerifiedChain, VerifyMode};
 
@@ -162,6 +162,11 @@ impl SinkConfig {
     pub fn stage_timing(mut self, on: bool) -> Self {
         self.stage_timing = on;
         self
+    }
+
+    /// The tracer engines built from this config report to.
+    pub fn tracer_handle(&self) -> &Tracer {
+        &self.tracer
     }
 
     /// The configured verify mode.
@@ -367,7 +372,7 @@ pub struct SinkEngine {
     min_support: usize,
     tracer: Tracer,
     stage_timing: bool,
-    stages: StageMetrics,
+    stages: StageHistograms,
     store: Option<DeltaWriter>,
     pending: PendingDelta,
     /// Trace context of the packet currently in the pipeline
@@ -459,7 +464,7 @@ impl SinkEngine {
             min_support: config.min_support,
             tracer: config.tracer,
             stage_timing: config.stage_timing,
-            stages: StageMetrics::new(),
+            stages: StageHistograms::default(),
             store: None,
             pending: PendingDelta::default(),
             current_ctx: TraceContext::NONE,
@@ -694,13 +699,17 @@ impl SinkEngine {
     pub fn absorb(&mut self, other: &SinkEngine) {
         debug_assert_eq!(self.mode, other.mode, "absorbing mismatched verify modes");
         self.install_evidence(&other.evidence());
-        self.stages.merge(&other.stages);
+        self.stages.merge(&other.stages.snapshot());
     }
 
-    /// Folds stage latency histograms into this engine's — how a restarted
-    /// engine keeps the observability history its evidence does not carry.
-    pub fn merge_stage_metrics(&mut self, stages: &StageMetrics) {
-        self.stages.merge(stages);
+    /// Records stage laps into `stages` from now on, in place of the
+    /// engine's own cells. A service hands each shard engine its shard's
+    /// registry cells ([`StageHistograms::in_registry`]), so an engine
+    /// rebuilt after a crash keeps recording into the same series. Like
+    /// every cell handle, the engine's cells are shared with its clones.
+    pub fn with_stage_histograms(mut self, stages: StageHistograms) -> Self {
+        self.stages = stages;
+        self
     }
 
     /// Verify + anonymous-ID resolution for one admitted packet. Returns
@@ -877,10 +886,10 @@ impl SinkEngine {
         &self.verifier
     }
 
-    /// Per-stage latency histograms. Empty unless
+    /// A copy of the per-stage latency histograms. Empty unless
     /// [`SinkConfig::stage_timing`] was enabled.
-    pub fn stage_metrics(&self) -> &StageMetrics {
-        &self.stages
+    pub fn stage_metrics(&self) -> StageMetrics {
+        self.stages.snapshot()
     }
 
     /// Snapshot of the pipeline's instrumentation counters.
@@ -1828,12 +1837,12 @@ mod tests {
                 b.ingest(&pkt);
             }
         }
-        let before = a.stage_metrics().clone();
+        let before = a.stage_metrics();
         a.absorb(&b);
         assert_eq!(a.stage_metrics().classify.count(), 10);
         let mut expect = before;
-        expect.merge(b.stage_metrics());
-        assert_eq!(a.stage_metrics(), &expect);
+        expect.merge(&b.stage_metrics());
+        assert_eq!(a.stage_metrics(), expect);
     }
 }
 

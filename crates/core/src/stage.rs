@@ -1,16 +1,14 @@
 //! Per-stage latency accounting for the sink pipeline.
 //!
-//! [`StageMetrics`] holds one mergeable [`LatencyHistogram`] per pipeline
-//! stage (classify → verify → anon-resolve → reconstruct → localize).
-//! The engine records into it only when
-//! [`SinkConfig::stage_timing`](crate::SinkConfig::stage_timing) is on —
-//! an attached tracer does not turn it on. Shards merge their stage
-//! metrics exactly like their counters, and the service/bench layers
-//! surface the result in snapshots, JSON breakdowns, and Prometheus
-//! exposition.
+//! [`StageMetrics`] holds one histogram per pipeline stage (classify →
+//! verify → anon-resolve → reconstruct → localize): [`LatencyHistogram`]
+//! values for reports and bench artifacts, or shared [`Histogram`] cells
+//! ([`StageHistograms`]) for an engine to record into, which it does only
+//! when [`SinkConfig::stage_timing`](crate::SinkConfig::stage_timing) is
+//! on — an attached tracer does not turn it on. A service registers the
+//! cells in its metrics registry and hands them to each engine it builds.
 
-use pnm_obs::{JsonValue, LatencyHistogram};
-use serde::{Deserialize, Serialize};
+use pnm_obs::{Histogram, JsonValue, LatencyHistogram, Registry};
 
 /// Stage names in pipeline order — the canonical key set every JSON
 /// breakdown and metric label uses.
@@ -29,36 +27,53 @@ pub const STAGE_NAMES: [&str; 5] = ["classify", "verify", "resolve", "reconstruc
 ///   brute force) or ring searches (§7 topology-guided).
 /// * `reconstruct` — folding the verified chain into the route graph.
 /// * `localize` — unequivocal-source tracking and quarantine maintenance.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StageMetrics {
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct StageMetrics<H = LatencyHistogram> {
     /// Dedup + classifier admission latency.
-    pub classify: LatencyHistogram,
+    pub classify: H,
     /// Mark verification latency (net of resolution).
-    pub verify: LatencyHistogram,
+    pub verify: H,
     /// Anonymous-ID resolution latency.
-    pub resolve: LatencyHistogram,
+    pub resolve: H,
     /// Route-graph fold latency.
-    pub reconstruct: LatencyHistogram,
+    pub reconstruct: H,
     /// Localization/quarantine maintenance latency.
-    pub localize: LatencyHistogram,
+    pub localize: H,
+}
+
+/// The five stage histograms as shared [`Histogram`] cells: what an
+/// engine records into. [`StageHistograms::in_registry`] gets-or-creates
+/// a registry's `pnm_sink_stage_ns{stage=...}` cells, so every call with
+/// the same labels reaches the same five cells. Clones share the cells.
+pub type StageHistograms = StageMetrics<Histogram>;
+
+impl<H> StageMetrics<H> {
+    /// Iterates `(stage name, histogram)` in pipeline order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &H)> {
+        STAGE_NAMES.into_iter().zip([
+            &self.classify,
+            &self.verify,
+            &self.resolve,
+            &self.reconstruct,
+            &self.localize,
+        ])
+    }
+
+    fn map<G>(&self, mut f: impl FnMut(&'static str, &H) -> G) -> StageMetrics<G> {
+        StageMetrics {
+            classify: f("classify", &self.classify),
+            verify: f("verify", &self.verify),
+            resolve: f("resolve", &self.resolve),
+            reconstruct: f("reconstruct", &self.reconstruct),
+            localize: f("localize", &self.localize),
+        }
+    }
 }
 
 impl StageMetrics {
     /// All-empty stage metrics.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Iterates `(stage name, histogram)` in pipeline order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &LatencyHistogram)> {
-        [
-            ("classify", &self.classify),
-            ("verify", &self.verify),
-            ("resolve", &self.resolve),
-            ("reconstruct", &self.reconstruct),
-            ("localize", &self.localize),
-        ]
-        .into_iter()
     }
 
     /// Folds another engine's stage metrics into this one (histogram
@@ -89,6 +104,30 @@ impl StageMetrics {
     /// Renders [`StageMetrics::to_json_value`] compactly.
     pub fn to_json(&self) -> String {
         self.to_json_value().render()
+    }
+}
+
+impl StageHistograms {
+    /// The registry's `pnm_sink_stage_ns` cells for `labels`, one per
+    /// stage (`stage="classify"` … `stage="localize"`).
+    pub fn in_registry(registry: &Registry, labels: &[(&str, &str)]) -> Self {
+        Self::default().map(|stage, _| {
+            let mut labels = labels.to_vec();
+            labels.push(("stage", stage));
+            registry.histogram("pnm_sink_stage_ns", &labels)
+        })
+    }
+
+    /// A copy of the cells' current contents.
+    pub fn snapshot(&self) -> StageMetrics {
+        self.map(|_, cell| cell.snapshot())
+    }
+
+    /// Folds `other` into the cells (histogram merge per stage).
+    pub fn merge(&self, other: &StageMetrics) {
+        for ((_, cell), (_, h)) in self.iter().zip(other.iter()) {
+            cell.merge(h);
+        }
     }
 }
 

@@ -643,8 +643,9 @@ impl GatewayClient {
         })
     }
 
-    /// Requests the tenant's live ops snapshot (health/SLO JSON); tenant
-    /// `*` returns every tenant keyed by name.
+    /// Requests the tenant's live ops snapshot: its metrics series,
+    /// lifecycle state and flight-recorder fields as JSON
+    /// ([`OpCode::Ops`]); tenant `*` returns every tenant keyed by name.
     pub fn ops_snapshot(&mut self, tenant: &[u8]) -> io::Result<String> {
         self.control(OpCode::Ops, tenant, text)
     }
@@ -665,11 +666,6 @@ impl GatewayClient {
                 Status::Error => Err(refusal(&resp)),
             }))
         })
-    }
-
-    /// Requests the tenant's live service snapshot as JSON.
-    pub fn snapshot(&mut self, tenant: &[u8]) -> io::Result<String> {
-        self.control(OpCode::Snapshot, tenant, text)
     }
 
     /// Requests the whole gateway's Prometheus text exposition.

@@ -49,12 +49,10 @@ pub const MAX_TENANT_LEN: usize = 64;
 /// what a hostile length field can make the server buffer.
 pub const DEFAULT_MAX_PAYLOAD: usize = 1 << 20;
 
-/// What the client asks the gateway to do with a frame. Opcodes 0 and 7
-/// are unassigned and decode as `bad_opcode`.
+/// What the client asks the gateway to do with a frame. Opcodes 0, 1 and
+/// 7 are unassigned and decode as `bad_opcode`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpCode {
-    /// Respond with the tenant's live service snapshot as JSON.
-    Snapshot = 1,
     /// Respond with the whole gateway's Prometheus text exposition
     /// (every tenant, `tenant="..."` labels). The envelope's tenant field
     /// is ignored — scrape agents are not tenants.
@@ -81,17 +79,17 @@ pub enum OpCode {
     /// work, `Rejected` with `"draining"` once graceful shutdown has
     /// begun.
     Ready = 6,
-    /// Live ops surface: respond `Ok` with the tenant's health/SLO
-    /// snapshot as JSON — rolling stage p99s, error-budget counters,
-    /// backlog, and the last anomaly the tenant's flight recorder dumped.
-    /// Tenant `*` returns every tenant keyed by id.
+    /// Live ops surface: respond `Ok` with the tenant's metrics series as
+    /// JSON — the same series [`OpCode::MetricsText`] exposes for it —
+    /// plus its lifecycle state and the last anomaly its flight recorder
+    /// dumped (see [`crate::TenantRegistry::ops_snapshot_json`]). Tenant
+    /// `*` returns every tenant keyed by id.
     Ops = 8,
 }
 
 impl OpCode {
     fn from_u8(v: u8) -> Option<Self> {
         match v {
-            1 => Some(OpCode::Snapshot),
             2 => Some(OpCode::MetricsText),
             3 => Some(OpCode::Drain),
             4 => Some(OpCode::IngestSeq),
@@ -655,7 +653,6 @@ mod tests {
         for env in [
             sample(),
             Envelope::ingest_seq_ctx(b"alpha", TRACED, 0xfeed, 42, b"packet bytes"),
-            Envelope::control(OpCode::Snapshot, b"t"),
             Envelope::control(OpCode::MetricsText, b"scraper"),
             Envelope::control(OpCode::Drain, &[0xff; MAX_TENANT_LEN]),
             Envelope::control(OpCode::Health, b"_"),
@@ -736,15 +733,16 @@ mod tests {
                 "bad_version"
             );
         }
-        // The removed ingest opcodes (0 and 7) are unknown opcodes now.
-        for opcode in [b"PG\x04\x63", b"PG\x04\x00", b"PG\x04\x07"] {
+        // The removed ingest opcodes (0 and 7) and the removed `Snapshot`
+        // opcode (1) are unknown opcodes now.
+        for opcode in [b"PG\x04\x63", b"PG\x04\x00", b"PG\x04\x01", b"PG\x04\x07"] {
             assert_eq!(
                 Envelope::decode(opcode, 64).unwrap_err().reason(),
                 "bad_opcode"
             );
         }
         assert_eq!(
-            Envelope::decode(b"PG\x04\x01\x00", 64)
+            Envelope::decode(b"PG\x04\x02\x00", 64)
                 .unwrap_err()
                 .reason(),
             "bad_tenant_len"

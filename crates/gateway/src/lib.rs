@@ -15,9 +15,8 @@
 //!   allocation. One protocol version ([`VERSION`]) is spoken; any other
 //!   version byte is a counted `bad_version` rejection. Opcodes:
 //!   [`OpCode::IngestSeq`] (acked, exactly-once packet delivery — the one
-//!   ingest path), [`OpCode::Snapshot`], [`OpCode::MetricsText`],
-//!   [`OpCode::Drain`], [`OpCode::Health`], [`OpCode::Ready`], and
-//!   [`OpCode::Ops`].
+//!   ingest path), [`OpCode::MetricsText`], [`OpCode::Ops`],
+//!   [`OpCode::Drain`], [`OpCode::Health`], and [`OpCode::Ready`].
 //! * **Resilience.** Every ingest frame carries the client's trace
 //!   context (all-zero when untraced), a client session id, a monotone
 //!   sequence number, and an end-to-end CRC ([`SeqFrame`]); the server

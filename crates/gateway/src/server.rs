@@ -19,7 +19,7 @@
 //! queue parks only the connection whose ingest hit it: its thread stops
 //! reading, the kernel socket buffers fill, and the TCP window closes —
 //! the service-layer policy becomes end-to-end flow control for free.
-//! Other connections keep being served, and no scrape, snapshot or
+//! Other connections keep being served, and no scrape, `Ops` call or
 //! `Drain` waits behind the parked ingest's lock. `Shed` answers `Busy`
 //! and counts the drop instead.
 
@@ -448,10 +448,6 @@ impl Shared {
 
     fn dispatch(&self, env: Envelope) -> Response {
         match env.opcode {
-            OpCode::Snapshot => match self.registry.snapshot_json(&env.tenant) {
-                Some(json) => Response::new(Status::Ok, json),
-                None => Response::new(Status::Rejected, "unknown tenant"),
-            },
             OpCode::MetricsText => Response::new(Status::Ok, self.registry.metrics_text()),
             OpCode::Drain => match self.registry.drain(&env.tenant) {
                 Some(verdict) => Response::new(Status::Ok, verdict.encode()),
@@ -466,7 +462,7 @@ impl Shared {
                 Response::new(Status::Ok, ack.encode())
             }
             OpCode::Ops => {
-                // Live ops surface: per-tenant health/SLO snapshot, or
+                // Live ops surface: one tenant's series as JSON, or
                 // the whole fleet for tenant "*".
                 if env.tenant == b"*" {
                     Response::new(Status::Ok, self.registry.ops_snapshot_all_json())
@@ -578,10 +574,10 @@ mod tests {
         let mut client = GatewayClient::connect_tcp(addr).unwrap();
         let text = client.metrics_text().unwrap();
         assert!(text.contains("pnm_gateway_connections_total 1"));
-        let snap = client.snapshot(b"alpha").unwrap();
-        assert!(snap.contains("\"processed\""));
+        let snap = client.ops_snapshot(b"alpha").unwrap();
+        assert!(snap.contains(r#""pnm_service_processed_total{shard=\"0\",tenant=\"alpha\"}": 0"#));
         assert!(
-            client.snapshot(b"ghost").is_err(),
+            client.ops_snapshot(b"ghost").is_err(),
             "unknown tenant rejected"
         );
         handle.shutdown();
@@ -635,7 +631,7 @@ mod tests {
         let mut raw = TcpStream::connect(addr).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         // First half of a valid frame, then silence: the server hangs up.
-        let frame = Envelope::control(OpCode::Snapshot, b"alpha").encode();
+        let frame = Envelope::control(OpCode::Ops, b"alpha").encode();
         raw.write_all(&frame[..3]).unwrap();
         let mut rest = Vec::new();
         raw.read_to_end(&mut rest)

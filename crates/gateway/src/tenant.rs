@@ -6,7 +6,8 @@
 //! own optional evidence log), and its own metrics subtree — one
 //! [`TenantRegistry::metrics_text`] scrape renders every tenant with
 //! `tenant="..."` labels, so operators watch the fleet through a single
-//! exposition endpoint.
+//! exposition endpoint, and [`TenantRegistry::ops_snapshot_json`] renders
+//! the same series for one tenant as JSON.
 //!
 //! Isolation is structural, not policy: a tenant's packets are admitted
 //! against its *name*, decoded, and enqueued into the pool owned by that
@@ -22,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use pnm_core::store::{LogStore, StoreError};
 use pnm_crypto::KeyStore;
-use pnm_obs::{Counter, FlightRecorder, JsonValue, Registry, Tracer};
+use pnm_obs::{Counter, FlightRecorder, JsonValue, Registry, Series, Tracer};
 use pnm_service::{IngestError, ServiceConfig, ServicePool};
 use pnm_wire::Packet;
 
@@ -146,10 +147,14 @@ struct Tenant {
     pool: Mutex<Option<Arc<ServicePool>>>,
     /// Set by the first drain; subsequent drains return the same verdict.
     verdict: Mutex<Option<Arc<DrainVerdict>>>,
+    /// The tenant's registries: its admission counters' and its pool's.
+    /// Both outlive the pool, so a drained tenant's final series stay
+    /// readable.
+    registries: [Registry; 2],
     bucket: Option<Mutex<TokenBucket>>,
     /// Exactly-once window for sequenced ingest.
     dedup: Mutex<DedupState>,
-    /// The tenant pool's tracer — a traced ingest frame opens its
+    /// The tenant's sink tracer — a traced ingest frame opens its
     /// `gateway.ingest` span here so the gateway span and the shard
     /// engine's stage spans land in the same collector.
     tracer: Tracer,
@@ -172,6 +177,38 @@ impl Tenant {
     /// The running pool, or `None` once a drain has taken it.
     fn pool(&self) -> Option<Arc<ServicePool>> {
         self.pool.lock().expect("pool lock").clone()
+    }
+
+    /// The tenant's series, each labelled `tenant="<name>"`.
+    fn series(&self) -> Vec<Series> {
+        let labels = [("tenant", self.name.as_str())];
+        self.registries
+            .iter()
+            .flat_map(|r| r.series(&labels))
+            .collect()
+    }
+
+    /// The tenant's `Ops` JSON (see
+    /// [`TenantRegistry::ops_snapshot_json`]).
+    fn ops_value(&self) -> JsonValue {
+        let state = match *self.pool.lock().expect("pool lock") {
+            Some(_) => "running",
+            None => "drained",
+        };
+        let flight = self.flight.as_ref();
+        let anomaly = flight
+            .and_then(|f| f.last_anomaly())
+            .map(|a| a.to_json_value());
+        JsonValue::obj(vec![
+            ("tenant", JsonValue::Str(self.name.clone())),
+            ("state", JsonValue::Str(state.to_string())),
+            ("series", pnm_obs::series_json(self.series())),
+            (
+                "flight_dumps",
+                JsonValue::UInt(flight.map_or(0, |f| f.dumps())),
+            ),
+            ("last_anomaly", anomaly.unwrap_or(JsonValue::Null)),
+        ])
     }
 
     /// Admits a fresh frame past the dedup window: rate limit, packet
@@ -283,17 +320,17 @@ impl TenantRegistryBuilder {
                 let store = Arc::new(LogStore::open(dir.join(format!("{name}.pnme")))?);
                 service = service.store(store);
             }
-            let labels: [(&str, &str); 1] = [("tenant", &name)];
+            let counters = Registry::new();
+            let counter = |name: &str| counters.counter(name, &[]);
             let rejected = |reason: &str| {
-                registry.counter(
-                    "pnm_gateway_rejected_total",
-                    &[("tenant", &name), ("reason", reason)],
-                )
+                counters.counter("pnm_gateway_rejected_total", &[("reason", reason)])
             };
-            let tracer = service.tracer_handle().clone();
+            let tracer = service.sink().tracer_handle().clone();
             let flight = service.flight_recorder_handle().cloned();
+            let pool = ServicePool::new(config.keys, service);
             let tenant = Tenant {
-                pool: Mutex::new(Some(Arc::new(ServicePool::new(config.keys, service)))),
+                registries: [counters.clone(), pool.registry().clone()],
+                pool: Mutex::new(Some(Arc::new(pool))),
                 tracer,
                 flight,
                 bucket: config
@@ -302,10 +339,9 @@ impl TenantRegistryBuilder {
                 verdict: Mutex::new(None),
                 dedup: Mutex::new(DedupState::new(config.dedup_sessions, config.dedup_window)),
                 busy_retry_after_ms: config.busy_retry_after_ms,
-                ingested: registry.counter("pnm_gateway_ingested_total", &labels),
-                duplicate: registry.counter("pnm_gateway_duplicate_total", &labels),
-                dedup_evicted: registry
-                    .counter("pnm_gateway_dedup_evicted_sessions_total", &labels),
+                ingested: counter("pnm_gateway_ingested_total"),
+                duplicate: counter("pnm_gateway_duplicate_total"),
+                dedup_evicted: counter("pnm_gateway_dedup_evicted_sessions_total"),
                 rejected_malformed: rejected("malformed"),
                 rejected_rate: rejected("rate_limited"),
                 rejected_shed: rejected("shed"),
@@ -341,9 +377,9 @@ impl TenantRegistry {
         self.tenants.values().map(|t| t.name.as_str()).collect()
     }
 
-    /// The gateway-level metrics registry (admission and rejection
-    /// counters; per-pool series are rendered by
-    /// [`metrics_text`](Self::metrics_text)).
+    /// The gateway-level metrics registry: connection, framing and
+    /// unattributed rejection counters. Each tenant keeps its own
+    /// registries; [`metrics_text`](Self::metrics_text) renders them all.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -411,8 +447,9 @@ impl TenantRegistry {
                 let code = t.admit(&frame, now);
                 let mut dedup = t.dedup.lock().expect("dedup lock");
                 if code == AckCode::Accepted {
+                    let evicted = dedup.evicted_sessions();
                     dedup.record(session, seq);
-                    t.dedup_evicted.store(dedup.evicted_sessions());
+                    t.dedup_evicted.add(dedup.evicted_sessions() - evicted);
                 } else {
                     dedup.release(session, seq);
                 }
@@ -442,22 +479,6 @@ impl TenantRegistry {
             }
         }
         all
-    }
-
-    /// The tenant's live service snapshot as pretty JSON, or the final
-    /// drain summary once drained. `None` for unknown tenants.
-    pub fn snapshot_json(&self, tenant: &[u8]) -> Option<String> {
-        let t = self.tenants.get(tenant)?;
-        if let Some(pool) = t.pool() {
-            return Some(pool.snapshot().to_json());
-        }
-        let verdict = t.verdict.lock().expect("verdict lock");
-        Some(
-            verdict
-                .as_ref()
-                .map(|v| v.summary_json.clone())
-                .unwrap_or_else(|| "{}".to_string()),
-        )
     }
 
     /// Drains the tenant's pool (first call) and returns its verdict;
@@ -533,34 +554,34 @@ impl TenantRegistry {
         verdict.as_ref().map(Arc::clone)
     }
 
-    /// One scrape covering the gateway and every running tenant pool:
-    /// gateway-level admission/rejection counters (already
-    /// tenant-labelled), then each pool's full exposition with
-    /// `tenant="..."` merged into every series.
+    /// One scrape covering the gateway and every tenant: the gateway
+    /// registry, then each tenant's admission counters and pool registry
+    /// with `tenant="..."` merged into every series, rendered as one
+    /// exposition so each family has one `# TYPE` line and one contiguous
+    /// block of series. A drained tenant's series keep their final
+    /// values. The scrape reads registries only, so no pool call can hold
+    /// it up.
     pub fn metrics_text(&self) -> String {
-        let mut out = self.registry.prometheus_text();
+        let mut series = self.registry.series(&[]);
         for t in self.tenants.values() {
-            if let Some(pool) = t.pool() {
-                out.push_str(&pool.metrics_text_labelled(&[("tenant", &t.name)]));
-            }
+            series.extend(t.series());
         }
-        out
+        pnm_obs::prometheus_text(series)
     }
 
     /// The tenant's live ops snapshot — the payload behind
     /// [`OpCode::Ops`](crate::OpCode::Ops) — as pretty JSON. `None` for
     /// unknown tenants.
     ///
-    /// One object per tenant: lifecycle state, backlog, the admission
-    /// error budget (every rejection counter next to the accept
-    /// counters), rolling latency p99s (end-to-end and queue wait in µs,
-    /// each sink stage in ns, as the key suffixes say), fault counters
-    /// (panics, store errors, wedged-shard detaches show up as backlog +
-    /// last anomaly), and the last black-box the tenant's flight recorder
-    /// dumped.
+    /// One object per tenant: `tenant`, its lifecycle `state` (`running`
+    /// or `drained`), `series` — every series of the tenant's
+    /// [`metrics_text`](Self::metrics_text) block, keyed exactly as its
+    /// Prometheus sample line starts, with histogram summaries keyed in
+    /// the family's unit (`p99_us` for `pnm_service_total_us`, `p99_ns`
+    /// for `pnm_sink_stage_ns`) — and the tenant's flight recorder:
+    /// `flight_dumps` and the `last_anomaly` it dumped.
     pub fn ops_snapshot_json(&self, tenant: &[u8]) -> Option<String> {
-        let t = self.tenants.get(tenant)?;
-        Some(self.ops_value(t).render_pretty())
+        Some(self.tenants.get(tenant)?.ops_value().render_pretty())
     }
 
     /// Ops snapshots for every tenant, keyed by tenant name (the
@@ -569,85 +590,19 @@ impl TenantRegistry {
         JsonValue::Object(
             self.tenants
                 .values()
-                .map(|t| (t.name.clone(), self.ops_value(t)))
+                .map(|t| (t.name.clone(), t.ops_value()))
                 .collect(),
         )
         .render_pretty()
     }
 
-    fn ops_value(&self, t: &Tenant) -> JsonValue {
-        let snap = t.pool().map(|p| p.snapshot());
-        let state = if snap.is_some() { "running" } else { "drained" };
-        let mut entries = vec![
-            ("tenant", JsonValue::Str(t.name.clone())),
-            ("state", JsonValue::Str(state.to_string())),
-            (
-                "error_budget",
-                JsonValue::obj(vec![
-                    ("ingested", JsonValue::UInt(t.ingested.get())),
-                    ("duplicate", JsonValue::UInt(t.duplicate.get())),
-                    ("malformed", JsonValue::UInt(t.rejected_malformed.get())),
-                    ("rate_limited", JsonValue::UInt(t.rejected_rate.get())),
-                    ("shed", JsonValue::UInt(t.rejected_shed.get())),
-                    ("in_flight", JsonValue::UInt(t.rejected_in_flight.get())),
-                    ("drained", JsonValue::UInt(t.rejected_drained.get())),
-                    ("corrupt", JsonValue::UInt(t.rejected_corrupt.get())),
-                ]),
-            ),
-        ];
-        if let Some(snap) = &snap {
-            let mut queue_wait = pnm_obs::LatencyHistogram::default();
-            for shard in &snap.shards {
-                queue_wait.merge(&shard.queue_wait_us);
-            }
-            let mut p99 = vec![
-                (
-                    "total_us".to_string(),
-                    JsonValue::UInt(snap.total_latency().quantile_us(0.99)),
-                ),
-                (
-                    "queue_wait_us".to_string(),
-                    JsonValue::UInt(queue_wait.quantile_us(0.99)),
-                ),
-            ];
-            for (stage, hist) in snap.stage_metrics().iter() {
-                p99.push((
-                    format!("stage_{stage}_ns"),
-                    JsonValue::UInt(hist.quantile_us(0.99)),
-                ));
-            }
-            entries.push(("backlog", JsonValue::UInt(snap.backlog())));
-            entries.push(("processed", JsonValue::UInt(snap.processed)));
-            entries.push(("p99", JsonValue::Object(p99)));
-            entries.push(("panics", JsonValue::UInt(snap.panics)));
-            entries.push(("store_errors", JsonValue::UInt(snap.store_errors)));
-        }
-        match &t.flight {
-            Some(flight) => {
-                entries.push(("flight_dumps", JsonValue::UInt(flight.dumps())));
-                entries.push((
-                    "last_anomaly",
-                    flight
-                        .last_anomaly()
-                        .map(|a| a.to_json_value())
-                        .unwrap_or(JsonValue::Null),
-                ));
-            }
-            None => {
-                entries.push(("flight_dumps", JsonValue::UInt(0)));
-                entries.push(("last_anomaly", JsonValue::Null));
-            }
-        }
-        JsonValue::obj(entries)
-    }
-
     /// Total backlog across every running tenant pool (packets admitted
     /// but not yet processed) — lets benches wait for quiescence without
-    /// draining.
+    /// draining. Reads three counters per shard.
     pub fn backlog(&self) -> u64 {
         self.tenants
             .values()
-            .filter_map(|t| t.pool().map(|p| p.snapshot().backlog()))
+            .filter_map(|t| t.pool().map(|p| p.backlog()))
             .sum()
     }
 }
@@ -658,7 +613,7 @@ mod tests {
     use crate::envelope::SEQ_FRAME_HEADER;
     use pnm_core::store::Evidence;
     use pnm_core::{
-        MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode, STAGE_NAMES,
+        MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode,
     };
     use pnm_wire::{Location, NodeId, Report};
     use rand::rngs::StdRng;
@@ -849,28 +804,115 @@ mod tests {
         assert_eq!(&decoded, v1.as_ref());
     }
 
-    #[test]
-    fn ops_p99_keys_name_their_histogram_units() {
-        let reg = TenantRegistry::builder()
-            .tenant("alpha", tenant_config(b"alpha", 6))
-            .build()
-            .unwrap();
-        let now = Instant::now();
-        for seq in 0..8 {
-            let bytes = marked_packet(b"alpha", 6, seq).to_bytes();
-            assert_eq!(admit(&reg, b"alpha", seq, &bytes, now), AckCode::Accepted);
+    /// A registry serving `tenants` on two-shard pools, each sent `n`
+    /// packets and one malformed frame, with every pool worked off.
+    fn served(tenants: &[&str], n: u64) -> TenantRegistry {
+        let mut builder = TenantRegistry::builder();
+        for t in tenants {
+            let service = ServiceConfig::new(SinkConfig::new(VerifyMode::Nested)).shards(2);
+            let keys = KeyStore::derive_from_master(t.as_bytes(), 6);
+            builder = builder.tenant(t, TenantConfig::new(keys, service));
         }
+        let (reg, now) = (builder.build().unwrap(), Instant::now());
+        for t in tenants.iter().map(|t| t.as_bytes()) {
+            for seq in 0..n {
+                let bytes = marked_packet(t, 6, seq).to_bytes();
+                assert_eq!(admit(&reg, t, seq, &bytes, now), AckCode::Accepted);
+            }
+            assert_eq!(admit(&reg, t, n, b"junk", now), AckCode::Malformed);
+        }
+        while reg.backlog() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        reg
+    }
+
+    /// One scrape over two tenants is one valid exposition: a single
+    /// `# TYPE` line per family, with all of the family's series under it.
+    #[test]
+    fn two_tenant_scrape_has_one_type_line_and_one_block_per_family() {
+        let text = served(&["alpha", "beta"], 3).metrics_text();
+        let mut families: Vec<&str> = Vec::new();
+        for line in text.lines() {
+            if let Some(declared) = line.strip_prefix("# TYPE ") {
+                let family = declared.split(' ').next().unwrap();
+                assert!(!families.contains(&family), "second TYPE: {family}");
+                families.push(family);
+                continue;
+            }
+            let family = families.last().expect("a sample before any TYPE line");
+            let suffix = line.split(['{', ' ']).next().unwrap().strip_prefix(family);
+            let in_block = matches!(suffix, Some("" | "_bucket" | "_sum" | "_count"));
+            assert!(in_block, "{line} outside the {family} block:\n{text}");
+        }
+        for t in ["alpha", "beta"] {
+            assert!(text.contains(&format!("pnm_gateway_ingested_total{{tenant=\"{t}\"}} 3\n")));
+        }
+    }
+
+    /// The `Ops` JSON and the Prometheus scrape are two renderings of one
+    /// set of series: the same series, every counter equal, every
+    /// histogram's count and sum equal, and each histogram summary's keys
+    /// in the unit its series name ends with.
+    #[test]
+    fn ops_json_and_prometheus_text_carry_the_same_series() {
+        let reg = served(&["alpha"], 24);
+        let text = reg.metrics_text();
         let ops = pnm_obs::json::parse(&reg.ops_snapshot_json(b"alpha").unwrap()).unwrap();
-        let Some(JsonValue::Object(p99)) = ops.get("p99") else {
-            panic!("running tenant has no p99 block: {ops:?}");
+        assert_eq!(ops.get("state"), Some(&JsonValue::Str("running".into())));
+        let Some(JsonValue::Object(series)) = ops.get("series") else {
+            panic!("no series in {ops:?}");
         };
-        let keys: Vec<&str> = p99.iter().map(|(k, _)| k.as_str()).collect();
-        // The service histograms record µs; the stage histograms record ns
-        // (Prometheus: `pnm_sink_stage_ns`).
-        let mut expected = vec!["total_us".to_string(), "queue_wait_us".to_string()];
-        expected.extend(STAGE_NAMES.iter().map(|stage| format!("stage_{stage}_ns")));
-        assert_eq!(keys, expected);
-        reg.drain(b"alpha");
+        // alpha's sample lines in the scrape, by series key.
+        let samples: BTreeMap<&str, u64> = (text.lines())
+            .filter(|l| l.contains("tenant=\"alpha\""))
+            .map(|l| l.rsplit_once(' ').unwrap())
+            .map(|(k, v)| (k, v.parse().unwrap()))
+            .collect();
+        let mut covered = 0;
+        for (key, value) in series {
+            let (name, labels) = key.split_once('{').unwrap();
+            let sample = |sfx: &str| samples.get(&*format!("{name}{sfx}{{{labels}")).copied();
+            if let Some(v) = value.as_u64() {
+                assert_eq!(sample(""), Some(v), "counter {key}");
+                covered += 1;
+                continue;
+            }
+            let JsonValue::Object(summary) = value else {
+                panic!("{key} renders as {value:?}");
+            };
+            let unit = name.rsplit('_').next().unwrap();
+            assert!(unit == "ns" || unit == "us", "{name} names its unit");
+            let suffixed = |k: &String| k == "count" || k.ends_with(&format!("_{unit}"));
+            assert!(
+                summary.iter().all(|(k, _)| suffixed(k)),
+                "{key}: {summary:?}"
+            );
+            let field = |k: &str| value.get(k).and_then(JsonValue::as_u64);
+            assert_eq!(field("count"), sample("_count"), "{key} count");
+            assert_eq!(field(&format!("sum_{unit}")), sample("_sum"), "{key} sum");
+            covered += 2 + pnm_obs::BUCKETS;
+        }
+        assert_eq!(
+            covered,
+            samples.len(),
+            "every scraped alpha series is in the JSON"
+        );
+        let get = |key: String| ops.get("series")?.get(&key)?.as_u64();
+        assert_eq!(
+            get("pnm_gateway_ingested_total{tenant=\"alpha\"}".into()),
+            Some(24)
+        );
+        let packets = ["0", "1"].map(|shard| {
+            get(format!(
+                "pnm_sink_packets_total{{shard=\"{shard}\",tenant=\"alpha\"}}"
+            ))
+        });
+        assert!(
+            packets.iter().all(|p| p.unwrap() > 0),
+            "both shards took packets: {packets:?}"
+        );
+        assert_eq!(packets.iter().flatten().sum::<u64>(), 24);
     }
 
     #[test]

@@ -63,7 +63,7 @@ proptest! {
             0 => Envelope::ingest_seq(&tenant, 1, 2, &payload),
             1 => Envelope::ingest_seq_ctx(&tenant, traced, 1, 2, &payload),
             op => {
-                let controls = [OpCode::Snapshot, OpCode::MetricsText, OpCode::Drain];
+                let controls = [OpCode::Ops, OpCode::MetricsText, OpCode::Drain];
                 let mut env = Envelope::control(controls[usize::from(op) - 2], &tenant);
                 env.payload = payload;
                 env

@@ -154,7 +154,7 @@ fn gateway_verdicts_byte_identical_to_sequential_runs() {
                     assert_eq!(ack.code, AckCode::Malformed);
                 }
             }
-            c.snapshot(b"alpha").unwrap()
+            c.ops_snapshot(b"alpha").unwrap()
         })
     };
     let beta_thread = {
@@ -175,7 +175,7 @@ fn gateway_verdicts_byte_identical_to_sequential_runs() {
                     assert_eq!(ack.code, AckCode::UnknownTenant);
                 }
             }
-            c.snapshot(b"beta").unwrap()
+            c.ops_snapshot(b"beta").unwrap()
         })
     };
     // An attacker connection sends raw garbage: the gateway answers with
@@ -187,10 +187,14 @@ fn gateway_verdicts_byte_identical_to_sequential_runs() {
     let (resp, _) = Response::decode(&raw, 1 << 20).unwrap().unwrap();
     assert_eq!(resp.status, Status::Error);
 
+    // Each client's `Ops` reply, fetched after its last ack, counts every
+    // packet it acked into its own tenant's pool.
     let alpha_snap = alpha_thread.join().unwrap();
     let beta_snap = beta_thread.join().unwrap();
-    assert!(alpha_snap.contains("\"accepted\""));
-    assert!(beta_snap.contains("\"accepted\""));
+    assert!(
+        alpha_snap.contains(r#""pnm_service_accepted_total{shard=\"0\",tenant=\"alpha\"}": 160"#)
+    );
+    assert!(beta_snap.contains(r#""pnm_service_accepted_total{shard=\"0\",tenant=\"beta\"}": 120"#));
     wait_for_quiescence(&registry);
 
     // Scrape before draining: one exposition covers both tenants, plus

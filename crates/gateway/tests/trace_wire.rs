@@ -166,10 +166,9 @@ fn chaos_wire_yields_one_complete_trace_per_packet() {
                 "traced",
                 TenantConfig::new(
                     Arc::clone(&ks),
-                    ServiceConfig::new(sink_config())
+                    ServiceConfig::new(sink_config().tracer(tracer.clone()))
                         .shards(2)
-                        .keep_outcomes(true)
-                        .tracer(tracer.clone()),
+                        .keep_outcomes(true),
                 ),
             )
             .tenant(
@@ -264,9 +263,7 @@ proptest! {
                     "t",
                     TenantConfig::new(
                         Arc::clone(&ks),
-                        ServiceConfig::new(sink_config())
-                            .shards(2)
-                            .tracer(tracer.clone()),
+                        ServiceConfig::new(sink_config().tracer(tracer.clone())).shards(2),
                     ),
                 )
                 .build()

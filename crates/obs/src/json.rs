@@ -27,7 +27,7 @@ pub enum JsonValue {
     Bool(bool),
     /// A non-negative integer (the common case for counters).
     UInt(u64),
-    /// A signed integer (gauges can go negative).
+    /// A signed integer.
     Int(i64),
     /// A float rendered with a fixed number of decimal places.
     Float {
@@ -52,14 +52,6 @@ impl JsonValue {
         JsonValue::Float {
             value,
             precision: 1,
-        }
-    }
-
-    /// Shorthand for a float with four decimal places (rates/ratios).
-    pub fn f4(value: f64) -> JsonValue {
-        JsonValue::Float {
-            value,
-            precision: 4,
         }
     }
 

@@ -16,9 +16,9 @@
 //!   [`ShardedRingCollector`] is cheap enough to leave armed always-on
 //!   (pinned < 5% by `bench_obs`); [`FlightRecorder`] dumps its recent
 //!   history as an anomaly-tagged JSONL black-box when something breaks.
-//! * **Metrics** ([`metrics`]): a labeled [`Registry`] of counters,
-//!   gauges, and histograms with deterministic Prometheus-text and JSON
-//!   exposition. [`LatencyHistogram`] (formerly in `pnm-service`) lives
+//! * **Metrics** ([`metrics`]): a labeled [`Registry`] of counters and
+//!   histograms; [`prometheus_text`] and [`series_json`] render the
+//!   series of one or several registries deterministically. [`LatencyHistogram`] (formerly in `pnm-service`) lives
 //!   here: power-of-two buckets, saturating arithmetic, mergeable across
 //!   shards, conservative upper-bound quantiles.
 //! * **JSON** ([`json`]): the one shared hand-rolled JSON renderer and a
@@ -61,7 +61,10 @@ pub mod trace;
 
 pub use flight::{AnomalySummary, FlightRecorder, ShardedRingCollector};
 pub use json::JsonValue;
-pub use metrics::{Counter, Gauge, Histogram, LatencyHistogram, Registry, BUCKETS};
+pub use metrics::{
+    prometheus_text, series_json, Counter, Histogram, LatencyHistogram, Registry, Series,
+    SeriesValue, BUCKETS,
+};
 pub use trace::{
     Collector, Event, EventKind, FieldValue, NoopCollector, Span, TraceContext, Tracer,
 };

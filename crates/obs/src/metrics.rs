@@ -3,15 +3,18 @@
 //! [`LatencyHistogram`] moved here from `pnm-service` (still re-exported
 //! there) so every crate can record stage latencies without depending on
 //! the service layer. [`Registry`] is a process-local, thread-safe
-//! registry of named counters, gauges, and histograms with label support
-//! and two exposition formats: Prometheus text ([`Registry::prometheus_text`])
-//! and JSON ([`Registry::to_json`]). Handles returned by the registry are
-//! cheap `Arc` clones; the hot path touches one atomic (counters/gauges)
-//! or one uncontended mutex (histograms).
+//! registry of named counters and histograms with label support. Handles
+//! returned by the registry are cheap `Arc` clones; the hot path touches
+//! one atomic (counters) or one uncontended mutex (histograms).
+//!
+//! Exposition reads the cells and writes nothing back: [`Registry::series`]
+//! takes a point-in-time read of every series, and two renderers turn any
+//! list of series — from one registry or several — into Prometheus text
+//! ([`prometheus_text`]) or a JSON object ([`series_json`]).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::JsonValue;
@@ -143,17 +146,11 @@ impl LatencyHistogram {
         self.max_us
     }
 
-    /// The histogram's summary as a JSON tree (count, mean, p50/p90/p99,
-    /// max) with microsecond key suffixes — compose into larger documents
-    /// before rendering. Equivalent to `to_json_value_with_unit("us")`.
-    pub fn to_json_value(&self) -> JsonValue {
-        self.to_json_value_with_unit("us")
-    }
-
-    /// [`LatencyHistogram::to_json_value`] with an explicit unit suffix on
-    /// the keys (`mean_ns`, `p50_ns`, … for `unit = "ns"`). The histogram
-    /// stores whatever the recorder fed it; the suffix documents that
-    /// choice — no conversion happens here.
+    /// The histogram's summary as a JSON tree — count, then mean,
+    /// p50/p90/p99, max and sum with `unit` as their key suffix (`mean_ns`,
+    /// `p50_ns`, … for `unit = "ns"`). The histogram stores whatever the
+    /// recorder fed it; the suffix documents that choice — no conversion
+    /// happens here.
     pub fn to_json_value_with_unit(&self, unit: &str) -> JsonValue {
         JsonValue::Object(vec![
             ("count".to_string(), JsonValue::UInt(self.count)),
@@ -171,12 +168,8 @@ impl LatencyHistogram {
                 JsonValue::UInt(self.quantile_us(0.99)),
             ),
             (format!("max_{unit}"), JsonValue::UInt(self.max_us)),
+            (format!("sum_{unit}"), JsonValue::UInt(self.sum_us)),
         ])
-    }
-
-    /// Renders the summary as a compact JSON object string.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().render()
     }
 }
 
@@ -185,23 +178,12 @@ type LabelSet = Vec<(String, String)>;
 
 #[derive(Clone)]
 enum Slot {
-    Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicI64>),
-    Histogram(Arc<Mutex<LatencyHistogram>>),
-}
-
-impl Slot {
-    fn kind(&self) -> &'static str {
-        match self {
-            Slot::Counter(_) => "counter",
-            Slot::Gauge(_) => "gauge",
-            Slot::Histogram(_) => "histogram",
-        }
-    }
+    Counter(Counter),
+    Histogram(Histogram),
 }
 
 /// A monotonically increasing counter handle. Clones share the same cell.
-#[derive(Clone)]
+#[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
@@ -210,52 +192,30 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n`.
+    /// Adds `n`. A reader whose [`Counter::get`] sees this addition also
+    /// sees every write the adding thread made before it.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Release);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Overwrites the value. Intended for mirroring an externally
-    /// maintained cumulative tally (e.g. `SinkCounters`) into the
-    /// registry at scrape time, not for hot-path use.
-    pub fn store(&self, n: u64) {
-        self.0.store(n, Ordering::Relaxed);
-    }
-}
-
-/// A gauge handle (can go up and down). Clones share the same cell.
-#[derive(Clone)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Overwrites the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.load(Ordering::Acquire)
     }
 }
 
 /// A histogram handle backed by a [`LatencyHistogram`]. Clones share the
 /// same cell.
-#[derive(Clone)]
+#[derive(Clone, Debug, Default)]
 pub struct Histogram(Arc<Mutex<LatencyHistogram>>);
 
 impl Histogram {
-    /// Records one microsecond sample.
+    /// A cell of its own, in no registry.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one sample, in the unit the series name ends with.
     pub fn record(&self, us: u64) {
         self.0.lock().expect("histogram lock poisoned").record(us);
     }
@@ -263,12 +223,6 @@ impl Histogram {
     /// Folds `other` into this histogram.
     pub fn merge(&self, other: &LatencyHistogram) {
         self.0.lock().expect("histogram lock poisoned").merge(other);
-    }
-
-    /// Replaces the contents. Intended for mirroring an externally
-    /// maintained histogram into the registry at scrape time.
-    pub fn set(&self, h: LatencyHistogram) {
-        *self.0.lock().expect("histogram lock poisoned") = h;
     }
 
     /// A copy of the current contents.
@@ -280,7 +234,7 @@ impl Histogram {
 /// A thread-safe registry of named metrics with label support.
 ///
 /// `Registry` is `Clone` (a shallow handle); all clones observe the same
-/// metrics. Lookup (`counter`/`gauge`/`histogram`) is get-or-create and
+/// metrics. Lookup (`counter`/`histogram`) is get-or-create and
 /// takes a short global lock — call it once at setup and keep the returned
 /// handle for the hot path. Registering the same name/labels with a
 /// different metric type panics: that is a programming error, and silently
@@ -310,147 +264,183 @@ impl Registry {
             .collect();
         labels.sort();
         let mut metrics = self.metrics.lock().expect("registry lock poisoned");
-        let slot = metrics
+        metrics
             .entry((name.to_string(), labels))
-            .or_insert_with(make);
-        let want = make();
-        assert!(
-            std::mem::discriminant(slot) == std::mem::discriminant(&want),
-            "metric {name:?} already registered as a {}",
-            slot.kind()
-        );
-        slot.clone()
+            .or_insert_with(make)
+            .clone()
     }
 
     /// Get-or-create a counter for `name` + `labels`.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.slot(name, labels, || Slot::Counter(Arc::new(AtomicU64::new(0)))) {
-            Slot::Counter(c) => Counter(c),
-            _ => unreachable!(),
-        }
-    }
-
-    /// Get-or-create a gauge for `name` + `labels`.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.slot(name, labels, || Slot::Gauge(Arc::new(AtomicI64::new(0)))) {
-            Slot::Gauge(g) => Gauge(g),
-            _ => unreachable!(),
+        match self.slot(name, labels, || Slot::Counter(Counter::default())) {
+            Slot::Counter(c) => c,
+            Slot::Histogram(_) => panic!("metric {name:?} already registered as a histogram"),
         }
     }
 
     /// Get-or-create a histogram for `name` + `labels`.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.slot(name, labels, || {
-            Slot::Histogram(Arc::new(Mutex::new(LatencyHistogram::new())))
-        }) {
-            Slot::Histogram(h) => Histogram(h),
-            _ => unreachable!(),
+        match self.slot(name, labels, || Slot::Histogram(Histogram::new())) {
+            Slot::Histogram(h) => h,
+            Slot::Counter(_) => panic!("metric {name:?} already registered as a counter"),
         }
     }
 
-    /// Renders every metric in Prometheus text exposition format.
-    ///
-    /// Output is deterministic: series sort by name then label set, and
-    /// `# TYPE` comments are emitted once per metric name. Histograms
-    /// render as cumulative `_bucket{le="..."}` series (upper edges are
-    /// the histogram's power-of-two bucket bounds, plus `+Inf`), with
-    /// `_sum` and `_count` in microseconds.
+    /// A point-in-time read of every series, with `extra` label pairs
+    /// merged into each label set — how a multi-tenant front-end exposes
+    /// one registry per tenant in a single namespace (`tenant="..."` on
+    /// every series). Reading writes nothing into the registry.
+    pub fn series(&self, extra: &[(&str, &str)]) -> Vec<Series> {
+        let metrics = self.metrics.lock().expect("registry lock poisoned");
+        metrics
+            .iter()
+            .map(|((name, labels), slot)| {
+                let mut labels = labels.clone();
+                labels.extend(extra.iter().map(|(k, v)| (k.to_string(), v.to_string())));
+                labels.sort();
+                let value = match slot {
+                    Slot::Counter(c) => SeriesValue::Counter(c.get()),
+                    Slot::Histogram(h) => SeriesValue::Histogram(Box::new(h.snapshot())),
+                };
+                Series {
+                    name: name.clone(),
+                    labels,
+                    value,
+                }
+            })
+            .collect()
+    }
+
+    /// Renders every metric in Prometheus text exposition format
+    /// ([`prometheus_text`] over [`Registry::series`]).
     pub fn prometheus_text(&self) -> String {
         self.prometheus_text_with(&[])
     }
 
     /// [`Registry::prometheus_text`] with `extra` label pairs merged into
-    /// every series — how a multi-tenant front-end scrapes one registry
-    /// per tenant yet exposes a single namespace (`tenant="..."` on each
-    /// line). Extra labels sort together with the series' own labels, so
-    /// the output stays deterministic.
+    /// every series (see [`Registry::series`]).
     pub fn prometheus_text_with(&self, extra: &[(&str, &str)]) -> String {
-        let metrics = self.metrics.lock().expect("registry lock poisoned");
-        let mut out = String::new();
-        let mut last_name = "";
-        for ((name, own_labels), slot) in metrics.iter() {
-            let mut merged: LabelSet = own_labels.clone();
-            merged.extend(extra.iter().map(|(k, v)| (k.to_string(), v.to_string())));
-            merged.sort();
-            let labels = &merged;
-            if name != last_name {
-                let _ = writeln!(out, "# TYPE {name} {}", slot.kind());
-                last_name = name;
-            }
-            match slot {
-                Slot::Counter(c) => {
-                    let _ = writeln!(
-                        out,
-                        "{name}{} {}",
-                        label_text(labels, None),
-                        c.load(Ordering::Relaxed)
-                    );
-                }
-                Slot::Gauge(g) => {
-                    let _ = writeln!(
-                        out,
-                        "{name}{} {}",
-                        label_text(labels, None),
-                        g.load(Ordering::Relaxed)
-                    );
-                }
-                Slot::Histogram(h) => {
-                    let h = h.lock().expect("histogram lock poisoned");
-                    let mut cumulative = 0u64;
-                    for (i, &b) in h.buckets().iter().enumerate() {
-                        cumulative = cumulative.saturating_add(b);
-                        let le = if i + 1 >= BUCKETS {
-                            "+Inf".to_string()
-                        } else {
-                            LatencyHistogram::bucket_upper_bound(i).to_string()
-                        };
-                        let _ = writeln!(
-                            out,
-                            "{name}_bucket{} {cumulative}",
-                            label_text(labels, Some(&le)),
-                        );
-                    }
-                    let _ = writeln!(out, "{name}_sum{} {}", label_text(labels, None), h.sum_us());
-                    let _ = writeln!(
-                        out,
-                        "{name}_count{} {}",
-                        label_text(labels, None),
-                        h.count()
-                    );
-                }
-            }
-        }
-        out
+        prometheus_text(self.series(extra))
     }
 
-    /// The registry as a JSON tree: one entry per series, keyed
-    /// `name{label="v",...}`, with histograms as summary objects.
+    /// The registry as a JSON tree ([`series_json`] over
+    /// [`Registry::series`]).
     pub fn to_json_value(&self) -> JsonValue {
-        let metrics = self.metrics.lock().expect("registry lock poisoned");
-        let entries = metrics
-            .iter()
-            .map(|((name, labels), slot)| {
-                let key = format!("{name}{}", label_text(labels, None));
-                let value = match slot {
-                    Slot::Counter(c) => JsonValue::UInt(c.load(Ordering::Relaxed)),
-                    Slot::Gauge(g) => JsonValue::Int(g.load(Ordering::Relaxed)),
-                    Slot::Histogram(h) => {
-                        h.lock().expect("histogram lock poisoned").to_json_value()
-                    }
-                };
-                (key, value)
-            })
-            .collect();
-        JsonValue::Object(entries)
-    }
-
-    /// Renders [`Registry::to_json_value`] compactly.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().render()
+        series_json(self.series(&[]))
     }
 }
 
-fn label_text(labels: &LabelSet, le: Option<&str>) -> String {
+/// A point-in-time read of one series.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Series {
+    /// The metric family name.
+    pub name: String,
+    /// Sorted `label="value"` pairs.
+    pub labels: Vec<(String, String)>,
+    /// The value at read time.
+    pub value: SeriesValue,
+}
+
+impl Series {
+    /// The series' exposition key: `name{label="v",...}`, exactly as its
+    /// Prometheus sample line starts.
+    pub fn key(&self) -> String {
+        format!("{}{}", self.name, label_text(&self.labels, None))
+    }
+
+    /// The unit a histogram's samples are in: the name's last
+    /// `_`-separated word (`pnm_sink_stage_ns` → `ns`).
+    pub fn unit(&self) -> &str {
+        self.name.rsplit('_').next().unwrap_or_default()
+    }
+}
+
+/// What a [`Series`] read.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SeriesValue {
+    /// A counter's count.
+    Counter(u64),
+    /// A copy of a histogram.
+    Histogram(Box<LatencyHistogram>),
+}
+
+/// Renders series — from one registry or several — as one Prometheus text
+/// exposition.
+///
+/// Series are grouped by family: sorted by name then label set, with one
+/// `# TYPE` line per family, so a family split across registries (every
+/// tenant's `pnm_service_accepted_total`, say) still renders as one
+/// contiguous block. The output is deterministic. Histograms render as
+/// cumulative `_bucket{le="..."}` series (upper edges are the histogram's
+/// power-of-two bucket bounds, plus `+Inf`), with `_sum` and `_count` in
+/// the unit the family name ends with.
+pub fn prometheus_text(mut series: Vec<Series>) -> String {
+    series.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+    let mut out = String::new();
+    let mut last_name = "";
+    for s in &series {
+        let name = s.name.as_str();
+        let labels = &s.labels;
+        match &s.value {
+            SeriesValue::Counter(v) => {
+                if name != last_name {
+                    let _ = writeln!(out, "# TYPE {name} counter");
+                }
+                let _ = writeln!(out, "{name}{} {v}", label_text(labels, None));
+            }
+            SeriesValue::Histogram(h) => {
+                if name != last_name {
+                    let _ = writeln!(out, "# TYPE {name} histogram");
+                }
+                let mut cumulative = 0u64;
+                for (i, &b) in h.buckets().iter().enumerate() {
+                    cumulative = cumulative.saturating_add(b);
+                    let le = if i + 1 >= BUCKETS {
+                        "+Inf".to_string()
+                    } else {
+                        LatencyHistogram::bucket_upper_bound(i).to_string()
+                    };
+                    let _ = writeln!(
+                        out,
+                        "{name}_bucket{} {cumulative}",
+                        label_text(labels, Some(&le)),
+                    );
+                }
+                let _ = writeln!(out, "{name}_sum{} {}", label_text(labels, None), h.sum_us());
+                let _ = writeln!(
+                    out,
+                    "{name}_count{} {}",
+                    label_text(labels, None),
+                    h.count()
+                );
+            }
+        }
+        last_name = name;
+    }
+    out
+}
+
+/// Renders series as one JSON object keyed by [`Series::key`], sorted as
+/// [`prometheus_text`] sorts them. Counters are numbers; histograms are
+/// summary objects whose keys carry the family's unit ([`Series::unit`]:
+/// `p99_ns` for `pnm_sink_stage_ns`, `p99_us` for `pnm_service_total_us`).
+pub fn series_json(mut series: Vec<Series>) -> JsonValue {
+    series.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+    JsonValue::Object(
+        series
+            .iter()
+            .map(|s| {
+                let value = match &s.value {
+                    SeriesValue::Counter(v) => JsonValue::UInt(*v),
+                    SeriesValue::Histogram(h) => h.to_json_value_with_unit(s.unit()),
+                };
+                (s.key(), value)
+            })
+            .collect(),
+    )
+}
+
+fn label_text(labels: &[(String, String)], le: Option<&str>) -> String {
     if labels.is_empty() && le.is_none() {
         return String::new();
     }
@@ -497,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_share_cells_across_clones() {
+    fn counters_share_cells_across_clones() {
         let reg = Registry::new();
         let c = reg.counter("pnm_packets_total", &[("shard", "0")]);
         c.inc();
@@ -507,11 +497,6 @@ mod tests {
         let c2 = reg.counter("pnm_x", &[("a", "1"), ("b", "2")]);
         c2.inc();
         assert_eq!(reg.counter("pnm_x", &[("b", "2"), ("a", "1")]).get(), 1);
-
-        let g = reg.gauge("pnm_backlog", &[]);
-        g.set(7);
-        g.add(-3);
-        assert_eq!(reg.gauge("pnm_backlog", &[]).get(), 4);
     }
 
     #[test]
@@ -519,7 +504,7 @@ mod tests {
     fn type_mismatch_panics() {
         let reg = Registry::new();
         reg.counter("pnm_thing", &[]);
-        reg.gauge("pnm_thing", &[]);
+        reg.histogram("pnm_thing", &[]);
     }
 
     #[test]
@@ -527,7 +512,6 @@ mod tests {
         let reg = Registry::new();
         reg.counter("pnm_packets_total", &[("shard", "1")]).add(3);
         reg.counter("pnm_packets_total", &[("shard", "0")]).add(2);
-        reg.gauge("pnm_backlog", &[]).set(-1);
         let h = reg.histogram("pnm_stage_us", &[("stage", "verify")]);
         h.record(3);
         h.record(700);
@@ -536,8 +520,6 @@ mod tests {
         assert!(text.contains("# TYPE pnm_packets_total counter"));
         assert!(text.contains("pnm_packets_total{shard=\"0\"} 2"));
         assert!(text.contains("pnm_packets_total{shard=\"1\"} 3"));
-        assert!(text.contains("# TYPE pnm_backlog gauge"));
-        assert!(text.contains("pnm_backlog -1"));
         assert!(text.contains("# TYPE pnm_stage_us histogram"));
         assert!(text.contains("pnm_stage_us_bucket{stage=\"verify\",le=\"3\"} 1"));
         assert!(text.contains("pnm_stage_us_bucket{stage=\"verify\",le=\"+Inf\"} 2"));
@@ -570,14 +552,12 @@ mod tests {
     fn extra_labels_merge_and_sort_into_every_series() {
         let reg = Registry::new();
         reg.counter("pnm_packets_total", &[("shard", "0")]).add(2);
-        reg.gauge("pnm_backlog", &[]).set(3);
         reg.histogram("pnm_stage_us", &[("stage", "verify")])
             .record(5);
 
         let text = reg.prometheus_text_with(&[("tenant", "alpha")]);
         // Injected pairs sort together with the series' own labels.
         assert!(text.contains("pnm_packets_total{shard=\"0\",tenant=\"alpha\"} 2"));
-        assert!(text.contains("pnm_backlog{tenant=\"alpha\"} 3"));
         // 5 µs lands in the (3, 7] power-of-two bucket.
         assert!(text.contains("pnm_stage_us_bucket{stage=\"verify\",tenant=\"alpha\",le=\"7\"} 1"));
         assert!(text.contains("pnm_stage_us_count{stage=\"verify\",tenant=\"alpha\"} 1"));
@@ -590,7 +570,10 @@ mod tests {
         let reg = Registry::new();
         reg.counter("pnm_a", &[]).add(9);
         reg.histogram("pnm_h", &[]).record(5);
-        let parsed = crate::json::parse(&reg.to_json()).unwrap();
+        reg.histogram("pnm_stage_ns", &[("stage", "verify")])
+            .record(700);
+        reg.histogram("pnm_total_us", &[]).record(3);
+        let parsed = crate::json::parse(&reg.to_json_value().render()).unwrap();
         assert_eq!(parsed.get("pnm_a").and_then(|v| v.as_u64()), Some(9));
         assert_eq!(
             parsed
@@ -599,6 +582,13 @@ mod tests {
                 .and_then(|v| v.as_u64()),
             Some(1)
         );
+        // A histogram's summary keys carry the unit its name ends with.
+        let stage = parsed.get("pnm_stage_ns{stage=\"verify\"}").unwrap();
+        assert_eq!(stage.get("p99_ns").and_then(|v| v.as_u64()), Some(700));
+        assert_eq!(stage.get("sum_ns").and_then(|v| v.as_u64()), Some(700));
+        assert!(stage.get("p99_us").is_none(), "ns samples read as µs");
+        let total = parsed.get("pnm_total_us").unwrap();
+        assert_eq!(total.get("max_us").and_then(|v| v.as_u64()), Some(3));
     }
 
     #[test]
@@ -607,7 +597,7 @@ mod tests {
         for us in [0, 1, 2, 3, 5, 9, 17, 100, 1000] {
             h.record(us);
         }
-        let json = h.to_json();
+        let json = h.to_json_value_with_unit("us").render();
         assert!(json.starts_with("{\"count\": 9, \"mean_us\": "));
         assert!(json.contains("\"p50_us\": "));
         assert!(json.contains("\"max_us\": 1000"));

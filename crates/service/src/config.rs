@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pnm_core::{EvidenceStore, SinkConfig};
-use pnm_obs::{FlightRecorder, Tracer};
+use pnm_obs::FlightRecorder;
 use pnm_wire::Packet;
 
 /// A fault-injection predicate evaluated by each shard worker before a
@@ -40,7 +40,6 @@ pub struct ServiceConfig {
     start_paused: bool,
     poison_hook: Option<PoisonHook>,
     drain_timeout: Duration,
-    tracer: Tracer,
     stage_timing: bool,
     store: Option<Arc<dyn EvidenceStore>>,
     flight: Option<Arc<FlightRecorder>>,
@@ -57,7 +56,6 @@ impl std::fmt::Debug for ServiceConfig {
             .field("start_paused", &self.start_paused)
             .field("poison_hook", &self.poison_hook.as_ref().map(|_| "<fn>"))
             .field("drain_timeout", &self.drain_timeout)
-            .field("tracer", &self.tracer)
             .field("stage_timing", &self.stage_timing)
             .field("store", &self.store.as_ref().map(|_| "<store>"))
             .field("flight", &self.flight.as_ref().map(|_| "<recorder>"))
@@ -81,7 +79,6 @@ impl ServiceConfig {
             start_paused: false,
             poison_hook: None,
             drain_timeout: Duration::from_secs(30),
-            tracer: Tracer::noop(),
             stage_timing: true,
             store: None,
             flight: None,
@@ -145,19 +142,13 @@ impl ServiceConfig {
         self
     }
 
-    /// Attaches a tracer: every shard engine emits its per-stage spans and
-    /// table-build events to this tracer's collector. Defaults to the
-    /// inert no-op tracer, which costs nothing on the hot path.
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
     /// Enables or disables per-stage latency histograms in the shard
-    /// engines (on by default). When on, each [`ShardSnapshot`](crate::ShardSnapshot)
-    /// (crate::ShardSnapshot) carries a populated
+    /// engines (on by default), overriding the sink config's
+    /// [`SinkConfig::stage_timing`]. When on, the shard engines fill the
+    /// pool's `pnm_sink_stage_ns{shard,stage}` series and each
+    /// [`ShardSnapshot`](crate::ShardSnapshot) carries a populated
     /// [`StageMetrics`](pnm_core::StageMetrics) breakdown; turning it off
-    /// removes the two clock reads per pipeline stage.
+    /// removes the clock read per pipeline stage.
     pub fn stage_timing(mut self, enabled: bool) -> Self {
         self.stage_timing = enabled;
         self
@@ -187,7 +178,7 @@ impl ServiceConfig {
     /// Arms a flight recorder: shard workers dump its ring as an
     /// anomaly-tagged black-box when a poison packet is quarantined,
     /// a drain watchdog detaches a wedged shard, or a store append
-    /// fails. Pair it with [`ServiceConfig::tracer`] fed by the same
+    /// fails. Pair it with a [`SinkConfig::tracer`] fed by the same
     /// recorder so the black-box holds the events leading up to the
     /// anomaly. Unset by default: no recording, no dumps.
     pub fn flight_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
@@ -200,14 +191,10 @@ impl ServiceConfig {
         self.flight.as_ref()
     }
 
-    /// The per-shard sink pipeline configuration.
+    /// The per-shard sink pipeline configuration, tracer included: shard
+    /// engines report to [`SinkConfig::tracer_handle`].
     pub fn sink(&self) -> &SinkConfig {
         &self.sink
-    }
-
-    /// The tracer shard engines report to.
-    pub fn tracer_handle(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Whether shard engines record per-stage latency histograms.

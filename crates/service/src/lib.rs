@@ -40,17 +40,16 @@
 //!   shards had last checkpointed. The poison-quarantine restart reuses
 //!   the same replay semantics. Store append failures are counted per
 //!   shard ([`ShardSnapshot::store_errors`]), never fatal.
-//! * **Telemetry.** Every shard records queue-wait, service, and total
-//!   latency in mergeable power-of-two histograms (the
-//!   [`LatencyHistogram`] from `pnm-obs`, re-exported here), plus a
-//!   per-stage pipeline breakdown
-//!   ([`StageMetrics`](pnm_core::StageMetrics));
-//!   [`ServicePool::snapshot`] folds them with the per-shard
-//!   [`SinkCounters`](pnm_core::SinkCounters) into a serializable
-//!   [`ServiceSnapshot`], and [`ServicePool::metrics_text`] exposes the
-//!   same state through a `pnm-obs` [`Registry`](pnm_obs::Registry) in
-//!   Prometheus text format. [`ServiceConfig::tracer`] attaches a span
-//!   collector to every shard engine.
+//! * **Telemetry.** The pool's `pnm-obs` [`Registry`](pnm_obs::Registry)
+//!   ([`ServicePool::registry`]) is the only store of its telemetry: each
+//!   shard worker records its counts, latency histograms and the
+//!   [`SinkCounters`](pnm_core::SinkCounters) growth of every evidence
+//!   delta straight into `shard`-labelled cells, and each shard engine
+//!   records its stage laps there too
+//!   ([`StageHistograms`](pnm_core::StageHistograms)). Nothing is copied
+//!   per packet or at scrape time: [`ServicePool::metrics_text`] and
+//!   [`ServicePool::snapshot`] read the same cells. The sink config's
+//!   [`tracer`](pnm_core::SinkConfig::tracer) reaches every shard engine.
 //!
 //! Classifier caveat: registry-backed verdicts are per-report and thus
 //! partition-invariant, but the volume monitor's rate window is
@@ -64,9 +63,7 @@ mod telemetry;
 
 pub use config::{BackpressurePolicy, PoisonHook, ServiceConfig};
 pub use pool::{DrainReport, IngestError, PoisonRecord, RecoveryStats, ServicePool};
-pub use telemetry::{
-    counters_json, counters_json_value, LatencyHistogram, ServiceSnapshot, ShardSnapshot,
-};
+pub use telemetry::{ServiceSnapshot, ShardSnapshot};
 
 #[cfg(test)]
 mod send_sync {
@@ -80,7 +77,6 @@ mod send_sync {
         assert_send_sync::<BackpressurePolicy>();
         assert_send_sync::<ServiceSnapshot>();
         assert_send_sync::<ShardSnapshot>();
-        assert_send_sync::<LatencyHistogram>();
         assert_send_sync::<DrainReport>();
         assert_send_sync::<IngestError>();
         assert_send_sync::<PoisonRecord>();

@@ -13,13 +13,13 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use pnm_core::store::{DeltaWriter, Evidence, EvidenceStore, LogStore, StoreError};
-use pnm_core::{SinkConfig, SinkEngine, SinkOutcome, StageMetrics};
+use pnm_core::{SinkConfig, SinkEngine, SinkOutcome};
 use pnm_crypto::KeyStore;
-use pnm_obs::{Counter, FieldValue, FlightRecorder, Registry, TraceContext};
+use pnm_obs::{FieldValue, FlightRecorder, Registry, TraceContext};
 use pnm_wire::Packet;
 
 use crate::config::{BackpressurePolicy, PoisonHook, ServiceConfig};
-use crate::telemetry::{LatencyHistogram, ServiceSnapshot, ShardSnapshot};
+use crate::telemetry::{ServiceSnapshot, ShardMetrics};
 
 /// Why `ingest` refused a packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,19 +56,6 @@ struct Job {
     packet: Packet,
 }
 
-/// Live telemetry a worker publishes after every packet.
-#[derive(Default)]
-struct ShardTelemetry {
-    counters: pnm_core::SinkCounters,
-    processed: u64,
-    panics: u64,
-    store_errors: u64,
-    stages: StageMetrics,
-    queue_wait_us: LatencyHistogram,
-    service_us: LatencyHistogram,
-    total_us: LatencyHistogram,
-}
-
 /// A packet that crashed a shard worker. The supervisor caught the panic,
 /// quarantined the packet's encoded bytes here, and restarted the shard
 /// engine from its last good checkpoint — the poison packet contributes
@@ -97,7 +84,9 @@ struct ShardContext {
     shard: usize,
     keys: Arc<KeyStore>,
     sink: SinkConfig,
-    slot: Arc<Mutex<ShardTelemetry>>,
+    /// The shard's cells in the pool registry; the worker records into
+    /// them as it goes.
+    metrics: ShardMetrics,
     gate: Arc<(Mutex<bool>, Condvar)>,
     keep_outcomes: bool,
     poison: Option<PoisonHook>,
@@ -201,11 +190,8 @@ pub struct ServicePool {
     /// Workers report their final state here before exiting; `drain`
     /// collects with a timeout so a wedged shard cannot hang it.
     done_rx: Mutex<Option<Receiver<(usize, ShardFinal)>>>,
-    telemetry: Vec<Arc<Mutex<ShardTelemetry>>>,
-    /// Queue-admission counters, registry-backed so a scrape sees the
-    /// same atomics the ingest path increments.
-    accepted: Vec<Counter>,
-    shed: Vec<Counter>,
+    /// Each shard's cells in `registry`, indexed by shard.
+    metrics: Vec<ShardMetrics>,
     registry: Registry,
     next_seq: AtomicU64,
     /// Start gate: workers wait here while `true` (see
@@ -305,7 +291,6 @@ impl ServicePool {
             .sink()
             .clone()
             .without_isolation()
-            .tracer(config.tracer_handle().clone())
             .stage_timing(config.stage_timing_enabled());
         let gate = Arc::new((Mutex::new(config.starts_paused()), Condvar::new()));
         let registry = Registry::new();
@@ -313,26 +298,33 @@ impl ServicePool {
         let (done_tx, done_rx) = std::sync::mpsc::channel::<(usize, ShardFinal)>();
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
-        let mut telemetry = Vec::with_capacity(shards);
-        for shard in 0..shards {
+        // Every shard's series exists before any worker starts.
+        let metrics: Vec<ShardMetrics> = (0..shards)
+            .map(|shard| ShardMetrics::register(&registry, shard))
+            .collect();
+        for (shard, shard_metrics) in metrics.iter().enumerate() {
             let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(config.queue_capacity_per_shard());
-            let slot = Arc::new(Mutex::new(ShardTelemetry::default()));
+            let recover = recover.remove(&shard);
+            // The replayed checkpoint's counters count once, before any
+            // packet: the shard engine starts holding them.
+            if let Some(evidence) = &recover {
+                shard_metrics.add_sink_counters(evidence.counters);
+            }
             let ctx = ShardContext {
                 shard,
                 keys: Arc::clone(&keys),
                 sink: shard_sink.clone(),
-                slot: Arc::clone(&slot),
+                metrics: shard_metrics.clone(),
                 gate: Arc::clone(&gate),
                 keep_outcomes: config.keeps_outcomes(),
                 poison: config.poison_hook_fn().cloned(),
                 flight: config.flight_recorder_handle().cloned(),
                 done: done_tx.clone(),
                 store: config.store_handle().cloned(),
-                recover: recover.remove(&shard),
+                recover,
             };
             handles.push(std::thread::spawn(move || shard_worker(rx, ctx)));
             senders.push(tx);
-            telemetry.push(slot);
         }
         // Workers hold the only senders: once every shard has exited (or
         // wedged), the done channel disconnects instead of blocking drain.
@@ -342,15 +334,7 @@ impl ServicePool {
             senders: Mutex::new(Some(senders)),
             handles: Mutex::new(handles),
             done_rx: Mutex::new(Some(done_rx)),
-            telemetry,
-            accepted: (0..shards)
-                .map(|i| {
-                    registry.counter("pnm_service_accepted_total", &[("shard", &i.to_string())])
-                })
-                .collect(),
-            shed: (0..shards)
-                .map(|i| registry.counter("pnm_service_shed_total", &[("shard", &i.to_string())]))
-                .collect(),
+            metrics,
             registry,
             next_seq: AtomicU64::new(0),
             gate,
@@ -428,13 +412,13 @@ impl ServicePool {
             BackpressurePolicy::Shed => match tx.try_send(job) {
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) => {
-                    self.shed[shard].inc();
+                    self.metrics[shard].shed.inc();
                     return Err(IngestError::Shed);
                 }
                 Err(TrySendError::Disconnected(_)) => return Err(IngestError::Closed),
             },
         }
-        self.accepted[shard].inc();
+        self.metrics[shard].accepted.inc();
         Ok(seq)
     }
 
@@ -489,117 +473,34 @@ impl ServicePool {
         }
     }
 
-    /// Live cross-shard telemetry. Callable at any time; counters lag the
-    /// queues by whatever is in flight.
+    /// Live cross-shard telemetry: a typed read of the shards' registry
+    /// cells. Callable at any time; counters lag the queues by whatever is
+    /// in flight.
     pub fn snapshot(&self) -> ServiceSnapshot {
-        let mut shards = Vec::with_capacity(self.shards());
-        let mut totals = pnm_core::SinkCounters::default();
-        for (i, slot) in self.telemetry.iter().enumerate() {
-            let t = slot.lock().expect("telemetry lock");
-            totals += t.counters;
-            shards.push(ShardSnapshot {
-                shard: i,
-                accepted: self.accepted[i].get(),
-                shed: self.shed[i].get(),
-                processed: t.processed,
-                panics: t.panics,
-                store_errors: t.store_errors,
-                counters: t.counters,
-                stages: t.stages.clone(),
-                queue_wait_us: t.queue_wait_us.clone(),
-                service_us: t.service_us.clone(),
-                total_us: t.total_us.clone(),
-            });
-        }
-        let accepted = shards.iter().map(|s| s.accepted).sum();
-        let shed = shards.iter().map(|s| s.shed).sum();
-        let processed = shards.iter().map(|s| s.processed).sum();
-        let panics = shards.iter().map(|s| s.panics).sum();
-        let store_errors = shards.iter().map(|s| s.store_errors).sum();
-        ServiceSnapshot {
-            shards,
-            totals,
-            accepted,
-            shed,
-            processed,
-            panics,
-            store_errors,
-        }
+        ServiceSnapshot::from_shards(self.metrics.iter().map(ShardMetrics::snapshot).collect())
     }
 
-    /// The metrics registry backing the pool's queue-admission counters.
-    /// Scrape-only consumers should prefer [`metrics_text`](Self::metrics_text),
-    /// which also mirrors the snapshot-derived metrics before rendering.
+    /// Packets accepted but not yet processed, as
+    /// [`ServiceSnapshot::backlog`] counts them, from three counters per
+    /// shard — cheap enough to poll while waiting for quiescence.
+    pub fn backlog(&self) -> u64 {
+        let (mut accepted, mut done) = (0, 0);
+        for m in &self.metrics {
+            done += m.processed.get() + m.panics.get();
+            accepted += m.accepted.get();
+        }
+        accepted.saturating_sub(done)
+    }
+
+    /// The pool's metrics registry: the only store of its telemetry (see
+    /// the crate docs). Every series carries a `shard` label.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
 
-    /// Renders the pool's current state in Prometheus text exposition
-    /// format. Queue-admission counters (`pnm_service_accepted_total`,
-    /// `pnm_service_shed_total`) are live registry atomics; processed,
-    /// panic and store-error counts, the merged sink counters, the
-    /// queue/service/total latency histograms, and the five per-stage
-    /// pipeline histograms are mirrored from a fresh
-    /// [`snapshot`](Self::snapshot) at scrape time.
+    /// Renders the pool's registry in Prometheus text exposition format.
     pub fn metrics_text(&self) -> String {
-        self.metrics_text_labelled(&[])
-    }
-
-    /// [`metrics_text`](Self::metrics_text) with extra label pairs merged
-    /// into every series. A multi-tenant front-end scrapes one pool per
-    /// tenant with `[("tenant", name)]` so all pools share one exposition
-    /// namespace without colliding series.
-    pub fn metrics_text_labelled(&self, extra: &[(&str, &str)]) -> String {
-        let snap = self.snapshot();
-        for s in &snap.shards {
-            let shard = s.shard.to_string();
-            let labels: [(&str, &str); 1] = [("shard", shard.as_str())];
-            self.registry
-                .counter("pnm_service_processed_total", &labels)
-                .store(s.processed);
-            self.registry
-                .counter("pnm_service_panics_total", &labels)
-                .store(s.panics);
-            self.registry
-                .counter("pnm_service_store_errors_total", &labels)
-                .store(s.store_errors);
-            self.registry
-                .histogram("pnm_service_queue_wait_us", &labels)
-                .set(s.queue_wait_us.clone());
-            self.registry
-                .histogram("pnm_service_service_us", &labels)
-                .set(s.service_us.clone());
-            self.registry
-                .histogram("pnm_service_total_us", &labels)
-                .set(s.total_us.clone());
-        }
-        let totals = [
-            ("packets", snap.totals.packets),
-            ("hash_count", snap.totals.hash_count),
-            ("marks_verified", snap.totals.marks_verified),
-            ("marks_rejected", snap.totals.marks_rejected),
-            ("table_builds", snap.totals.table_builds),
-            ("table_cache_hits", snap.totals.table_cache_hits),
-            (
-                "resolver_fallback_scans",
-                snap.totals.resolver_fallback_scans,
-            ),
-            ("suspicious", snap.totals.suspicious),
-            ("benign", snap.totals.benign),
-            ("malformed", snap.totals.malformed),
-            ("duplicates_suppressed", snap.totals.duplicates_suppressed),
-        ];
-        for (name, value) in totals {
-            self.registry
-                .counter(&format!("pnm_sink_{name}_total"), &[])
-                .store(value as u64);
-        }
-        for (stage, hist) in snap.stage_metrics().iter() {
-            self.registry
-                .histogram("pnm_sink_stage_ns", &[("stage", stage)])
-                .set(hist.clone());
-        }
-        self.registry.prometheus_text_with(extra)
+        self.registry.prometheus_text()
     }
 
     /// Gracefully drains and shuts down: closes ingestion, lets every
@@ -700,12 +601,13 @@ impl Drop for ServicePool {
 
 /// A fresh shard engine holding exactly `evidence`: the one restart path,
 /// shared by crash recovery (evidence replayed from the store) and poison
-/// restart (the last good checkpoint). `stages` seeds the latency
-/// histograms, which are observability and so not part of the evidence.
-fn restore_engine(ctx: &ShardContext, evidence: &Evidence, stages: &StageMetrics) -> SinkEngine {
-    let mut engine = SinkEngine::new(Arc::clone(&ctx.keys), ctx.sink.clone());
+/// restart (the last good checkpoint). The engine records its stage laps
+/// into the shard's registry cells, which outlive every engine: the
+/// latency history is observability, not evidence.
+fn restore_engine(ctx: &ShardContext, evidence: &Evidence) -> SinkEngine {
+    let mut engine = SinkEngine::new(Arc::clone(&ctx.keys), ctx.sink.clone())
+        .with_stage_histograms(ctx.metrics.stages.clone());
     engine.install_evidence(evidence);
-    engine.merge_stage_metrics(stages);
     // The installed evidence is the checkpoint itself, already in the
     // store when there is one: the next delta starts after it.
     engine.take_evidence_delta();
@@ -715,8 +617,11 @@ fn restore_engine(ctx: &ShardContext, evidence: &Evidence, stages: &StageMetrics
 /// One shard's supervised processing loop.
 ///
 /// After every successful packet the worker takes the engine's evidence
-/// delta ([`SinkEngine::take_evidence_delta`]), merges it into the
-/// in-memory checkpoint, and appends it to the store, if one is attached.
+/// delta ([`SinkEngine::take_evidence_delta`]), adds its counters to the
+/// shard's registry cells, merges it into the in-memory checkpoint, and
+/// appends it to the store, if one is attached. Its processed, panic and
+/// store-error counts and latency histograms go straight into the same
+/// cells; nothing is copied per packet.
 /// Each packet runs under [`catch_unwind`]: a panic — whether
 /// from the engine or from an injected
 /// [`PoisonHook`](crate::config::PoisonHook) — is caught, the packet is
@@ -736,7 +641,8 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
     // The last good checkpoint: the evidence as of the last successful
     // packet, starting from whatever the store replayed for this shard.
     let mut checkpoint = ctx.recover.take().unwrap_or_default();
-    let mut engine = restore_engine(&ctx, &checkpoint, &StageMetrics::new());
+    let mut engine = restore_engine(&ctx, &checkpoint);
+    let metrics = &ctx.metrics;
     let mut writer = ctx
         .store
         .as_ref()
@@ -758,6 +664,7 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
         match result {
             Ok(outcome) => {
                 let delta = engine.take_evidence_delta();
+                metrics.add_sink_counters(delta.counters);
                 checkpoint.merge(&delta);
                 // Durable checkpoint: append the same delta. A failed
                 // append is counted, never fatal — the writer keeps the
@@ -766,6 +673,7 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
                     .as_mut()
                     .is_some_and(|writer| writer.append(delta).is_err());
                 if store_failed {
+                    metrics.store_errors.inc();
                     // Growing store_errors is an anomaly: black-box the
                     // events that led to the failed append.
                     if let Some(flight) = &ctx.flight {
@@ -779,16 +687,12 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
                         );
                     }
                 }
-                {
-                    let mut t = ctx.slot.lock().expect("telemetry lock");
-                    t.counters = engine.counters();
-                    t.processed += 1;
-                    t.store_errors += u64::from(store_failed);
-                    t.stages = engine.stage_metrics().clone();
-                    t.queue_wait_us.record(queue_wait);
-                    t.service_us.record(service);
-                    t.total_us.record(queue_wait.saturating_add(service));
-                }
+                metrics.queue_wait_us.record(queue_wait);
+                metrics.service_us.record(service);
+                metrics.total_us.record(queue_wait.saturating_add(service));
+                // Last: a reader that sees the packet processed sees all
+                // of the above.
+                metrics.processed.inc();
                 if ctx.keep_outcomes {
                     outcomes.push((job.seq, outcome));
                 }
@@ -796,10 +700,10 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
             Err(payload) => {
                 // The panic may have left the engine mid-mutation (memory
                 // safe but logically partial), so restart from the last
-                // state known to be a complete merge. The stage histograms
-                // resume from the last good packet's telemetry.
-                let stages = ctx.slot.lock().expect("telemetry lock").stages.clone();
-                engine = restore_engine(&ctx, &checkpoint, &stages);
+                // state known to be a complete merge. Its counters never
+                // reached the registry (no delta was taken); the stage laps
+                // it completed before the panic stay recorded.
+                engine = restore_engine(&ctx, &checkpoint);
                 let record = PoisonRecord {
                     seq: job.seq,
                     shard: ctx.shard,
@@ -821,10 +725,7 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
                     );
                 }
                 poisoned.push(record);
-                let mut t = ctx.slot.lock().expect("telemetry lock");
-                t.panics += 1;
-                t.counters = engine.counters();
-                t.stages = engine.stage_metrics().clone();
+                metrics.panics.inc();
             }
         }
     }
@@ -833,7 +734,7 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
     // holds its complete evidence.
     if let Some(writer) = &mut writer {
         if writer.append(engine.take_evidence_delta()).is_err() {
-            ctx.slot.lock().expect("telemetry lock").store_errors += 1;
+            metrics.store_errors.inc();
         }
     }
     // The receiver is gone when drain's watchdog already gave up on the
@@ -920,7 +821,13 @@ mod tests {
         assert_eq!(report.snapshot.totals.packets, 120);
         assert_eq!(report.engine.counters(), report.snapshot.totals);
         assert_eq!(report.snapshot.backlog(), 0);
-        assert_eq!(report.snapshot.total_latency().count(), 120);
+        let total_us: u64 = report
+            .snapshot
+            .shards
+            .iter()
+            .map(|s| s.total_us.count())
+            .sum();
+        assert_eq!(total_us, 120);
     }
 
     #[test]
@@ -939,19 +846,23 @@ mod tests {
         drop(pool);
     }
 
+    /// The sink config's tracer is the one every shard traces into.
     #[test]
-    fn snapshot_json_renders() {
-        let ks = keys(4);
-        let config = ServiceConfig::new(SinkConfig::new(VerifyMode::Nested)).shards(2);
-        let pool = ServicePool::new(Arc::clone(&ks), config);
-        let mut rng = StdRng::seed_from_u64(5);
-        for seq in 0..10 {
-            pool.ingest(marked_packet(&ks, 4, seq, &mut rng)).unwrap();
+    fn sink_config_tracer_reaches_every_shard() {
+        let ks = keys(6);
+        let (tracer, ring) = pnm_obs::Tracer::ring(1 << 12);
+        let sink = SinkConfig::new(VerifyMode::Nested).tracer(tracer);
+        let pool = ServicePool::new(Arc::clone(&ks), ServiceConfig::new(sink).shards(2));
+        let mut rng = StdRng::seed_from_u64(8);
+        for seq in 0..5 {
+            pool.ingest(marked_packet(&ks, 6, seq, &mut rng)).unwrap();
         }
-        let report = pool.drain();
-        let json = report.snapshot.to_json();
-        assert!(json.contains("\"processed\": 10"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        pool.drain();
+        let opens = ring
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == pnm_obs::EventKind::SpanOpen);
+        assert_eq!(opens.filter(|e| e.name == "sink.ingest").count(), 5);
     }
 
     #[test]
@@ -959,9 +870,8 @@ mod tests {
         let n = 10u16;
         let ks = keys(n);
         let (tracer, ring) = pnm_obs::Tracer::ring(1 << 14);
-        let config = ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
-            .shards(3)
-            .tracer(tracer);
+        let config =
+            ServiceConfig::new(SinkConfig::new(VerifyMode::Nested).tracer(tracer)).shards(3);
         let pool = ServicePool::new(Arc::clone(&ks), config);
         let mut rng = StdRng::seed_from_u64(29);
         for seq in 0..90 {
@@ -974,7 +884,7 @@ mod tests {
         for (stage, hist) in merged.iter() {
             assert_eq!(hist.count(), 90, "stage {stage} undercounted");
         }
-        assert_eq!(&merged, report.engine.stage_metrics());
+        assert_eq!(merged, report.engine.stage_metrics());
         // The shard engines traced into the shared ring: spans balance.
         let events = ring.events();
         assert!(!events.is_empty());
@@ -1026,21 +936,31 @@ mod tests {
         assert!(text.contains("# TYPE pnm_service_accepted_total counter"));
         assert!(text.contains("pnm_service_accepted_total{shard=\"0\"}"));
         assert!(text.contains("pnm_service_accepted_total{shard=\"1\"}"));
-        assert!(text.contains("pnm_sink_packets_total 30"));
         assert!(text.contains("pnm_service_total_us_bucket"));
-        for stage in pnm_core::STAGE_NAMES {
-            assert!(
-                text.contains(&format!("pnm_sink_stage_ns_count{{stage=\"{stage}\"}} 30")),
-                "missing stage series for {stage}:\n{text}"
-            );
+        // Every shard's sink series is its own; the shards add up to 30.
+        let snap = pool.snapshot();
+        assert_eq!(snap.totals.packets, 30);
+        for s in &snap.shards {
+            let (shard, n) = (s.shard, s.counters.packets);
+            assert!(n > 0, "shard {shard} saw packets");
+            let mut series = vec![format!("pnm_sink_packets_total{{shard=\"{shard}\"}}")];
+            series.extend(pnm_core::STAGE_NAMES.map(|stage| {
+                format!("pnm_sink_stage_ns_count{{shard=\"{shard}\",stage=\"{stage}\"}}")
+            }));
+            for key in series {
+                assert!(text.contains(&format!("{key} {n}\n")), "{key} {n}:\n{text}");
+            }
         }
-        // Scrapes are idempotent: mirroring twice must not double-count.
+        // Scrapes are idempotent: rendering writes nothing back.
         assert_eq!(text, pool.metrics_text());
-        // The labelled variant namespaces every series for multi-tenant
-        // exposition without forking the registry.
-        let labelled = pool.metrics_text_labelled(&[("tenant", "alpha")]);
+        // Extra labels namespace every series for multi-tenant exposition
+        // without forking the registry.
+        let labelled = pool.registry().prometheus_text_with(&[("tenant", "alpha")]);
         assert!(labelled.contains("pnm_service_accepted_total{shard=\"0\",tenant=\"alpha\"}"));
-        assert!(labelled.contains("pnm_sink_packets_total{tenant=\"alpha\"} 30"));
+        assert!(labelled.contains(&format!(
+            "pnm_sink_packets_total{{shard=\"1\",tenant=\"alpha\"}} {}",
+            snap.shards[1].counters.packets
+        )));
         drop(pool);
     }
 
@@ -1090,7 +1010,7 @@ mod tests {
             assert_eq!(hist.count(), 40, "stage {stage}");
         }
         assert_eq!(
-            &report.snapshot.stage_metrics(),
+            report.snapshot.stage_metrics(),
             report.engine.stage_metrics()
         );
     }

@@ -1,24 +1,20 @@
-//! Service telemetry: per-stage latency histograms and the serializable
-//! snapshot the pool publishes.
+//! Service telemetry: each shard's series in the pool's metrics registry,
+//! and the typed snapshot read from them.
 //!
-//! Every shard records, for each packet it processes, how long the packet
-//! waited in its bounded queue (`queue_wait_us`), how long the sink
-//! pipeline spent on it (`service_us`), and the end-to-end total
-//! (`total_us`). Histograms are the mergeable power-of-two
-//! [`LatencyHistogram`] from `pnm-obs` (re-exported here for
-//! compatibility): recording is a couple of integer ops, merging across
-//! shards is element-wise addition, and quantile queries come back as
-//! conservative (upper-bound) estimates. [`ServiceSnapshot`] merges the
-//! per-shard [`SinkCounters`], latency histograms, and per-stage pipeline
-//! breakdowns ([`StageMetrics`]) into one picture and renders itself as
-//! JSON through the `pnm-obs` JSON model — one renderer for the whole
-//! workspace, no format-crate dependency.
+//! The pool's [`Registry`] is the only store of service telemetry. Every
+//! shard owns cells in it, labelled `shard="<i>"`: queue admission
+//! (`pnm_service_{accepted,shed}_total`), processed, panic and store-error
+//! counts, queue-wait, service and end-to-end latency
+//! (`pnm_service_{queue_wait,service,total}_us`, [`LatencyHistogram`]s),
+//! the shard engine's [`SinkCounters`] (`pnm_sink_<counter>_total`) and
+//! its stage histograms (`pnm_sink_stage_ns{stage=...}`). The shard
+//! worker and its engine record straight into those cells; the Prometheus
+//! text, the gateway's `Ops` JSON and [`ServiceSnapshot`] are three reads
+//! of the same cells.
 
-use pnm_core::{SinkCounters, StageMetrics};
-use pnm_obs::JsonValue;
+use pnm_core::{SinkCounters, StageHistograms, StageMetrics};
+use pnm_obs::{Counter, Histogram, LatencyHistogram, Registry};
 use serde::{Deserialize, Serialize};
-
-pub use pnm_obs::LatencyHistogram;
 
 /// One shard's view at snapshot time.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -40,7 +36,8 @@ pub struct ShardSnapshot {
     /// without an attached store.
     #[serde(default)]
     pub store_errors: u64,
-    /// The shard engine's pipeline counters.
+    /// The shard engine's pipeline counters, including any evidence the
+    /// shard recovered from the store.
     pub counters: SinkCounters,
     /// Per-stage latency breakdown of the shard engine's pipeline
     /// (classify → verify → resolve → reconstruct → localize). Empty when
@@ -52,25 +49,6 @@ pub struct ShardSnapshot {
     pub service_us: LatencyHistogram,
     /// End-to-end (enqueue → verdict) latency.
     pub total_us: LatencyHistogram,
-}
-
-impl ShardSnapshot {
-    /// The shard's snapshot as a structured JSON value.
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("shard", JsonValue::UInt(self.shard as u64)),
-            ("accepted", JsonValue::UInt(self.accepted)),
-            ("shed", JsonValue::UInt(self.shed)),
-            ("processed", JsonValue::UInt(self.processed)),
-            ("panics", JsonValue::UInt(self.panics)),
-            ("store_errors", JsonValue::UInt(self.store_errors)),
-            ("counters", counters_json_value(&self.counters)),
-            ("stages", self.stages.to_json_value()),
-            ("queue_wait_us", self.queue_wait_us.to_json_value()),
-            ("service_us", self.service_us.to_json_value()),
-            ("total_us", self.total_us.to_json_value()),
-        ])
-    }
 }
 
 /// The merged, serializable service view: per-shard snapshots plus
@@ -96,21 +74,23 @@ pub struct ServiceSnapshot {
 }
 
 impl ServiceSnapshot {
+    pub(crate) fn from_shards(shards: Vec<ShardSnapshot>) -> Self {
+        ServiceSnapshot {
+            totals: shards.iter().map(|s| s.counters).sum(),
+            accepted: shards.iter().map(|s| s.accepted).sum(),
+            shed: shards.iter().map(|s| s.shed).sum(),
+            processed: shards.iter().map(|s| s.processed).sum(),
+            panics: shards.iter().map(|s| s.panics).sum(),
+            store_errors: shards.iter().map(|s| s.store_errors).sum(),
+            shards,
+        }
+    }
+
     /// Packets accepted but not yet processed (in queues or in flight).
     /// Poison packets are accounted separately — they were consumed by a
     /// crash, not left in flight.
     pub fn backlog(&self) -> u64 {
         self.accepted.saturating_sub(self.processed + self.panics)
-    }
-
-    /// Cross-shard end-to-end latency histogram (merge of every shard's
-    /// `total_us`).
-    pub fn total_latency(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new();
-        for s in &self.shards {
-            h.merge(&s.total_us);
-        }
-        h
     }
 
     /// Cross-shard per-stage pipeline breakdown (merge of every shard's
@@ -122,66 +102,103 @@ impl ServiceSnapshot {
         }
         m
     }
-
-    /// The snapshot as a structured JSON value.
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("accepted", JsonValue::UInt(self.accepted)),
-            ("shed", JsonValue::UInt(self.shed)),
-            ("processed", JsonValue::UInt(self.processed)),
-            ("panics", JsonValue::UInt(self.panics)),
-            ("store_errors", JsonValue::UInt(self.store_errors)),
-            ("backlog", JsonValue::UInt(self.backlog())),
-            ("totals", counters_json_value(&self.totals)),
-            ("stages", self.stage_metrics().to_json_value()),
-            (
-                "shards",
-                JsonValue::Array(self.shards.iter().map(|s| s.to_json_value()).collect()),
-            ),
-        ])
-    }
-
-    /// Renders the snapshot as a self-contained JSON document via the
-    /// shared `pnm-obs` renderer.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().render_pretty()
-    }
 }
 
-/// [`SinkCounters`] as a structured JSON value.
-pub fn counters_json_value(c: &SinkCounters) -> JsonValue {
-    JsonValue::obj(vec![
-        ("packets", JsonValue::UInt(c.packets as u64)),
-        ("hash_count", JsonValue::UInt(c.hash_count as u64)),
-        ("marks_verified", JsonValue::UInt(c.marks_verified as u64)),
-        ("marks_rejected", JsonValue::UInt(c.marks_rejected as u64)),
-        ("table_builds", JsonValue::UInt(c.table_builds as u64)),
-        (
-            "table_cache_hits",
-            JsonValue::UInt(c.table_cache_hits as u64),
-        ),
-        (
-            "table_cache_hit_rate",
-            c.table_cache_hit_rate()
-                .map_or(JsonValue::Null, JsonValue::f4),
-        ),
-        (
-            "resolver_fallback_scans",
-            JsonValue::UInt(c.resolver_fallback_scans as u64),
-        ),
-        ("suspicious", JsonValue::UInt(c.suspicious as u64)),
-        ("benign", JsonValue::UInt(c.benign as u64)),
-        ("malformed", JsonValue::UInt(c.malformed as u64)),
-        (
-            "duplicates_suppressed",
-            JsonValue::UInt(c.duplicates_suppressed as u64),
-        ),
-    ])
+/// [`SinkCounters`] fields with their names, in declaration order: a
+/// shard's `name` count is its `pnm_sink_<name>_total` series.
+fn sink_fields(c: &mut SinkCounters) -> [(&'static str, &mut usize); 11] {
+    [
+        ("packets", &mut c.packets),
+        ("hash_count", &mut c.hash_count),
+        ("marks_verified", &mut c.marks_verified),
+        ("marks_rejected", &mut c.marks_rejected),
+        ("table_builds", &mut c.table_builds),
+        ("table_cache_hits", &mut c.table_cache_hits),
+        ("resolver_fallback_scans", &mut c.resolver_fallback_scans),
+        ("suspicious", &mut c.suspicious),
+        ("benign", &mut c.benign),
+        ("malformed", &mut c.malformed),
+        ("duplicates_suppressed", &mut c.duplicates_suppressed),
+    ]
 }
 
-/// Renders [`SinkCounters`] as a JSON object.
-pub fn counters_json(c: &SinkCounters) -> String {
-    counters_json_value(c).render()
+/// One shard's cells in the pool registry (see the module docs). Clones
+/// share the cells.
+#[derive(Clone)]
+pub(crate) struct ShardMetrics {
+    shard: usize,
+    pub(crate) accepted: Counter,
+    pub(crate) shed: Counter,
+    pub(crate) processed: Counter,
+    pub(crate) panics: Counter,
+    pub(crate) store_errors: Counter,
+    pub(crate) queue_wait_us: Histogram,
+    pub(crate) service_us: Histogram,
+    pub(crate) total_us: Histogram,
+    /// The shard's stage cells: every engine the shard builds records
+    /// into them.
+    pub(crate) stages: StageHistograms,
+    sink: [Counter; 11],
+}
+
+impl ShardMetrics {
+    /// Creates shard `index`'s cells in `registry`, so every series is
+    /// exposed (at zero) before the first packet.
+    pub(crate) fn register(registry: &Registry, index: usize) -> Self {
+        let shard = index.to_string();
+        let labels = [("shard", shard.as_str())];
+        let counter = |name: &str| registry.counter(name, &labels);
+        let histogram = |name: &str| registry.histogram(name, &labels);
+        ShardMetrics {
+            shard: index,
+            accepted: counter("pnm_service_accepted_total"),
+            shed: counter("pnm_service_shed_total"),
+            processed: counter("pnm_service_processed_total"),
+            panics: counter("pnm_service_panics_total"),
+            store_errors: counter("pnm_service_store_errors_total"),
+            queue_wait_us: histogram("pnm_service_queue_wait_us"),
+            service_us: histogram("pnm_service_service_us"),
+            total_us: histogram("pnm_service_total_us"),
+            stages: StageHistograms::in_registry(registry, &labels),
+            sink: sink_fields(&mut SinkCounters::default())
+                .map(|(name, _)| counter(&format!("pnm_sink_{name}_total"))),
+        }
+    }
+
+    /// Adds a shard engine's counter growth (an evidence delta's, or a
+    /// recovered checkpoint's) to the shard's `pnm_sink_*_total` cells.
+    pub(crate) fn add_sink_counters(&self, mut c: SinkCounters) {
+        for (cell, (_, v)) in self.sink.iter().zip(sink_fields(&mut c)) {
+            if *v > 0 {
+                cell.add(*v as u64);
+            }
+        }
+    }
+
+    /// A typed read of the cells. The completion counts are read first: a
+    /// packet the read counts as processed has everything the worker
+    /// recorded for it in the rest of the read.
+    pub(crate) fn snapshot(&self) -> ShardSnapshot {
+        let processed = self.processed.get();
+        let panics = self.panics.get();
+        let mut counters = SinkCounters::default();
+        for (cell, (_, v)) in self.sink.iter().zip(sink_fields(&mut counters)) {
+            *v = cell.get() as usize;
+        }
+        ShardSnapshot {
+            shard: self.shard,
+            accepted: self.accepted.get(),
+            shed: self.shed.get(),
+            processed,
+            panics,
+            store_errors: self.store_errors.get(),
+            counters,
+            stages: self.stages.snapshot(),
+            queue_wait_us: self.queue_wait_us.snapshot(),
+            service_us: self.service_us.snapshot(),
+            total_us: self.total_us.snapshot(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -189,45 +206,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn relocated_histogram_still_saturates_and_quantiles() {
-        // The histogram now lives in pnm-obs; the re-export must behave
-        // identically to the old local type.
-        let mut h = LatencyHistogram::new();
-        for us in [0, 1, 2, 3, 5, 9, 17, 100, 1000] {
-            h.record(us);
+    fn sink_counters_round_trip_through_the_shard_cells() {
+        let registry = Registry::new();
+        let metrics = ShardMetrics::register(&registry, 3);
+        // Every field distinct (packets 1 … duplicates_suppressed 11), so
+        // a swapped pair of cells shows.
+        let mut c = SinkCounters::default();
+        for (i, (_, v)) in sink_fields(&mut c).into_iter().enumerate() {
+            *v = i + 1;
         }
-        assert_eq!(h.count(), 9);
-        assert_eq!(h.max_us(), 1000);
-        assert!(h.quantile_us(0.5) >= 3);
-        assert_eq!(h.quantile_us(1.0), 1000);
-        h.record(u64::MAX);
-        assert_eq!(h.quantile_us(1.0), u64::MAX);
-        assert_eq!(h.count(), 10);
-    }
-
-    #[test]
-    fn snapshot_json_is_well_formed_enough() {
-        let snap = ServiceSnapshot {
-            shards: vec![ShardSnapshot::default(), ShardSnapshot::default()],
-            ..ServiceSnapshot::default()
-        };
-        let json = snap.to_json();
-        assert!(json.contains("\"shards\""));
-        assert!(json.contains("\"totals\""));
-        assert!(json.contains("\"stages\""));
-        assert_eq!(json.matches("\"shard\":").count(), 2);
-        // Balanced braces (cheap structural sanity check).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // The shared renderer round-trips through the shared parser.
-        let parsed = pnm_obs::json::parse(&json).expect("snapshot JSON parses");
-        assert_eq!(parsed.get("processed").and_then(JsonValue::as_u64), Some(0));
-    }
-
-    #[test]
-    fn counters_json_renders_null_hit_rate_when_no_lookups() {
-        let json = counters_json(&SinkCounters::default());
-        assert!(json.contains("\"table_cache_hit_rate\": null"));
-        pnm_obs::json::parse(&json).expect("counters JSON parses");
+        metrics.add_sink_counters(c);
+        metrics.add_sink_counters(c);
+        assert_eq!(metrics.snapshot().counters, c + c);
+        let text = registry.prometheus_text();
+        assert!(text.contains("pnm_sink_packets_total{shard=\"3\"} 2"));
+        assert!(text.contains("pnm_sink_duplicates_suppressed_total{shard=\"3\"} 22"));
+        assert!(text.contains("pnm_sink_stage_ns_count{shard=\"3\",stage=\"verify\"} 0"));
     }
 
     #[test]

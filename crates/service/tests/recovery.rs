@@ -92,6 +92,45 @@ fn reference_pool_evidence(ks: &Arc<KeyStore>, packets: &[Packet], shards: usize
     pool.drain().engine.evidence().to_bytes()
 }
 
+/// A recovered pool's telemetry starts from the evidence it restored:
+/// before any new packet its snapshot totals and its scraped per-shard
+/// `pnm_sink_packets_total` series add up to the restored count, and
+/// after drain the snapshot's totals are the merged engine's counters.
+#[test]
+fn recovered_pool_telemetry_counts_the_restored_evidence() {
+    let ks = keys(8);
+    let packets = workload(&ks, 8, 30);
+    let path = temp_log("telemetry");
+    let config = ServiceConfig::new(sink_config()).shards(2);
+    let store = Arc::new(LogStore::open(&path).unwrap());
+    let pool = ServicePool::new(Arc::clone(&ks), config.clone().store(store));
+    for p in &packets[..20] {
+        pool.ingest(p.clone()).unwrap();
+    }
+    pool.drain();
+
+    let (pool, stats) = ServicePool::recover_from_log(Arc::clone(&ks), config, &path).unwrap();
+    assert_eq!(stats.packets_restored, 20);
+    let live = pool.snapshot();
+    assert_eq!((live.processed, live.totals.packets), (0, 20));
+    let text = pool.metrics_text();
+    let scraped: u64 = (text.lines())
+        .filter_map(|l| l.strip_prefix("pnm_sink_packets_total{shard="))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(scraped, 20, "scrape:\n{text}");
+    for p in &packets[20..] {
+        pool.ingest(p.clone()).unwrap();
+    }
+    let report = pool.drain();
+    assert_eq!(report.snapshot.totals, report.engine.counters());
+    assert_eq!(
+        (report.snapshot.processed, report.snapshot.totals.packets),
+        (10, 30)
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn pool_recovers_from_log_and_matches_uninterrupted_run() {
     let n = 10u16;

@@ -59,9 +59,8 @@ proptest! {
         let tracer = Tracer::new(ring.clone());
         let pool = ServicePool::new(
             keys,
-            ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
-                .shards(shards)
-                .tracer(tracer.clone()),
+            ServiceConfig::new(SinkConfig::new(VerifyMode::Nested).tracer(tracer.clone()))
+                .shards(shards),
         );
 
         // One root span per packet, closed before drain so every chain is

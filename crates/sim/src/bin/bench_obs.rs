@@ -104,7 +104,7 @@ fn run_once(
         sink.ingest(pkt);
     }
     let ns = start.elapsed().as_nanos() as u64;
-    (ns, sink.counters(), sink.stage_metrics().clone())
+    (ns, sink.counters(), sink.stage_metrics())
 }
 
 /// Runs one variant over the stream with a fresh engine (and fresh
@@ -148,7 +148,7 @@ fn run_variant(
                 sink.ingest_ctx(pkt, pkt.report.timestamp, ctx);
             }
             let ns = start.elapsed().as_nanos() as u64;
-            (ns, sink.counters(), sink.stage_metrics().clone())
+            (ns, sink.counters(), sink.stage_metrics())
         }
         other => unreachable!("unknown variant {other}"),
     }

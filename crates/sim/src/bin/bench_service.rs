@@ -110,13 +110,11 @@ fn run_once(
 ) -> (f64, ServiceSnapshot, u64, u64, String) {
     let sink = SinkConfig::new(VerifyMode::Nested)
         .table_cache_capacity(cache_capacity)
-        .isolation(IsolationPolicy::SuspectsOnly);
+        .isolation(IsolationPolicy::SuspectsOnly)
+        .tracer(tracer.clone());
     let pool = ServicePool::new(
         Arc::clone(keys),
-        ServiceConfig::new(sink)
-            .shards(shards)
-            .queue_capacity(256)
-            .tracer(tracer.clone()),
+        ServiceConfig::new(sink).shards(shards).queue_capacity(256),
     );
     let start = Instant::now();
     for pkt in packets {
@@ -126,7 +124,7 @@ fn run_once(
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let service = {
-        let mut h = pnm_service::LatencyHistogram::new();
+        let mut h = pnm_obs::LatencyHistogram::new();
         for s in &report.snapshot.shards {
             h.merge(&s.service_us);
         }

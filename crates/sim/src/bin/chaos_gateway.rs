@@ -25,9 +25,10 @@
 //!   panics (the drain summary's `panics` field is part of the gate);
 //! - **graceful drain**: `shutdown_graceful` flushes within budget;
 //! - **coherent ops**: a live ops snapshot fetched over the same
-//!   chaos-wrapped connection names the tenant as running, counts
-//!   exactly the acked packets, and shows a clean flight recorder
-//!   (re-requested on garbled bodies — ops replies are read-only).
+//!   chaos-wrapped connection names the tenant as running, its registry
+//!   series count exactly the acked packets and no shard panic, and it
+//!   shows a clean flight recorder (re-requested on garbled bodies — ops
+//!   replies are read-only).
 //!
 //! The summary is merged into `BENCH_chaos.json` as a `"gateway"`
 //! section, next to the network-layer soak written by `chaos_soak`.
@@ -246,15 +247,22 @@ fn run_point(
             .and_then(|text| pnm_obs::json::parse(&text).ok())
             .is_some_and(|v| {
                 let str_field = |k: &str| v.get(k).and_then(|x| x.as_str().map(str::to_string));
-                let ingested = v
-                    .get("error_budget")
-                    .and_then(|b| b.get("ingested"))
-                    .and_then(JsonValue::as_u64);
+                let Some(all @ JsonValue::Object(series)) = v.get("series") else {
+                    return false;
+                };
+                let ingested = all.get("pnm_gateway_ingested_total{tenant=\"edge\"}");
+                // One panic series per shard, each at zero.
+                let panics: Vec<Option<u64>> = series
+                    .iter()
+                    .filter(|(k, _)| k.starts_with("pnm_service_panics_total{"))
+                    .map(|(_, x)| x.as_u64())
+                    .collect();
                 str_field("tenant").as_deref() == Some("edge")
                     && str_field("state").as_deref() == Some("running")
-                    && ingested == Some(packets.len() as u64)
+                    && ingested.and_then(JsonValue::as_u64) == Some(packets.len() as u64)
                     && v.get("flight_dumps").and_then(JsonValue::as_u64) == Some(0)
-                    && v.get("panics").and_then(JsonValue::as_u64) == Some(0)
+                    && !panics.is_empty()
+                    && panics.iter().all(|p| *p == Some(0))
             })
     });
 
@@ -286,17 +294,9 @@ fn run_point(
     let (evidence_identical, drain_panics) = {
         let mut c = GatewayClient::connect_uds(&sock).expect("drain connection");
         let verdict = c.drain(TENANT).expect("drain");
-        let panics = verdict
-            .summary_json
-            .split("\"panics\": ")
-            .nth(1)
-            .and_then(|rest| {
-                rest[..rest
-                    .find(|c: char| !c.is_ascii_digit())
-                    .unwrap_or(rest.len())]
-                    .parse()
-                    .ok()
-            })
+        let panics = pnm_obs::json::parse(&verdict.summary_json)
+            .ok()
+            .and_then(|v| v.get("panics").and_then(JsonValue::as_u64))
             .unwrap_or(u64::MAX);
         (verdict.evidence_bytes == reference, panics)
     };

@@ -91,9 +91,8 @@ fn flight_drill(dir: &str) -> Result<std::path::PathBuf, String> {
     let tracer = Tracer::new(recorder.clone());
     let pool = ServicePool::new(
         Arc::clone(&keys),
-        ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
+        ServiceConfig::new(SinkConfig::new(VerifyMode::Nested).tracer(tracer.clone()))
             .shards(2)
-            .tracer(tracer.clone())
             .poison_hook(|pkt: &Packet| pkt.report.event.starts_with(b"poison"))
             .flight_recorder(recorder.clone()),
     );
