@@ -3,9 +3,10 @@
 //! The paper assumes only "efficient symmetric cryptography (e.g., secure
 //! hash functions)" is available on sensor nodes. This module provides the
 //! hash substrate everything else (HMAC, MACs, anonymous IDs) is built on.
-//! It is a straightforward, allocation-free implementation of the FIPS 180-4
-//! specification and is validated against the NIST test vectors in the unit
-//! tests below.
+//! It is an allocation-free implementation of the FIPS 180-4 specification,
+//! validated against the NIST test vectors in the unit tests below. The
+//! compression function itself is the runtime-dispatched kernel in
+//! [`crate::sha256_lanes`] (SHA-NI where the CPU has it, else portable).
 //!
 //! # Examples
 //!
@@ -21,6 +22,8 @@
 
 use core::fmt;
 
+use crate::sha256_lanes::compress_blocks;
+
 /// Size of a SHA-256 digest in bytes.
 pub const DIGEST_LEN: usize = 32;
 
@@ -30,8 +33,7 @@ pub const BLOCK_LEN: usize = 64;
 /// SHA-256 round constants: the first 32 bits of the fractional parts of the
 /// cube roots of the first 64 prime numbers (FIPS 180-4 §4.2.2).
 ///
-/// Shared with the multi-lane kernels in [`crate::sha256_lanes`], which must
-/// use the exact same schedule to stay digest-identical to this scalar path.
+/// Used by the compression kernels in [`crate::sha256_lanes`].
 pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
@@ -89,6 +91,15 @@ impl Digest {
             out[i] = ((hi << 4) | lo) as u8;
         }
         Some(Digest(out))
+    }
+
+    /// The big-endian serialization of a final chaining value.
+    pub(crate) fn from_state(state: &[u32; 8]) -> Self {
+        let mut out = [0u8; DIGEST_LEN];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        Digest(out)
     }
 
     /// Truncates the digest to its first `n` bytes.
@@ -331,128 +342,41 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         // Fill the partial block first.
         if self.buf_len > 0 {
-            let want = BLOCK_LEN - self.buf_len;
-            let take = want.min(data.len());
+            let take = (BLOCK_LEN - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK_LEN {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buf);
+            data = &data[take..];
         }
-        // Process full blocks directly from the input.
-        while data.len() >= BLOCK_LEN {
-            let (block, rest) = data.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
-        }
-        // Stash the tail.
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        // Hash full blocks in place, then stash the tail.
+        let full = data.len() - data.len() % BLOCK_LEN;
+        compress_blocks(&mut self.state, &data[..full]);
+        self.buf[..data.len() - full].copy_from_slice(&data[full..]);
+        self.buf_len = data.len() - full;
     }
 
     /// Finishes the hash computation and returns the digest.
     ///
     /// Consumes the hasher; clone it first if you need to continue hashing.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zero-pad to 56 mod 64, then the 64-bit length —
-        // staged entirely on the stack (at most two blocks), so finalizing
-        // never allocates. This is the HMAC hot path: every MAC finalizes
-        // twice (inner and outer hash).
+        // Append 0x80, zero-pad to 56 mod 64, then the 64-bit bit length —
+        // one or two blocks staged on the stack, so finalizing never
+        // allocates. This is the HMAC hot path: every MAC finalizes twice
+        // (inner and outer hash).
         let mut tail = [0u8; BLOCK_LEN * 2];
-        tail[0] = 0x80;
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        tail[self.buf_len] = 0x80;
+        let end = if self.buf_len < BLOCK_LEN - 8 {
+            BLOCK_LEN
         } else {
-            BLOCK_LEN + 56 - self.buf_len
+            BLOCK_LEN * 2
         };
-        tail[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        self.update_padding(&tail[..pad_len + 8]);
-
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
-    }
-
-    /// Identical to `update` but used only for padding (keeps `finalize`
-    /// readable; padding never needs `total_len` again).
-    fn update_padding(&mut self, mut data: &[u8]) {
-        if self.buf_len > 0 {
-            let want = BLOCK_LEN - self.buf_len;
-            let take = want.min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= BLOCK_LEN {
-            let (block, rest) = data.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
-        }
-        debug_assert!(data.is_empty(), "padding must end on a block boundary");
-    }
-
-    /// SHA-256 compression function over one 64-byte block.
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(big_s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = big_s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        tail[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, &tail[..end]);
+        Digest::from_state(&self.state)
     }
 }
 

@@ -2,33 +2,38 @@
 //!
 //! The sink's hot path is many *independent* short hashes (one HMAC per mark
 //! candidate, one per anon-table entry), not one long message — so the
-//! profitable axis is message parallelism: run N separate messages through
-//! the SHA-256 compression function simultaneously, one message per SIMD
-//! lane. Each 32-bit word of the working state becomes a vector holding that
-//! word for N messages ("struct of arrays"), and the 64 rounds execute once
-//! for all lanes.
+//! profitable axis is message parallelism: keep several separate messages
+//! in flight through the SHA-256 compression function at once.
 //!
 //! Three kernels implement the same compression:
 //!
-//! - an AVX2 8-lane kernel (`__m256i`, one `u32` per lane),
-//! - an SSE2 4-lane kernel (`__m128i`) — baseline on every `x86_64`,
+//! - a SHA-NI kernel (`sha256rnds2`, `sha256msg1`, `sha256msg2`): the
+//!   hardware rounds, one or two messages per call with the two messages'
+//!   rounds interleaved so one's `sha256rnds2` latency hides behind the
+//!   other's;
+//! - an AVX2 8-lane kernel (`__m256i`): each 32-bit word of the working
+//!   state becomes a vector holding that word for 8 messages ("struct of
+//!   arrays"), and the 64 rounds execute once for all lanes;
 //! - a portable const-generic struct-of-arrays kernel over `[u32; N]` that
 //!   compiles everywhere, auto-vectorizes where possible, and serves as the
-//!   reference the SIMD paths are proven digest-identical to.
+//!   reference the hardware paths are proven digest-identical to.
 //!
 //! Dispatch is by runtime detection (`is_x86_feature_detected!`), cached in
-//! a `OnceLock`. Setting `PNM_SHA256_FORCE_PORTABLE=1` in the environment
-//! pins the portable kernel regardless of CPU features (CI runs the whole
-//! suite both ways so the fallback cannot rot).
+//! a `OnceLock`: SHA-NI where `sha`, `sse4.1` and `ssse3` are all present,
+//! else AVX2, else portable. The one-message [`Sha256`] compresses through
+//! the same dispatch, so every hash in the crate runs on the chosen kernel.
+//! Setting `PNM_SHA256_FORCE_PORTABLE=1` in the environment pins the
+//! portable kernel regardless of CPU features, for [`Sha256`] too (CI runs
+//! the suite both ways so the fallback cannot rot).
 //!
 //! Scheduling: a batch of [`LaneJob`]s may have ragged message lengths. Each
 //! lane's padded block stream is laid out in one flat buffer, lanes are
 //! sorted by descending block count, and compression proceeds block-step by
 //! block-step — because of the sort, the set of lanes still active at step
 //! `b` is always a *prefix* of the order, so every step compresses a
-//! contiguous run of lanes (chunks of 8, then 4, then scalar stragglers)
-//! with no gather/scatter. Digests are returned in the caller's original
-//! job order.
+//! contiguous run of lanes (SHA-NI pairs plus a straggler, or AVX2 groups
+//! of 8 with the rest on the portable kernel) with no gather/scatter.
+//! Digests are returned in the caller's original job order.
 //!
 //! Everything here resumes from [`Midstate`]s, so HMAC's precomputed
 //! pad-block midstates (see [`crate::HmacKey`]) drop straight in: a batched
@@ -50,10 +55,11 @@ const PAD_MIN: usize = 9;
 pub enum LaneBackend {
     /// Portable struct-of-arrays `u32` kernel; compiles on every target.
     Portable,
-    /// SSE2 4-lane kernel (`__m128i`); baseline on all `x86_64`.
-    Sse2x4,
     /// AVX2 8-lane kernel (`__m256i`); requires runtime AVX2 detection.
     Avx2x8,
+    /// SHA-NI kernel, two messages interleaved; requires runtime detection
+    /// of `sha`, `sse4.1` and `ssse3`.
+    ShaNi,
 }
 
 impl LaneBackend {
@@ -62,9 +68,13 @@ impl LaneBackend {
         match self {
             LaneBackend::Portable => true,
             #[cfg(target_arch = "x86_64")]
-            LaneBackend::Sse2x4 => true,
-            #[cfg(target_arch = "x86_64")]
             LaneBackend::Avx2x8 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            LaneBackend::ShaNi => {
+                std::arch::is_x86_feature_detected!("sha")
+                    && std::arch::is_x86_feature_detected!("sse4.1")
+                    && std::arch::is_x86_feature_detected!("ssse3")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -74,8 +84,8 @@ impl LaneBackend {
     pub fn name(self) -> &'static str {
         match self {
             LaneBackend::Portable => "portable",
-            LaneBackend::Sse2x4 => "sse2x4",
             LaneBackend::Avx2x8 => "avx2x8",
+            LaneBackend::ShaNi => "shani",
         }
     }
 }
@@ -114,8 +124,8 @@ impl<'a> LaneJob<'a> {
 pub struct Sha256xN;
 
 impl Sha256xN {
-    /// The kernel batches run on, after runtime detection and the
-    /// `PNM_SHA256_FORCE_PORTABLE` override.
+    /// The kernel batches and [`Sha256`] run on, after runtime detection
+    /// and the `PNM_SHA256_FORCE_PORTABLE` override.
     pub fn backend() -> LaneBackend {
         static BACKEND: OnceLock<LaneBackend> = OnceLock::new();
         *BACKEND.get_or_init(|| {
@@ -124,7 +134,10 @@ impl Sha256xN {
             if forced {
                 return LaneBackend::Portable;
             }
-            detect_backend()
+            [LaneBackend::ShaNi, LaneBackend::Avx2x8]
+                .into_iter()
+                .find(|b| b.is_available())
+                .unwrap_or(LaneBackend::Portable)
         })
     }
 
@@ -137,8 +150,8 @@ impl Sha256xN {
     }
 
     /// [`Sha256xN::finalize_many`] on an explicit kernel. A backend that is
-    /// not available on this host silently degrades to the portable kernel,
-    /// so this is always safe to call.
+    /// not available on this host silently degrades (to AVX2 where present,
+    /// else to the portable kernel), so this is always safe to call.
     pub fn finalize_many_with(backend: LaneBackend, jobs: &[LaneJob<'_>]) -> Vec<Digest> {
         let backend = sanitize(backend);
         let mut out = vec![Digest([0u8; DIGEST_LEN]); jobs.len()];
@@ -195,26 +208,21 @@ impl Sha256xN {
 fn sanitize(backend: LaneBackend) -> LaneBackend {
     if backend.is_available() {
         backend
-    } else if LaneBackend::Sse2x4.is_available() {
-        LaneBackend::Sse2x4
+    } else if LaneBackend::Avx2x8.is_available() {
+        LaneBackend::Avx2x8
     } else {
         LaneBackend::Portable
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-fn detect_backend() -> LaneBackend {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        LaneBackend::Avx2x8
-    } else {
-        // SSE2 is part of the x86_64 baseline.
-        LaneBackend::Sse2x4
+/// Compresses whole 64-byte blocks into `state`, one at a time, on the
+/// dispatched kernel: the compression [`Sha256`] runs on.
+pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+    let backend = Sha256xN::backend();
+    for block in blocks.chunks_exact(BLOCK_LEN) {
+        compress_group(backend, core::slice::from_mut(state), &[block]);
     }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect_backend() -> LaneBackend {
-    LaneBackend::Portable
 }
 
 /// Core scheduler: stage padded block streams, sort lanes by descending
@@ -231,13 +239,16 @@ fn finalize_many_into(
     if n == 0 {
         return;
     }
-    if n == 1 {
-        // A single lane gains nothing from staging; defer to the scalar
-        // streaming path (identical output by the equivalence tests).
-        out[0] = scalar_finalize(&jobs[0]);
+    if n == 1 && backend == Sha256xN::backend() {
+        // A single lane gains nothing from staging; the streaming `Sha256`
+        // runs on this same kernel, so defer to it.
+        let mut h = Sha256::from_midstate(jobs[0].midstate);
+        for part in jobs[0].parts {
+            h.update(part);
+        }
+        out[0] = h.finalize();
         return;
     }
-
     // Per-lane layout: message parts, 0x80, zero padding, 64-bit bit length.
     // `nblocks` counts only the blocks hashed *here* (the midstate already
     // absorbed its own).
@@ -290,52 +301,47 @@ fn finalize_many_into(
         compress_group(backend, &mut states[..active], &block_refs);
     }
 
-    for (k, &i) in order.iter().enumerate() {
-        let mut bytes = [0u8; DIGEST_LEN];
-        for (j, word) in states[k].iter().enumerate() {
-            bytes[j * 4..j * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out[i] = Digest(bytes);
+    for (state, &i) in states.iter().zip(&order) {
+        out[i] = Digest::from_state(state);
     }
-}
-
-fn scalar_finalize(job: &LaneJob<'_>) -> Digest {
-    let mut h = Sha256::from_midstate(job.midstate);
-    for part in job.parts {
-        h.update(part);
-    }
-    h.finalize()
 }
 
 /// Compress one block for each of `states.len()` lanes, splitting the group
 /// into the widest runs the backend supports. `blocks[i]` is lane `i`'s
 /// 64-byte block.
 ///
-/// The two `unsafe` call sites below are the crate's entire dispatch
-/// surface: `#[target_feature]` kernels must be called through `unsafe`
-/// even after runtime detection proved the feature present.
+/// The `unsafe` call sites below are the crate's entire dispatch surface:
+/// `#[target_feature]` kernels must be called through `unsafe` even after
+/// runtime detection proved the feature present.
 #[cfg_attr(target_arch = "x86_64", allow(unsafe_code))]
 fn compress_group(backend: LaneBackend, states: &mut [[u32; 8]], blocks: &[&[u8]]) {
     debug_assert_eq!(states.len(), blocks.len());
     let n = states.len();
     let mut i = 0;
+    // Every caller passes `Sha256xN::backend()` (detected) or a `sanitize`d
+    // request, so a hardware backend here is one the host has.
     #[cfg(target_arch = "x86_64")]
-    {
-        if backend == LaneBackend::Avx2x8 {
+    match backend {
+        LaneBackend::ShaNi => {
+            while n - i >= 2 {
+                // SAFETY: SHA, SSE4.1 and SSSE3 were detected (see above).
+                unsafe { simd::compress_shani::<2>(&mut states[i..i + 2], &blocks[i..i + 2]) };
+                i += 2;
+            }
+            if i < n {
+                // SAFETY: as for the pairs above.
+                unsafe { simd::compress_shani::<1>(&mut states[i..], &blocks[i..]) };
+                i = n;
+            }
+        }
+        LaneBackend::Avx2x8 => {
             while n - i >= 8 {
-                // SAFETY: `Avx2x8` only survives `sanitize` when AVX2 was
-                // runtime-detected on this host.
+                // SAFETY: AVX2 was detected (see above).
                 unsafe { simd::compress8_avx2(&mut states[i..i + 8], &blocks[i..i + 8]) };
                 i += 8;
             }
         }
-        if backend != LaneBackend::Portable {
-            while n - i >= 4 {
-                // SAFETY: SSE2 is unconditionally present on x86_64.
-                unsafe { simd::compress4_sse2(&mut states[i..i + 4], &blocks[i..i + 4]) };
-                i += 4;
-            }
-        }
+        LaneBackend::Portable => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = backend;
@@ -366,7 +372,7 @@ fn be_word(block: &[u8], t: usize) -> u32 {
 /// Portable struct-of-arrays kernel: every working variable is `[u32; N]`
 /// (word `w` of lane `l` lives at `var[l]`), and each round's operations run
 /// as elementwise loops the compiler can vectorize. `N = 1` doubles as the
-/// scalar straggler path.
+/// scalar straggler path and, without SHA-NI, as [`Sha256`]'s compression.
 // The index loops mirror the FIPS 180-4 schedule recurrence, which reads
 // `w` at four offsets while writing it — iterator form would need
 // split-borrow gymnastics for no clarity gain.
@@ -443,11 +449,11 @@ fn compress_portable<const N: usize>(states: &mut [[u32; 8]], blocks: &[&[u8]]) 
     }
 }
 
-/// Runtime-dispatched SIMD kernels. This module is the crate's only
-/// `unsafe` surface: `#[target_feature]` functions must be called through
-/// `unsafe` even when the feature was runtime-verified, and the vector
-/// load/store intrinsics take raw pointers (always into correctly sized
-/// local arrays here).
+/// Runtime-dispatched hardware kernels. This module is the crate's only
+/// `unsafe` surface besides [`compress_group`]: `#[target_feature]`
+/// functions must be called through `unsafe` even when the feature was
+/// runtime-verified, and the vector load/store intrinsics take raw pointers
+/// (always into correctly sized arrays or slices here).
 #[cfg(target_arch = "x86_64")]
 mod simd {
     #![allow(unsafe_code)]
@@ -455,7 +461,7 @@ mod simd {
     use core::arch::x86_64::*;
 
     use super::be_word;
-    use crate::sha256::K;
+    use crate::sha256::{BLOCK_LEN, K};
 
     #[inline(always)]
     unsafe fn rotr256<const R: i32, const L: i32>(x: __m256i) -> __m256i {
@@ -463,13 +469,6 @@ mod simd {
         // SAFETY: caller runs within an AVX2 context (inlined into the
         // `target_feature(avx2)` kernel below).
         unsafe { _mm256_or_si256(_mm256_srli_epi32::<R>(x), _mm256_slli_epi32::<L>(x)) }
-    }
-
-    #[inline(always)]
-    unsafe fn rotr128<const R: i32, const L: i32>(x: __m128i) -> __m128i {
-        debug_assert_eq!(R + L, 32);
-        // SAFETY: SSE2 is unconditionally available on x86_64.
-        unsafe { _mm_or_si128(_mm_srli_epi32::<R>(x), _mm_slli_epi32::<L>(x)) }
     }
 
     /// AVX2 kernel: one SHA-256 block for 8 lanes at once.
@@ -555,83 +554,70 @@ mod simd {
         }
     }
 
-    /// SSE2 kernel: one SHA-256 block for 4 lanes at once.
+    /// SHA-NI kernel: one SHA-256 block for each of `N` lanes (1 or 2),
+    /// the lanes' rounds interleaved so one message's `sha256rnds2`
+    /// latency hides behind the other's.
     ///
     /// # Safety
-    /// SSE2 is part of the x86_64 baseline; callers on x86_64 are always in
-    /// a valid context.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn compress4_sse2(states: &mut [[u32; 8]], blocks: &[&[u8]]) {
-        debug_assert_eq!(states.len(), 4);
-        debug_assert_eq!(blocks.len(), 4);
-        // SAFETY: all loads/stores go through `[u32; 4]` stack arrays via
-        // unaligned intrinsics; SSE2 is baseline on x86_64.
+    /// SHA, SSE4.1 and SSSE3 must be available (runtime-detected by the
+    /// dispatcher).
+    #[target_feature(enable = "sha,sse4.1,ssse3")]
+    pub(super) unsafe fn compress_shani<const N: usize>(states: &mut [[u32; 8]], blocks: &[&[u8]]) {
+        debug_assert_eq!(states.len(), N);
+        debug_assert_eq!(blocks.len(), N);
+        // SAFETY: every load/store reads or writes 16 bytes inside a
+        // `[u32; 8]` state, a 64-byte block slice or `K`; the features are
+        // guaranteed by the caller.
         unsafe {
-            let ld = |col: &[u32; 4]| _mm_loadu_si128(col.as_ptr().cast());
-
-            let mut s = [_mm_setzero_si128(); 8];
-            for (j, slot) in s.iter_mut().enumerate() {
-                let col: [u32; 4] = core::array::from_fn(|l| states[l][j]);
-                *slot = ld(&col);
-            }
-
-            let mut w = [_mm_setzero_si128(); 64];
-            for (t, slot) in w.iter_mut().take(16).enumerate() {
-                let col: [u32; 4] = core::array::from_fn(|l| be_word(blocks[l], t));
-                *slot = ld(&col);
-            }
-            for t in 16..64 {
-                let x = w[t - 15];
-                let y = w[t - 2];
-                let s0 = _mm_xor_si128(
-                    _mm_xor_si128(rotr128::<7, 25>(x), rotr128::<18, 14>(x)),
-                    _mm_srli_epi32::<3>(x),
-                );
-                let s1 = _mm_xor_si128(
-                    _mm_xor_si128(rotr128::<17, 15>(y), rotr128::<19, 13>(y)),
-                    _mm_srli_epi32::<10>(y),
-                );
-                w[t] = _mm_add_epi32(_mm_add_epi32(w[t - 16], s0), _mm_add_epi32(w[t - 7], s1));
-            }
-
-            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = s;
-            for t in 0..64 {
-                let s1 = _mm_xor_si128(
-                    _mm_xor_si128(rotr128::<6, 26>(e), rotr128::<11, 21>(e)),
-                    rotr128::<25, 7>(e),
-                );
-                let ch = _mm_xor_si128(_mm_and_si128(e, f), _mm_andnot_si128(e, g));
-                let t1 = _mm_add_epi32(
-                    _mm_add_epi32(_mm_add_epi32(h, s1), _mm_add_epi32(ch, w[t])),
-                    _mm_set1_epi32(K[t] as i32),
-                );
-                let s0 = _mm_xor_si128(
-                    _mm_xor_si128(rotr128::<2, 30>(a), rotr128::<13, 19>(a)),
-                    rotr128::<22, 10>(a),
-                );
-                let maj = _mm_xor_si128(
-                    _mm_xor_si128(_mm_and_si128(a, b), _mm_and_si128(a, c)),
-                    _mm_and_si128(b, c),
-                );
-                let t2 = _mm_add_epi32(s0, maj);
-                h = g;
-                g = f;
-                f = e;
-                e = _mm_add_epi32(d, t1);
-                d = c;
-                c = b;
-                b = a;
-                a = _mm_add_epi32(t1, t2);
-            }
-
-            let vars = [a, b, c, d, e, f, g, h];
-            for j in 0..8 {
-                let sum = _mm_add_epi32(s[j], vars[j]);
-                let mut col = [0u32; 4];
-                _mm_storeu_si128(col.as_mut_ptr().cast(), sum);
-                for l in 0..4 {
-                    states[l][j] = col[l];
+            // Byte-reverses each 32-bit word: blocks are big-endian.
+            let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+            let mut abef = [_mm_setzero_si128(); N];
+            let mut cdgh = [_mm_setzero_si128(); N];
+            let mut w = [[_mm_setzero_si128(); 4]; N];
+            for l in 0..N {
+                // `sha256rnds2` holds the state as (A,B,E,F) and (C,D,G,H),
+                // A and C in the top lane.
+                let dcba = _mm_loadu_si128(states[l].as_ptr().cast());
+                let hgfe = _mm_loadu_si128(states[l][4..].as_ptr().cast());
+                let cdab = _mm_shuffle_epi32::<0xB1>(dcba);
+                let efgh = _mm_shuffle_epi32::<0x1B>(hgfe);
+                abef[l] = _mm_alignr_epi8::<8>(cdab, efgh);
+                cdgh[l] = _mm_blend_epi16::<0xF0>(efgh, cdab);
+                let block = &blocks[l][..BLOCK_LEN];
+                for (j, slot) in w[l].iter_mut().enumerate() {
+                    let words = _mm_loadu_si128(block[16 * j..].as_ptr().cast());
+                    *slot = _mm_shuffle_epi8(words, bswap);
                 }
+            }
+            let (abef0, cdgh0) = (abef, cdgh);
+            for g in 0..16 {
+                let k = _mm_loadu_si128(K[4 * g..].as_ptr().cast());
+                for l in 0..N {
+                    // W[4g..4g + 4]: the block's own words for g < 4, then
+                    // the message schedule over the previous sixteen.
+                    let [w0, w1, w2, w3] = w[l];
+                    let m = if g < 4 {
+                        w0
+                    } else {
+                        let t = _mm_sha256msg1_epu32(w0, w1);
+                        _mm_sha256msg2_epu32(_mm_add_epi32(t, _mm_alignr_epi8::<4>(w3, w2)), w3)
+                    };
+                    w[l] = [w1, w2, w3, m];
+                    // Two rounds per instruction; after two rounds the old
+                    // (A,B,E,F) is the new (C,D,G,H), so the roles swap.
+                    let wk = _mm_add_epi32(m, k);
+                    cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk);
+                    abef[l] =
+                        _mm_sha256rnds2_epu32(abef[l], cdgh[l], _mm_shuffle_epi32::<0x0E>(wk));
+                }
+            }
+            for l in 0..N {
+                let feba = _mm_shuffle_epi32::<0x1B>(_mm_add_epi32(abef[l], abef0[l]));
+                let dchg = _mm_shuffle_epi32::<0xB1>(_mm_add_epi32(cdgh[l], cdgh0[l]));
+                let dcba = _mm_blend_epi16::<0xF0>(feba, dchg);
+                let hgfe = _mm_alignr_epi8::<8>(dchg, feba);
+                _mm_storeu_si128(states[l].as_mut_ptr().cast(), dcba);
+                _mm_storeu_si128(states[l][4..].as_mut_ptr().cast(), hgfe);
             }
         }
     }
@@ -641,49 +627,99 @@ mod simd {
 mod tests {
     use super::*;
 
-    fn scalar_digest_of(job: &LaneJob<'_>) -> Digest {
-        let mut h = Sha256::from_midstate(job.midstate);
-        for part in job.parts {
-            h.update(part);
-        }
-        h.finalize()
-    }
+    /// FIPS 180-2 / NIST vectors: message and published digest. They pin
+    /// the portable kernel, which in turn is the oracle for the others.
+    const NIST: [(&[u8], &str); 5] = [
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+        (
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+              ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+        ),
+        (
+            b"a",
+            "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb",
+        ),
+    ];
 
     fn available_backends() -> Vec<LaneBackend> {
         [
             LaneBackend::Portable,
-            LaneBackend::Sse2x4,
             LaneBackend::Avx2x8,
+            LaneBackend::ShaNi,
         ]
         .into_iter()
         .filter(|b| b.is_available())
         .collect()
     }
 
+    /// The oracle: the portable kernel on an explicit request. Not
+    /// `Sha256`, which runs on the dispatched kernel under test.
+    fn portable(jobs: &[LaneJob<'_>]) -> Vec<Digest> {
+        Sha256xN::finalize_many_with(LaneBackend::Portable, jobs)
+    }
+
+    fn fresh_jobs(bufs: &[Vec<u8>]) -> Vec<LaneJob<'_>> {
+        bufs.iter()
+            .map(|b| LaneJob::new(Midstate::initial(), b))
+            .collect()
+    }
+
+    fn assert_every_backend_matches(jobs: &[LaneJob<'_>], what: &str) {
+        let expected = portable(jobs);
+        for backend in available_backends() {
+            assert_eq!(
+                Sha256xN::finalize_many_with(backend, jobs),
+                expected,
+                "{what}: backend {}",
+                backend.name()
+            );
+        }
+    }
+
+    #[test]
+    fn backend_in_use() {
+        // CI runs this with `--nocapture` so the log names the kernel the
+        // native steps actually exercised.
+        let backend = Sha256xN::backend();
+        println!("sha256 backend in use: {}", backend.name());
+        assert!(backend.is_available());
+        let forced = std::env::var_os("PNM_SHA256_FORCE_PORTABLE")
+            .is_some_and(|v| !v.is_empty() && v != "0");
+        if forced {
+            // `Sha256` compresses through this same choice.
+            assert_eq!(backend, LaneBackend::Portable);
+        } else if LaneBackend::ShaNi.is_available() {
+            assert_eq!(backend, LaneBackend::ShaNi);
+        }
+    }
+
     #[test]
     fn nist_vectors_through_lanes() {
-        // FIPS 180-2 test vectors, run through every available kernel at a
-        // batch size that exercises the 8/4/scalar splits.
-        let msgs: Vec<&[u8]> = vec![
-            b"abc",
-            b"",
-            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
-              ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
-            b"a",
-        ];
-        let expected: Vec<Digest> = msgs.iter().map(|m| Sha256::digest(m)).collect();
-        assert_eq!(
-            expected[0].to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        // Thirteen jobs cycling the vectors: one AVX2 group of 8, six
+        // SHA-NI pairs plus a straggler, portable 8/4/1.
+        let jobs: Vec<LaneJob<'_>> = NIST
+            .iter()
+            .cycle()
+            .take(13)
+            .map(|(m, _)| LaneJob::new(Midstate::initial(), m))
+            .collect();
         for backend in available_backends() {
-            let jobs: Vec<LaneJob<'_>> = msgs
-                .iter()
-                .map(|m| LaneJob::new(Midstate::initial(), m))
-                .collect();
             let got = Sha256xN::finalize_many_with(backend, &jobs);
-            assert_eq!(got, expected, "backend {}", backend.name());
+            for (digest, (_, want)) in got.iter().zip(NIST.iter().cycle()) {
+                assert_eq!(digest.to_hex(), *want, "backend {}", backend.name());
+            }
         }
     }
 
@@ -700,19 +736,7 @@ mod tests {
             .iter()
             .map(|&len| (0..len).map(|i| (i * 37 + len) as u8).collect())
             .collect();
-        let expected: Vec<Digest> = bufs.iter().map(|b| Sha256::digest(b)).collect();
-        for backend in available_backends() {
-            let jobs: Vec<LaneJob<'_>> = bufs
-                .iter()
-                .map(|b| LaneJob::new(Midstate::initial(), b))
-                .collect();
-            assert_eq!(
-                Sha256xN::finalize_many_with(backend, &jobs),
-                expected,
-                "backend {}",
-                backend.name()
-            );
-        }
+        assert_every_backend_matches(&fresh_jobs(&bufs), "boundary lengths");
     }
 
     #[test]
@@ -723,48 +747,35 @@ mod tests {
             let bufs: Vec<Vec<u8>> = (0..n)
                 .map(|i| (0..(i * 29) % 150).map(|j| (i + j) as u8).collect())
                 .collect();
-            let expected: Vec<Digest> = bufs.iter().map(|b| Sha256::digest(b)).collect();
-            for backend in available_backends() {
-                let jobs: Vec<LaneJob<'_>> = bufs
-                    .iter()
-                    .map(|b| LaneJob::new(Midstate::initial(), b))
-                    .collect();
-                assert_eq!(
-                    Sha256xN::finalize_many_with(backend, &jobs),
-                    expected,
-                    "n={n} backend {}",
-                    backend.name()
-                );
-            }
+            assert_every_backend_matches(&fresh_jobs(&bufs), &format!("n={n}"));
         }
     }
 
     #[test]
     fn resumes_from_midstates_with_parts() {
         // Jobs resuming from distinct nontrivial midstates, with the message
-        // split across all three parts.
+        // split across all three parts, equal the portable digest of the
+        // whole message hashed from the initial state.
         let prefixes: Vec<Vec<u8>> = (0..9).map(|i| vec![i as u8; 64 * (1 + i % 3)]).collect();
-        let mut jobs = Vec::new();
-        let mut expected = Vec::new();
         let p1: Vec<Vec<u8>> = (0..9).map(|i| vec![0xA0 | i as u8; i]).collect();
         let p2: Vec<Vec<u8>> = (0..9)
             .map(|i| vec![0x50 | i as u8; (i * 13) % 40])
             .collect();
         let p3: Vec<Vec<u8>> = (0..9).map(|i| vec![i as u8; (i * 7) % 70]).collect();
-        for i in 0..9 {
-            let mut h = Sha256::new();
-            h.update(&prefixes[i]);
-            let mid = h.midstate();
-            let mut scalar = Sha256::from_midstate(mid);
-            scalar.update(&p1[i]);
-            scalar.update(&p2[i]);
-            scalar.update(&p3[i]);
-            expected.push(scalar.finalize());
-            jobs.push(LaneJob {
-                midstate: mid,
-                parts: [&p1[i], &p2[i], &p3[i]],
-            });
-        }
+        let whole: Vec<Vec<u8>> = (0..9)
+            .map(|i| [&prefixes[i][..], &p1[i], &p2[i], &p3[i]].concat())
+            .collect();
+        let expected = portable(&fresh_jobs(&whole));
+        let jobs: Vec<LaneJob<'_>> = (0..9)
+            .map(|i| {
+                let mut h = Sha256::new();
+                h.update(&prefixes[i]);
+                LaneJob {
+                    midstate: h.midstate(),
+                    parts: [&p1[i], &p2[i], &p3[i]],
+                }
+            })
+            .collect();
         for backend in available_backends() {
             assert_eq!(
                 Sha256xN::finalize_many_with(backend, &jobs),
@@ -776,50 +787,113 @@ mod tests {
     }
 
     #[test]
-    fn simd_and_portable_agree() {
-        // On hosts with SIMD, the portable kernel is the reference: both
-        // must produce bit-identical digests for the same ragged batch.
-        let bufs: Vec<Vec<u8>> = (0..23)
-            .map(|i| (0..(i * 31) % 200).map(|j| (i ^ j) as u8).collect())
-            .collect();
-        let jobs: Vec<LaneJob<'_>> = bufs
-            .iter()
-            .map(|b| LaneJob::new(Midstate::initial(), b))
-            .collect();
-        let reference = Sha256xN::finalize_many_with(LaneBackend::Portable, &jobs);
+    fn odd_batch_resumes_from_hmac_pad_midstates() {
+        // RFC 4231 cases 1–7 as one batch of seven HMACs resumed from pad
+        // midstates: three SHA-NI pairs plus a straggler, and case 7's
+        // three-block inner message runs alone after the first step. The
+        // pads are compressed on the portable kernel, so the published
+        // tags (case 5 publishes 128 bits) anchor every backend.
+        let cases: [(Vec<u8>, Vec<u8>, &str); 7] = [
+            (
+                vec![0x0b; 20],
+                b"Hi There".to_vec(),
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe".to_vec(),
+                b"what do ya want for nothing?".to_vec(),
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                vec![0xaa; 20],
+                vec![0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                (1..=25).collect(),
+                vec![0xcd; 50],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            (
+                vec![0x0c; 20],
+                b"Test With Truncation".to_vec(),
+                "a3b6167473100ee06e0c796c2955552b",
+            ),
+            (
+                vec![0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                vec![0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger \
+                  than block-size data. The key needs to be hashed before being \
+                  used by the HMAC algorithm."
+                    .to_vec(),
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        let pad = |key: &[u8], byte: u8| {
+            let mut k = [0u8; BLOCK_LEN];
+            if key.len() > BLOCK_LEN {
+                let d = portable(&[LaneJob::new(Midstate::initial(), key)])[0];
+                k[..DIGEST_LEN].copy_from_slice(d.as_bytes());
+            } else {
+                k[..key.len()].copy_from_slice(key);
+            }
+            let block = k.map(|b| b ^ byte);
+            let mut state = [Midstate::initial().state()];
+            compress_group(LaneBackend::Portable, &mut state, &[&block]);
+            Midstate::from_raw(state[0], BLOCK_LEN as u64)
+        };
+        let inner: Vec<Midstate> = cases.iter().map(|(k, _, _)| pad(k, 0x36)).collect();
+        let outer: Vec<Midstate> = cases.iter().map(|(k, _, _)| pad(k, 0x5c)).collect();
         for backend in available_backends() {
-            assert_eq!(
-                Sha256xN::finalize_many_with(backend, &jobs),
-                reference,
-                "backend {}",
-                backend.name()
-            );
+            let inner_jobs: Vec<LaneJob<'_>> = cases
+                .iter()
+                .zip(&inner)
+                .map(|((_, msg, _), &mid)| LaneJob::new(mid, msg))
+                .collect();
+            let inner_digests = Sha256xN::finalize_many_with(backend, &inner_jobs);
+            let outer_jobs: Vec<LaneJob<'_>> = inner_digests
+                .iter()
+                .zip(&outer)
+                .map(|(d, &mid)| LaneJob::new(mid, d.as_bytes()))
+                .collect();
+            let tags = Sha256xN::finalize_many_with(backend, &outer_jobs);
+            for (i, (tag, (_, _, want))) in tags.iter().zip(&cases).enumerate() {
+                assert!(
+                    tag.to_hex().starts_with(want),
+                    "RFC 4231 case {}: backend {}",
+                    i + 1,
+                    backend.name()
+                );
+            }
         }
     }
 
     #[test]
-    fn midstate_many_matches_scalar_capture() {
+    fn midstate_many_resumes_to_portable_digest() {
         let blocks: Vec<[u8; BLOCK_LEN]> = (0..11)
             .map(|i| core::array::from_fn(|j| (i * 67 + j) as u8))
             .collect();
-        let got = Sha256xN::midstate_many(&blocks);
-        for (i, block) in blocks.iter().enumerate() {
-            let mut h = Sha256::new();
-            h.update(block);
-            let want = h.midstate();
-            assert_eq!(got[i].state(), want.state());
-            assert_eq!(got[i].byte_len(), want.byte_len());
+        let mids = Sha256xN::midstate_many(&blocks);
+        for (block, mid) in blocks.iter().zip(mids) {
+            assert_eq!(mid.byte_len(), BLOCK_LEN as u64);
+            let resumed = LaneJob::new(mid, b"suffix");
+            let whole = LaneJob {
+                midstate: Midstate::initial(),
+                parts: [block, b"suffix", &[]],
+            };
+            assert_eq!(portable(&[resumed]), portable(&[whole]));
         }
     }
 
     #[test]
-    fn digest_many_matches_scalar() {
+    fn digest_many_matches_portable() {
         let bufs: Vec<Vec<u8>> = (0..7).map(|i| vec![i as u8; i * 11]).collect();
         let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
-        let got = Sha256xN::digest_many(&refs);
-        for (i, b) in bufs.iter().enumerate() {
-            assert_eq!(got[i], Sha256::digest(b));
-        }
+        assert_eq!(Sha256xN::digest_many(&refs), portable(&fresh_jobs(&bufs)));
     }
 
     #[test]
@@ -831,25 +905,37 @@ mod tests {
     #[test]
     fn scalar_single_job_path_matches() {
         let job = LaneJob::new(Midstate::initial(), b"single-lane fast path");
-        assert_eq!(Sha256xN::finalize_many(&[job])[0], scalar_digest_of(&job));
+        assert_eq!(Sha256xN::finalize_many(&[job]), portable(&[job]));
     }
 
     #[test]
     fn unavailable_backend_degrades_safely() {
         // Requesting any backend must never crash; on hosts without the
-        // feature it silently falls back and still returns correct digests.
+        // feature it falls back to AVX2 where present, else to portable,
+        // and still returns correct digests.
         let jobs = [
-            LaneJob::new(Midstate::initial(), b"fallback"),
-            LaneJob::new(Midstate::initial(), b"check"),
+            LaneJob::new(Midstate::initial(), NIST[0].0),
+            LaneJob::new(Midstate::initial(), NIST[4].0),
         ];
+        let fallback = if LaneBackend::Avx2x8.is_available() {
+            LaneBackend::Avx2x8
+        } else {
+            LaneBackend::Portable
+        };
         for backend in [
+            LaneBackend::ShaNi,
             LaneBackend::Avx2x8,
-            LaneBackend::Sse2x4,
             LaneBackend::Portable,
         ] {
+            let want = if backend.is_available() {
+                backend
+            } else {
+                fallback
+            };
+            assert_eq!(sanitize(backend), want, "{}", backend.name());
             let got = Sha256xN::finalize_many_with(backend, &jobs);
-            assert_eq!(got[0], Sha256::digest(b"fallback"));
-            assert_eq!(got[1], Sha256::digest(b"check"));
+            assert_eq!(got[0].to_hex(), NIST[0].1);
+            assert_eq!(got[1].to_hex(), NIST[4].1);
         }
     }
 }

@@ -16,16 +16,19 @@
 //!    cheaper).
 //! 2. **Batched mark MACs** (`lanes` section): `mark_mac_many_prepared` at
 //!    batch ∈ {4, 8, 16, 64} distinct keys vs a scalar `mark_mac_prepared`
-//!    loop over the same jobs. The batched path compresses up to
-//!    [`pnm_crypto::MAX_LANES`] independent messages per SHA-256 round
-//!    ([`pnm_crypto::Sha256xN`]); the recorded `backend` says which engine
-//!    ran (AVX2/SSE2/portable — `PNM_SHA256_FORCE_PORTABLE=1` forces the
-//!    struct-of-arrays fallback).
+//!    loop over the same jobs. The batched path ([`pnm_crypto::Sha256xN`])
+//!    hands independent messages to the kernel together: two interleaved
+//!    per SHA-NI call, up to [`pnm_crypto::MAX_LANES`] per AVX2 call.
 //! 3. **Anon-table build** at N ∈ {100, 300, 1000, 2000, 4000} nodes (the
 //!    upper three are §4.2's "few thousand nodes"): the pre-change serial
 //!    baseline (one-shot `anon_id` per node into a `Vec`-per-entry map) vs
 //!    the sink's one build (`AnonTable::build`: precomputed key schedule,
 //!    lane-parallel hashing).
+//!
+//! Every path above, the scalar ones included, compresses on the one
+//! runtime-dispatched SHA-256 kernel; the top-level `backend` field names it
+//! (`shani`/`avx2x8`/`portable` — `PNM_SHA256_FORCE_PORTABLE=1` forces the
+//! portable one).
 //!
 //! Every variant is checked for output equivalence before timing — the fast
 //! paths must be pure optimizations. `--smoke` runs the equivalence checks
@@ -330,9 +333,11 @@ fn main() -> ExitCode {
             "  \"scenario\": \"precomputed-key HMAC pipeline vs one-shot baseline\",\n",
             "  \"note\": \"serial_oneshot is the pre-change path: RFC 2104 pads re-derived per hash; ",
             "precomputed paths reuse the keystore's cached midstate schedule; lane paths and the ",
-            "table build (AnonTable::build) additionally hash up to MAX_LANES independent messages ",
-            "per SHA-256 compression\",\n",
+            "table build (AnonTable::build) additionally batch independent messages onto the ",
+            "backend's kernel (two interleaved per SHA-NI call, eight per AVX2 call)\",\n",
             "  \"host_cores\": {},\n",
+            "  \"backend\": \"{}\",\n",
+            "  \"forced_portable\": {},\n",
             "  \"mac\": {{\n",
             "    \"message_len\": {},\n",
             "    \"width\": {},\n",
@@ -341,21 +346,19 @@ fn main() -> ExitCode {
             "    \"speedup\": {:.2}\n",
             "  }},\n",
             "  \"lanes\": {{\n",
-            "    \"backend\": \"{}\",\n",
-            "    \"forced_portable\": {},\n",
             "    \"mark_mac_batches\": [\n{}\n    ]\n",
             "  }},\n",
             "  \"anon_table_builds\": [\n{}\n  ]\n",
             "}}\n"
         ),
         host_cores(),
+        backend.name(),
+        env::var("PNM_SHA256_FORCE_PORTABLE").is_ok_and(|v| !v.is_empty() && v != "0"),
         mac.message_len,
         MAC_WIDTH,
         mac.oneshot_ns,
         mac.precomputed_ns,
         mac.oneshot_ns / mac.precomputed_ns,
-        backend.name(),
-        env::var("PNM_SHA256_FORCE_PORTABLE").is_ok_and(|v| !v.is_empty() && v != "0"),
         lane_json.join(",\n"),
         table_json.join(",\n"),
     );
