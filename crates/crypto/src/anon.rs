@@ -14,6 +14,7 @@ use core::fmt;
 
 use crate::hmac::{HmacKey, HmacSha256};
 use crate::mac::{MacKey, DOMAIN_ANON};
+use crate::sha256::Digest;
 
 /// Width of an anonymous ID in bytes.
 ///
@@ -36,6 +37,13 @@ impl AnonId {
     /// The identifier bytes.
     pub fn as_bytes(&self) -> &[u8; ANON_ID_LEN] {
         &self.0
+    }
+
+    /// The first [`ANON_ID_LEN`] bytes of an `H'` output.
+    fn truncate(digest: &Digest) -> Self {
+        let mut out = [0u8; ANON_ID_LEN];
+        out.copy_from_slice(&digest.as_bytes()[..ANON_ID_LEN]);
+        AnonId(out)
     }
 
     /// The identifier as a `u64` (big-endian), convenient for hashing.
@@ -104,14 +112,7 @@ pub fn anon_id_many_prepared(keys: &[HmacKey], report: &[u8], real_ids: &[u16]) 
         .zip(&id_bytes)
         .map(|(key, id)| (key, [DOMAIN_ANON, report, &id[..]]))
         .collect();
-    HmacKey::mac_many_parts(&jobs)
-        .into_iter()
-        .map(|d| {
-            let mut out = [0u8; ANON_ID_LEN];
-            out.copy_from_slice(&d.as_bytes()[..ANON_ID_LEN]);
-            AnonId(out)
-        })
-        .collect()
+    HmacKey::mac_many_parts(&jobs, |_, d| AnonId::truncate(&d))
 }
 
 /// Shared `H'_{k}(M | i)` composition over an opened HMAC context.
@@ -119,10 +120,7 @@ fn anon_id_from(mut h: HmacSha256, report: &[u8], real_id: u16) -> AnonId {
     h.update(DOMAIN_ANON);
     h.update(report);
     h.update(&real_id.to_be_bytes());
-    let d = h.finalize();
-    let mut out = [0u8; ANON_ID_LEN];
-    out.copy_from_slice(&d.as_bytes()[..ANON_ID_LEN]);
-    AnonId(out)
+    AnonId::truncate(&h.finalize())
 }
 
 #[cfg(test)]

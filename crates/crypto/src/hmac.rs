@@ -4,7 +4,7 @@
 //! function" shared between each node and the sink. HMAC over our SHA-256
 //! implementation is the standard instantiation of such a PRF.
 //!
-//! Two entry points share one implementation:
+//! Three entry points share one implementation:
 //!
 //! - [`HmacKey`] precomputes the RFC 2104 key schedule **once**: the inner
 //!   (`key ⊕ ipad`) and outer (`key ⊕ opad`) pad blocks are compressed at
@@ -18,6 +18,11 @@
 //!   builds an [`HmacKey`] and streams from it. `HmacSha256::mac(k, m)` and
 //!   `HmacKey::new(k).mac(m)` are equal by construction (and pinned by
 //!   proptest in `lib.rs`).
+//! - [`HmacKey::mac_many`] MACs a batch of `(key, message)` jobs through
+//!   the one batched HMAC the domain batches (`verify_mark_macs_prepared`,
+//!   `anon_id_many_prepared`) share: jobs run in lane groups of
+//!   [`crate::MAX_LANES`] on the stack, the inner and then the outer round
+//!   per group, so a call allocates only its job list and its result.
 //!
 //! # Examples
 //!
@@ -34,7 +39,7 @@
 //! ```
 
 use crate::sha256::{constant_time_eq, Digest, Midstate, Sha256, BLOCK_LEN, DIGEST_LEN};
-use crate::sha256_lanes::{LaneJob, Sha256xN};
+use crate::sha256_lanes::{finalize_group, LaneJob, Sha256xN, MAX_LANES};
 
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
@@ -157,56 +162,43 @@ impl HmacKey {
     }
 
     /// Computes the HMAC tags of many independent `(key, message)` jobs
-    /// lane-parallel: one [`Sha256xN`] round for the ragged inner hashes,
-    /// one perfectly uniform round for the 32-byte outer hashes.
-    /// Element-wise equal to [`HmacKey::mac`].
+    /// lane-parallel (see [`Sha256xN`]). Element-wise equal to
+    /// [`HmacKey::mac`].
     pub fn mac_many(jobs: &[(&HmacKey, &[u8])]) -> Vec<Digest> {
-        Self::mac_many_parts(
-            &jobs
-                .iter()
-                .map(|&(key, msg)| (key, [msg, &[][..], &[][..]]))
-                .collect::<Vec<_>>(),
-        )
+        let parts: Vec<(&HmacKey, [&[u8]; 3])> = jobs
+            .iter()
+            .map(|&(key, msg)| (key, [msg, &[][..], &[][..]]))
+            .collect();
+        Self::mac_many_parts(&parts, |_, tag| tag)
     }
 
-    /// [`HmacKey::mac_many`] over three-part messages (absorbed in order,
-    /// empty parts skipped) — lets callers MAC `domain ‖ report ‖ id`
-    /// compositions without materializing concatenated buffers.
-    pub fn mac_many_parts(jobs: &[(&HmacKey, [&[u8]; 3])]) -> Vec<Digest> {
-        let inner_jobs: Vec<LaneJob<'_>> = jobs
-            .iter()
-            .map(|&(key, parts)| LaneJob {
-                midstate: key.inner,
-                parts,
-            })
-            .collect();
-        let inner_digests = Sha256xN::finalize_many(&inner_jobs);
-        let outer_jobs: Vec<LaneJob<'_>> = jobs
-            .iter()
-            .zip(&inner_digests)
-            .map(|(&(key, _), d)| LaneJob::new(key.outer, d.as_bytes()))
-            .collect();
-        Sha256xN::finalize_many(&outer_jobs)
-    }
-
-    /// Verifies many truncated tags at once, computing all MACs
-    /// lane-parallel and comparing each in constant time. Element-wise
-    /// equal to [`HmacKey::verify`] (including the width rejection).
-    pub fn verify_many(jobs: &[(&HmacKey, &[u8], &[u8])]) -> Vec<bool> {
-        let macs = Self::mac_many(
-            &jobs
-                .iter()
-                .map(|&(key, msg, _)| (key, msg))
-                .collect::<Vec<_>>(),
-        );
-        jobs.iter()
-            .zip(&macs)
-            .map(|(&(_, _, tag), full)| {
-                tag.len() >= MIN_TAG_LEN
-                    && tag.len() <= DIGEST_LEN
-                    && constant_time_eq(&full.as_bytes()[..tag.len()], tag)
-            })
-            .collect()
+    /// The one batched HMAC: job `i`'s tag over its three parts (absorbed
+    /// in order, empty parts skipped) goes through `finish(i, tag)` into the
+    /// result, so callers MAC `domain ‖ report ‖ id` compositions without
+    /// concatenated buffers. Jobs run in groups of [`MAX_LANES`], both
+    /// rounds per group: the inner round from each key's inner-pad midstate
+    /// over the parts, the outer round from its outer-pad midstate over the
+    /// 32-byte inner digest. A group lives on the stack, so the result is
+    /// the only allocation.
+    pub(crate) fn mac_many_parts<T>(
+        jobs: &[(&HmacKey, [&[u8]; 3])],
+        mut finish: impl FnMut(usize, Digest) -> T,
+    ) -> Vec<T> {
+        let backend = Sha256xN::backend();
+        let mut out = Vec::with_capacity(jobs.len());
+        for group in jobs.chunks(MAX_LANES) {
+            let inner = finalize_group(backend, group.len(), |i| LaneJob {
+                midstate: group[i].0.inner,
+                parts: group[i].1,
+            });
+            let tags = finalize_group(backend, group.len(), |i| {
+                LaneJob::new(group[i].0.outer, inner[i].as_bytes())
+            });
+            for &tag in &tags[..group.len()] {
+                out.push(finish(out.len(), tag));
+            }
+        }
+        out
     }
 }
 

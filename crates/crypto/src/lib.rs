@@ -45,11 +45,11 @@ pub use anon::{anon_id, anon_id_many_prepared, anon_id_prepared, AnonId, ANON_ID
 pub use hmac::{HmacKey, HmacSha256, MIN_TAG_LEN};
 pub use keystore::{KeySchedule, KeyStore};
 pub use mac::{
-    mark_mac_many_prepared, mark_mac_prepared, verify_mark_mac_prepared, verify_mark_macs_prepared,
-    MacKey, MacTag, DEFAULT_MAC_LEN,
+    mark_mac_prepared, verify_mark_mac_prepared, verify_mark_macs_prepared, MacKey, MacTag,
+    DEFAULT_MAC_LEN,
 };
 pub use sha256::{Digest, Midstate, Sha256};
-pub use sha256_lanes::{LaneBackend, LaneJob, Sha256xN, MAX_LANES};
+pub use sha256_lanes::{LaneBackend, Sha256xN, MAX_LANES};
 
 #[cfg(test)]
 mod proptests {
@@ -241,9 +241,10 @@ mod proptests {
             prop_assert_eq!(scalar, expected);
         }
 
-        /// `HmacKey::mac_many`/`verify_many` ≡ scalar `mac`/`verify` for
-        /// arbitrary keys (including >64-byte keys that RFC 2104 pre-hashes)
-        /// and messages, at every truncation width.
+        /// `HmacKey::mac_many` ≡ scalar `mac` for arbitrary keys (including
+        /// >64-byte keys that RFC 2104 pre-hashes) and messages, and every
+        /// batched tag verifies through the scalar `verify` at every
+        /// truncation width.
         #[test]
         fn mac_many_equals_scalar(
             keys in proptest::collection::vec(
@@ -263,42 +264,42 @@ mod proptests {
             let batched = HmacKey::mac_many(&jobs);
             for (i, &(key, msg)) in jobs.iter().enumerate() {
                 prop_assert_eq!(batched[i], key.mac(msg));
+                prop_assert!(key.verify(msg, &batched[i].as_bytes()[..width]));
             }
-            let verify_jobs: Vec<(&HmacKey, &[u8], &[u8])> = jobs
-                .iter()
-                .enumerate()
-                .map(|(i, &(k, m))| (k, m, &batched[i].as_bytes()[..width]))
-                .collect();
-            prop_assert!(HmacKey::verify_many(&verify_jobs).iter().all(|&ok| ok));
         }
 
-        /// Batched mark MACs and anon IDs ≡ their scalar prepared forms for
-        /// an arbitrary node population and report.
+        /// Batched mark-MAC verification and anon IDs ≡ their scalar
+        /// prepared forms for an arbitrary node population and report:
+        /// every scalar `mark_mac_prepared` tag verifies in the batch, and
+        /// a corrupted one fails at its own index only.
         #[test]
         fn batched_domain_functions_equal_scalar(
             master in proptest::collection::vec(any::<u8>(), 1..32),
             report in proptest::collection::vec(any::<u8>(), 0..128),
             nodes in proptest::collection::vec(any::<u16>(), 1..19),
             width in 1usize..=32,
+            corrupt in any::<prop::sample::Index>(),
         ) {
             let prepared: Vec<HmacKey> = nodes
                 .iter()
                 .map(|&n| MacKey::derive(&master, n as u64).prepare())
                 .collect();
-            let mac_jobs: Vec<(&HmacKey, &[u8])> =
-                prepared.iter().map(|k| (k, report.as_slice())).collect();
-            let tags = crate::mac::mark_mac_many_prepared(&mac_jobs, width);
-            for (i, k) in prepared.iter().enumerate() {
-                prop_assert_eq!(tags[i], crate::mac::mark_mac_prepared(k, &report, width));
-            }
+            let mut tags: Vec<crate::MacTag> = prepared
+                .iter()
+                .map(|k| crate::mac::mark_mac_prepared(k, &report, width))
+                .collect();
+            let bad = corrupt.index(tags.len());
+            tags[bad] = tags[bad].corrupted();
             let verify_jobs: Vec<(&HmacKey, &[u8], &crate::MacTag)> = prepared
                 .iter()
-                .enumerate()
-                .map(|(i, k)| (k, report.as_slice(), &tags[i]))
+                .zip(&tags)
+                .map(|(k, tag)| (k, report.as_slice(), tag))
                 .collect();
-            prop_assert!(crate::mac::verify_mark_macs_prepared(&verify_jobs)
-                .iter()
-                .all(|&ok| ok));
+            let verdicts = crate::mac::verify_mark_macs_prepared(&verify_jobs);
+            for (i, &(k, msg, tag)) in verify_jobs.iter().enumerate() {
+                prop_assert_eq!(verdicts[i], i != bad);
+                prop_assert_eq!(verdicts[i], crate::mac::verify_mark_mac_prepared(k, msg, tag));
+            }
 
             let ids = crate::anon::anon_id_many_prepared(&prepared, &report, &nodes);
             for (i, k) in prepared.iter().enumerate() {

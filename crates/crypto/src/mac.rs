@@ -197,43 +197,18 @@ pub fn verify_mark_mac_prepared(key: &HmacKey, message: &[u8], tag: &MacTag) -> 
     mark_mac_prepared(key, message, tag.len()) == *tag
 }
 
-/// Batched [`mark_mac_prepared`]: computes the truncated marking MACs of
-/// many independent `(key, message)` jobs lane-parallel (see
-/// [`crate::Sha256xN`]). Element-wise equal to the scalar path.
-///
-/// # Panics
-///
-/// Panics if `width` is 0 or greater than 32.
-pub fn mark_mac_many_prepared(jobs: &[(&HmacKey, &[u8])], width: usize) -> Vec<MacTag> {
-    assert!(
-        (1..=DIGEST_LEN).contains(&width),
-        "MAC width must be 1..=32, got {width}"
-    );
-    let parts: Vec<(&HmacKey, [&[u8]; 3])> = jobs
-        .iter()
-        .map(|&(key, msg)| (key, [DOMAIN_MARK, msg, &[][..]]))
-        .collect();
-    HmacKey::mac_many_parts(&parts)
-        .into_iter()
-        .map(|d| MacTag::from_bytes(&d.as_bytes()[..width]))
-        .collect()
-}
-
 /// Batched [`verify_mark_mac_prepared`]: checks many `(key, message, tag)`
-/// jobs lane-parallel, comparing each full MAC prefix in constant time.
-/// Element-wise equal to the scalar verifier.
+/// jobs lane-parallel (see [`crate::Sha256xN`]), comparing each full MAC
+/// prefix in constant time. Element-wise equal to the scalar verifier.
 pub fn verify_mark_macs_prepared(jobs: &[(&HmacKey, &[u8], &MacTag)]) -> Vec<bool> {
     let parts: Vec<(&HmacKey, [&[u8]; 3])> = jobs
         .iter()
         .map(|&(key, msg, _)| (key, [DOMAIN_MARK, msg, &[][..]]))
         .collect();
-    HmacKey::mac_many_parts(&parts)
-        .into_iter()
-        .zip(jobs)
-        .map(|(full, &(_, _, tag))| {
-            crate::sha256::constant_time_eq(&full.as_bytes()[..tag.len()], tag.as_bytes())
-        })
-        .collect()
+    HmacKey::mac_many_parts(&parts, |i, full| {
+        let tag = jobs[i].2;
+        constant_time_eq(&full.as_bytes()[..tag.len()], tag.as_bytes())
+    })
 }
 
 /// Shared `H_k(DOMAIN_MARK | message)` composition over an opened context.

@@ -214,7 +214,8 @@ impl Midstate {
     /// The SHA-256 initial chaining value with no bytes absorbed.
     ///
     /// Finalizing from this midstate is exactly a one-shot hash; the lane
-    /// engine uses it for [`crate::Sha256xN::digest_many`].
+    /// engine starts its pad-midstate batches (`Sha256xN::midstate_many`)
+    /// from it.
     pub(crate) fn initial() -> Self {
         Midstate {
             state: H0,

@@ -26,23 +26,27 @@
 //! portable kernel regardless of CPU features, for [`Sha256`] too (CI runs
 //! the suite both ways so the fallback cannot rot).
 //!
-//! Scheduling: a batch of [`LaneJob`]s may have ragged message lengths. Each
-//! lane's padded block stream is laid out in one flat buffer, lanes are
-//! sorted by descending block count, and compression proceeds block-step by
-//! block-step — because of the sort, the set of lanes still active at step
-//! `b` is always a *prefix* of the order, so every step compresses a
-//! contiguous run of lanes (SHA-NI pairs plus a straggler, or AVX2 groups
-//! of 8 with the rest on the portable kernel) with no gather/scatter.
-//! Digests are returned in the caller's original job order.
+//! Scheduling: a batch runs in groups of at most [`MAX_LANES`] jobs
+//! (`finalize_group`). A group's lanes are ordered by descending block
+//! count in a stack array and compressed block-step by block-step, each
+//! step's padded blocks built in a stack buffer. Because of the sort, the
+//! lanes still active at step `b` are always a *prefix* of the order, so
+//! every step compresses a contiguous run of lanes (SHA-NI pairs plus a
+//! straggler, or an AVX2 group of 8 with the rest on the portable kernel)
+//! with no gather/scatter and no heap buffer. Digests come back in the
+//! caller's job order.
 //!
 //! Everything here resumes from [`Midstate`]s, so HMAC's precomputed
 //! pad-block midstates (see [`crate::HmacKey`]) drop straight in: a batched
-//! MAC is two lane-parallel rounds (inner hashes, then outer hashes over the
+//! MAC runs both rounds per group (inner hashes, then outer hashes over the
 //! 32-byte inner digests — a perfectly uniform second round).
 
 use std::sync::OnceLock;
 
-use crate::sha256::{Digest, Midstate, Sha256, BLOCK_LEN, DIGEST_LEN, K};
+// `Sha256` is named only by doc links and the tests.
+#[cfg(any(doc, test))]
+use crate::sha256::Sha256;
+use crate::sha256::{Digest, Midstate, BLOCK_LEN, DIGEST_LEN, K};
 
 /// Widest lane group any kernel processes at once.
 pub const MAX_LANES: usize = 8;
@@ -96,18 +100,18 @@ impl LaneBackend {
 /// Three parts cover every composition the hot path needs without
 /// materializing concatenated buffers: `domain ‖ message`,
 /// `domain ‖ report ‖ id`, or a plain single-slice message.
-#[derive(Clone, Copy, Debug)]
-pub struct LaneJob<'a> {
+#[derive(Clone, Copy)]
+pub(crate) struct LaneJob<'a> {
     /// Block-aligned chaining value to resume from (e.g. an HMAC pad
-    /// midstate, or [`Sha256xN::digest_many`]'s initial state).
-    pub midstate: Midstate,
+    /// midstate).
+    pub(crate) midstate: Midstate,
     /// Message parts, absorbed left to right.
-    pub parts: [&'a [u8]; 3],
+    pub(crate) parts: [&'a [u8]; 3],
 }
 
 impl<'a> LaneJob<'a> {
     /// A job hashing a single contiguous message from `midstate`.
-    pub fn new(midstate: Midstate, message: &'a [u8]) -> Self {
+    pub(crate) fn new(midstate: Midstate, message: &'a [u8]) -> Self {
         LaneJob {
             midstate,
             parts: [message, &[], &[]],
@@ -116,6 +120,39 @@ impl<'a> LaneJob<'a> {
 
     fn msg_len(&self) -> usize {
         self.parts.iter().map(|p| p.len()).sum()
+    }
+
+    /// Blocks hashed from the midstate on: the parts, `0x80`, zero padding
+    /// and the 64-bit bit length.
+    fn blocks(&self) -> usize {
+        (self.msg_len() + PAD_MIN).div_ceil(BLOCK_LEN)
+    }
+
+    /// Writes block `b` of the padded stream into `block`. The bit length
+    /// closing the last block counts the midstate's absorbed bytes too.
+    fn padded_block(&self, b: usize, block: &mut [u8; BLOCK_LEN]) {
+        let start = b * BLOCK_LEN;
+        let end = start + BLOCK_LEN;
+        block.fill(0);
+        let mut pos = 0;
+        for part in self.parts {
+            let (lo, hi) = (pos.max(start), (pos + part.len()).min(end));
+            if lo < hi {
+                block[lo - start..hi - start].copy_from_slice(&part[lo - pos..hi - pos]);
+            }
+            pos += part.len();
+        }
+        if (start..end).contains(&pos) {
+            block[pos - start] = 0x80;
+        }
+        if b + 1 == self.blocks() {
+            let bit_len = self
+                .midstate
+                .byte_len()
+                .wrapping_add(pos as u64)
+                .wrapping_mul(8);
+            block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        }
     }
 }
 
@@ -141,77 +178,23 @@ impl Sha256xN {
         })
     }
 
-    /// Finalizes every job and returns the digests in job order.
-    ///
-    /// Exactly equivalent to, for each job, resuming a [`Sha256`] from the
-    /// job's midstate, updating with each part, and finalizing.
-    pub fn finalize_many(jobs: &[LaneJob<'_>]) -> Vec<Digest> {
-        Self::finalize_many_with(Self::backend(), jobs)
-    }
-
-    /// [`Sha256xN::finalize_many`] on an explicit kernel. A backend that is
-    /// not available on this host silently degrades (to AVX2 where present,
-    /// else to the portable kernel), so this is always safe to call.
-    pub fn finalize_many_with(backend: LaneBackend, jobs: &[LaneJob<'_>]) -> Vec<Digest> {
-        let backend = sanitize(backend);
-        let mut out = vec![Digest([0u8; DIGEST_LEN]); jobs.len()];
-        let mut flat = Vec::new();
-        finalize_many_into(backend, jobs, &mut flat, &mut out);
-        out
-    }
-
-    /// Scratch-reusing variant of [`Sha256xN::finalize_many`] for hot loops:
-    /// `flat` is the block-staging buffer (cleared and refilled), `out` is
-    /// resized to `jobs.len()` and overwritten.
-    pub fn finalize_many_into(jobs: &[LaneJob<'_>], flat: &mut Vec<u8>, out: &mut Vec<Digest>) {
-        out.clear();
-        out.resize(jobs.len(), Digest([0u8; DIGEST_LEN]));
-        finalize_many_into(Self::backend(), jobs, flat, out);
-    }
-
-    /// One-shot hash of independent messages, lane-parallel. Digest-equal to
-    /// [`Sha256::digest`] per message.
-    pub fn digest_many(messages: &[&[u8]]) -> Vec<Digest> {
-        let jobs: Vec<LaneJob<'_>> = messages
-            .iter()
-            .map(|m| LaneJob::new(Midstate::initial(), m))
-            .collect();
-        Self::finalize_many(&jobs)
-    }
-
     /// Compresses one whole block per lane from the initial state and
     /// returns the captured midstates — the batched form of feeding a
     /// single 64-byte block to [`Sha256`] and calling
     /// [`Sha256::midstate`]. Used to prepare many HMAC pad midstates at
     /// once ([`crate::HmacKey::new_many`]).
     pub fn midstate_many(blocks: &[[u8; BLOCK_LEN]]) -> Vec<Midstate> {
-        let backend = sanitize(Self::backend());
-        let n = blocks.len();
-        let mut states: Vec<[u32; 8]> = vec![Midstate::initial().state(); n];
-        let mut refs: Vec<&[u8]> = Vec::with_capacity(MAX_LANES);
-        let mut done = 0;
-        while done < n {
-            let take = (n - done).min(MAX_LANES);
-            refs.clear();
-            refs.extend(blocks[done..done + take].iter().map(|b| &b[..]));
-            compress_group(backend, &mut states[done..done + take], &refs);
-            done += take;
+        let backend = Self::backend();
+        let mut states = vec![Midstate::initial().state(); blocks.len()];
+        for (states, blocks) in states.chunks_mut(MAX_LANES).zip(blocks.chunks(MAX_LANES)) {
+            let refs: [&[u8]; MAX_LANES] =
+                core::array::from_fn(|l| blocks.get(l).map_or(&[][..], |b| &b[..]));
+            compress_group(backend, states, &refs[..blocks.len()]);
         }
         states
             .into_iter()
             .map(|s| Midstate::from_raw(s, BLOCK_LEN as u64))
             .collect()
-    }
-}
-
-/// Clamp a requested backend to what the host supports.
-fn sanitize(backend: LaneBackend) -> LaneBackend {
-    if backend.is_available() {
-        backend
-    } else if LaneBackend::Avx2x8.is_available() {
-        LaneBackend::Avx2x8
-    } else {
-        LaneBackend::Portable
     }
 }
 
@@ -225,85 +208,52 @@ pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
     }
 }
 
-/// Core scheduler: stage padded block streams, sort lanes by descending
-/// block count, compress prefix groups in lockstep, write digests back in
-/// the caller's job order.
-fn finalize_many_into(
+/// The batch scheduler: finalizes jobs `job(0)..job(n)`, at most
+/// [`MAX_LANES`] of them, on `backend` and returns their digests in job
+/// order (slots from `n` on stay zero).
+///
+/// Exactly equivalent to, for each job, resuming a [`Sha256`] from the
+/// job's midstate, updating with each part, and finalizing. Lanes are
+/// ordered by descending block count, so the lanes still active at block
+/// step `b` are a prefix of the order and every step compresses one
+/// contiguous run; each step's padded blocks are built in a stack buffer.
+/// `job` is called again whenever a lane needs it, so it should be cheap.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds [`MAX_LANES`].
+pub(crate) fn finalize_group<'a>(
     backend: LaneBackend,
-    jobs: &[LaneJob<'_>],
-    flat: &mut Vec<u8>,
-    out: &mut [Digest],
-) {
-    debug_assert_eq!(jobs.len(), out.len());
-    let n = jobs.len();
-    if n == 0 {
-        return;
-    }
-    if n == 1 && backend == Sha256xN::backend() {
-        // A single lane gains nothing from staging; the streaming `Sha256`
-        // runs on this same kernel, so defer to it.
-        let mut h = Sha256::from_midstate(jobs[0].midstate);
-        for part in jobs[0].parts {
-            h.update(part);
-        }
-        out[0] = h.finalize();
-        return;
-    }
-    // Per-lane layout: message parts, 0x80, zero padding, 64-bit bit length.
-    // `nblocks` counts only the blocks hashed *here* (the midstate already
-    // absorbed its own).
-    let mut offsets: Vec<usize> = Vec::with_capacity(n);
-    let mut nblocks: Vec<usize> = Vec::with_capacity(n);
-    let mut total = 0usize;
-    for job in jobs {
-        let nb = (job.msg_len() + PAD_MIN).div_ceil(BLOCK_LEN);
-        offsets.push(total);
-        nblocks.push(nb);
-        total += nb * BLOCK_LEN;
-    }
-    flat.clear();
-    flat.resize(total, 0);
-    for (i, job) in jobs.iter().enumerate() {
-        let mut pos = offsets[i];
-        for part in job.parts {
-            flat[pos..pos + part.len()].copy_from_slice(part);
-            pos += part.len();
-        }
-        flat[pos] = 0x80;
-        let end = offsets[i] + nblocks[i] * BLOCK_LEN;
-        let bit_len = job
-            .midstate
-            .byte_len()
-            .wrapping_add(job.msg_len() as u64)
-            .wrapping_mul(8);
-        flat[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
-    }
+    n: usize,
+    job: impl Fn(usize) -> LaneJob<'a>,
+) -> [Digest; MAX_LANES] {
+    let nblocks: [usize; MAX_LANES] =
+        core::array::from_fn(|i| if i < n { job(i).blocks() } else { 0 });
+    let mut order: [usize; MAX_LANES] = core::array::from_fn(|i| i);
+    order[..n].sort_unstable_by(|&a, &b| nblocks[b].cmp(&nblocks[a]));
 
-    // Stable descending sort by block count: at block step `b`, lanes still
-    // active form a prefix of `order`, so every compression call sees a
-    // contiguous lane group.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| nblocks[b].cmp(&nblocks[a]));
-
-    let mut states: Vec<[u32; 8]> = order.iter().map(|&i| jobs[i].midstate.state()).collect();
-    let max_blocks = nblocks[order[0]];
-    let mut block_refs: Vec<&[u8]> = Vec::with_capacity(n);
+    let mut states = [[0u32; 8]; MAX_LANES];
+    for (state, &i) in states.iter_mut().zip(&order[..n]) {
+        *state = job(i).midstate.state();
+    }
+    let mut blocks = [[0u8; BLOCK_LEN]; MAX_LANES];
     let mut active = n;
-    for b in 0..max_blocks {
-        while active > 0 && nblocks[order[active - 1]] <= b {
+    for b in 0..nblocks[order[0]] {
+        while nblocks[order[active - 1]] <= b {
             active -= 1;
         }
-        block_refs.clear();
-        for &i in &order[..active] {
-            let off = offsets[i] + b * BLOCK_LEN;
-            block_refs.push(&flat[off..off + BLOCK_LEN]);
+        for (block, &i) in blocks.iter_mut().zip(&order[..active]) {
+            job(i).padded_block(b, block);
         }
-        compress_group(backend, &mut states[..active], &block_refs);
+        let refs: [&[u8]; MAX_LANES] = core::array::from_fn(|l| &blocks[l][..]);
+        compress_group(backend, &mut states[..active], &refs[..active]);
     }
 
-    for (state, &i) in states.iter().zip(&order) {
+    let mut out = [Digest([0u8; DIGEST_LEN]); MAX_LANES];
+    for (state, &i) in states.iter().zip(&order[..n]) {
         out[i] = Digest::from_state(state);
     }
+    out
 }
 
 /// Compress one block for each of `states.len()` lanes, splitting the group
@@ -627,6 +577,39 @@ mod simd {
 mod tests {
     use super::*;
 
+    impl Sha256xN {
+        /// Finalizes every job on an explicit kernel, digests in job order:
+        /// the tests' entry to the group scheduler, and with
+        /// [`LaneBackend::Portable`] the oracle the hardware kernels are
+        /// checked against. A backend the host lacks degrades (see
+        /// [`sanitize`]), so any request is safe.
+        pub(crate) fn finalize_many_with(
+            backend: LaneBackend,
+            jobs: &[LaneJob<'_>],
+        ) -> Vec<Digest> {
+            let backend = sanitize(backend);
+            jobs.chunks(MAX_LANES)
+                .flat_map(|group| {
+                    finalize_group(backend, group.len(), |i| group[i])
+                        .into_iter()
+                        .take(group.len())
+                })
+                .collect()
+        }
+    }
+
+    /// Clamp a requested backend to what the host supports: AVX2 where
+    /// present, else portable.
+    fn sanitize(backend: LaneBackend) -> LaneBackend {
+        if backend.is_available() {
+            backend
+        } else if LaneBackend::Avx2x8.is_available() {
+            LaneBackend::Avx2x8
+        } else {
+            LaneBackend::Portable
+        }
+    }
+
     /// FIPS 180-2 / NIST vectors: message and published digest. They pin
     /// the portable kernel, which in turn is the oracle for the others.
     const NIST: [(&[u8], &str); 5] = [
@@ -676,8 +659,22 @@ mod tests {
             .collect()
     }
 
+    /// The streaming hasher over one job: its own padding, independent of
+    /// the group scheduler.
+    fn streaming(job: &LaneJob<'_>) -> Digest {
+        let mut h = Sha256::from_midstate(job.midstate);
+        for part in job.parts {
+            h.update(part);
+        }
+        h.finalize()
+    }
+
+    /// Every backend equals the portable kernel, and the portable batch
+    /// equals the streaming hasher job by job.
     fn assert_every_backend_matches(jobs: &[LaneJob<'_>], what: &str) {
         let expected = portable(jobs);
+        let scalar: Vec<Digest> = jobs.iter().map(streaming).collect();
+        assert_eq!(expected, scalar, "{what}: portable batch vs streaming");
         for backend in available_backends() {
             assert_eq!(
                 Sha256xN::finalize_many_with(backend, jobs),
@@ -890,22 +887,18 @@ mod tests {
     }
 
     #[test]
-    fn digest_many_matches_portable() {
-        let bufs: Vec<Vec<u8>> = (0..7).map(|i| vec![i as u8; i * 11]).collect();
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
-        assert_eq!(Sha256xN::digest_many(&refs), portable(&fresh_jobs(&bufs)));
-    }
-
-    #[test]
     fn empty_batch_is_empty() {
-        assert!(Sha256xN::finalize_many(&[]).is_empty());
+        assert!(Sha256xN::finalize_many_with(Sha256xN::backend(), &[]).is_empty());
         assert!(Sha256xN::midstate_many(&[]).is_empty());
     }
 
     #[test]
-    fn scalar_single_job_path_matches() {
-        let job = LaneJob::new(Midstate::initial(), b"single-lane fast path");
-        assert_eq!(Sha256xN::finalize_many(&[job]), portable(&[job]));
+    fn single_job_group_matches_portable() {
+        // A one-job batch runs the same group routine as any other.
+        let job = LaneJob::new(Midstate::initial(), b"single-lane group");
+        let got = Sha256xN::finalize_many_with(Sha256xN::backend(), &[job]);
+        assert_eq!(got, portable(&[job]));
+        assert_eq!(got, vec![streaming(&job)]);
     }
 
     #[test]

@@ -296,17 +296,22 @@ impl TenantRegistryBuilder {
     /// Gives every tenant (that has no explicit store already) a durable
     /// evidence log at `<dir>/<tenant>.pnme` — one file per tenant, so
     /// evidence never shares a byte stream across tenants and each tenant
-    /// recovers independently.
+    /// recovers independently. A registry built on a directory that
+    /// already holds logs starts each tenant from its log. The dedup
+    /// window is not persisted: a frame the client resends after the
+    /// restart is accepted again and counted twice.
     pub fn evidence_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.evidence_dir = Some(dir.into());
         self
     }
 
-    /// Spawns every tenant's pool and returns the registry.
+    /// Spawns every tenant's pool and returns the registry. A tenant with
+    /// an evidence log starts from what the log holds.
     ///
     /// # Errors
     ///
-    /// Propagates [`StoreError`] from opening a tenant's evidence log.
+    /// Propagates [`StoreError`] from opening or replaying a tenant's
+    /// evidence log.
     ///
     /// # Panics
     ///
@@ -327,7 +332,13 @@ impl TenantRegistryBuilder {
             };
             let tracer = service.sink().tracer_handle().clone();
             let flight = service.flight_recorder_handle().cloned();
-            let pool = ServicePool::new(config.keys, service);
+            // A tenant with a log starts from it: a restarted gateway
+            // carries on from its evidence, and an unreadable log is an
+            // error here rather than a panic in `ServicePool::new`.
+            let pool = match service.store_handle() {
+                Some(_) => ServicePool::recover(config.keys, service)?.0,
+                None => ServicePool::new(config.keys, service),
+            };
             let tenant = Tenant {
                 registries: [counters.clone(), pool.registry().clone()],
                 pool: Mutex::new(Some(Arc::new(pool))),

@@ -201,25 +201,40 @@ pub struct ServicePool {
 }
 
 impl ServicePool {
-    /// Spawns the worker shards and returns the running service.
+    /// Spawns the worker shards and returns the running service, started
+    /// from whatever the config's attached store holds (see
+    /// [`ServicePool::recover`]): a pool restarted on the same store
+    /// carries on from its evidence, and one without a store starts empty.
     ///
     /// Every shard engine is built from the same sink config with the
     /// isolation stage stripped: shard-local quarantine would depend on
     /// which packets a shard happened to see, so the service applies the
     /// policy once, to the cross-shard merged route graph, at drain time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the attached store's replay fails (I/O, bad header);
+    /// [`ServicePool::recover`] returns that as an error instead.
     pub fn new(keys: impl Into<Arc<KeyStore>>, config: ServiceConfig) -> Self {
-        Self::build(keys.into(), config, BTreeMap::new())
+        match config.store_handle() {
+            Some(_) => {
+                Self::recover(keys, config)
+                    .expect("replay the attached evidence store")
+                    .0
+            }
+            None => Self::build(keys.into(), config, BTreeMap::new()),
+        }
     }
 
-    /// Rebuilds a pool from the evidence persisted in the config's
-    /// attached store — the restart path after a process crash. The store
-    /// is replayed once; each persisted shard's evidence is installed
-    /// into the worker shard it maps to (`log shard % shard count`, so a
-    /// pool may recover a log written with a different shard count), and
-    /// the same store is re-attached for continued appends. The replayed
-    /// evidence is each worker's first checkpoint, and a checkpoint's
-    /// deltas start after it, so recovery never re-appends what was
-    /// replayed.
+    /// [`ServicePool::new`] for a pool with a store, returning what the
+    /// store held instead of panicking on a failed replay — the restart
+    /// path after a process crash. The store is replayed once; each
+    /// persisted shard's evidence is installed into the worker shard it
+    /// maps to (`log shard % shard count`, so a pool may recover a log
+    /// written with a different shard count), and the same store is
+    /// re-attached for continued appends. The replayed evidence is each
+    /// worker's first checkpoint, and a checkpoint's deltas start after
+    /// it, so recovery never re-appends what was replayed.
     ///
     /// Recovery and the poison-quarantine restart share one code path: a
     /// fresh engine plus [`SinkEngine::install_evidence`] of the

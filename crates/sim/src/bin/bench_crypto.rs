@@ -14,11 +14,13 @@
 //!    the RFC 2104 pad blocks on every call) vs precomputed
 //!    (`mark_mac_prepared` over a cached `HmacKey`, two SHA-256 compressions
 //!    cheaper).
-//! 2. **Batched mark MACs** (`lanes` section): `mark_mac_many_prepared` at
-//!    batch ∈ {4, 8, 16, 64} distinct keys vs a scalar `mark_mac_prepared`
-//!    loop over the same jobs. The batched path ([`pnm_crypto::Sha256xN`])
-//!    hands independent messages to the kernel together: two interleaved
-//!    per SHA-NI call, up to [`pnm_crypto::MAX_LANES`] per AVX2 call.
+//! 2. **Batched mark-MAC verification** (`lanes` section):
+//!    `verify_mark_macs_prepared`, the sink's nested-verify batch call, at
+//!    batch ∈ {1, 3, 4, 8, 16, 64} distinct keys (the sink verifies about
+//!    three marks per packet) vs a scalar `verify_mark_mac_prepared` loop
+//!    over the same jobs. The batched path ([`pnm_crypto::Sha256xN`]) hands
+//!    independent messages to the kernel together: two interleaved per
+//!    SHA-NI call, up to [`pnm_crypto::MAX_LANES`] per AVX2 call.
 //! 3. **Anon-table build** at N ∈ {100, 300, 1000, 2000, 4000} nodes (the
 //!    upper three are §4.2's "few thousand nodes"): the pre-change serial
 //!    baseline (one-shot `anon_id` per node into a `Vec`-per-entry map) vs
@@ -42,14 +44,16 @@ use std::time::Instant;
 
 use pnm_core::AnonTable;
 use pnm_crypto::{
-    anon_id, mark_mac_many_prepared, mark_mac_prepared, AnonId, HmacKey, KeyStore, MacKey, Sha256xN,
+    anon_id, mark_mac_prepared, verify_mark_mac_prepared, verify_mark_macs_prepared, AnonId,
+    HmacKey, KeyStore, MacKey, MacTag, Sha256xN,
 };
 
 const TABLE_SIZES: [u16; 5] = [100, 300, 1000, 2000, 4000];
 const MAC_WIDTH: usize = 8;
-/// Batch sizes swept by the lanes section: one SIMD group (4/8), a
-/// two-group batch, and a chain-of-marks-sized batch.
-const LANE_BATCHES: [usize; 4] = [4, 8, 16, 64];
+/// Batch sizes swept by the lanes section: one mark, the sink's ~3 marks
+/// per packet, one SIMD group (4/8), a two-group batch, and a
+/// chain-of-marks-sized batch.
+const LANE_BATCHES: [usize; 6] = [1, 3, 4, 8, 16, 64];
 
 /// The host's core count, recorded so a reader knows the machine behind
 /// the timings.
@@ -160,19 +164,39 @@ fn lane_keys() -> Vec<HmacKey> {
         .collect()
 }
 
-/// Asserts `mark_mac_many_prepared` tags equal per-job scalar tags at every
-/// swept batch size — lane ≡ scalar before any timing.
+/// Each key's genuine scalar tag over `msg`.
+fn lane_tags(keys: &[HmacKey], msg: &[u8]) -> Vec<MacTag> {
+    keys.iter()
+        .map(|k| mark_mac_prepared(k, msg, MAC_WIDTH))
+        .collect()
+}
+
+/// Asserts `verify_mark_macs_prepared` equals the scalar verifier job by
+/// job at every swept batch size, on genuine tags and on a batch with
+/// every other tag corrupted — lane ≡ scalar before any timing.
 fn check_lane_equivalence(keys: &[HmacKey], msg: &[u8]) {
+    let genuine = lane_tags(keys, msg);
+    let mixed: Vec<MacTag> = genuine
+        .iter()
+        .enumerate()
+        .map(|(i, t)| if i % 2 == 1 { t.corrupted() } else { *t })
+        .collect();
     for &batch in &LANE_BATCHES {
-        let jobs: Vec<(&HmacKey, &[u8])> = keys[..batch].iter().map(|k| (k, msg)).collect();
-        let lane_tags = mark_mac_many_prepared(&jobs, MAC_WIDTH);
-        assert_eq!(lane_tags.len(), batch);
-        for ((key, m), tag) in jobs.iter().zip(&lane_tags) {
-            assert_eq!(
-                *tag,
-                mark_mac_prepared(key, m, MAC_WIDTH),
-                "lane MAC must equal scalar (batch {batch})"
-            );
+        for tags in [&genuine, &mixed] {
+            let jobs: Vec<(&HmacKey, &[u8], &MacTag)> = keys[..batch]
+                .iter()
+                .zip(tags)
+                .map(|(k, t)| (k, msg, t))
+                .collect();
+            let verdicts = verify_mark_macs_prepared(&jobs);
+            assert_eq!(verdicts.len(), batch);
+            for (&(key, m, tag), &ok) in jobs.iter().zip(&verdicts) {
+                assert_eq!(
+                    ok,
+                    verify_mark_mac_prepared(key, m, tag),
+                    "lane verify must equal scalar (batch {batch})"
+                );
+            }
         }
     }
 }
@@ -187,22 +211,26 @@ fn bench_lanes(repeats: usize, iters: usize) -> Vec<LaneResult> {
     let keys = lane_keys();
     let msg = mark_message();
     check_lane_equivalence(&keys, &msg);
+    let tags = lane_tags(&keys, &msg);
 
     LANE_BATCHES
         .iter()
         .map(|&batch| {
-            let jobs: Vec<(&HmacKey, &[u8])> =
-                keys[..batch].iter().map(|k| (k, &msg[..])).collect();
+            let jobs: Vec<(&HmacKey, &[u8], &MacTag)> = keys[..batch]
+                .iter()
+                .zip(&tags)
+                .map(|(k, t)| (k, &msg[..], t))
+                .collect();
             let [serial_ns, lanes_ns] = time_interleaved(
                 repeats,
                 iters,
                 &mut [
                     &mut || {
                         jobs.iter()
-                            .map(|(k, m)| mark_mac_prepared(k, m, MAC_WIDTH))
+                            .map(|&(k, m, t)| verify_mark_mac_prepared(k, m, t))
                             .collect::<Vec<_>>()
                     },
-                    &mut || mark_mac_many_prepared(&jobs, MAC_WIDTH),
+                    &mut || verify_mark_macs_prepared(&jobs),
                 ],
             );
             LaneResult {
@@ -346,7 +374,7 @@ fn main() -> ExitCode {
             "    \"speedup\": {:.2}\n",
             "  }},\n",
             "  \"lanes\": {{\n",
-            "    \"mark_mac_batches\": [\n{}\n    ]\n",
+            "    \"verify_mark_macs_batches\": [\n{}\n    ]\n",
             "  }},\n",
             "  \"anon_table_builds\": [\n{}\n  ]\n",
             "}}\n"
