@@ -85,6 +85,7 @@ pub use sink::{RejectReason, SinkConfig, SinkCounters, SinkEngine, SinkOutcome};
 pub use stage::{StageHistograms, StageMetrics, STAGE_NAMES};
 pub use store::{
     DeltaWriter, Evidence, EvidenceStore, LogStore, MemStore, RecordKind, StoreError, StoreReplay,
+    VerdictCounters,
 };
 pub use verify::{
     AnonTable, CandidateSet, Resolution, SinkVerifier, StopReason, TopologyResolver, VerifiedChain,

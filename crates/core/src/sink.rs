@@ -50,7 +50,7 @@ use crate::isolation::{quarantine_set, IsolationPolicy, QuarantineFilter};
 use crate::reconstruct::{AnnotatedLocalization, Localization, RouteReconstructor, SourceRegion};
 use crate::replay::DuplicateSuppressor;
 use crate::stage::{StageHistograms, StageMetrics};
-use crate::store::{counters_since, DeltaWriter, Evidence, EvidenceStore, StoreError};
+use crate::store::{DeltaWriter, Evidence, EvidenceStore, StoreError, VerdictCounters};
 use crate::verify::{AnonTable, SinkVerifier, TopologyResolver, VerifiedChain, VerifyMode};
 
 /// Default number of per-report anonymous-ID tables the engine keeps live.
@@ -126,6 +126,12 @@ impl SinkConfig {
     /// packets) is rejected as [`RejectReason::Duplicate`] without touching
     /// any evidence. Duplicating links (MAC retransmissions, fault
     /// injection) then cannot skew support counts or rate windows.
+    ///
+    /// The window is this engine's own. A shard of a partitioned pool sees
+    /// only its share of the stream, so its last `capacity` packets reach
+    /// further back than one engine's, and it may suppress a copy one
+    /// engine would have admitted. A pool running with `dedup` is
+    /// therefore outside the sharded ≡ sequential equivalence contract.
     pub fn dedup(mut self, capacity: usize) -> Self {
         self.dedup_capacity = Some(capacity.max(1));
         self
@@ -174,11 +180,6 @@ impl SinkConfig {
         self.mode
     }
 
-    /// The configured isolation policy, if any.
-    pub fn isolation_policy(&self) -> Option<IsolationPolicy> {
-        self.isolation
-    }
-
     /// Drops the isolation stage from this config.
     ///
     /// A sharded service builds its per-shard engines from a config with
@@ -197,6 +198,13 @@ impl SinkConfig {
 /// per-packet ingestion update them identically. Counters from several
 /// engines (e.g. the shards of a service pool) combine with
 /// [`SinkCounters::merge`] or `+=` — every field is a plain sum.
+///
+/// Seven fields count packets and marks; they are the
+/// [`VerdictCounters`] an engine's [`Evidence`] carries. The other four
+/// (`hash_count`, `table_builds`, `table_cache_hits`,
+/// `resolver_fallback_scans`) count the engine's own work, which depends
+/// on its table cache: they are not evidence, so they are neither
+/// checkpointed nor restored with it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SinkCounters {
     /// Packets offered to the pipeline (including classified-out ones).
@@ -237,6 +245,46 @@ impl SinkCounters {
     /// Folds another engine's counters into this one (field-wise sum).
     pub fn merge(&mut self, other: &SinkCounters) {
         *self += *other;
+    }
+
+    /// The seven verdict counters, without the engine's work counters.
+    pub fn verdict(&self) -> VerdictCounters {
+        VerdictCounters {
+            packets: self.packets,
+            marks_verified: self.marks_verified,
+            marks_rejected: self.marks_rejected,
+            suspicious: self.suspicious,
+            benign: self.benign,
+            malformed: self.malformed,
+            duplicates_suppressed: self.duplicates_suppressed,
+        }
+    }
+
+    /// The four work counters, with every verdict counter zero.
+    fn work(&self) -> SinkCounters {
+        SinkCounters {
+            hash_count: self.hash_count,
+            table_builds: self.table_builds,
+            table_cache_hits: self.table_cache_hits,
+            resolver_fallback_scans: self.resolver_fallback_scans,
+            ..SinkCounters::default()
+        }
+    }
+}
+
+/// Verdict counters with every work counter zero.
+impl From<VerdictCounters> for SinkCounters {
+    fn from(v: VerdictCounters) -> Self {
+        SinkCounters {
+            packets: v.packets,
+            marks_verified: v.marks_verified,
+            marks_rejected: v.marks_rejected,
+            suspicious: v.suspicious,
+            benign: v.benign,
+            malformed: v.malformed,
+            duplicates_suppressed: v.duplicates_suppressed,
+            ..SinkCounters::default()
+        }
     }
 }
 
@@ -387,17 +435,16 @@ pub struct SinkEngine {
 /// [`SinkEngine::evidence`] export and diff.
 ///
 /// Set members and support increments are recorded into `grown` where the
-/// evidence grows (new nodes and edges only if absent). Counters,
-/// `chains_observed` and `first_unequivocal` are differenced against the
-/// values marked at the last take.
+/// evidence grows (new nodes and edges only if absent). The verdict
+/// counters and `chains_observed` are differenced against the values
+/// marked at the last take.
 #[derive(Clone, Debug, Default)]
 struct PendingDelta {
     /// `None` until the first take: an engine nobody checkpoints records
     /// nothing, and its first delta is simply all of its evidence.
     grown: Option<Evidence>,
-    counters: SinkCounters,
+    counters: VerdictCounters,
     chains_observed: usize,
-    first_unequivocal: Option<usize>,
 }
 
 /// A lap clock for stage timing: reads the monotonic clock only when
@@ -490,15 +537,6 @@ impl SinkEngine {
                 let now_us = packet.report.timestamp;
                 self.ingest_at(&packet, now_us)
             }
-            Err(e) => self.reject_malformed(e),
-        }
-    }
-
-    /// [`SinkEngine::ingest_bytes`] with an explicit arrival clock for the
-    /// classifier's rate window.
-    pub fn ingest_bytes_at(&mut self, bytes: &[u8], now_us: u64) -> SinkOutcome {
-        match Packet::from_bytes(bytes) {
-            Ok(packet) => self.ingest_at(&packet, now_us),
             Err(e) => self.reject_malformed(e),
         }
     }
@@ -674,18 +712,24 @@ impl SinkEngine {
     /// and support sum, route graphs and quarantine sets union.
     ///
     /// This is the cross-shard merge a sharded traceback service performs
-    /// at snapshot/drain time: because the route graph and quarantine set
-    /// are set unions, absorbing shard engines in any order yields exactly
-    /// the evidence a single engine would have accumulated over the whole
-    /// stream. Both engines must verify under the same mode (debug-asserted);
-    /// the absorbing engine keeps its own table cache and scratch buffers.
-    /// `first_unequivocal` becomes the smaller of the two packet indices —
-    /// a best-effort diagnostic, since shard-local packet counts are not a
-    /// global arrival order. After absorbing, the quarantine stage re-runs
-    /// on the next trigger (the merged graph may localize differently).
-    /// Duplicate-suppression windows are engine-local and not merged; a
-    /// partitioned deployment relies on duplicates hashing to the same
-    /// partition (they do — identical bytes share a report).
+    /// at snapshot/drain time: because every evidence field is a sum or a
+    /// set union, absorbing shard engines in any order yields exactly the
+    /// evidence a single engine would have accumulated over the whole
+    /// stream. Both engines must verify under the same mode
+    /// (debug-asserted); the absorbing engine keeps its own table cache and
+    /// scratch buffers, and its own [`SinkEngine::first_unequivocal`]
+    /// (shard-local packet counts are not a global arrival order). The
+    /// other engine's work counters add to this engine's
+    /// [`SinkEngine::counters`]. After absorbing, the quarantine stage
+    /// re-runs on the next trigger (the merged graph may localize
+    /// differently).
+    ///
+    /// Duplicate-suppression windows ([`SinkConfig::dedup`]) and a
+    /// classifier's rate window are engine-local and not merged. Copies of
+    /// a packet do land in one partition (identical bytes share a report),
+    /// but a partition's window holds only that partition's last packets,
+    /// so it can suppress a copy one engine would admit: the absorbed
+    /// evidence then differs from one engine's.
     ///
     /// **Interaction with an attached store:** absorb merges in memory
     /// only — it appends nothing, and the absorbed evidence joins the
@@ -699,6 +743,7 @@ impl SinkEngine {
     pub fn absorb(&mut self, other: &SinkEngine) {
         debug_assert_eq!(self.mode, other.mode, "absorbing mismatched verify modes");
         self.install_evidence(&other.evidence());
+        self.counters += other.counters.work();
         self.stages.merge(&other.stages.snapshot());
     }
 
@@ -926,7 +971,10 @@ impl SinkEngine {
         self.counters.packets
     }
 
-    /// The packet count at which identification first became unequivocal.
+    /// The packet count at which identification first became unequivocal
+    /// on this engine. An arrival-order diagnostic, not evidence: it is
+    /// neither exported, checkpointed nor merged, so an engine rebuilt from
+    /// evidence or absorbing another starts from its own packets.
     pub fn first_unequivocal(&self) -> Option<usize> {
         self.first_unequivocal
     }
@@ -946,58 +994,53 @@ impl SinkEngine {
         &self.quarantine
     }
 
-    /// Exports the engine's accumulated traceback evidence — counters,
-    /// route graph with support counts, quarantine set, and the
-    /// first-unequivocal packet index — as one serializable [`Evidence`]
-    /// value. Transient state (dedup window, table cache, scratch
-    /// buffers, stage latency histograms) is deliberately excluded: it is
-    /// either reproducible or observability, not evidence.
+    /// Exports the engine's accumulated traceback evidence — verdict
+    /// counters, route graph with support counts, and quarantine set — as
+    /// one serializable [`Evidence`] value. Engine-local state (work
+    /// counters, first-unequivocal index, dedup window, table cache,
+    /// scratch buffers, stage latency histograms) is deliberately
+    /// excluded: it depends on the engine's cache or on arrival order, or
+    /// it is observability, not evidence.
     pub fn evidence(&self) -> Evidence {
         let r = &self.reconstructor;
         Evidence {
-            counters: self.counters,
+            counters: self.counters.verdict(),
             chains_observed: r.chains_observed(),
             nodes: r.nodes_set().clone(),
             edges: r.edge_pairs().collect(),
             head_support: r.head_support_map().clone(),
             edge_support: r.edge_support_map().clone(),
             quarantined: self.quarantine.quarantined().map(|n| n.raw()).collect(),
-            first_unequivocal: self.first_unequivocal.map(|v| v as u64),
+            first_unequivocal: None,
         }
     }
 
     /// Merges previously exported evidence into this engine — the replay
     /// half of crash recovery. Same monoid semantics as
     /// [`SinkEngine::absorb`]: counters sum, route graph and quarantine
-    /// union, `first_unequivocal` takes the minimum. Installing the
-    /// evidence of an uninterrupted run into a fresh engine reproduces
-    /// its localization, quarantine, and counters exactly.
+    /// union. Installing the evidence of an uninterrupted run into a fresh
+    /// engine reproduces its localization, quarantine, verdict counters
+    /// and evidence bytes exactly; the work counters and
+    /// `first_unequivocal` are not evidence and are left as they are.
     ///
     /// The installed evidence joins the pending delta like any other
     /// growth; [`SinkEngine::attach_store`] or
     /// [`SinkEngine::take_evidence_delta`] after installing marks it as
     /// already checkpointed.
     pub fn install_evidence(&mut self, evidence: &Evidence) {
-        self.counters += evidence.counters;
+        self.counters += SinkCounters::from(evidence.counters);
         self.reconstructor
             .install(evidence, self.pending.grown.as_mut());
         self.quarantine_recording(evidence.quarantined_nodes());
-        self.first_unequivocal = match (
-            self.first_unequivocal,
-            evidence.first_unequivocal.map(|v| v as usize),
-        ) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
         self.last_quarantined_source = None;
     }
 
     /// The evidence grown since the last take (or since construction or
     /// [`SinkEngine::attach_store`]), as one delta; the next delta starts
     /// empty. From the first take on, growth is recorded as it happens and
-    /// only counters, `chains_observed` and `first_unequivocal` are
-    /// differenced at the take, so a take costs the size of the delta, not
-    /// of the evidence. The first take itself exports the full evidence:
+    /// only the verdict counters and `chains_observed` are differenced at
+    /// the take, so a take costs the size of the delta, not of the
+    /// evidence. The first take itself exports the full evidence:
     /// an engine that is never checkpointed records nothing.
     ///
     /// Merging every delta taken, in order, into the evidence held at the
@@ -1019,18 +1062,12 @@ impl SinkEngine {
             }
         };
         let mark = &mut self.pending;
+        let counters = self.counters.verdict();
         let chains_observed = self.reconstructor.chains_observed();
-        delta.counters = counters_since(&self.counters, &mark.counters);
+        delta.counters = counters.since(&mark.counters);
         delta.chains_observed = chains_observed - mark.chains_observed;
-        // Only a changed index is news: merge keeps the minimum, and the
-        // index only ever appears or falls.
-        delta.first_unequivocal = self
-            .first_unequivocal
-            .filter(|_| self.first_unequivocal != mark.first_unequivocal)
-            .map(|v| v as u64);
-        mark.counters = self.counters;
+        mark.counters = counters;
         mark.chains_observed = chains_observed;
-        mark.first_unequivocal = self.first_unequivocal;
         delta
     }
 
@@ -1379,12 +1416,13 @@ mod tests {
 
         let mut rebuilt = SinkEngine::new(Arc::clone(&ks), cfg);
         rebuilt.install_evidence(&evidence);
-        // Byte-identical evidence, identical verdicts.
+        // Byte-identical evidence, identical verdicts. The work counters
+        // and the first-unequivocal index are the original engine's own.
         assert_eq!(rebuilt.evidence().to_bytes(), evidence.to_bytes());
-        assert_eq!(rebuilt.counters(), engine.counters());
         assert_eq!(rebuilt.localize(), engine.localize());
         assert_eq!(rebuilt.unequivocal_source(), engine.unequivocal_source());
-        assert_eq!(rebuilt.first_unequivocal(), engine.first_unequivocal());
+        assert_eq!(rebuilt.counters(), SinkCounters::from(evidence.counters));
+        assert_eq!(rebuilt.first_unequivocal(), None);
         let q: Vec<NodeId> = rebuilt.quarantine().quarantined().collect();
         let q0: Vec<NodeId> = engine.quarantine().quarantined().collect();
         assert_eq!(q, q0);

@@ -1,19 +1,28 @@
-//! The serializable `Evidence` model: everything a sink must not lose.
+//! The serializable `Evidence` model: everything a verdict depends on.
 //!
-//! The paper's sink accrues traceback evidence *incrementally* over a long
-//! collection window — order-matrix edges, per-node support counts,
-//! pipeline counters, the quarantine set. [`Evidence`] gathers that state
-//! (previously scattered across `SinkEngine`, `RouteReconstructor`,
-//! `QuarantineFilter`, and `SinkCounters`) into one explicit value with a
-//! canonical byte encoding, so it can be persisted, diffed, and replayed.
+//! The paper's verdict is a function of the verified mark pairs the sink
+//! has collected: the order matrix, its support, and the quarantine it
+//! implies (§4.2, Theorem 4). [`Evidence`] holds exactly that state — the
+//! route graph with its support counts, the quarantine set, and the
+//! [`VerdictCounters`] — as one value with a canonical byte encoding, so
+//! it can be persisted, diffed, replayed and compared byte for byte.
+//!
+//! What an engine does to reach a verdict is not evidence. The table-cache
+//! work counters (`hash_count`, `table_builds`, `table_cache_hits`,
+//! `resolver_fallback_scans`) depend on each engine's cache, and the
+//! packet index at which the source first became unequivocal depends on
+//! arrival order; both stay on the engine ([`crate::SinkEngine::counters`],
+//! [`crate::SinkEngine::first_unequivocal`]).
 //!
 //! Two algebraic properties carry the whole durability design:
 //!
 //! * **Evidence is a commutative monoid under [`Evidence::merge`]** —
-//!   counters and support counts sum, node/edge/quarantine sets union,
-//!   `first_unequivocal` takes the minimum. Merging partitions of a packet
-//!   stream in any order equals processing the whole stream sequentially
-//!   (the same property `SinkEngine::absorb` relies on).
+//!   counters and support counts sum, node/edge/quarantine sets union.
+//!   Every field is a sum or a union over packets, so merging the evidence
+//!   of any partition of a packet stream, in any order, equals the
+//!   evidence of the whole stream processed sequentially, byte for byte
+//!   (the property `SinkEngine::absorb` and a sharded pool's drain rely
+//!   on).
 //! * **Evidence grows monotonically** — no pipeline step ever removes a
 //!   node, edge, or count. The growth between two checkpoints is therefore
 //!   itself an `Evidence` value, and `prev.merge(&delta) == now`, which is
@@ -22,15 +31,81 @@
 //!   checkpoint costs the delta's size, not the evidence's.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::AddAssign;
 
 use pnm_wire::NodeId;
 
-use crate::sink::SinkCounters;
 use crate::store::StoreError;
 
 /// Hard cap on a single encoded evidence record; a declared length beyond
 /// this is rejected before any allocation.
 pub const MAX_EVIDENCE_BYTES: usize = 64 << 20;
+
+/// The pipeline counters a verdict's evidence carries: the
+/// [`SinkCounters`](crate::SinkCounters) fields that count packets and
+/// marks, which any split of a packet stream sums to the same value.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VerdictCounters {
+    /// Packets offered to the pipeline (including rejected ones).
+    pub packets: usize,
+    /// Marks whose MAC verified.
+    pub marks_verified: usize,
+    /// Marks rejected (invalid MAC, unknown key, or past the first invalid
+    /// mark).
+    pub marks_rejected: usize,
+    /// Packets the classifier admitted as suspicious.
+    pub suspicious: usize,
+    /// Packets the classifier rejected as benign.
+    pub benign: usize,
+    /// Byte buffers that failed wire decoding.
+    pub malformed: usize,
+    /// Packets rejected as exact duplicates.
+    pub duplicates_suppressed: usize,
+}
+
+impl VerdictCounters {
+    /// The fields in canonical (declaration) order.
+    fn fields(&self) -> [usize; 7] {
+        [
+            self.packets,
+            self.marks_verified,
+            self.marks_rejected,
+            self.suspicious,
+            self.benign,
+            self.malformed,
+            self.duplicates_suppressed,
+        ]
+    }
+
+    fn from_fields(f: [usize; 7]) -> Self {
+        VerdictCounters {
+            packets: f[0],
+            marks_verified: f[1],
+            marks_rejected: f[2],
+            suspicious: f[3],
+            benign: f[4],
+            malformed: f[5],
+            duplicates_suppressed: f[6],
+        }
+    }
+
+    /// The field-wise difference `self − prev` of two readings of one
+    /// monotone counter set.
+    pub(crate) fn since(&self, prev: &VerdictCounters) -> VerdictCounters {
+        let (now, old) = (self.fields(), prev.fields());
+        VerdictCounters::from_fields(std::array::from_fn(|i| {
+            debug_assert!(now[i] >= old[i], "counters must be monotone");
+            now[i].saturating_sub(old[i])
+        }))
+    }
+}
+
+impl AddAssign for VerdictCounters {
+    fn add_assign(&mut self, rhs: VerdictCounters) {
+        let (a, b) = (self.fields(), rhs.fields());
+        *self = VerdictCounters::from_fields(std::array::from_fn(|i| a[i] + b[i]));
+    }
+}
 
 /// A complete, serializable snapshot of one engine's traceback evidence.
 ///
@@ -48,8 +123,8 @@ pub const MAX_EVIDENCE_BYTES: usize = 64 << 20;
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Evidence {
-    /// Cumulative pipeline counters.
-    pub counters: SinkCounters,
+    /// Cumulative verdict counters.
+    pub counters: VerdictCounters,
     /// Verified chains folded into the route graph.
     pub chains_observed: usize,
     /// Raw ids of every node observed in a verified mark.
@@ -62,54 +137,10 @@ pub struct Evidence {
     pub edge_support: BTreeMap<(u16, u16), usize>,
     /// Raw ids of quarantined nodes.
     pub quarantined: BTreeSet<u16>,
-    /// Packet count at which identification first became unequivocal.
+    /// Not evidence: never set, encoded or merged. Kept only so code
+    /// written against the field while it was still evidence compiles.
+    #[doc(hidden)]
     pub first_unequivocal: Option<u64>,
-}
-
-/// The 11 counter fields in canonical (declaration) order.
-fn counter_fields(c: &SinkCounters) -> [usize; 11] {
-    [
-        c.packets,
-        c.hash_count,
-        c.marks_verified,
-        c.marks_rejected,
-        c.table_builds,
-        c.table_cache_hits,
-        c.resolver_fallback_scans,
-        c.suspicious,
-        c.benign,
-        c.malformed,
-        c.duplicates_suppressed,
-    ]
-}
-
-fn counters_from_fields(f: [usize; 11]) -> SinkCounters {
-    SinkCounters {
-        packets: f[0],
-        hash_count: f[1],
-        marks_verified: f[2],
-        marks_rejected: f[3],
-        table_builds: f[4],
-        table_cache_hits: f[5],
-        resolver_fallback_scans: f[6],
-        suspicious: f[7],
-        benign: f[8],
-        malformed: f[9],
-        duplicates_suppressed: f[10],
-    }
-}
-
-/// The field-wise difference `now − prev` of two readings of one
-/// monotone counter set.
-pub(crate) fn counters_since(now: &SinkCounters, prev: &SinkCounters) -> SinkCounters {
-    let now = counter_fields(now);
-    let old = counter_fields(prev);
-    let mut diff = [0usize; 11];
-    for i in 0..11 {
-        debug_assert!(now[i] >= old[i], "counters must be monotone");
-        diff[i] = now[i].saturating_sub(old[i]);
-    }
-    counters_from_fields(diff)
 }
 
 /// Incremental big-endian reader over a byte slice with structured errors.
@@ -155,6 +186,14 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_be_bytes(buf))
     }
 
+    fn usizes<const N: usize>(&mut self, context: &'static str) -> Result<[usize; N], StoreError> {
+        let mut out = [0usize; N];
+        for v in out.iter_mut() {
+            *v = self.u64(context)? as usize;
+        }
+        Ok(out)
+    }
+
     /// An element count whose `count * elem_size` must fit in the
     /// remaining bytes — a corrupted length field can never drive a long
     /// loop or an unbounded allocation.
@@ -192,8 +231,8 @@ impl Evidence {
     }
 
     /// Folds `other` into `self`: counters and support counts sum, sets
-    /// union, `first_unequivocal` takes the minimum. Commutative and
-    /// associative, with the empty evidence as identity.
+    /// union. Commutative and associative, with the empty evidence as
+    /// identity.
     pub fn merge(&mut self, other: &Evidence) {
         self.counters += other.counters;
         self.chains_observed += other.chains_observed;
@@ -206,10 +245,6 @@ impl Evidence {
             *self.edge_support.entry(e).or_default() += c;
         }
         self.quarantined.extend(other.quarantined.iter().copied());
-        self.first_unequivocal = match (self.first_unequivocal, other.first_unequivocal) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
     }
 
     /// The exact difference `self − prev`, valid because evidence grows
@@ -239,12 +274,8 @@ impl Evidence {
                 (d > 0).then_some((e, d))
             })
             .collect();
-        let first_unequivocal = match (prev.first_unequivocal, self.first_unequivocal) {
-            (Some(a), Some(b)) if a == b => None,
-            (_, now) => now,
-        };
         Evidence {
-            counters: counters_since(&self.counters, &prev.counters),
+            counters: self.counters.since(&prev.counters),
             chains_observed: self.chains_observed.saturating_sub(prev.chains_observed),
             nodes: self.nodes.difference(&prev.nodes).copied().collect(),
             edges: self.edges.difference(&prev.edges).copied().collect(),
@@ -255,7 +286,7 @@ impl Evidence {
                 .difference(&prev.quarantined)
                 .copied()
                 .collect(),
-            first_unequivocal,
+            first_unequivocal: None,
         }
     }
 
@@ -271,17 +302,10 @@ impl Evidence {
     /// rely on this).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        for field in counter_fields(&self.counters) {
+        for field in self.counters.fields() {
             out.extend_from_slice(&(field as u64).to_be_bytes());
         }
         out.extend_from_slice(&(self.chains_observed as u64).to_be_bytes());
-        match self.first_unequivocal {
-            Some(v) => {
-                out.push(1);
-                out.extend_from_slice(&v.to_be_bytes());
-            }
-            None => out.push(0),
-        }
         out.extend_from_slice(&(self.nodes.len() as u64).to_be_bytes());
         for &n in &self.nodes {
             out.extend_from_slice(&n.to_be_bytes());
@@ -311,10 +335,8 @@ impl Evidence {
 
     /// Total encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
-        11 * 8
+        7 * 8
             + 8
-            + 1
-            + self.first_unequivocal.map_or(0, |_| 8)
             + 8
             + 2 * self.nodes.len()
             + 8
@@ -339,6 +361,18 @@ impl Evidence {
     /// re-encodes byte-identically, so no two distinct byte strings can
     /// claim the same evidence.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
+        Self::decode(bytes, false)
+    }
+
+    /// Parses an evidence record written by evidence-log format v1, which
+    /// also carried the four table-cache work counters and a
+    /// first-unequivocal packet index. Those are engine-local, not
+    /// evidence, so they are read and dropped.
+    pub(crate) fn from_v1_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
+        Self::decode(bytes, true)
+    }
+
+    fn decode(bytes: &[u8], v1: bool) -> Result<Self, StoreError> {
         if bytes.len() > MAX_EVIDENCE_BYTES {
             return Err(StoreError::Corrupt {
                 context: "evidence record oversized",
@@ -346,21 +380,30 @@ impl Evidence {
             });
         }
         let mut c = Cursor::new(bytes);
-        let mut fields = [0usize; 11];
-        for f in fields.iter_mut() {
-            *f = c.u64("evidence counters")? as usize;
-        }
-        let chains_observed = c.u64("evidence chains")? as usize;
-        let first_unequivocal = match c.u8("evidence first-unequivocal flag")? {
-            0 => None,
-            1 => Some(c.u64("evidence first-unequivocal")?),
-            _ => {
-                return Err(StoreError::Corrupt {
-                    context: "evidence first-unequivocal flag",
-                    offset: 0,
-                })
-            }
+        let fields = if v1 {
+            // v1 interleaved the four work counters (hash_count, then
+            // table_builds, table_cache_hits and resolver_fallback_scans)
+            // with the seven verdict counters.
+            let f: [usize; 11] = c.usizes("evidence counters")?;
+            [f[0], f[2], f[3], f[7], f[8], f[9], f[10]]
+        } else {
+            c.usizes("evidence counters")?
         };
+        let chains_observed = c.u64("evidence chains")? as usize;
+        if v1 {
+            match c.u8("evidence first-unequivocal flag")? {
+                0 => {}
+                1 => {
+                    c.u64("evidence first-unequivocal")?;
+                }
+                _ => {
+                    return Err(StoreError::Corrupt {
+                        context: "evidence first-unequivocal flag",
+                        offset: 0,
+                    })
+                }
+            }
+        }
         // Canonical order: every collection is emitted by BTree iteration,
         // so entries must arrive strictly increasing. Anything else is a
         // non-canonical encoding (the set would silently re-sort or
@@ -417,14 +460,14 @@ impl Evidence {
         }
         c.finish()?;
         Ok(Evidence {
-            counters: counters_from_fields(fields),
+            counters: VerdictCounters::from_fields(fields),
             chains_observed,
             nodes,
             edges,
             head_support,
             edge_support,
             quarantined,
-            first_unequivocal,
+            first_unequivocal: None,
         })
     }
 }
@@ -435,14 +478,10 @@ mod tests {
 
     pub(crate) fn sample() -> Evidence {
         Evidence {
-            counters: SinkCounters {
+            counters: VerdictCounters {
                 packets: 7,
-                hash_count: 70,
                 marks_verified: 21,
                 marks_rejected: 2,
-                table_builds: 3,
-                table_cache_hits: 4,
-                resolver_fallback_scans: 1,
                 suspicious: 5,
                 benign: 2,
                 malformed: 1,
@@ -454,7 +493,7 @@ mod tests {
             head_support: [(1, 5), (2, 1)].into_iter().collect(),
             edge_support: [((1, 2), 5), ((2, 3), 4)].into_iter().collect(),
             quarantined: [1, 2].into_iter().collect(),
-            first_unequivocal: Some(4),
+            first_unequivocal: None,
         }
     }
 
@@ -511,33 +550,11 @@ mod tests {
     }
 
     #[test]
-    fn first_unequivocal_delta_preserves_minimum() {
-        let mut prev = Evidence::default();
-        // Setting: None -> Some.
-        let mut now = Evidence {
-            first_unequivocal: Some(9),
-            ..Evidence::default()
-        };
-        let d = now.delta_since(&prev);
-        assert_eq!(d.first_unequivocal, Some(9));
-        prev.merge(&d);
-        assert_eq!(prev.first_unequivocal, Some(9));
-        // Lowering (via an absorb): Some(9) -> Some(4).
-        now.first_unequivocal = Some(4);
-        let d = now.delta_since(&prev);
-        assert_eq!(d.first_unequivocal, Some(4));
-        prev.merge(&d);
-        assert_eq!(prev.first_unequivocal, Some(4));
-        // Unchanged: no delta payload.
-        assert_eq!(now.delta_since(&prev).first_unequivocal, None);
-    }
-
-    #[test]
     fn oversized_length_fields_rejected_without_allocation() {
         // A node count claiming u64::MAX entries must fail the
         // remaining-bytes check, not attempt a huge loop.
         let mut bytes = Evidence::default().to_bytes();
-        let node_count_off = 11 * 8 + 8 + 1;
+        let node_count_off = 7 * 8 + 8;
         bytes[node_count_off..node_count_off + 8].copy_from_slice(&u64::MAX.to_be_bytes());
         assert!(matches!(
             Evidence::from_bytes(&bytes),

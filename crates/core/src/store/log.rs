@@ -15,6 +15,14 @@
 //! frame is injective in its record exactly as `pnm-wire` packets are
 //! injective in their marks.
 //!
+//! The current format is version 2. Version 1 evidence also carried the
+//! four table-cache work counters and a first-unequivocal packet index,
+//! engine-local state that is not evidence: 33 bytes more per record
+//! while the index was unset. [`LogStore::open`] still reads a v1 log,
+//! drops those fields, and rewrites the file as v2 record for record
+//! (through the same atomic tmp-file + rename as compaction), so no file
+//! ever mixes versions.
+//!
 //! ## Crash consistency
 //!
 //! Appends are a single sequential write at the tail, so the only damage
@@ -43,7 +51,10 @@ use crate::store::{
 pub const MAX_FRAME_BYTES: usize = MAX_EVIDENCE_BYTES + 16;
 
 const MAGIC: [u8; 4] = *b"PNME";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
+/// The format whose evidence still carried engine-local fields; opened
+/// only to be rewritten as [`VERSION`].
+const VERSION_1: u16 = 1;
 const HEADER_LEN: usize = 6;
 /// Payload prefix: kind (1) + shard (4).
 const PAYLOAD_PREFIX: usize = 5;
@@ -144,48 +155,49 @@ impl std::fmt::Debug for LogStore {
     }
 }
 
-/// Scans `bytes` (past the header) frame by frame. Returns the byte
-/// length of the valid prefix, the replayed evidence, and how many
-/// trailing frames were rejected. Scanning stops at the first invalid
-/// frame: the log has no resync marker, so nothing after a torn or
-/// corrupt frame can be trusted.
-fn scan_frames(bytes: &[u8]) -> (usize, StoreReplay) {
-    let mut replay = StoreReplay::default();
+/// Scans `bytes` (past the header) of a format-`version` log frame by
+/// frame, handing each valid record to `record`. Returns the byte length
+/// of the valid prefix and how many trailing frames were rejected.
+/// Scanning stops at the first invalid frame: the log has no resync
+/// marker, so nothing after a torn or corrupt frame can be trusted.
+fn scan_frames(
+    bytes: &[u8],
+    version: u16,
+    mut record: impl FnMut(u32, RecordKind, Evidence),
+) -> (usize, usize) {
     let mut off = 0;
     while off < bytes.len() {
         let rest = &bytes[off..];
         if rest.len() < 8 {
-            replay.rejected_frames += 1;
-            break;
+            return (off, 1);
         }
         let len = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
         if !(PAYLOAD_PREFIX..=MAX_FRAME_BYTES).contains(&len) || rest.len() < 8 + len {
-            replay.rejected_frames += 1;
-            break;
+            return (off, 1);
         }
         let crc = u32::from_be_bytes([rest[4], rest[5], rest[6], rest[7]]);
         let payload = &rest[8..8 + len];
         if crc32(payload) != crc {
-            replay.rejected_frames += 1;
-            break;
+            return (off, 1);
         }
         let Some(kind) = RecordKind::from_byte(payload[0]) else {
-            replay.rejected_frames += 1;
-            break;
+            return (off, 1);
         };
         let shard = u32::from_be_bytes([payload[1], payload[2], payload[3], payload[4]]);
-        match Evidence::from_bytes(&payload[PAYLOAD_PREFIX..]) {
+        let body = &payload[PAYLOAD_PREFIX..];
+        let evidence = match version {
+            VERSION_1 => Evidence::from_v1_bytes(body),
+            _ => Evidence::from_bytes(body),
+        };
+        match evidence {
             Ok(evidence) => {
-                replay.apply(shard, kind, evidence);
+                record(shard, kind, evidence);
                 off += 8 + len;
             }
-            Err(_) => {
-                replay.rejected_frames += 1;
-                break;
-            }
+            Err(_) => return (off, 1),
         }
     }
-    (off, replay)
+    (off, 0)
 }
 
 fn encode_frame(shard: u32, kind: RecordKind, evidence: &Evidence) -> Vec<u8> {
@@ -210,20 +222,41 @@ fn write_header(file: &mut File) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Validates the 6-byte header, distinguishing a wrong file (magic
-/// mismatch) from a future format (version mismatch).
-fn check_header(bytes: &[u8]) -> Result<(), StoreError> {
+/// Validates the 6-byte header and returns the format version,
+/// distinguishing a wrong file (magic mismatch) from a future format
+/// (version mismatch).
+fn check_header(bytes: &[u8]) -> Result<u16, StoreError> {
     if bytes[..4] != MAGIC {
         return Err(StoreError::Corrupt {
             context: "log header magic",
             offset: 0,
         });
     }
-    let version = u16::from_be_bytes([bytes[4], bytes[5]]);
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version });
+    match u16::from_be_bytes([bytes[4], bytes[5]]) {
+        version @ (VERSION_1 | VERSION) => Ok(version),
+        found => Err(StoreError::UnsupportedVersion { found }),
     }
-    Ok(())
+}
+
+/// Replaces the log at `path` with a complete current-format log holding
+/// `frames`: written and synced beside it, then swapped in by an atomic
+/// rename, so a crash before the rename leaves the old log intact and
+/// one after it leaves the new log complete. Returns the new file,
+/// positioned at its end.
+fn replace_log(path: &Path, frames: &[u8]) -> Result<File, StoreError> {
+    let tmp_path = path.with_extension("compact");
+    let mut tmp = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&tmp_path)?;
+    write_header(&mut tmp)?;
+    tmp.write_all(frames)?;
+    tmp.sync_all()?;
+    std::fs::rename(&tmp_path, path)?;
+    tmp.seek(SeekFrom::End(0))?;
+    Ok(tmp)
 }
 
 impl LogStore {
@@ -240,7 +273,10 @@ impl LogStore {
     /// [`StoreError::Corrupt`] if the file exists but is not an evidence
     /// log (wrong magic), or [`StoreError::UnsupportedVersion`] for a
     /// future format version. A file shorter than the header is treated
-    /// as a torn create and rewritten.
+    /// as a torn create and rewritten. A version-1 log, whose records
+    /// still carried engine-local fields, is rewritten as the current
+    /// version record for record, without those fields, through an
+    /// atomic tmp-file + rename; a torn v1 tail is left behind.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
@@ -255,16 +291,23 @@ impl LogStore {
             // Empty file, or a create whose header write itself tore.
             write_header(&mut file)?;
             0
+        } else if check_header(&contents)? == VERSION_1 {
+            // Re-encode every valid record; a torn tail is left behind.
+            let mut frames = Vec::new();
+            let (_, rejected) = scan_frames(&contents[HEADER_LEN..], VERSION_1, |s, k, e| {
+                frames.extend(encode_frame(s, k, &e));
+            });
+            file = replace_log(&path, &frames)?;
+            rejected
         } else {
-            check_header(&contents)?;
-            let (valid, replay) = scan_frames(&contents[HEADER_LEN..]);
+            let (valid, rejected) = scan_frames(&contents[HEADER_LEN..], VERSION, |_, _, _| {});
             let keep = (HEADER_LEN + valid) as u64;
             if keep < contents.len() as u64 {
                 file.set_len(keep)?;
                 file.sync_all()?;
             }
             file.seek(SeekFrom::End(0))?;
-            replay.rejected_frames
+            rejected
         };
         Ok(LogStore {
             path,
@@ -316,7 +359,7 @@ impl LogStore {
     }
 
     /// Reads and validates the full log while holding the file lock.
-    fn read_validated(&self, file: &mut File) -> Result<(usize, StoreReplay), StoreError> {
+    fn read_validated(&self, file: &mut File) -> Result<StoreReplay, StoreError> {
         file.seek(SeekFrom::Start(0))?;
         let mut contents = Vec::new();
         file.read_to_end(&mut contents)?;
@@ -327,8 +370,13 @@ impl LogStore {
                 offset: contents.len() as u64,
             });
         }
-        check_header(&contents)?;
-        Ok(scan_frames(&contents[HEADER_LEN..]))
+        let version = check_header(&contents)?;
+        let mut replay = StoreReplay::default();
+        let (_, rejected) = scan_frames(&contents[HEADER_LEN..], version, |s, k, e| {
+            replay.apply(s, k, e);
+        });
+        replay.rejected_frames = rejected;
+        Ok(replay)
     }
 }
 
@@ -361,7 +409,7 @@ impl EvidenceStore for LogStore {
         let start = Instant::now();
         let mut span = self.tracer.span("store_replay");
         let mut file = self.file.lock().expect("log store lock poisoned");
-        let (_, mut replay) = self.read_validated(&mut file)?;
+        let mut replay = self.read_validated(&mut file)?;
         drop(file);
         // Damage truncated away at open is still damage the caller
         // should see in recovery stats.
@@ -378,27 +426,14 @@ impl EvidenceStore for LogStore {
         let start = Instant::now();
         let mut span = self.tracer.span("store_compact");
         let mut file = self.file.lock().expect("log store lock poisoned");
-        let (_, replay) = self.read_validated(&mut file)?;
-        let tmp_path = self.path.with_extension("compact");
-        let mut tmp = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)?;
-        write_header(&mut tmp)?;
+        let replay = self.read_validated(&mut file)?;
+        let mut frames = Vec::new();
         for (&shard, evidence) in &replay.shards {
-            if evidence.is_empty() {
-                continue;
+            if !evidence.is_empty() {
+                frames.extend(encode_frame(shard, RecordKind::Snapshot, evidence));
             }
-            tmp.write_all(&encode_frame(shard, RecordKind::Snapshot, evidence))?;
         }
-        tmp.sync_all()?;
-        // Atomic swap: a crash before the rename leaves the old log
-        // intact; after it, the compacted log is complete and synced.
-        std::fs::rename(&tmp_path, &self.path)?;
-        tmp.seek(SeekFrom::End(0))?;
-        *file = tmp;
+        *file = replace_log(&self.path, &frames)?;
         span.field("shards", replay.shards.len() as u64);
         if let Some(m) = &self.metrics {
             m.compact_us.record(start.elapsed().as_micros() as u64);
@@ -550,6 +585,79 @@ mod tests {
             LogStore::open(&path),
             Err(StoreError::UnsupportedVersion { found: 9 })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A hand-built v1 log — a v1 header, one delta frame whose evidence
+    /// carries non-zero work counters and a first-unequivocal index, and a
+    /// torn tail — opens, replays to the v2 evidence with those fields
+    /// dropped, is rewritten as v2, and takes appends.
+    #[test]
+    fn v1_log_opens_replays_and_is_rewritten_as_v2() {
+        let path = temp_log("v1");
+        let mut want = ev(4, 3);
+        want.counters.marks_verified = 9;
+        want.counters.duplicates_suppressed = 1;
+        want.chains_observed = 2;
+        want.nodes.insert(5);
+        want.edges.insert((4, 5));
+        want.edge_support.insert((4, 5), 2);
+        // v1 evidence: the seven verdict counters with hash_count,
+        // table_builds, table_cache_hits and resolver_fallback_scans
+        // interleaved, chains, a set first-unequivocal index, then the
+        // collections exactly as v2 encodes them.
+        let c = want.counters;
+        let mut payload = vec![RecordKind::Delta.to_byte()];
+        payload.extend_from_slice(&0u32.to_be_bytes());
+        for field in [
+            c.packets,
+            70,
+            c.marks_verified,
+            c.marks_rejected,
+            3,
+            4,
+            1,
+            c.suspicious,
+            c.benign,
+            c.malformed,
+            c.duplicates_suppressed,
+            want.chains_observed,
+        ] {
+            payload.extend_from_slice(&(field as u64).to_be_bytes());
+        }
+        payload.push(1);
+        payload.extend_from_slice(&5u64.to_be_bytes());
+        payload.extend_from_slice(&want.to_bytes()[8 * 8..]);
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&VERSION_1.to_be_bytes());
+        v1.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        v1.extend_from_slice(&crc32(&payload).to_be_bytes());
+        v1.extend_from_slice(&payload);
+        std::fs::write(&path, [&v1[..], &[0xDE, 0xAD][..]].concat()).unwrap();
+
+        let store = LogStore::open(&path).unwrap();
+        assert_eq!(store.rejected_at_open(), 1);
+        let replay = store.replay().unwrap();
+        assert_eq!(replay.records, 1);
+        assert_eq!(replay.shards[&0].to_bytes(), want.to_bytes());
+        // Rewritten in place as v2: the four work counters and the set
+        // index (1 + 8 bytes) are gone, and so is the torn tail.
+        let rewritten = std::fs::read(&path).unwrap();
+        assert_eq!(rewritten[4..HEADER_LEN], VERSION.to_be_bytes());
+        assert_eq!(rewritten.len(), v1.len() - 4 * 8 - 9);
+        store.append(0, RecordKind::Delta, &ev(6, 1)).unwrap();
+        drop(store);
+
+        let reopened = LogStore::open(&path).unwrap();
+        assert_eq!(reopened.rejected_at_open(), 0);
+        assert_eq!(
+            std::fs::read(&path).unwrap()[4..HEADER_LEN],
+            VERSION.to_be_bytes()
+        );
+        let replay = reopened.replay().unwrap();
+        assert_eq!(replay.records, 2);
+        want.merge(&ev(6, 1));
+        assert_eq!(replay.shards[&0].to_bytes(), want.to_bytes());
         std::fs::remove_file(&path).ok();
     }
 

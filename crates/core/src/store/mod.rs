@@ -24,8 +24,7 @@ mod evidence;
 mod log;
 mod mem;
 
-pub(crate) use evidence::counters_since;
-pub use evidence::{Evidence, MAX_EVIDENCE_BYTES};
+pub use evidence::{Evidence, VerdictCounters, MAX_EVIDENCE_BYTES};
 pub use log::{crc32, LogStore, MAX_FRAME_BYTES};
 pub use mem::MemStore;
 

@@ -336,11 +336,6 @@ impl SinkVerifier {
         &self.keys
     }
 
-    /// The shared handle to the key table.
-    pub fn keys_arc(&self) -> &Arc<KeyStore> {
-        &self.keys
-    }
-
     /// The precomputed HMAC schedule the verifier runs on.
     pub fn schedule(&self) -> &Arc<KeySchedule> {
         &self.schedule

@@ -29,7 +29,7 @@ fn temp_log(tag: &str) -> PathBuf {
 /// An arbitrary but structurally valid [`Evidence`] value.
 fn arb_evidence() -> impl Strategy<Value = Evidence> {
     (
-        vec(any::<u32>(), 11),
+        vec(any::<u32>(), 7),
         (
             btree_set(any::<u16>(), 0..12),
             btree_set((any::<u16>(), any::<u16>()), 0..12),
@@ -37,29 +37,23 @@ fn arb_evidence() -> impl Strategy<Value = Evidence> {
         ),
         vec((any::<u16>(), 1usize..1000), 0..8),
         vec(((any::<u16>(), any::<u16>()), 1usize..1000), 0..8),
-        (any::<bool>(), any::<u64>()),
     )
         .prop_map(
-            |(counters, (nodes, edges, quarantined), head_support, edge_support, first)| {
+            |(counters, (nodes, edges, quarantined), head_support, edge_support)| {
                 let mut ev = Evidence::default();
                 ev.counters.packets = counters[0] as usize;
-                ev.counters.hash_count = counters[1] as usize;
-                ev.counters.marks_verified = counters[2] as usize;
-                ev.counters.marks_rejected = counters[3] as usize;
-                ev.counters.table_builds = counters[4] as usize;
-                ev.counters.table_cache_hits = counters[5] as usize;
-                ev.counters.resolver_fallback_scans = counters[6] as usize;
-                ev.counters.suspicious = counters[7] as usize;
-                ev.counters.benign = counters[8] as usize;
-                ev.counters.malformed = counters[9] as usize;
-                ev.counters.duplicates_suppressed = counters[10] as usize;
+                ev.counters.marks_verified = counters[1] as usize;
+                ev.counters.marks_rejected = counters[2] as usize;
+                ev.counters.suspicious = counters[3] as usize;
+                ev.counters.benign = counters[4] as usize;
+                ev.counters.malformed = counters[5] as usize;
+                ev.counters.duplicates_suppressed = counters[6] as usize;
                 ev.chains_observed = counters[0] as usize / 2;
                 ev.nodes = nodes;
                 ev.edges = edges;
                 ev.head_support = head_support.into_iter().collect();
                 ev.edge_support = edge_support.into_iter().collect();
                 ev.quarantined = quarantined;
-                ev.first_unequivocal = first.0.then_some(first.1);
                 ev
             },
         )

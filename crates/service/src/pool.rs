@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use pnm_core::store::{DeltaWriter, Evidence, EvidenceStore, LogStore, StoreError};
-use pnm_core::{SinkConfig, SinkEngine, SinkOutcome};
+use pnm_core::{SinkConfig, SinkCounters, SinkEngine, SinkOutcome};
 use pnm_crypto::KeyStore;
 use pnm_obs::{FieldValue, FlightRecorder, Registry, TraceContext};
 use pnm_wire::Packet;
@@ -123,7 +123,8 @@ pub struct DrainReport {
     /// [`SinkEngine`], with the configured isolation policy re-applied to
     /// the merged localization (see [`SinkEngine::absorb`]). Query it like
     /// any sequential engine: `localize()`, `source_regions()`,
-    /// `quarantine()`, `counters()`.
+    /// `quarantine()`, `counters()`. Its work counters are its shard
+    /// engines' own: they count from each engine's last (re)start.
     pub engine: SinkEngine,
     /// Final telemetry (identical in shape to a live snapshot).
     pub snapshot: ServiceSnapshot,
@@ -210,6 +211,14 @@ impl ServicePool {
     /// isolation stage stripped: shard-local quarantine would depend on
     /// which packets a shard happened to see, so the service applies the
     /// policy once, to the cross-shard merged route graph, at drain time.
+    ///
+    /// The drained evidence equals, byte for byte, the evidence of one
+    /// engine fed the same stream and swept the same way — for any shard
+    /// count and table-cache capacity. Two engine-local windows are
+    /// outside that contract: a [`SinkConfig::dedup`] window and a rate-
+    /// limiting [`TrafficClassifier`](pnm_core::TrafficClassifier) each see
+    /// only their shard's share of the stream, so a pool using either may
+    /// admit or reject packets one engine would not.
     ///
     /// # Panics
     ///
@@ -323,7 +332,8 @@ impl ServicePool {
             // The replayed checkpoint's counters count once, before any
             // packet: the shard engine starts holding them.
             if let Some(evidence) = &recover {
-                shard_metrics.add_sink_counters(evidence.counters);
+                shard_metrics
+                    .feed_sink_counters(evidence.counters.into(), &mut SinkCounters::default());
             }
             let ctx = ShardContext {
                 shard,
@@ -631,12 +641,12 @@ fn restore_engine(ctx: &ShardContext, evidence: &Evidence) -> SinkEngine {
 
 /// One shard's supervised processing loop.
 ///
-/// After every successful packet the worker takes the engine's evidence
-/// delta ([`SinkEngine::take_evidence_delta`]), adds its counters to the
-/// shard's registry cells, merges it into the in-memory checkpoint, and
-/// appends it to the store, if one is attached. Its processed, panic and
-/// store-error counts and latency histograms go straight into the same
-/// cells; nothing is copied per packet.
+/// After every successful packet the worker adds the engine's counter
+/// growth to the shard's registry cells, takes the engine's evidence
+/// delta ([`SinkEngine::take_evidence_delta`]), merges it into the
+/// in-memory checkpoint, and appends it to the store, if one is attached.
+/// Its processed, panic and store-error counts and latency histograms go
+/// straight into the same cells; nothing is copied per packet.
 /// Each packet runs under [`catch_unwind`]: a panic — whether
 /// from the engine or from an injected
 /// [`PoisonHook`](crate::config::PoisonHook) — is caught, the packet is
@@ -657,6 +667,9 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
     // packet, starting from whatever the store replayed for this shard.
     let mut checkpoint = ctx.recover.take().unwrap_or_default();
     let mut engine = restore_engine(&ctx, &checkpoint);
+    // The engine's counters as last fed to the registry: `build` fed the
+    // recovered checkpoint's.
+    let mut fed = engine.counters();
     let metrics = &ctx.metrics;
     let mut writer = ctx
         .store
@@ -678,8 +691,8 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
         let service = dequeued.elapsed().as_micros() as u64;
         match result {
             Ok(outcome) => {
+                metrics.feed_sink_counters(engine.counters(), &mut fed);
                 let delta = engine.take_evidence_delta();
-                metrics.add_sink_counters(delta.counters);
                 checkpoint.merge(&delta);
                 // Durable checkpoint: append the same delta. A failed
                 // append is counted, never fatal — the writer keeps the
@@ -716,9 +729,12 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
                 // The panic may have left the engine mid-mutation (memory
                 // safe but logically partial), so restart from the last
                 // state known to be a complete merge. Its counters never
-                // reached the registry (no delta was taken); the stage laps
-                // it completed before the panic stay recorded.
+                // reached the registry; the stage laps it completed before
+                // the panic stay recorded. The checkpoint holds no work
+                // counters, so the new engine counts its work from zero
+                // while the registry keeps the shard's totals.
                 engine = restore_engine(&ctx, &checkpoint);
+                fed = engine.counters();
                 let record = PoisonRecord {
                     seq: job.seq,
                     shard: ctx.shard,
@@ -1016,6 +1032,13 @@ mod tests {
         assert_eq!(report.snapshot.backlog(), 0);
         // The poison packet contributed no evidence and no outcome.
         assert_eq!(report.engine.counters().packets, 40);
+        // The registry keeps the restarted shard's work: 40 distinct
+        // reports, 40 table builds, whatever the rebuilt engine counts.
+        assert_eq!(report.snapshot.totals.table_builds, 40);
+        assert_eq!(
+            report.snapshot.totals.verdict(),
+            report.engine.counters().verdict()
+        );
         assert_eq!(report.outcomes.len(), 40);
         assert!(report.outcomes.iter().all(|(s, _)| *s != poison_seq));
         assert_eq!(report.engine.unequivocal_source(), Some(NodeId(0)));

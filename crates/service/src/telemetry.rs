@@ -36,8 +36,10 @@ pub struct ShardSnapshot {
     /// without an attached store.
     #[serde(default)]
     pub store_errors: u64,
-    /// The shard engine's pipeline counters, including any evidence the
-    /// shard recovered from the store.
+    /// The shard engine's pipeline counters, including the verdict
+    /// counters of any evidence the shard recovered from the store. The
+    /// work counters count every engine the shard has run, across poison
+    /// restarts, since the pool was built.
     pub counters: SinkCounters,
     /// Per-stage latency breakdown of the shard engine's pipeline
     /// (classify → verify → resolve → reconstruct → localize). Empty when
@@ -165,13 +167,17 @@ impl ShardMetrics {
         }
     }
 
-    /// Adds a shard engine's counter growth (an evidence delta's, or a
-    /// recovered checkpoint's) to the shard's `pnm_sink_*_total` cells.
-    pub(crate) fn add_sink_counters(&self, mut c: SinkCounters) {
-        for (cell, (_, v)) in self.sink.iter().zip(sink_fields(&mut c)) {
-            if *v > 0 {
-                cell.add(*v as u64);
+    /// Adds what the shard engine's counters grew by since `fed` (its
+    /// reading when last fed) to the shard's `pnm_sink_*_total` cells,
+    /// and moves `fed` up to `now`. From a default `fed`, this adds all
+    /// of `now`: a recovered checkpoint's counters, before any packet.
+    pub(crate) fn feed_sink_counters(&self, mut now: SinkCounters, fed: &mut SinkCounters) {
+        let growth = sink_fields(&mut now).into_iter().zip(sink_fields(fed));
+        for (cell, ((_, now), (_, fed))) in self.sink.iter().zip(growth) {
+            if *now > *fed {
+                cell.add((*now - *fed) as u64);
             }
+            *fed = *now;
         }
     }
 
@@ -215,8 +221,10 @@ mod tests {
         for (i, (_, v)) in sink_fields(&mut c).into_iter().enumerate() {
             *v = i + 1;
         }
-        metrics.add_sink_counters(c);
-        metrics.add_sink_counters(c);
+        let mut fed = SinkCounters::default();
+        metrics.feed_sink_counters(c, &mut fed);
+        metrics.feed_sink_counters(c + c, &mut fed);
+        assert_eq!(fed, c + c);
         assert_eq!(metrics.snapshot().counters, c + c);
         let text = registry.prometheus_text();
         assert!(text.contains("pnm_sink_packets_total{shard=\"3\"} 2"));

@@ -1,8 +1,8 @@
 //! The service's one load-bearing correctness claim, property-tested:
 //! sharded ingestion is observably equivalent to a single sequential
 //! [`SinkEngine`] over the same packet stream — verdict for verdict,
-//! chain for chain, and quarantine-set for quarantine-set — for any shard
-//! count, any number of moles, and any report mix.
+//! chain for chain, and evidence byte for byte — for any shard count, any
+//! table-cache capacity, any number of moles, and any report mix.
 //!
 //! The sequential baseline mirrors the service's drain semantics exactly:
 //! per-packet processing runs without the isolation stage (shard-local
@@ -30,14 +30,16 @@ use rand::SeedableRng;
 const BAND: u16 = 8;
 
 /// Builds a multi-mole stream: `n_paths` disjoint mole routes, each
-/// cycling `n_reports` distinct reports, `n_packets` packets total.
-/// Even-numbered reports are corroborated by the registry (benign at the
-/// classifier); odd ones are not.
+/// cycling `n_reports` distinct reports, `n_packets` packets total, for
+/// engines holding `cache` anonymous-ID tables. Even-numbered reports are
+/// corroborated by the registry (benign at the classifier); odd ones are
+/// not.
 fn scenario(
     n_paths: u16,
     path_len: u16,
     n_reports: u64,
     n_packets: usize,
+    cache: usize,
     seed: u64,
 ) -> (Arc<KeyStore>, SinkConfig, Vec<Packet>) {
     let keys = Arc::new(KeyStore::derive_from_master(b"svc-equiv", n_paths * BAND));
@@ -51,7 +53,7 @@ fn scenario(
         }
     }
     let config = SinkConfig::new(VerifyMode::Nested)
-        .table_cache_capacity(3)
+        .table_cache_capacity(cache)
         .classifier(TrafficClassifier::permissive().with_registry(registry))
         .isolation(IsolationPolicy::SuspectsOnly);
 
@@ -86,27 +88,90 @@ fn drain_sweep(keys: &Arc<KeyStore>, config: &SinkConfig, evidence: &SinkEngine)
     merged
 }
 
-fn quarantined(engine: &SinkEngine) -> BTreeSet<NodeId> {
-    engine.quarantine().quarantined().collect()
+/// More live reports than one engine's table cache holds, but no more per
+/// shard than a shard's cache holds: the sequential engine rebuilds a
+/// table for every packet while each shard builds one per report. The
+/// table-cache work counters differ by two orders of magnitude; the
+/// evidence must not.
+#[test]
+fn report_cycling_pool_drains_the_sequential_evidence_bytes() {
+    const HOPS: u16 = 20;
+    const REPORTS: u64 = 16;
+    const PACKETS: u64 = 2048;
+    let keys = Arc::new(KeyStore::derive_from_master(b"svc-cycling", HOPS));
+    let scheme = ProbabilisticNestedMarking::paper_default(HOPS as usize);
+    let mut rng = StdRng::seed_from_u64(2048);
+    // Event bytes that spread under the pool's partitioning hash.
+    let packets: Vec<Packet> = (0..PACKETS)
+        .map(|i| {
+            let r = i % REPORTS;
+            let event = format!("{:016x}", r.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let mut pkt = Packet::new(Report::new(event.into_bytes(), Location::new(0.0, 0.0), r));
+            for hop in 0..HOPS {
+                let ctx = NodeContext::new(NodeId(hop), *keys.key(hop).unwrap());
+                scheme.mark(&ctx, &mut pkt, &mut rng);
+            }
+            pkt
+        })
+        .collect();
+    let config = ServiceConfig::new(SinkConfig::new(VerifyMode::Nested));
+
+    let mut seq = SinkEngine::new(Arc::clone(&keys), config.sink().clone().without_isolation());
+    for p in &packets {
+        seq.ingest(p);
+    }
+    assert_eq!(
+        seq.counters().table_builds,
+        PACKETS as usize,
+        "one engine thrashes"
+    );
+    let want = drain_sweep(&keys, config.sink(), &seq)
+        .evidence()
+        .to_bytes();
+
+    for shards in [2, 4] {
+        let pool = ServicePool::new(Arc::clone(&keys), config.clone().shards(shards));
+        for p in &packets {
+            pool.ingest(p.clone()).expect("block policy never sheds");
+        }
+        let report = pool.drain();
+        for s in &report.snapshot.shards {
+            assert!(
+                s.processed > 0,
+                "shard {} of {shards} got no packet",
+                s.shard
+            );
+        }
+        assert_eq!(
+            report.snapshot.totals.table_builds, REPORTS as usize,
+            "every shard's reports fit its cache"
+        );
+        assert!(
+            report.engine.evidence().to_bytes() == want,
+            "{shards} shards drained evidence unlike one engine's"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For any shard count and any stream, `ServicePool` produces the
-    /// same per-packet outcomes (in admission order), the same
-    /// localization, the same source regions, and the same quarantine set
-    /// as one sequential engine.
+    /// For any shard count, any table-cache capacity and any stream,
+    /// `ServicePool` produces the same per-packet outcomes (in admission
+    /// order), the same localization, the same source regions, and the
+    /// same evidence bytes as one sequential engine.
     #[test]
     fn sharded_service_equals_sequential_engine(
         n_paths in 1u16..4,
         path_len in 2u16..9,
         n_reports in 1u64..5,
         n_packets in 1usize..48,
-        shards in 1usize..6,
+        shards in 1usize..=6,
+        cache in 1usize..=8,
         seed in any::<u64>(),
     ) {
-        let (keys, config, packets) = scenario(n_paths, path_len, n_reports, n_packets, seed);
+        let (keys, config, packets) =
+            scenario(n_paths, path_len, n_reports, n_packets, cache, seed);
 
         // Sequential baseline: isolation stripped per packet, policy
         // applied once at end of stream (the drain semantics).
@@ -148,23 +213,13 @@ proptest! {
             seq_final.unequivocal_source()
         );
 
-        // Quarantine-set identical.
-        prop_assert_eq!(quarantined(&report.engine), quarantined(&seq_final));
-
-        // Work accounting: partition-invariant counters match exactly;
-        // cache-locality counters (table builds/hits) are allowed to
-        // differ across shard counts, but conservation must hold.
-        let totals = report.snapshot.totals;
-        let base = seq.counters();
-        prop_assert_eq!(totals.packets, base.packets);
-        prop_assert_eq!(totals.suspicious, base.suspicious);
-        prop_assert_eq!(totals.benign, base.benign);
-        prop_assert_eq!(totals.marks_verified, base.marks_verified);
-        prop_assert_eq!(totals.marks_rejected, base.marks_rejected);
+        // Evidence byte-identical, whatever each shard's cache did; the
+        // registry carries the drained engine's counters.
         prop_assert_eq!(
-            totals.table_builds + totals.table_cache_hits,
-            base.table_builds + base.table_cache_hits
+            report.engine.evidence().to_bytes(),
+            seq_final.evidence().to_bytes()
         );
+        prop_assert_eq!(report.snapshot.totals, report.engine.counters());
         prop_assert_eq!(report.snapshot.processed as usize, packets.len());
         prop_assert_eq!(report.snapshot.shed, 0);
     }
@@ -183,7 +238,7 @@ proptest! {
         n_poison in 1usize..4,
         seed in any::<u64>(),
     ) {
-        let (keys, config, packets) = scenario(n_paths, path_len, n_reports, n_packets, seed);
+        let (keys, config, packets) = scenario(n_paths, path_len, n_reports, n_packets, 3, seed);
 
         // Poison packets are ordinary, fully marked packets whose event
         // bytes trip the injected hook before the engine sees them.
@@ -258,17 +313,15 @@ proptest! {
             prop_assert_eq!(got, want);
         }
 
-        // Same localization and quarantine story as the survivor-only
-        // sequential engine.
+        // Same localization story and the same evidence bytes as the
+        // survivor-only sequential engine; the registry's verdict counters
+        // survive the restarts.
         prop_assert_eq!(report.engine.localize(), seq_final.localize());
         prop_assert_eq!(report.engine.source_regions(), seq_final.source_regions());
-        prop_assert_eq!(quarantined(&report.engine), quarantined(&seq_final));
-        let totals = report.snapshot.totals;
-        let base = seq.counters();
-        prop_assert_eq!(totals.packets, base.packets);
-        prop_assert_eq!(totals.suspicious, base.suspicious);
-        prop_assert_eq!(totals.benign, base.benign);
-        prop_assert_eq!(totals.marks_verified, base.marks_verified);
-        prop_assert_eq!(totals.marks_rejected, base.marks_rejected);
+        prop_assert_eq!(
+            report.engine.evidence().to_bytes(),
+            seq_final.evidence().to_bytes()
+        );
+        prop_assert_eq!(report.snapshot.totals.verdict(), seq.counters().verdict());
     }
 }

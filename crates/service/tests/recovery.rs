@@ -66,30 +66,26 @@ fn workload(ks: &KeyStore, n: u16, count: u64) -> Vec<Packet> {
         .collect()
 }
 
-/// The uninterrupted sequential reference: one engine over the whole
-/// stream, with the drain-time quarantine sweep applied. Comparable to a
-/// pooled run on counters, localization, and quarantine — but not on
-/// `first_unequivocal`, which is shard-local by design.
-fn reference_engine(ks: &Arc<KeyStore>, packets: &[Packet]) -> SinkEngine {
+/// An engine holding `evidence` with the drain-time quarantine sweep
+/// applied: what a pool's drain answers for that evidence.
+fn swept(ks: &Arc<KeyStore>, evidence: &Evidence) -> SinkEngine {
     let mut engine = SinkEngine::new(Arc::clone(ks), sink_config());
-    for p in packets {
-        engine.ingest(p);
-    }
+    engine.install_evidence(evidence);
     engine.refresh_quarantine();
     engine.quarantine_source_regions();
     engine
 }
 
-/// The uninterrupted pooled reference: a store-less pool with the same
-/// shard count over the whole stream. Byte-comparable to a recovered
-/// pool (identical partitioning, identical shard-local indices).
-fn reference_pool_evidence(ks: &Arc<KeyStore>, packets: &[Packet], shards: usize) -> Vec<u8> {
-    let config = ServiceConfig::new(sink_config()).shards(shards);
-    let pool = ServicePool::new(Arc::clone(ks), config);
+/// The uninterrupted sequential reference: one engine over the whole
+/// stream with isolation stripped per packet, swept once at the end as a
+/// drain sweeps. A drained pool's evidence equals its evidence byte for
+/// byte, whatever the shard count and whether or not the pool recovered.
+fn reference_engine(ks: &Arc<KeyStore>, packets: &[Packet]) -> SinkEngine {
+    let mut engine = SinkEngine::new(Arc::clone(ks), sink_config().without_isolation());
     for p in packets {
-        pool.ingest(p.clone()).unwrap();
+        engine.ingest(p);
     }
-    pool.drain().engine.evidence().to_bytes()
+    swept(ks, &engine.evidence())
 }
 
 /// A recovered pool's telemetry starts from the evidence it restored:
@@ -171,25 +167,15 @@ fn pool_recovers_from_log_and_matches_uninterrupted_run() {
     }
     let report = pool.drain();
 
-    // Localization, quarantine, and counters equal the uninterrupted
-    // sequential run...
+    // The localization and the full evidence equal the uninterrupted
+    // sequential run's.
     let reference = reference_engine(&ks, &packets);
-    assert_eq!(report.engine.counters(), reference.counters());
     assert_eq!(report.engine.localize(), reference.localize());
-    assert_eq!(
-        report.engine.unequivocal_source(),
-        reference.unequivocal_source()
-    );
-    let seq_ev = reference.evidence();
     let recovered_evidence = report.engine.evidence();
-    assert_eq!(recovered_evidence.quarantined, seq_ev.quarantined);
-    // ...and the full evidence is byte-identical to an uninterrupted
-    // *pool* of the same shape (shard-local first-unequivocal indices
-    // included).
     assert_eq!(
         recovered_evidence.to_bytes(),
-        reference_pool_evidence(&ks, &packets, 3),
-        "recovered evidence must be byte-identical to the uninterrupted pool"
+        reference.evidence().to_bytes(),
+        "recovered evidence must be byte-identical to the uninterrupted run"
     );
 
     // A second recovery from the drained log alone (no further packets)
@@ -317,18 +303,14 @@ fn failed_append_survives_poison_restart() {
     assert_eq!(report.poisoned.len(), 1);
     assert_eq!(report.snapshot.store_errors, 1);
 
-    let replayed = store.replay().unwrap().merged();
-    assert_eq!(replayed.counters.packets, 40);
-    assert_eq!(replayed.counters, report.engine.counters());
-    // Rebuilt from the log alone, the evidence is byte-identical to the
-    // drained pool's (the drain-time quarantine sweep re-applied).
-    let mut rebuilt = SinkEngine::new(Arc::clone(&ks), sink_config());
-    rebuilt.install_evidence(&replayed);
-    rebuilt.refresh_quarantine();
-    rebuilt.quarantine_source_regions();
+    // Rebuilt from the log alone (the drain-time quarantine sweep
+    // re-applied), the evidence is byte-identical to the drained pool's
+    // and to the poison-free run's.
+    let rebuilt = swept(&ks, &store.replay().unwrap().merged()).evidence();
+    assert_eq!(rebuilt.to_bytes(), report.engine.evidence().to_bytes());
     assert_eq!(
-        rebuilt.evidence().to_bytes(),
-        report.engine.evidence().to_bytes()
+        rebuilt.to_bytes(),
+        reference_engine(&ks, &packets).evidence().to_bytes()
     );
 }
 
@@ -360,11 +342,12 @@ fn poison_restart_with_store_does_not_double_count() {
     assert_eq!(report.snapshot.store_errors, 0);
 
     // Replay equals the merged engine equals the poison-free reference.
-    let replayed = store.replay().unwrap().merged();
-    let reference = reference_engine(&ks, &packets);
-    assert_eq!(replayed.counters, reference.counters());
-    assert_eq!(replayed.nodes, reference.evidence().nodes);
-    assert_eq!(replayed.edge_support, reference.evidence().edge_support);
+    let replayed = swept(&ks, &store.replay().unwrap().merged()).evidence();
+    assert_eq!(replayed.to_bytes(), report.engine.evidence().to_bytes());
+    assert_eq!(
+        replayed.to_bytes(),
+        reference_engine(&ks, &packets).evidence().to_bytes()
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -395,10 +378,7 @@ fn memstore_pool_matches_storeless_pool() {
     );
     // And the MemStore replay reproduces the same merged evidence (the
     // merged engines carry drain-time quarantine the shards never see).
-    let mut replayed = SinkEngine::new(Arc::clone(&ks), sink_config());
-    replayed.install_evidence(&mem.replay().unwrap().merged());
-    replayed.refresh_quarantine();
-    replayed.quarantine_source_regions();
+    let replayed = swept(&ks, &mem.replay().unwrap().merged());
     assert_eq!(
         replayed.evidence().to_bytes(),
         a.engine.evidence().to_bytes()

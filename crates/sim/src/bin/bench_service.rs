@@ -18,9 +18,9 @@
 //! (this is how the sweep can beat 2.5× on one CPU), and the run records
 //! the hit rates that explain it alongside the wall-clock numbers.
 //!
-//! Every run also digests the sink's verdict outputs (localization, source
-//! regions, quarantine set, partition-invariant counters); the sweep fails
-//! if any shard count disagrees — throughput must not change the answer.
+//! Every run also digests the drained evidence bytes (route graph with
+//! support, quarantine set, verdict counters); the sweep fails if any shard
+//! count disagrees — throughput must not change the answer.
 //!
 //! `--smoke` runs a down-scaled sweep (shards 1 and 4) and skips the JSON
 //! artifact: a CI-speed check that the service produces identical outputs
@@ -41,6 +41,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pnm_core::{IsolationPolicy, NodeContext, SinkConfig, VerifyMode};
+use pnm_crypto::Sha256;
 use pnm_obs::Tracer;
 use pnm_service::{ServiceConfig, ServicePool, ServiceSnapshot};
 use pnm_sim::{PathScenario, SchemeKind};
@@ -133,26 +134,7 @@ fn run_once(
     let (p50, p99) = (service.quantile_us(0.50), service.quantile_us(0.99));
 
     // Everything the sink *answers* must be shard-count invariant.
-    let mut quarantined: Vec<u16> = report
-        .engine
-        .quarantine()
-        .quarantined()
-        .map(|n| n.raw())
-        .collect();
-    quarantined.sort_unstable();
-    let t = report.snapshot.totals;
-    let digest = format!(
-        "src={:?} loc={:?} regions={:?} quarantine={:?} packets={} marks={}/{} susp={} benign={}",
-        report.engine.unequivocal_source(),
-        report.engine.localize(),
-        report.engine.source_regions(),
-        quarantined,
-        t.packets,
-        t.marks_verified,
-        t.marks_rejected,
-        t.suspicious,
-        t.benign,
-    );
+    let digest = Sha256::digest(&report.engine.evidence().to_bytes()).to_hex();
     (wall_ms, report.snapshot, p50, p99, digest)
 }
 

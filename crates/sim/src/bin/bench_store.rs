@@ -47,7 +47,6 @@ fn temp_log(tag: &str) -> PathBuf {
 fn delta_evidence(i: u64) -> Evidence {
     let mut ev = Evidence::default();
     ev.counters.packets = 1;
-    ev.counters.hash_count = 16;
     ev.counters.marks_verified = 8;
     ev.counters.suspicious = 1;
     ev.chains_observed = 1;

@@ -1,209 +1,20 @@
-//! Link-layer fragmentation for Mica2-class radios.
+//! Link-layer frame arithmetic for Mica2-class radios.
 //!
 //! TinyOS frames on Mica2 hardware carry ~29 bytes of payload, but a
 //! marked packet easily exceeds 50 bytes (and a fully nested-marked one,
 //! hundreds). Multi-frame packets are the physical reality behind the
 //! paper's overhead argument: every extra mark costs frames, and losing
-//! *any* fragment loses the packet — so marking overhead amplifies loss.
-//!
-//! [`fragment`] splits a packet's canonical bytes into [`Frame`]s;
-//! [`Reassembler`] rebuilds packets at the receiving side, tolerating
-//! interleaved and duplicated fragments and discarding incomplete packets
-//! after a capacity bound (sensor memory is finite).
-
-use std::collections::HashMap;
-
-use crate::error::WireError;
+//! *any* frame loses the packet — so marking overhead amplifies loss.
+//! [`frames_needed`] counts the frames a packet spans.
 
 /// Default Mica2/TinyOS frame payload size in bytes.
 pub const FRAME_PAYLOAD: usize = 29;
-
-/// Per-frame header: packet id (2) + index (1) + total (1).
-pub const FRAME_HEADER: usize = 4;
-
-/// One link-layer fragment of a packet.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Frame {
-    /// Identifies which packet this fragment belongs to (link-local).
-    pub packet_id: u16,
-    /// This fragment's index, `0..total`.
-    pub index: u8,
-    /// Total fragments in the packet.
-    pub total: u8,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
-}
-
-impl Frame {
-    /// On-air size of this frame, including the fragment header.
-    pub fn wire_len(&self) -> usize {
-        FRAME_HEADER + self.payload.len()
-    }
-
-    /// Encodes the frame: `packet_id | index | total | payload`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        out.extend_from_slice(&self.packet_id.to_be_bytes());
-        out.push(self.index);
-        out.push(self.total);
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Parses a frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] if the buffer is shorter than the header or
-    /// the index/total pair is inconsistent.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < FRAME_HEADER {
-            return Err(WireError::Truncated {
-                context: "frame header",
-                needed: FRAME_HEADER,
-                available: bytes.len(),
-            });
-        }
-        let packet_id = u16::from_be_bytes([bytes[0], bytes[1]]);
-        let index = bytes[2];
-        let total = bytes[3];
-        if total == 0 || index >= total {
-            return Err(WireError::InvalidDiscriminant {
-                context: "frame index/total",
-                value: index,
-            });
-        }
-        Ok(Frame {
-            packet_id,
-            index,
-            total,
-            payload: bytes[FRAME_HEADER..].to_vec(),
-        })
-    }
-}
 
 /// Number of frames a payload of `len` bytes needs at the given frame
 /// payload size.
 pub fn frames_needed(len: usize, frame_payload: usize) -> usize {
     assert!(frame_payload > 0, "frame payload must be positive");
     len.div_ceil(frame_payload).max(1)
-}
-
-/// Splits packet bytes into frames of at most [`FRAME_PAYLOAD`] payload.
-///
-/// # Panics
-///
-/// Panics if the packet would need more than 255 fragments.
-pub fn fragment(packet_id: u16, bytes: &[u8]) -> Vec<Frame> {
-    let total = frames_needed(bytes.len(), FRAME_PAYLOAD);
-    assert!(total <= u8::MAX as usize, "packet needs {total} fragments");
-    if bytes.is_empty() {
-        return vec![Frame {
-            packet_id,
-            index: 0,
-            total: 1,
-            payload: Vec::new(),
-        }];
-    }
-    bytes
-        .chunks(FRAME_PAYLOAD)
-        .enumerate()
-        .map(|(i, chunk)| Frame {
-            packet_id,
-            index: i as u8,
-            total: total as u8,
-            payload: chunk.to_vec(),
-        })
-        .collect()
-}
-
-/// Reassembles packets from interleaved fragments, with bounded memory.
-#[derive(Clone, Debug)]
-pub struct Reassembler {
-    capacity: usize,
-    pending: HashMap<u16, Vec<Option<Vec<u8>>>>,
-    /// Insertion order for capacity eviction.
-    order: Vec<u16>,
-    /// Packets discarded because the buffer was full.
-    pub evicted: u64,
-    /// Fragments dropped as malformed (zero total, index out of range)
-    /// or inconsistent with the first-seen fragment geometry. A nonzero
-    /// count is a loud signal of corruption or a misbehaving sender —
-    /// these drops used to be silent.
-    pub dropped: u64,
-}
-
-impl Reassembler {
-    /// Creates a reassembler tracking at most `capacity` in-flight packets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        Reassembler {
-            capacity,
-            pending: HashMap::new(),
-            order: Vec::new(),
-            evicted: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Accepts one fragment; returns the complete packet bytes when the
-    /// last missing fragment arrives. Duplicate fragments are ignored;
-    /// malformed fragments and fragments inconsistent with the
-    /// first-seen `total` are dropped and counted in
-    /// [`dropped`](Reassembler::dropped) — never a panic, never silent.
-    pub fn accept(&mut self, frame: Frame) -> Option<Vec<u8>> {
-        // `Frame::from_bytes` enforces these invariants, but a hand-built
-        // frame can violate them; drop-and-count instead of indexing out
-        // of bounds below.
-        if frame.total == 0 || frame.index >= frame.total {
-            self.dropped += 1;
-            return None;
-        }
-        let total = frame.total as usize;
-        // A single-fragment packet is complete on arrival: it needs no
-        // buffer slot, so it must not evict an in-flight packet.
-        if total == 1 && !self.pending.contains_key(&frame.packet_id) {
-            return Some(frame.payload);
-        }
-        if !self.pending.contains_key(&frame.packet_id) {
-            if self.order.len() == self.capacity {
-                let evict = self.order.remove(0);
-                self.pending.remove(&evict);
-                self.evicted += 1;
-            }
-            self.pending.insert(frame.packet_id, vec![None; total]);
-            self.order.push(frame.packet_id);
-        }
-        let slots = self.pending.get_mut(&frame.packet_id)?;
-        if slots.len() != total {
-            self.dropped += 1; // inconsistent with first-seen geometry
-            return None;
-        }
-        let idx = frame.index as usize;
-        if slots[idx].is_none() {
-            slots[idx] = Some(frame.payload);
-        }
-        if slots.iter().all(Option::is_some) {
-            let slots = self.pending.remove(&frame.packet_id)?;
-            self.order.retain(|&id| id != frame.packet_id);
-            let mut out = Vec::new();
-            for s in slots {
-                out.extend_from_slice(&s.expect("all present"));
-            }
-            Some(out)
-        } else {
-            None
-        }
-    }
-
-    /// In-flight (incomplete) packets currently buffered.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -223,238 +34,11 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_in_order() {
-        let bytes = marked_packet_bytes(10);
-        let frames = fragment(7, &bytes);
-        assert!(frames.len() > 1, "must actually fragment");
-        let mut r = Reassembler::new(4);
-        let mut out = None;
-        for f in frames {
-            out = out.or(r.accept(f));
-        }
-        assert_eq!(out.unwrap(), bytes);
-        assert_eq!(r.in_flight(), 0);
-    }
-
-    #[test]
-    fn round_trip_out_of_order_and_duplicated() {
-        let bytes = marked_packet_bytes(6);
-        let mut frames = fragment(9, &bytes);
-        frames.reverse();
-        let dup = frames[0].clone();
-        frames.insert(1, dup);
-        let mut r = Reassembler::new(4);
-        let mut out = None;
-        for f in frames {
-            let res = r.accept(f);
-            assert!(out.is_none() || res.is_none(), "completed twice");
-            out = out.or(res);
-        }
-        assert_eq!(out.unwrap(), bytes);
-    }
-
-    #[test]
-    fn interleaved_packets_reassemble_independently() {
-        let a = marked_packet_bytes(5);
-        let b = marked_packet_bytes(8);
-        let fa = fragment(1, &a);
-        let fb = fragment(2, &b);
-        let mut r = Reassembler::new(4);
-        let mut done = Vec::new();
-        for (x, y) in fa.iter().zip(fb.iter()) {
-            if let Some(p) = r.accept(x.clone()) {
-                done.push(p);
-            }
-            if let Some(p) = r.accept(y.clone()) {
-                done.push(p);
-            }
-        }
-        for f in fb.iter().skip(fa.len()) {
-            if let Some(p) = r.accept(f.clone()) {
-                done.push(p);
-            }
-        }
-        assert_eq!(done.len(), 2);
-        assert!(done.contains(&a));
-        assert!(done.contains(&b));
-    }
-
-    #[test]
-    fn missing_fragment_never_completes() {
-        let bytes = marked_packet_bytes(10);
-        let mut frames = fragment(3, &bytes);
-        frames.remove(1); // lost in the air
-        let mut r = Reassembler::new(4);
-        for f in frames {
-            assert!(r.accept(f).is_none());
-        }
-        assert_eq!(r.in_flight(), 1);
-    }
-
-    #[test]
-    fn capacity_eviction_counts() {
-        let mut r = Reassembler::new(2);
-        for id in 0..4u16 {
-            // First fragment only: stays in flight.
-            let bytes = marked_packet_bytes(10);
-            let f = fragment(id, &bytes).remove(0);
-            assert!(r.accept(f).is_none());
-        }
-        assert_eq!(r.in_flight(), 2);
-        assert_eq!(r.evicted, 2);
-    }
-
-    #[test]
-    fn single_frame_packet_at_capacity_completes_without_evicting() {
-        // Regression: a complete-on-arrival packet used to claim a buffer
-        // slot first, spuriously evicting an in-flight packet.
-        let big = marked_packet_bytes(10);
-        let mut r = Reassembler::new(2);
-        let fa = fragment(1, &big);
-        let fb = fragment(2, &big);
-        assert!(r.accept(fa[0].clone()).is_none());
-        assert!(r.accept(fb[0].clone()).is_none());
-        assert_eq!(r.in_flight(), 2);
-        // A storm of single-frame packets at full capacity...
-        for id in 10..30u16 {
-            let small = fragment(id, b"tiny");
-            assert_eq!(r.accept(small[0].clone()).unwrap(), b"tiny");
-        }
-        // ...evicts nothing: both partials are still completable.
-        assert_eq!(r.evicted, 0);
-        assert_eq!(r.in_flight(), 2);
-        let mut done = 0;
-        for f in fa.into_iter().skip(1).chain(fb.into_iter().skip(1)) {
-            if let Some(p) = r.accept(f) {
-                assert_eq!(p, big);
-                done += 1;
-            }
-        }
-        assert_eq!(done, 2);
-    }
-
-    #[test]
-    fn interleaved_storm_eviction_is_exactly_counted() {
-        // Eight multi-fragment packets round-robined through a capacity-2
-        // buffer: memory stays bounded, nothing completes (each restart
-        // evicts the oldest entry before it can fill), and the eviction
-        // count is exact. Every fragment arrival for a not-pending packet
-        // is a fresh start, so starts = evicted + in_flight at the end.
-        let bytes = marked_packet_bytes(10);
-        let storms: Vec<Vec<Frame>> = (0..8u16).map(|id| fragment(id, &bytes)).collect();
-        let n_frags = storms[0].len();
-        assert!(n_frags > 1);
-        let mut r = Reassembler::new(2);
-        for i in 0..n_frags {
-            for s in &storms {
-                assert!(r.accept(s[i].clone()).is_none(), "thrash cannot complete");
-                assert!(r.in_flight() <= 2, "capacity bound violated");
-            }
-        }
-        // Round 0 starts 8 and keeps 2 (6 evictions); every later round
-        // restarts all 8 (8 evictions each).
-        assert_eq!(r.evicted, 6 + 8 * (n_frags as u64 - 1));
-        assert_eq!(r.in_flight(), 2);
-        assert_eq!(r.dropped, 0);
-
-        // The same storm through a buffer that fits all eight packets:
-        // every packet completes, nothing is evicted.
-        let mut r = Reassembler::new(8);
-        let mut completed = 0;
-        for i in 0..n_frags {
-            for s in &storms {
-                if let Some(p) = r.accept(s[i].clone()) {
-                    assert_eq!(p, bytes);
-                    completed += 1;
-                }
-            }
-        }
-        assert_eq!(completed, 8);
-        assert_eq!(r.evicted, 0);
-        assert_eq!(r.in_flight(), 0);
-    }
-
-    #[test]
-    fn hand_built_out_of_range_fragment_is_counted_drop_not_panic() {
-        // Regression: `index >= total` from a hand-built frame used to
-        // panic on the slot index; zero-total used to insert a
-        // zero-slot entry that "completed" as an empty packet.
-        let mut r = Reassembler::new(2);
-        assert_eq!(
-            r.accept(Frame {
-                packet_id: 1,
-                index: 5,
-                total: 2,
-                payload: vec![0xaa],
-            }),
-            None
-        );
-        assert_eq!(
-            r.accept(Frame {
-                packet_id: 2,
-                index: 0,
-                total: 0,
-                payload: vec![0xbb],
-            }),
-            None
-        );
-        assert_eq!(r.dropped, 2);
-        assert_eq!(r.in_flight(), 0, "malformed fragments buffer nothing");
-    }
-
-    #[test]
-    fn inconsistent_total_is_a_counted_drop() {
-        // Regression: these drops used to be silent.
-        let bytes = marked_packet_bytes(10);
-        let frames = fragment(5, &bytes);
-        assert!(frames.len() >= 2);
-        let mut r = Reassembler::new(2);
-        assert!(r.accept(frames[0].clone()).is_none());
-        // Same packet id, different claimed geometry: dropped, counted,
-        // and the original reassembly is unharmed.
-        let mut liar = frames[1].clone();
-        liar.total = frames.len() as u8 + 3;
-        assert!(r.accept(liar).is_none());
-        assert_eq!(r.dropped, 1);
-        let mut out = None;
-        for f in frames.iter().skip(1) {
-            out = out.or(r.accept(f.clone()));
-        }
-        assert_eq!(out.unwrap(), bytes);
-    }
-
-    #[test]
-    fn frame_wire_round_trip() {
-        let bytes = marked_packet_bytes(4);
-        for f in fragment(0xBEEF, &bytes) {
-            let parsed = Frame::from_bytes(&f.to_bytes()).unwrap();
-            assert_eq!(parsed, f);
-        }
-    }
-
-    #[test]
-    fn bad_frames_rejected() {
-        assert!(Frame::from_bytes(&[1, 2, 3]).is_err());
-        // index >= total
-        assert!(Frame::from_bytes(&[0, 1, 2, 2, 0xaa]).is_err());
-        // total == 0
-        assert!(Frame::from_bytes(&[0, 1, 0, 0]).is_err());
-    }
-
-    #[test]
     fn frames_needed_math() {
         assert_eq!(frames_needed(0, 29), 1);
         assert_eq!(frames_needed(29, 29), 1);
         assert_eq!(frames_needed(30, 29), 2);
         assert_eq!(frames_needed(100, 29), 4);
-    }
-
-    #[test]
-    fn empty_packet_is_one_frame() {
-        let frames = fragment(1, &[]);
-        assert_eq!(frames.len(), 1);
-        let mut r = Reassembler::new(1);
-        assert_eq!(r.accept(frames[0].clone()).unwrap(), Vec::<u8>::new());
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod packet;
 pub mod report;
 
 pub use error::WireError;
-pub use fragment::{fragment, frames_needed, Frame, Reassembler, FRAME_HEADER, FRAME_PAYLOAD};
+pub use fragment::{frames_needed, FRAME_PAYLOAD};
 pub use id::NodeId;
 pub use mark::{Mark, MarkId};
 pub use packet::{Packet, MAX_MARKS};
