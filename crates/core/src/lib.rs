@@ -87,10 +87,7 @@ pub use store::{
     DeltaWriter, Evidence, EvidenceStore, LogStore, MemStore, RecordKind, StoreError, StoreReplay,
     VerdictCounters,
 };
-pub use verify::{
-    AnonTable, CandidateSet, Resolution, SinkVerifier, StopReason, TopologyResolver, VerifiedChain,
-    VerifyMode,
-};
+pub use verify::{AnonTable, CandidateSet, SinkVerifier, StopReason, VerifiedChain, VerifyMode};
 
 #[cfg(test)]
 mod proptests {

@@ -11,14 +11,16 @@
 //! cargo run --release --example network_traceback
 //! ```
 
+use std::sync::Arc;
+
 use pnm::core::{
-    MarkingScheme, MoleLocator, NodeContext, ProbabilisticNestedMarking, TopologyResolver,
+    MarkingScheme, MoleLocator, NodeContext, ProbabilisticNestedMarking, SinkConfig, SinkEngine,
     VerifyMode,
 };
 use pnm::crypto::KeyStore;
 use pnm::net::{Network, NodeDecision, RadioModel, Topology};
 use pnm::sim::bogus_packet;
-use pnm::wire::{MarkId, NodeId, Packet};
+use pnm::wire::{NodeId, Packet};
 use rand::rngs::StdRng;
 
 const NODES: u16 = 300;
@@ -30,7 +32,7 @@ fn main() {
     let topology = Topology::random_geometric(NODES, 200.0, 25.0, 42);
     assert!(topology.is_connected(), "field must be connected");
     let net = Network::new(topology.clone()).with_radio(RadioModel::mica2().with_loss(0.02));
-    let keys = KeyStore::derive_from_master(b"field-deployment", NODES);
+    let keys = Arc::new(KeyStore::derive_from_master(b"field-deployment", NODES));
 
     // The adversary compromises the node with the longest route to the sink.
     let mole = (0..NODES)
@@ -45,7 +47,7 @@ fn main() {
     // Honest nodes mark with PNM; the mole stays silent (no-mark attack).
     let hops = path.len();
     let scheme = ProbabilisticNestedMarking::paper_default(hops);
-    let keys_h = keys.clone();
+    let keys_h = Arc::clone(&keys);
     let mut handler = move |node: u16, pkt: &mut Packet, _now: u64, rng: &mut StdRng| {
         if node != mole {
             let ctx = NodeContext::new(NodeId(node), *keys_h.key(node).unwrap());
@@ -75,7 +77,7 @@ fn main() {
     // The settling point is the first delivery after which the
     // identification never changes again (transient early "unequivocal"
     // states over a partially observed path don't count).
-    let mut sink = MoleLocator::new(keys.clone(), VerifyMode::Nested);
+    let mut sink = MoleLocator::new(Arc::clone(&keys), VerifyMode::Nested);
     let mut status = Vec::with_capacity(report.deliveries.len());
     for d in &report.deliveries {
         sink.ingest(&d.packet);
@@ -110,29 +112,22 @@ fn main() {
         None => println!("not yet unequivocal — inject more packets"),
     }
 
-    // §7: topology-aware anonymous-ID resolution. Resolve the last
-    // delivered packet's marks anchored on the previously verified node and
-    // compare hash counts with the exhaustive search.
-    let last = report.deliveries.last().expect("deliveries");
-    let resolver = TopologyResolver::new(keys.clone(), topology.adjacency());
-    let rb = last.packet.report.to_bytes();
-    let mut anchor: Option<NodeId> = None;
-    let mut ring_cost = 0usize;
-    let mut marks_resolved = 0usize;
-    for mark in last.packet.marks.iter().rev() {
-        if let MarkId::Anon(aid) = mark.id {
-            if let Some(res) = resolver.resolve(&rb, &aid, anchor) {
-                ring_cost += res.hash_count;
-                marks_resolved += 1;
-                anchor = Some(res.id);
-            }
-        }
-    }
-    let exhaustive = marks_resolved * keys.len();
+    // §7: topology-aware anonymous-ID resolution. Verify the last
+    // delivered packet on a default engine, which builds the report's table
+    // over every node, and on a topology engine, which searches rings
+    // around the node resolved for the mark below: same chain, far fewer
+    // hashes.
+    let last = &report.deliveries.last().expect("deliveries").packet;
+    let nested = SinkConfig::new(VerifyMode::Nested);
+    let mut exhaustive = SinkEngine::new(Arc::clone(&keys), nested.clone());
+    let mut ring = SinkEngine::new(Arc::clone(&keys), nested.topology(topology.adjacency()));
+    let chain = exhaustive.ingest(last).chain;
+    assert_eq!(ring.ingest(last).chain, chain, "same chain either way");
+    let (ring_cost, table_cost) = (ring.counters().hash_count, exhaustive.counters().hash_count);
     println!(
-        "anonymous-ID resolution for the last packet: {marks_resolved} marks, \
-         {ring_cost} hashes ring-search vs {exhaustive} exhaustive \
-         ({:.0}x cheaper)",
-        exhaustive as f64 / ring_cost.max(1) as f64
+        "anonymous-ID resolution for the last packet: {} marks, {ring_cost} hashes \
+         ring-search vs {table_cost} exhaustive ({:.0}x cheaper)",
+        last.marks.len(),
+        table_cost as f64 / ring_cost.max(1) as f64
     );
 }
