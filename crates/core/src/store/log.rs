@@ -38,9 +38,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::Instant;
-
-use pnm_obs::{Counter, Histogram, Registry, Tracer};
 
 use crate::store::{
     Evidence, EvidenceStore, RecordKind, StoreError, StoreReplay, MAX_EVIDENCE_BYTES,
@@ -92,30 +89,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// Pre-created metric handles so the hot append path never touches the
-/// registry map.
-struct Metrics {
-    append_us: Histogram,
-    fsync_us: Histogram,
-    compact_us: Histogram,
-    replay_us: Histogram,
-    appends_total: Counter,
-    rejected_frames_total: Counter,
-}
-
-impl Metrics {
-    fn new(registry: &Registry) -> Self {
-        Metrics {
-            append_us: registry.histogram("pnm_store_append_us", &[]),
-            fsync_us: registry.histogram("pnm_store_fsync_us", &[]),
-            compact_us: registry.histogram("pnm_store_compact_us", &[]),
-            replay_us: registry.histogram("pnm_store_replay_us", &[]),
-            appends_total: registry.counter("pnm_store_appends_total", &[]),
-            rejected_frames_total: registry.counter("pnm_store_rejected_frames_total", &[]),
-        }
-    }
-}
-
 /// The append-only file-backed [`EvidenceStore`].
 ///
 /// # Examples
@@ -141,8 +114,6 @@ pub struct LogStore {
     file: Mutex<File>,
     fsync_every_append: bool,
     rejected_at_open: usize,
-    metrics: Option<Metrics>,
-    tracer: Tracer,
 }
 
 impl std::fmt::Debug for LogStore {
@@ -314,8 +285,6 @@ impl LogStore {
             file: Mutex::new(file),
             fsync_every_append: false,
             rejected_at_open,
-            metrics: None,
-            tracer: Tracer::noop(),
         })
     }
 
@@ -327,24 +296,6 @@ impl LogStore {
     /// [`sync`]: EvidenceStore::sync
     pub fn with_fsync(mut self, fsync_every_append: bool) -> Self {
         self.fsync_every_append = fsync_every_append;
-        self
-    }
-
-    /// Registers append/fsync/compact/replay latency histograms and
-    /// append/rejection counters in `registry`.
-    pub fn with_registry(mut self, registry: &Registry) -> Self {
-        let metrics = Metrics::new(registry);
-        metrics
-            .rejected_frames_total
-            .add(self.rejected_at_open as u64);
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Emits `store_append` / `store_compact` / `store_replay` spans on
-    /// `tracer`.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
         self
     }
 
@@ -382,49 +333,26 @@ impl LogStore {
 
 impl EvidenceStore for LogStore {
     fn append(&self, shard: u32, kind: RecordKind, evidence: &Evidence) -> Result<(), StoreError> {
-        let start = Instant::now();
-        let mut span = self.tracer.span("store_append");
         let frame = encode_frame(shard, kind, evidence);
-        span.field("shard", shard as u64);
-        span.field("bytes", frame.len() as u64);
-        {
-            let mut file = self.file.lock().expect("log store lock poisoned");
-            file.write_all(&frame)?;
-            if self.fsync_every_append {
-                let fsync_start = Instant::now();
-                file.sync_data()?;
-                if let Some(m) = &self.metrics {
-                    m.fsync_us.record(fsync_start.elapsed().as_micros() as u64);
-                }
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.appends_total.inc();
-            m.append_us.record(start.elapsed().as_micros() as u64);
+        let mut file = self.file.lock().expect("log store lock poisoned");
+        file.write_all(&frame)?;
+        if self.fsync_every_append {
+            file.sync_data()?;
         }
         Ok(())
     }
 
     fn replay(&self) -> Result<StoreReplay, StoreError> {
-        let start = Instant::now();
-        let mut span = self.tracer.span("store_replay");
         let mut file = self.file.lock().expect("log store lock poisoned");
         let mut replay = self.read_validated(&mut file)?;
         drop(file);
         // Damage truncated away at open is still damage the caller
         // should see in recovery stats.
         replay.rejected_frames += self.rejected_at_open;
-        span.field("records", replay.records as u64);
-        span.field("rejected", replay.rejected_frames as u64);
-        if let Some(m) = &self.metrics {
-            m.replay_us.record(start.elapsed().as_micros() as u64);
-        }
         Ok(replay)
     }
 
     fn compact(&self) -> Result<(), StoreError> {
-        let start = Instant::now();
-        let mut span = self.tracer.span("store_compact");
         let mut file = self.file.lock().expect("log store lock poisoned");
         let replay = self.read_validated(&mut file)?;
         let mut frames = Vec::new();
@@ -434,22 +362,14 @@ impl EvidenceStore for LogStore {
             }
         }
         *file = replace_log(&self.path, &frames)?;
-        span.field("shards", replay.shards.len() as u64);
-        if let Some(m) = &self.metrics {
-            m.compact_us.record(start.elapsed().as_micros() as u64);
-        }
         Ok(())
     }
 
     fn sync(&self) -> Result<(), StoreError> {
-        let start = Instant::now();
         self.file
             .lock()
             .expect("log store lock poisoned")
             .sync_all()?;
-        if let Some(m) = &self.metrics {
-            m.fsync_us.record(start.elapsed().as_micros() as u64);
-        }
         Ok(())
     }
 }
@@ -673,38 +593,16 @@ mod tests {
     }
 
     #[test]
-    fn fsync_mode_and_metrics() {
-        let registry = Registry::default();
-        let path = temp_log("metrics");
-        let store = LogStore::open(&path)
-            .unwrap()
-            .with_fsync(true)
-            .with_registry(&registry);
+    fn fsync_mode_appends_replays_and_compacts() {
+        let path = temp_log("fsync");
+        let store = LogStore::open(&path).unwrap().with_fsync(true);
         store.append(0, RecordKind::Delta, &ev(1, 1)).unwrap();
-        store.replay().unwrap();
+        store.append(0, RecordKind::Delta, &ev(2, 1)).unwrap();
+        assert_eq!(store.replay().unwrap().records, 2);
         store.compact().unwrap();
-        assert_eq!(registry.counter("pnm_store_appends_total", &[]).get(), 1);
-        assert!(
-            registry
-                .histogram("pnm_store_append_us", &[])
-                .snapshot()
-                .count()
-                >= 1
-        );
-        assert!(
-            registry
-                .histogram("pnm_store_replay_us", &[])
-                .snapshot()
-                .count()
-                >= 1
-        );
-        assert!(
-            registry
-                .histogram("pnm_store_compact_us", &[])
-                .snapshot()
-                .count()
-                >= 1
-        );
+        let replay = store.replay().unwrap();
+        assert_eq!(replay.records, 1);
+        assert_eq!(replay.shards[&0].counters.packets, 2);
         std::fs::remove_file(&path).ok();
     }
 }

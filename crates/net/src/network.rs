@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pnm_obs::{Counter, Registry, Tracer};
+use pnm_obs::Tracer;
 use pnm_wire::Packet;
 
 use crate::des::EventQueue;
@@ -161,34 +161,6 @@ pub struct Network {
     contention: bool,
     faults: Option<FaultPlan>,
     tracer: Tracer,
-    metrics: Option<Registry>,
-}
-
-/// Registry handles for the fault tallies, resolved once per run so the
-/// per-fault cost is a single relaxed atomic add. Series share one metric
-/// name (`pnm_net_faults_total`) with a `kind` label per fault class —
-/// the registry-backed view of [`FaultCounters`].
-struct FaultSeries {
-    burst_losses: Counter,
-    duplicates: Counter,
-    reordered: Counter,
-    corrupted: Counter,
-    corrupt_drops: Counter,
-    garbled_deliveries: Counter,
-}
-
-impl FaultSeries {
-    fn new(registry: &Registry) -> Self {
-        let c = |kind: &str| registry.counter("pnm_net_faults_total", &[("kind", kind)]);
-        FaultSeries {
-            burst_losses: c("burst_loss"),
-            duplicates: c("duplicate"),
-            reordered: c("reorder"),
-            corrupted: c("corrupt"),
-            corrupt_drops: c("corrupt_drop"),
-            garbled_deliveries: c("garbled"),
-        }
-    }
 }
 
 /// In-flight event: `holder` is about to run its forwarding behavior.
@@ -212,7 +184,6 @@ impl Network {
             contention: false,
             faults: None,
             tracer: Tracer::noop(),
-            metrics: None,
         }
     }
 
@@ -258,15 +229,6 @@ impl Network {
     /// default noop tracer costs one branch per fault site.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
-        self
-    }
-
-    /// Attaches a metrics registry: fault tallies are then mirrored live
-    /// into the `pnm_net_faults_total{kind=...}` counter family, one
-    /// series per [`FaultCounters`] field, in addition to the per-run
-    /// counts in [`SimReport::faults`].
-    pub fn with_metrics(mut self, registry: Registry) -> Self {
-        self.metrics = Some(registry);
         self
     }
 
@@ -327,7 +289,6 @@ impl Network {
         // an all-off plan cannot perturb the simulation RNG.
         let mut faults = self.faults.map(|p| FaultState::new(p, self.topology.len()));
         let tracer = self.tracer.clone();
-        let series = self.metrics.as_ref().map(FaultSeries::new);
 
         while let Some((now, mut ev)) = queue.pop() {
             report.end_time_us = now;
@@ -352,9 +313,6 @@ impl Network {
             if let Some(fs) = faults.as_mut() {
                 if fs.burst_lost(ev.holder) {
                     report.faults.burst_losses += 1;
-                    if let Some(s) = &series {
-                        s.burst_losses.inc();
-                    }
                     tracer.event_with("net.fault.burst_loss", |f| {
                         f.push(("node", ev.holder.into()));
                         f.push(("at_sim_us", now.into()));
@@ -377,9 +335,6 @@ impl Network {
                     let flips = fs.corrupt(&mut raw);
                     if flips > 0 {
                         report.faults.corrupted += 1;
-                        if let Some(s) = &series {
-                            s.corrupted.inc();
-                        }
                         let decodes = match Packet::from_bytes(&raw) {
                             Ok(p) => {
                                 ev.packet = p;
@@ -416,9 +371,6 @@ impl Network {
                 let extra = fs.reorder_delay_us();
                 if extra > 0 {
                     report.faults.reordered += 1;
-                    if let Some(s) = &series {
-                        s.reordered.inc();
-                    }
                     tracer.event_with("net.fault.reorder", |f| {
                         f.push(("node", ev.holder.into()));
                         f.push(("delay_us", extra.into()));
@@ -427,9 +379,6 @@ impl Network {
                 }
                 if fs.duplicated() {
                     report.faults.duplicates += 1;
-                    if let Some(s) = &series {
-                        s.duplicates.inc();
-                    }
                     tracer.event_with("net.fault.duplicate", |f| {
                         f.push(("node", ev.holder.into()));
                     });
@@ -441,9 +390,6 @@ impl Network {
                     NextHop::Sink => {
                         if let Some(raw) = garbled_bytes.clone() {
                             report.faults.garbled_deliveries += 1;
-                            if let Some(s) = &series {
-                                s.garbled_deliveries.inc();
-                            }
                             tracer.event_with("net.fault.garbled", |f| {
                                 f.push(("source", ev.source.into()));
                                 f.push(("bytes", raw.len().into()));
@@ -468,9 +414,6 @@ impl Network {
                         if garbled_bytes.is_some() {
                             // The receiver's decoder rejects the frame.
                             report.faults.corrupt_drops += 1;
-                            if let Some(s) = &series {
-                                s.corrupt_drops.inc();
-                            }
                             tracer.event_with("net.fault.corrupt_drop", |f| {
                                 f.push(("node", v.into()));
                             });
@@ -812,37 +755,19 @@ mod tests {
     }
 
     #[test]
-    fn fault_metrics_mirror_report_counters() {
+    fn fault_events_mirror_report_counters() {
         let plan = crate::FaultPlan::new(11)
             .with_burst_loss(crate::GilbertElliott::bursty(0.2, 5.0))
             .with_duplication(0.1)
             .with_reordering(0.2, 50_000)
             .with_corruption(0.01);
-        let registry = Registry::new();
         let (tracer, ring) = Tracer::ring(50_000);
         let net = Network::new(Topology::chain(6, 10.0))
             .with_faults(plan)
-            .with_metrics(registry.clone())
             .with_tracer(tracer);
         let mut handler = forward_all;
         let rep = net.simulate_stream(0, 150, 1000, report, &mut handler, 42);
         assert!(rep.faults.total() > 0, "faults actually fired");
-
-        // Registry series match the per-run counters exactly.
-        let get = |kind: &str| {
-            registry
-                .counter("pnm_net_faults_total", &[("kind", kind)])
-                .get()
-        };
-        assert_eq!(get("burst_loss"), rep.faults.burst_losses as u64);
-        assert_eq!(get("duplicate"), rep.faults.duplicates as u64);
-        assert_eq!(get("reorder"), rep.faults.reordered as u64);
-        assert_eq!(get("corrupt"), rep.faults.corrupted as u64);
-        assert_eq!(get("corrupt_drop"), rep.faults.corrupt_drops as u64);
-        assert_eq!(get("garbled"), rep.faults.garbled_deliveries as u64);
-        assert!(registry
-            .prometheus_text()
-            .contains("pnm_net_faults_total{kind="));
 
         // The trace saw one instant event per counted fault.
         let events = ring.events();
@@ -851,6 +776,8 @@ mod tests {
         assert_eq!(count("net.fault.duplicate"), rep.faults.duplicates);
         assert_eq!(count("net.fault.reorder"), rep.faults.reordered);
         assert_eq!(count("net.fault.corrupt"), rep.faults.corrupted);
+        assert_eq!(count("net.fault.corrupt_drop"), rep.faults.corrupt_drops);
+        assert_eq!(count("net.fault.garbled"), rep.faults.garbled_deliveries);
         assert_eq!(ring.dropped(), 0);
     }
 
@@ -860,10 +787,7 @@ mod tests {
             .with_burst_loss(crate::GilbertElliott::bursty(0.3, 4.0))
             .with_corruption(0.02);
         let base = Network::new(Topology::chain(5, 10.0)).with_faults(plan);
-        let instrumented = base
-            .clone()
-            .with_metrics(Registry::new())
-            .with_tracer(Tracer::ring(1024).0);
+        let instrumented = base.clone().with_tracer(Tracer::ring(1024).0);
         let mut h1 = forward_all;
         let mut h2 = forward_all;
         let a = base.simulate_stream(0, 80, 1000, report, &mut h1, 9);
