@@ -1,7 +1,7 @@
 //! Per-stage latency accounting for the sink pipeline.
 //!
 //! [`StageMetrics`] holds one histogram per pipeline stage (classify →
-//! verify → anon-resolve → reconstruct → localize): [`LatencyHistogram`]
+//! anon-resolve → verify → reconstruct → localize): [`LatencyHistogram`]
 //! values for reports and bench artifacts, or shared [`Histogram`] cells
 //! ([`StageHistograms`]) for an engine to record into, which it does only
 //! when [`SinkConfig::stage_timing`](crate::SinkConfig::stage_timing) is
@@ -12,7 +12,7 @@ use pnm_obs::{Histogram, JsonValue, LatencyHistogram, Registry};
 
 /// Stage names in pipeline order — the canonical key set every JSON
 /// breakdown and metric label uses.
-pub const STAGE_NAMES: [&str; 5] = ["classify", "verify", "resolve", "reconstruct", "localize"];
+pub const STAGE_NAMES: [&str; 5] = ["classify", "resolve", "verify", "reconstruct", "localize"];
 
 /// Per-stage latency histograms for one engine (nanosecond samples).
 ///
@@ -21,20 +21,20 @@ pub const STAGE_NAMES: [&str; 5] = ["classify", "verify", "resolve", "reconstruc
 /// every percentile. The JSON breakdown carries `_ns`-suffixed keys.
 ///
 /// * `classify` — duplicate suppression plus the admission classifier.
+/// * `resolve` — anonymous-ID resolution: table lookups, probes of the
+///   learned route (§7), and table builds (§4.2 brute force).
 /// * `verify` — backward MAC verification, *excluding* time spent
 ///   resolving anonymous IDs.
-/// * `resolve` — anonymous-ID resolution: table lookups/builds (§4.2
-///   brute force) or ring searches (§7 topology-guided).
 /// * `reconstruct` — folding the verified chain into the route graph.
 /// * `localize` — unequivocal-source tracking and quarantine maintenance.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StageMetrics<H = LatencyHistogram> {
     /// Dedup + classifier admission latency.
     pub classify: H,
-    /// Mark verification latency (net of resolution).
-    pub verify: H,
     /// Anonymous-ID resolution latency.
     pub resolve: H,
+    /// Mark verification latency (net of resolution).
+    pub verify: H,
     /// Route-graph fold latency.
     pub reconstruct: H,
     /// Localization/quarantine maintenance latency.
@@ -52,8 +52,8 @@ impl<H> StageMetrics<H> {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &H)> {
         STAGE_NAMES.into_iter().zip([
             &self.classify,
-            &self.verify,
             &self.resolve,
+            &self.verify,
             &self.reconstruct,
             &self.localize,
         ])
@@ -62,8 +62,8 @@ impl<H> StageMetrics<H> {
     fn map<G>(&self, mut f: impl FnMut(&'static str, &H) -> G) -> StageMetrics<G> {
         StageMetrics {
             classify: f("classify", &self.classify),
-            verify: f("verify", &self.verify),
             resolve: f("resolve", &self.resolve),
+            verify: f("verify", &self.verify),
             reconstruct: f("reconstruct", &self.reconstruct),
             localize: f("localize", &self.localize),
         }
@@ -80,8 +80,8 @@ impl StageMetrics {
     /// merge per stage).
     pub fn merge(&mut self, other: &StageMetrics) {
         self.classify.merge(&other.classify);
-        self.verify.merge(&other.verify);
         self.resolve.merge(&other.resolve);
+        self.verify.merge(&other.verify);
         self.reconstruct.merge(&other.reconstruct);
         self.localize.merge(&other.localize);
     }

@@ -7,9 +7,9 @@
 //! [`VerdictCounters`] — as one value with a canonical byte encoding, so
 //! it can be persisted, diffed, replayed and compared byte for byte.
 //!
-//! What an engine does to reach a verdict is not evidence. The table-cache
-//! work counters (`hash_count`, `table_builds`, `table_cache_hits`,
-//! `resolver_fallback_scans`) depend on each engine's cache, and the
+//! What an engine does to reach a verdict is not evidence. The work
+//! counters (`hash_count`, `table_builds`, `table_cache_hits`) depend on
+//! each engine's table cache and on the route it has learned, and the
 //! packet index at which the source first became unequivocal depends on
 //! arrival order; both stay on the engine ([`crate::SinkEngine::counters`],
 //! [`crate::SinkEngine::first_unequivocal`]).
@@ -381,9 +381,9 @@ impl Evidence {
         }
         let mut c = Cursor::new(bytes);
         let fields = if v1 {
-            // v1 interleaved the four work counters (hash_count, then
-            // table_builds, table_cache_hits and resolver_fallback_scans)
-            // with the seven verdict counters.
+            // v1 interleaved four work counters (hash_count, then
+            // table_builds, table_cache_hits and a since-removed count of
+            // fallback scans) with the seven verdict counters.
             let f: [usize; 11] = c.usizes("evidence counters")?;
             [f[0], f[2], f[3], f[7], f[8], f[9], f[10]]
         } else {

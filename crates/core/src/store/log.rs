@@ -523,7 +523,7 @@ mod tests {
         want.edges.insert((4, 5));
         want.edge_support.insert((4, 5), 2);
         // v1 evidence: the seven verdict counters with hash_count,
-        // table_builds, table_cache_hits and resolver_fallback_scans
+        // table_builds, table_cache_hits and a since-removed fallback-scan count
         // interleaved, chains, a set first-unequivocal index, then the
         // collections exactly as v2 encodes them.
         let c = want.counters;

@@ -10,17 +10,18 @@
 //! For PNM's anonymous IDs the sink first maps each `i'` back to a real id
 //! in an [`AnonTable`]: either the per-report table of `H'_{k_j}(M | j)`
 //! for every provisioned node `j` — feasible thanks to the sink's computing
-//! power and the low sensor data rate (§4.2) — or, when the sink knows the
-//! topology, a table grown mark by mark by the §7 ring search around the
-//! node resolved for the mark below (`TopologyResolver`, built by
-//! [`crate::SinkConfig::topology`]).
+//! power and the low sensor data rate (§4.2) — or a table grown mark by
+//! mark by probing the nodes that earlier verified chains placed directly
+//! upstream of the node resolved for the mark below, then, with
+//! [`crate::SinkConfig::topology`], its physical neighbours (§7). A probe
+//! miss falls back to the report's table.
 //!
 //! Either table is checked by the one nested verifier,
 //! [`SinkVerifier::verify_nested_with_table_batched`]: every mark's MAC in
 //! one lane-parallel SHA-256 sweep. The §4.1 scalar backward walk survives
 //! only in tests, as the oracle the lane paths are checked against.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use pnm_crypto::{
@@ -264,7 +265,7 @@ impl AnonTable {
     }
 
     /// The table for a packet without anonymous marks: resolves nothing,
-    /// costs no hashes. The §7 ring walk grows one from here.
+    /// costs no hashes. [`LearnedRoute::walk`] grows one from here.
     pub(crate) fn empty() -> Self {
         AnonTable {
             map: HashMap::default(),
@@ -314,7 +315,7 @@ impl AnonTable {
 /// The sink's verifier: keys plus the logic for all three verify modes.
 ///
 /// Holds the deployment key table behind an [`Arc`], so every sink-side
-/// component ([`crate::sink::SinkEngine`], its §7 ring search, the
+/// component ([`crate::sink::SinkEngine`], its resolve stage, the
 /// simulators' marking closures) shares one copy of the key material.
 #[derive(Clone, Debug)]
 pub struct SinkVerifier {
@@ -635,51 +636,62 @@ impl SinkVerifier {
     }
 }
 
-/// Neighborhood rings the §7 ring search probes around its anchor before
-/// falling back to a full scan.
-const MAX_RING_RADIUS: usize = 3;
+/// `H'` evaluations one packet's walk may spend on probes before it falls
+/// back to the report's §4.2 table, so no packet costs more than `n + 32`.
+const PROBE_BUDGET: usize = 32;
 
-/// Topology-aware anonymous-ID resolution (§7 "Anonymous ID Mapping").
-///
-/// If the sink knows the network topology, it can resolve an anonymous ID
-/// by searching only the neighborhood of the previously verified node,
-/// reducing the per-mark search from O(N) to O(d) hash computations.
-/// Because probabilistic marking means the next marker upstream may be
-/// several hops away, the search expands ring by ring and falls back to a
-/// full scan, so resolution never loses packets — it only gets cheaper.
-///
-/// [`TopologyResolver::walk`] resolves a packet's marks into the packet's
-/// own [`AnonTable`], which [`SinkVerifier::verify_batched_impl`] checks
-/// in one lane sweep like any other table. The engine holds the only copy
-/// of the adjacency here; its quarantine stage reads it too.
-#[derive(Clone, Debug)]
-pub(crate) struct TopologyResolver {
-    /// Ring probes and fallback scans evaluate `H'` off the precomputed
-    /// schedule; its ascending [`KeySchedule::ids`] list drives the scan,
-    /// so resolution order and cost are deterministic.
-    schedule: Arc<KeySchedule>,
-    /// adjacency[i] = ids of i's one-hop neighbors.
+/// The route the sink has learned from its verified chains, as the search
+/// order for anonymous IDs: §7's neighbourhood search (O(d) hashes where
+/// the §4.2 table costs one per node) with the topology learned, not
+/// given, since routes are stable (§2.1). For each node it keeps the nodes
+/// chains placed directly upstream of it, and the nodes chains ended with,
+/// each most support first; with [`crate::SinkConfig::topology`] it also
+/// holds the adjacency, the engine's only copy. [`LearnedRoute::walk`]
+/// probes them into the packet's own [`AnonTable`]. A probe hit stands in
+/// for the table's candidate list, which differs only when two nodes'
+/// 64-bit `AnonId`s collide on one report. Engine-local work state, like
+/// the table cache: not evidence.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LearnedRoute {
+    /// `upstream[d]`: each node a verified chain placed directly upstream
+    /// of `d`, with its support, most support first.
+    upstream: HashMap<u16, Vec<(u16, u32)>>,
+    /// Each node a verified chain ended with, with its support, most
+    /// support first.
+    tails: Vec<(u16, u32)>,
+    /// adjacency[i] = ids of i's one-hop neighbors (empty without a
+    /// topology).
     adjacency: HashMap<u16, Vec<u16>>,
 }
 
-/// What one packet's ring walk produced.
+/// What one packet's walk produced.
 #[derive(Debug)]
-pub(crate) struct RingWalk {
+pub(crate) struct Walk {
     /// The packet's table; its `hash_count` is every `H'` the walk spent.
     pub(crate) table: AnonTable,
-    /// Ring searches that missed and fell back to the full scan.
-    pub(crate) fallback_scans: usize,
-    /// Set when a sweep before a fallback scan found a mark below the
-    /// missed one invalid: the packet's chain, final.
-    pub(crate) decided: Option<VerifiedChain>,
+    /// How the walk ended.
+    pub(crate) end: WalkEnd,
 }
 
-impl TopologyResolver {
-    /// A resolver over the deployment's key schedule and adjacency lists.
-    pub(crate) fn new(schedule: Arc<KeySchedule>, adjacency: HashMap<u16, Vec<u16>>) -> Self {
-        TopologyResolver {
-            schedule,
+/// How a walk ended.
+#[derive(Debug)]
+pub(crate) enum WalkEnd {
+    /// Every mark the backward walk can reach resolved into the table.
+    Resolved,
+    /// A probe missed, or the budget ran out, and every mark below the
+    /// missed one verified: the report's §4.2 table decides.
+    Fallback,
+    /// The sweep before the fallback found a mark below the missed one
+    /// invalid: the packet's chain, final.
+    Decided(VerifiedChain),
+}
+
+impl LearnedRoute {
+    /// A route with nothing learned, seeded with the sink-known adjacency.
+    pub(crate) fn new(adjacency: HashMap<u16, Vec<u16>>) -> Self {
+        LearnedRoute {
             adjacency,
+            ..LearnedRoute::default()
         }
     }
 
@@ -688,30 +700,38 @@ impl TopologyResolver {
         self.adjacency.get(&node.raw()).map_or(&[], Vec::as_slice)
     }
 
-    /// Resolves `packet`'s anonymous marks from the sink end upstream, each
-    /// around the id resolved for the mark below it, into the packet's own
-    /// table.
+    /// Adds one verified chain (path order): its last node, and each
+    /// node's direct upstream. A pair already seen costs no allocation.
+    pub(crate) fn learn(&mut self, chain: &[NodeId]) {
+        let Some(tail) = chain.last() else {
+            return;
+        };
+        support(&mut self.tails, tail.raw());
+        for pair in chain.windows(2) {
+            let list = self.upstream.entry(pair[1].raw()).or_default();
+            support(list, pair[0].raw());
+        }
+    }
+
+    /// Resolves `packet`'s anonymous marks from the sink end upstream into
+    /// the packet's own table, each by probing where earlier chains put
+    /// the marker above the id resolved for the mark below.
     ///
     /// The §4.1 walk observes a mark only if every mark below it verified,
     /// and for such a mark the id resolved below is the walk's previously
-    /// verified node: so the table yields the walk's chain. A ring search
-    /// that misses sweeps what is staged first, and scans for the missed
-    /// mark only if every mark below it verified — where the scalar walk
-    /// scanned — skipping the ring nodes already hashed. A mark without a
-    /// MAC is never resolved: nothing at or above it verifies.
+    /// verified node. A probe miss, or a spent budget, sweeps what is
+    /// staged: if a mark below the missed one fails, that chain is final;
+    /// otherwise the report's table decides. A plain-ID mark anchors the
+    /// next probe, and a mark without a MAC is never resolved: nothing at
+    /// or above it verifies.
     pub(crate) fn walk(
         &self,
         verifier: &SinkVerifier,
         packet: &Packet,
+        report_bytes: &[u8],
         flat: &mut Vec<u8>,
-    ) -> RingWalk {
-        let report_bytes = packet.report.to_bytes();
-        let mut walk = RingWalk {
-            table: AnonTable::empty(),
-            fallback_scans: 0,
-            decided: None,
-        };
-        let mut tried = HashSet::new();
+    ) -> Walk {
+        let mut table = AnonTable::empty();
         let mut anchor = None;
         for (idx, mark) in packet.marks.iter().enumerate().rev() {
             if mark.mac.is_none() {
@@ -724,93 +744,77 @@ impl TopologyResolver {
                 }
                 MarkId::Anon(aid) => aid,
             };
-            tried.clear();
-            let hashes = &mut walk.table.hash_count;
-            let mut found =
-                anchor.and_then(|a| self.ring_search(&report_bytes, &aid, a, &mut tried, hashes));
-            if found.is_none() {
+            let hashes = &mut table.hash_count;
+            let Some(id) = self.probe(verifier.schedule(), report_bytes, &aid, anchor, hashes)
+            else {
                 let below = packet.marks.len() - 1 - idx;
-                if below > 0 {
-                    let chain = verifier.verify_batched_impl(packet, &walk.table, flat);
-                    if chain.nodes.len() < below {
-                        walk.decided = Some(chain);
-                        return walk;
-                    }
-                }
-                walk.fallback_scans += 1;
-                found = self.scan(&report_bytes, &aid, &tried, &mut walk.table.hash_count);
-            }
-            let Some(id) = found else {
-                break;
+                let end =
+                    match (below > 0).then(|| verifier.verify_batched_impl(packet, &table, flat)) {
+                        Some(chain) if chain.nodes.len() < below => WalkEnd::Decided(chain),
+                        _ => WalkEnd::Fallback,
+                    };
+                return Walk { table, end };
             };
-            walk.table.insert(aid, id);
+            table.insert(aid, id);
             anchor = Some(id);
         }
-        walk
-    }
-
-    /// Probes rings 0 to [`MAX_RING_RADIUS`] around `anchor`, breadth
-    /// first, for the node whose `H'` over `report_bytes` is `aid`. Every
-    /// ring node visited lands in `tried`; each one with a key costs one
-    /// `H'`, counted in `hashes`.
-    fn ring_search(
-        &self,
-        report_bytes: &[u8],
-        aid: &AnonId,
-        anchor: u16,
-        tried: &mut HashSet<u16>,
-        hashes: &mut usize,
-    ) -> Option<u16> {
-        let mut frontier = vec![anchor];
-        tried.insert(anchor);
-        for radius in 0..=MAX_RING_RADIUS {
-            for &cand in &frontier {
-                if let Some(key) = self.schedule.get(cand) {
-                    *hashes += 1;
-                    if anon_id_prepared(key, report_bytes, cand) == *aid {
-                        return Some(cand);
-                    }
-                }
-            }
-            // `tried` must hold only probed rings: the scan skips it.
-            if radius == MAX_RING_RADIUS {
-                break;
-            }
-            let mut next = Vec::new();
-            for &cand in &frontier {
-                for &n in self.adjacency.get(&cand).into_iter().flatten() {
-                    if tried.insert(n) {
-                        next.push(n);
-                    }
-                }
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
+        Walk {
+            table,
+            end: WalkEnd::Resolved,
         }
-        None
     }
 
-    /// The fallback: every node not in `tried`, in ascending id order,
-    /// until one's `H'` is `aid`. Counts each `H'` in `hashes`.
-    fn scan(
+    /// Probes for the node whose `H'` over `report_bytes` is `aid`: the
+    /// nodes learned directly upstream of `anchor` (the chain tails
+    /// without one), then `anchor`'s physical neighbours not on that
+    /// list. Each probe of a node with a key costs one `H'`, counted in
+    /// `hashes`; none is made once `hashes` reaches [`PROBE_BUDGET`].
+    fn probe(
         &self,
+        schedule: &KeySchedule,
         report_bytes: &[u8],
         aid: &AnonId,
-        tried: &HashSet<u16>,
+        anchor: Option<u16>,
         hashes: &mut usize,
     ) -> Option<u16> {
-        for (id, key) in self.schedule.iter() {
-            if tried.contains(&id) {
+        let learned = match anchor {
+            Some(a) => self.upstream.get(&a).map_or(&[][..], Vec::as_slice),
+            None => &self.tails,
+        };
+        let neighbours = anchor.map_or(&[][..], |a| self.neighbors(NodeId(a)));
+        let untried = neighbours
+            .iter()
+            .filter(|&&n| learned.iter().all(|&(u, _)| u != n));
+        for &cand in learned.iter().map(|(u, _)| u).chain(untried) {
+            let Some(key) = schedule.get(cand) else {
                 continue;
+            };
+            if *hashes >= PROBE_BUDGET {
+                return None;
             }
             *hashes += 1;
-            if anon_id_prepared(key, report_bytes, id) == *aid {
-                return Some(id);
+            if anon_id_prepared(key, report_bytes, cand) == *aid {
+                return Some(cand);
             }
         }
         None
+    }
+}
+
+/// Counts one more chain for `id` in a most-support-first list, moving it
+/// ahead of every entry it now outnumbers.
+fn support(list: &mut Vec<(u16, u32)>, id: u16) {
+    let mut i = match list.iter().position(|&(n, _)| n == id) {
+        Some(i) => i,
+        None => {
+            list.push((id, 0));
+            list.len() - 1
+        }
+    };
+    list[i].1 += 1;
+    while i > 0 && list[i - 1].1 < list[i].1 {
+        list.swap(i - 1, i);
+        i -= 1;
     }
 }
 
@@ -1079,127 +1083,6 @@ mod tests {
         }
         let bogus = AnonId::from_bytes([0xff; 8]);
         assert!(table.resolve(&bogus).is_empty() || !table.resolve(&bogus).contains(&60000));
-    }
-
-    /// Four-neighbour adjacency of a `cols` × `rows` grid, ids row-major,
-    /// each list in the order left, right, up, down.
-    fn grid_adjacency(cols: u16, rows: u16) -> HashMap<u16, Vec<u16>> {
-        (0..cols * rows)
-            .map(|i| {
-                let (x, y) = (i % cols, i / cols);
-                let mut n = Vec::new();
-                if x > 0 {
-                    n.push(i - 1);
-                }
-                if x + 1 < cols {
-                    n.push(i + 1);
-                }
-                if y > 0 {
-                    n.push(i - cols);
-                }
-                if y + 1 < rows {
-                    n.push(i + cols);
-                }
-                (i, n)
-            })
-            .collect()
-    }
-
-    /// §7: a ring search anchored at the verified neighbour resolves an
-    /// anonymous ID in radius 0 plus radius 1, i.e. at most `1 + deg`
-    /// hashes, where the §4.2 table build costs one hash per node.
-    #[test]
-    fn topology_resolver_prefers_neighbors() {
-        // (cols, rows, target, anchor, exact hashes): a 100-node chain, and
-        // a 32×32 grid with node 500 anchored at its left neighbour 499.
-        for (cols, rows, target, anchor, hashes) in [(100, 1, 4, 5, 2), (32, 32, 500, 499, 3)] {
-            let n = cols * rows;
-            let keys = keystore(n);
-            let adjacency = grid_adjacency(cols, rows);
-            let degree = adjacency[&anchor].len();
-            let rb = report().to_bytes();
-            assert_eq!(
-                AnonTable::build(&keys.schedule(), &rb).hash_count,
-                n as usize
-            );
-            let aid = anon_id(keys.key(target).unwrap(), &rb, target);
-            let resolver = TopologyResolver::new(keys.schedule(), adjacency);
-            let mut count = 0;
-            let found = resolver.ring_search(&rb, &aid, anchor, &mut HashSet::new(), &mut count);
-            assert_eq!(found, Some(target));
-            assert_eq!(count, hashes, "{cols}x{rows}");
-            assert!(count <= 1 + degree);
-        }
-    }
-
-    /// A marker one ring past the radius: the search probes rings 0–3 and
-    /// misses, and the scan, skipping exactly the probed nodes, finds it.
-    #[test]
-    fn ring_search_tries_only_the_rings_it_probes() {
-        let keys = keystore(12);
-        let rb = report().to_bytes();
-        let aid = anon_id(keys.key(0).unwrap(), &rb, 0);
-        let resolver = TopologyResolver::new(keys.schedule(), grid_adjacency(12, 1));
-        let (mut tried, mut count) = (HashSet::new(), 0);
-        assert_eq!(
-            resolver.ring_search(&rb, &aid, 4, &mut tried, &mut count),
-            None
-        );
-        assert_eq!(tried, (1..=7).collect::<HashSet<u16>>());
-        assert_eq!(count, 7);
-        assert_eq!(resolver.scan(&rb, &aid, &tried, &mut count), Some(0));
-        assert_eq!(count, 8);
-    }
-
-    #[test]
-    fn topology_resolver_falls_back_to_full_scan() {
-        // Anchor far away: ring search fails, full scan still resolves,
-        // skipping the anchor it already probed.
-        let keys = keystore(50);
-        let adjacency: HashMap<u16, Vec<u16>> = (0..50u16).map(|i| (i, vec![])).collect(); // no edges at all
-        let rb = report().to_bytes();
-        let aid = anon_id(keys.key(30).unwrap(), &rb, 30);
-        let resolver = TopologyResolver::new(keys.schedule(), adjacency);
-        let (mut tried, mut count) = (HashSet::new(), 0);
-        assert_eq!(
-            resolver.ring_search(&rb, &aid, 0, &mut tried, &mut count),
-            None
-        );
-        assert_eq!(resolver.scan(&rb, &aid, &tried, &mut count), Some(30));
-        assert_eq!(count, 31);
-    }
-
-    #[test]
-    fn fallback_scan_is_deterministic_sorted() {
-        // With nothing tried the scan walks ids in ascending order:
-        // resolving node 30 out of 50 therefore costs exactly 31 hash
-        // evaluations, every time.
-        let keys = keystore(50);
-        let rb = report().to_bytes();
-        let aid = anon_id(keys.key(30).unwrap(), &rb, 30);
-        let resolver = TopologyResolver::new(keys.schedule(), HashMap::new());
-        for _ in 0..3 {
-            let mut count = 0;
-            assert_eq!(
-                resolver.scan(&rb, &aid, &HashSet::new(), &mut count),
-                Some(30)
-            );
-            assert_eq!(count, 31);
-        }
-    }
-
-    #[test]
-    fn topology_resolver_unresolvable_returns_none() {
-        let keys = keystore(5);
-        let rb = report().to_bytes();
-        let resolver = TopologyResolver::new(keys.schedule(), HashMap::new());
-        let mut count = 0;
-        let bogus = AnonId::from_bytes([9; 8]);
-        assert_eq!(
-            resolver.scan(&rb, &bogus, &HashSet::new(), &mut count),
-            None
-        );
-        assert_eq!(count, 5);
     }
 
     #[test]

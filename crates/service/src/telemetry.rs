@@ -42,7 +42,7 @@ pub struct ShardSnapshot {
     /// restarts, since the pool was built.
     pub counters: SinkCounters,
     /// Per-stage latency breakdown of the shard engine's pipeline
-    /// (classify → verify → resolve → reconstruct → localize). Empty when
+    /// (classify → resolve → verify → reconstruct → localize). Empty when
     /// the service was configured with stage timing off.
     pub stages: StageMetrics,
     /// Time spent waiting in the bounded queue.
@@ -108,7 +108,7 @@ impl ServiceSnapshot {
 
 /// [`SinkCounters`] fields with their names, in declaration order: a
 /// shard's `name` count is its `pnm_sink_<name>_total` series.
-fn sink_fields(c: &mut SinkCounters) -> [(&'static str, &mut usize); 11] {
+fn sink_fields(c: &mut SinkCounters) -> [(&'static str, &mut usize); 10] {
     [
         ("packets", &mut c.packets),
         ("hash_count", &mut c.hash_count),
@@ -116,7 +116,6 @@ fn sink_fields(c: &mut SinkCounters) -> [(&'static str, &mut usize); 11] {
         ("marks_rejected", &mut c.marks_rejected),
         ("table_builds", &mut c.table_builds),
         ("table_cache_hits", &mut c.table_cache_hits),
-        ("resolver_fallback_scans", &mut c.resolver_fallback_scans),
         ("suspicious", &mut c.suspicious),
         ("benign", &mut c.benign),
         ("malformed", &mut c.malformed),
@@ -140,7 +139,7 @@ pub(crate) struct ShardMetrics {
     /// The shard's stage cells: every engine the shard builds records
     /// into them.
     pub(crate) stages: StageHistograms,
-    sink: [Counter; 11],
+    sink: [Counter; 10],
 }
 
 impl ShardMetrics {
@@ -215,7 +214,7 @@ mod tests {
     fn sink_counters_round_trip_through_the_shard_cells() {
         let registry = Registry::new();
         let metrics = ShardMetrics::register(&registry, 3);
-        // Every field distinct (packets 1 … duplicates_suppressed 11), so
+        // Every field distinct (packets 1 … duplicates_suppressed 10), so
         // a swapped pair of cells shows.
         let mut c = SinkCounters::default();
         for (i, (_, v)) in sink_fields(&mut c).into_iter().enumerate() {
@@ -228,7 +227,7 @@ mod tests {
         assert_eq!(metrics.snapshot().counters, c + c);
         let text = registry.prometheus_text();
         assert!(text.contains("pnm_sink_packets_total{shard=\"3\"} 2"));
-        assert!(text.contains("pnm_sink_duplicates_suppressed_total{shard=\"3\"} 22"));
+        assert!(text.contains("pnm_sink_duplicates_suppressed_total{shard=\"3\"} 20"));
         assert!(text.contains("pnm_sink_stage_ns_count{shard=\"3\",stage=\"verify\"} 0"));
     }
 

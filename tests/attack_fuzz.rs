@@ -4,7 +4,10 @@
 //! The paper's Theorem 4 covers any manipulation, not just the canonical
 //! single attacks — "the mole can use any one or a combination of the
 //! attacks" (§2.3). This test samples random `AttackPlan`s and asserts the
-//! sink is never misled to a non-mole-adjacent node.
+//! sink is never misled to a non-mole-adjacent node. The source mole
+//! injects a fresh report per packet, so the sink resolves every attacked
+//! packet through its learned probes or a table build: each chain must
+//! equal the one the full §4.2 table gives.
 
 use proptest::prelude::*;
 
@@ -100,7 +103,9 @@ proptest! {
                 }
             }
             if !dropped {
-                locator.ingest(&pkt);
+                let chain = locator.ingest(&pkt);
+                let table = locator.engine().verifier().verify(&pkt, VerifyMode::Nested);
+                prop_assert_eq!(chain, table);
             }
         }
 
