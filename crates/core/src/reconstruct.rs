@@ -112,9 +112,16 @@ pub struct RouteReconstructor {
     /// head_support[n] = chains whose most-upstream element was n — the
     /// direct evidence that n heads the route.
     head_support: BTreeMap<u16, usize>,
-    /// edge_support[(u, v)] = chains in which u appeared directly upstream
-    /// of v. Thin edges mark order relations resting on little evidence.
-    edge_support: BTreeMap<(u16, u16), usize>,
+    /// Chains whose most-downstream element was n, as `(n, count)`, most
+    /// support first: where the sink's resolve stage probes for a packet's
+    /// lowest anonymous mark. Not evidence: [`Evidence`] carries no tails.
+    tail_support: Vec<(u16, usize)>,
+    /// upstream[v] = `(u, count)` for each u that appeared directly
+    /// upstream of v in `count` chains, most support first: the edge
+    /// support (thin edges mark order relations resting on little
+    /// evidence), and where the resolve stage probes for the marker above
+    /// v.
+    upstream: BTreeMap<u16, Vec<(u16, usize)>>,
     /// Cached `unequivocal_source` result, invalidated whenever the graph
     /// gains a node or edge (empty = dirty). The locator queries after
     /// every packet, but most packets add nothing new once the route has
@@ -147,12 +154,13 @@ impl RouteReconstructor {
         chain: &[NodeId],
         mut delta: Option<&mut Evidence>,
     ) {
-        if let Some(head) = chain.first() {
+        if let (Some(head), Some(tail)) = (chain.first(), chain.last()) {
             self.chains_observed += 1;
             *self.head_support.entry(head.raw()).or_default() += 1;
             if let Some(d) = delta.as_deref_mut() {
                 *d.head_support.entry(head.raw()).or_default() += 1;
             }
+            add_support(&mut self.tail_support, tail.raw(), 1);
         }
         let mut changed = false;
         for n in chain {
@@ -168,7 +176,7 @@ impl RouteReconstructor {
             if u != v {
                 let new_edge = self.edges.entry(u).or_default().insert(v);
                 changed |= new_edge;
-                *self.edge_support.entry((u, v)).or_default() += 1;
+                add_support(self.upstream.entry(v).or_default(), u, 1);
                 if let Some(d) = delta.as_deref_mut() {
                     if new_edge {
                         d.edges.insert((u, v));
@@ -199,9 +207,25 @@ impl RouteReconstructor {
         &self.head_support
     }
 
-    /// Raw edge-support counts, for evidence export.
-    pub(crate) fn edge_support_map(&self) -> &BTreeMap<(u16, u16), usize> {
-        &self.edge_support
+    /// Raw edge-support counts keyed `(upstream, downstream)`, for
+    /// evidence export.
+    pub(crate) fn edge_support_map(&self) -> BTreeMap<(u16, u16), usize> {
+        self.upstream
+            .iter()
+            .flat_map(|(&v, us)| us.iter().map(move |&(u, c)| ((u, v), c)))
+            .collect()
+    }
+
+    /// The nodes chains placed directly upstream of `downstream`, with
+    /// their support, most support first.
+    pub(crate) fn upstream_of(&self, downstream: u16) -> &[(u16, usize)] {
+        self.upstream.get(&downstream).map_or(&[], Vec::as_slice)
+    }
+
+    /// The nodes chains ended with, with their support, most support
+    /// first. Only chains observed here count: merged evidence has none.
+    pub(crate) fn tails(&self) -> &[(u16, usize)] {
+        &self.tail_support
     }
 
     /// Merges an evidence value's route parts into this reconstructor —
@@ -236,8 +260,8 @@ impl RouteReconstructor {
         for (&n, &c) in &evidence.head_support {
             *self.head_support.entry(n).or_default() += c;
         }
-        for (&e, &c) in &evidence.edge_support {
-            *self.edge_support.entry(e).or_default() += c;
+        for (&(u, v), &c) in &evidence.edge_support {
+            add_support(self.upstream.entry(v).or_default(), u, c);
         }
         // A zero count adds nothing, so it is never recorded as growth.
         if let Some(d) = delta {
@@ -411,10 +435,10 @@ impl RouteReconstructor {
     /// Chains in which `upstream` appeared directly upstream of
     /// `downstream`.
     pub fn edge_support(&self, upstream: NodeId, downstream: NodeId) -> usize {
-        self.edge_support
-            .get(&(upstream.raw(), downstream.raw()))
-            .copied()
-            .unwrap_or(0)
+        self.upstream_of(downstream.raw())
+            .iter()
+            .find(|&&(u, _)| u == upstream.raw())
+            .map_or(0, |&(_, c)| c)
     }
 
     /// [`RouteReconstructor::localize`] with a support annotation and a
@@ -622,6 +646,24 @@ impl RouteReconstructor {
     }
 }
 
+/// Adds `count` chains to `id` in a most-support-first list (entering it
+/// if absent), moving it ahead of every entry it now outnumbers. A known
+/// `id` costs no allocation.
+fn add_support(list: &mut Vec<(u16, usize)>, id: u16, count: usize) {
+    let mut i = match list.iter().position(|&(n, _)| n == id) {
+        Some(i) => i,
+        None => {
+            list.push((id, 0));
+            list.len() - 1
+        }
+    };
+    list[i].1 += count;
+    while i > 0 && list[i - 1].1 < list[i].1 {
+        list.swap(i - 1, i);
+        i -= 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,7 +856,7 @@ mod tests {
             nodes: r.nodes_set().clone(),
             edges: r.edge_pairs().collect(),
             head_support: r.head_support_map().clone(),
-            edge_support: r.edge_support_map().clone(),
+            edge_support: r.edge_support_map(),
             ..Evidence::default()
         }
     }
@@ -874,6 +916,19 @@ mod tests {
         assert_eq!(r.edge_support(NodeId(1), NodeId(2)), 2);
         assert_eq!(r.edge_support(NodeId(2), NodeId(3)), 2);
         assert_eq!(r.edge_support(NodeId(3), NodeId(1)), 0);
+        // The sink's resolve stage probes most support first; a tie keeps
+        // first-seen order.
+        r.observe_chain(&ids(&[4, 3]));
+        assert_eq!(r.upstream_of(3), [(2, 2), (4, 1)]);
+        r.observe_chain(&ids(&[4, 3]));
+        r.observe_chain(&ids(&[4, 3]));
+        assert_eq!(r.upstream_of(3), [(4, 3), (2, 2)]);
+        assert_eq!(r.tails(), [(3, 5), (2, 1)]);
+        // Installed evidence adds to the edge lists; it carries no tails.
+        let mut merged = RouteReconstructor::new();
+        merged.install(&route_evidence(&r), None);
+        assert_eq!(merged.upstream_of(3), r.upstream_of(3));
+        assert!(merged.tails().is_empty());
     }
 
     #[test]

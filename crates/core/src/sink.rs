@@ -11,18 +11,18 @@
 //!
 //! 1. **classify** — optional [`TrafficClassifier`] gate; benign packets
 //!    never reach verification.
-//! 2. **resolve** — maps a packet's anonymous IDs to real ids in an
-//!    [`AnonTable`]: the report's table if the per-report cache holds it;
-//!    else a table grown from the sink end by probing the nodes earlier
-//!    verified chains placed directly upstream of the id resolved for the
-//!    mark below (and, with [`SinkConfig::topology`], its neighbours, §7);
-//!    else, on a probe miss or once 32 probes are spent, the report's
-//!    brute-force §4.2 table, built and cached. A packet without an
-//!    anonymous mark needs no table.
+//! 2. **resolve** — maps a packet's anonymous IDs to real ids in the
+//!    report's [`AnonTable`], cached per report. A mark the table lacks is
+//!    found from the sink end by probing the nodes earlier verified chains
+//!    placed directly upstream of the id resolved for the mark below (and,
+//!    with [`SinkConfig::topology`], its neighbours, §7), each probe one
+//!    more node of the table; on a probe miss, or once a packet has spent
+//!    32 probes, the rest of the report's brute-force §4.2 table is hashed
+//!    in one batch. A packet without an anonymous mark needs no table.
 //! 3. **verify** — backward nested MAC verification: every mark checked
 //!    against the table in one lane-parallel sweep.
 //! 4. **reconstruct** — the verified chain feeds the [`RouteReconstructor`]
-//!    order matrix, and the resolve stage's probe lists.
+//!    order matrix, whose support lists the resolve stage probes.
 //! 5. **localize / quarantine** — unequivocal-source tracking and, when an
 //!    [`IsolationPolicy`] is configured, quarantine-set maintenance.
 //!
@@ -31,11 +31,12 @@
 //! [`SinkEngine::ingest_batch`]. Both run the identical code path — batch
 //! ingestion produces byte-identical chains and counters — but the engine
 //! amortizes the expensive anonymous-ID work across packets: a multi-entry
-//! LRU table cache keyed by report bytes means `k` distinct reports cost
-//! at most `k` table builds no matter how many packets carry them, as long
-//! as `k` fits the cache ([`SinkConfig::table_cache_capacity`], default
-//! 8), and the route learned from verified chains resolves a fresh report
-//! in a few probes instead of a table. Reusable scratch buffers keep
+//! LRU table cache keyed by report bytes means no node's `H'` is computed
+//! twice for a report, so `k` distinct reports cost at most `k` tables no
+//! matter how many packets carry them, as long as `k` fits the cache
+//! ([`SinkConfig::table_cache_capacity`], default 8), and the route
+//! learned from verified chains resolves a fresh report in a few probes
+//! instead of a table. Reusable scratch buffers keep
 //! per-mark verification allocation-free. Uniform instrumentation
 //! ([`SinkCounters`]) reports hash evaluations, mark verdicts and cache
 //! behavior.
@@ -57,7 +58,7 @@ use crate::reconstruct::{AnnotatedLocalization, Localization, RouteReconstructor
 use crate::replay::DuplicateSuppressor;
 use crate::stage::{StageHistograms, StageMetrics};
 use crate::store::{DeltaWriter, Evidence, EvidenceStore, StoreError, VerdictCounters};
-use crate::verify::{AnonTable, LearnedRoute, SinkVerifier, VerifiedChain, VerifyMode, WalkEnd};
+use crate::verify::{AnonTable, SinkVerifier, Topology, VerifiedChain, VerifyMode, WalkEnd};
 
 /// Default number of per-report anonymous-ID tables the engine keeps live.
 ///
@@ -219,18 +220,19 @@ impl SinkConfig {
 pub struct SinkCounters {
     /// Packets offered to the pipeline (including classified-out ones).
     pub packets: usize,
-    /// Total `H'` evaluations spent on anonymous-ID resolution (table
-    /// builds plus probes).
+    /// Total `H'` evaluations spent on anonymous-ID resolution (probes
+    /// plus table completions); at most one per node per cached report.
     pub hash_count: usize,
     /// Marks whose MAC verified.
     pub marks_verified: usize,
     /// Marks rejected (invalid MAC, unknown key, or unreachable past the
     /// first invalid mark).
     pub marks_rejected: usize,
-    /// Anonymous-ID tables built: one per packet whose report the cache
-    /// did not hold and whose marks the probes could not resolve.
+    /// Anonymous-ID tables completed over every node: one per packet
+    /// whose marks neither its report's table nor the probes resolved.
     pub table_builds: usize,
-    /// Verifications served by an already-cached table.
+    /// Packets whose report's table, built or grown by probes, the cache
+    /// already held.
     pub table_cache_hits: usize,
     /// Packets the classifier admitted as suspicious.
     pub suspicious: usize,
@@ -243,9 +245,9 @@ pub struct SinkCounters {
 }
 
 impl SinkCounters {
-    /// Fraction of table lookups served from the table cache
-    /// (`hits / (hits + builds)`); `None` before any lookup. A packet the
-    /// learned probes resolve counts in neither.
+    /// `hits / (hits + builds)`; `None` before either. A packet that
+    /// misses the cache and is resolved by probes counts in neither, and a
+    /// hit whose marks need a completed table counts in both.
     pub fn table_cache_hit_rate(&self) -> Option<f64> {
         let total = self.table_builds + self.table_cache_hits;
         (total > 0).then(|| self.table_cache_hits as f64 / total as f64)
@@ -407,13 +409,14 @@ pub struct SinkEngine {
     keys: Arc<KeyStore>,
     mode: VerifyMode,
     verifier: SinkVerifier,
-    /// The probe lists learned from verified chains, and the only copy of
-    /// the adjacency, which the quarantine stage reads too.
-    route: LearnedRoute,
+    /// The only copy of the adjacency, which the resolve stage probes and
+    /// the quarantine stage reads.
+    topology: Topology,
     classifier: Option<TrafficClassifier>,
     isolation: Option<IsolationPolicy>,
     reconstructor: RouteReconstructor,
-    /// LRU cache of per-report anonymous-ID tables, most recent last.
+    /// LRU cache of per-report anonymous-ID tables, built or grown by
+    /// probes, most recent last.
     table_cache: Vec<(Vec<u8>, AnonTable)>,
     table_cache_capacity: usize,
     /// Reusable MAC-message buffer (shared across marks and packets).
@@ -455,11 +458,10 @@ struct PendingDelta {
 
 /// What the resolve stage hands the verify stage.
 enum Resolved {
+    /// No anonymous mark: nothing to resolve.
+    Empty,
     /// The report's table, at this index of the engine's table cache.
     Cached(usize),
-    /// The packet's own table: empty without an anonymous mark, else grown
-    /// by the learned probes.
-    Own(AnonTable),
     /// The walk's sweep found a mark below a missed one invalid; this is
     /// the packet's chain.
     Decided(VerifiedChain),
@@ -509,7 +511,7 @@ impl SinkEngine {
             verifier,
             keys,
             mode: config.mode,
-            route: LearnedRoute::new(config.adjacency.unwrap_or_default()),
+            topology: Topology::new(config.adjacency.unwrap_or_default()),
             classifier: config.classifier,
             isolation: config.isolation,
             reconstructor: RouteReconstructor::new(),
@@ -682,9 +684,9 @@ impl SinkEngine {
                 &self.table_cache[idx].1,
                 &mut self.scratch,
             ),
-            Some(Resolved::Own(table)) => {
+            Some(Resolved::Empty) => {
                 self.verifier
-                    .verify_batched_impl(packet, &table, &mut self.scratch)
+                    .verify_batched_impl(packet, &AnonTable::empty(), &mut self.scratch)
             }
             Some(Resolved::Decided(chain)) => chain,
         };
@@ -695,14 +697,11 @@ impl SinkEngine {
         self.counters.marks_verified += chain.nodes.len();
         self.counters.marks_rejected += chain.total_marks - chain.nodes.len();
 
-        // Stage 4: fold into the reconstructed route, and into the probe
-        // lists the resolve stage searches.
+        // Stage 4: fold into the reconstructed route, whose support lists
+        // the resolve stage probes.
         let reconstruct_span = tracer.span_traced("sink.reconstruct", ctx);
         self.reconstructor
             .observe_chain_recording(&chain.nodes, self.pending.grown.as_mut());
-        if self.mode == VerifyMode::Nested {
-            self.route.learn(&chain.nodes);
-        }
         if self.first_unequivocal.is_none() && self.reconstructor.is_unequivocal() {
             self.first_unequivocal = Some(self.counters.packets);
         }
@@ -731,13 +730,13 @@ impl SinkEngine {
     ///
     /// Batch ingestion is the same staged path as [`SinkEngine::ingest`] —
     /// outcomes and counters are byte-identical to ingesting the packets one
-    /// by one on this engine — but because the engine's table cache, probe
-    /// lists and scratch buffers persist across the batch, `k` distinct
-    /// reports cost at most `k` anonymous-ID table builds regardless of
+    /// by one on this engine — but because the engine's table cache, route
+    /// and scratch buffers persist across the batch, `k` distinct reports
+    /// cost at most `k` anonymous-ID tables' worth of `H'` regardless of
     /// batch size, where `n` independent single-packet sinks would pay `n`
-    /// — provided `k` fits the cache ([`SinkConfig::table_cache_capacity`],
-    /// default 8). Past that, a report the LRU evicted is probed when it
-    /// returns, and its table rebuilt only on a probe miss.
+    /// tables — provided `k` fits the cache
+    /// ([`SinkConfig::table_cache_capacity`], default 8). Past that, a
+    /// report the LRU evicted is probed afresh when it returns.
     pub fn ingest_batch(&mut self, packets: &[Packet]) -> Vec<SinkOutcome> {
         packets.iter().map(|p| self.ingest(p)).collect()
     }
@@ -751,7 +750,7 @@ impl SinkEngine {
     /// evidence a single engine would have accumulated over the whole
     /// stream. Both engines must verify under the same mode
     /// (debug-asserted); the absorbing engine keeps its own table cache,
-    /// probe lists and scratch buffers, and its own
+    /// chain-tail counts and scratch buffers, and its own
     /// [`SinkEngine::first_unequivocal`] (shard-local packet counts are not
     /// a global arrival order). The
     /// other engine's work counters add to this engine's
@@ -793,55 +792,65 @@ impl SinkEngine {
     }
 
     /// The resolve stage for one admitted nested packet. A packet without
-    /// an anonymous mark needs no table. Otherwise: the report's cached
-    /// table; else the learned probes grow the packet's own table; else,
-    /// on a probe miss with every mark below it verified, the report's
-    /// §4.2 table is built and cached.
+    /// an anonymous mark needs no table. Otherwise the report's table,
+    /// cached or new: complete, it resolves every mark; grown by probes,
+    /// or new, the walk probes the marks it lacks into it, and a probe
+    /// miss with every mark below it verified completes it.
     fn resolve_stage(&mut self, packet: &Packet) -> Resolved {
         if !packet.marks.iter().any(|m| m.id.as_anon().is_some()) {
-            return Resolved::Own(AnonTable::empty());
+            return Resolved::Empty;
         }
         let report_bytes = packet.report.to_bytes();
-        if let Some(pos) = self
+        match self
             .table_cache
             .iter()
             .position(|(rb, _)| *rb == report_bytes)
         {
-            // No instant event on a hit: hits are the per-packet common
-            // case and the counter already tells the story; only the rare
-            // (expensive) table build below is worth a trace line.
-            self.counters.table_cache_hits += 1;
-            // Move to the back: most recently used.
-            let entry = self.table_cache.remove(pos);
-            self.table_cache.push(entry);
-            return Resolved::Cached(self.table_cache.len() - 1);
+            Some(pos) => {
+                // No instant event on a hit: hits are the per-packet common
+                // case and the counter already tells the story; only the
+                // rare (expensive) table completion below is worth a trace
+                // line.
+                self.counters.table_cache_hits += 1;
+                // Move to the back: most recently used.
+                let entry = self.table_cache.remove(pos);
+                self.table_cache.push(entry);
+            }
+            None => {
+                if self.table_cache.len() >= self.table_cache_capacity {
+                    self.table_cache.remove(0);
+                }
+                self.table_cache.push((report_bytes, AnonTable::empty()));
+            }
         }
-        let walk = self
-            .route
-            .walk(&self.verifier, packet, &report_bytes, &mut self.scratch);
-        self.counters.hash_count += walk.table.hash_count;
-        match walk.end {
-            WalkEnd::Resolved => Resolved::Own(walk.table),
+        let idx = self.table_cache.len() - 1;
+        let (report_bytes, table) = &mut self.table_cache[idx];
+        if table.is_complete() {
+            return Resolved::Cached(idx);
+        }
+        let before = table.hash_count;
+        let end = self.topology.walk(
+            &self.verifier,
+            &self.reconstructor,
+            packet,
+            report_bytes,
+            table,
+            &mut self.scratch,
+        );
+        if let WalkEnd::Fallback = end {
+            let probed = table.hash_count;
+            table.complete(self.verifier.schedule(), report_bytes);
+            self.counters.table_builds += 1;
+            self.tracer
+                .event_in("sink.table_build", self.current_ctx, |f| {
+                    f.push(("hashes", (table.hash_count - probed).into()));
+                });
+        }
+        self.counters.hash_count += table.hash_count - before;
+        match end {
             WalkEnd::Decided(chain) => Resolved::Decided(chain),
-            WalkEnd::Fallback => Resolved::Cached(self.build_table(report_bytes)),
+            _ => Resolved::Cached(idx),
         }
-    }
-
-    /// Builds the table for `report_bytes` and caches it (LRU eviction),
-    /// returning its cache index.
-    fn build_table(&mut self, report_bytes: Vec<u8>) -> usize {
-        let table = AnonTable::build(self.verifier.schedule(), &report_bytes);
-        self.counters.table_builds += 1;
-        self.counters.hash_count += table.hash_count;
-        self.tracer
-            .event_in("sink.table_build", self.current_ctx, |f| {
-                f.push(("hashes", table.hash_count.into()));
-            });
-        if self.table_cache.len() >= self.table_cache_capacity {
-            self.table_cache.remove(0);
-        }
-        self.table_cache.push((report_bytes, table));
-        self.table_cache.len() - 1
     }
 
     /// Quarantines around the unequivocal source when it first appears (or
@@ -861,9 +870,9 @@ impl SinkEngine {
     }
 
     fn apply_quarantine(&mut self, localization: &Localization, policy: IsolationPolicy) {
-        let route = &self.route;
+        let topology = &self.topology;
         let set = quarantine_set(localization, policy, |n| {
-            route.neighbors(n).iter().copied().map(NodeId).collect()
+            topology.neighbors(n).iter().copied().map(NodeId).collect()
         });
         self.quarantine_recording(set);
     }
@@ -997,7 +1006,7 @@ impl SinkEngine {
             nodes: r.nodes_set().clone(),
             edges: r.edge_pairs().collect(),
             head_support: r.head_support_map().clone(),
-            edge_support: r.edge_support_map().clone(),
+            edge_support: r.edge_support_map(),
             quarantined: self.quarantine.quarantined().map(|n| n.raw()).collect(),
             first_unequivocal: None,
         }
@@ -1008,8 +1017,10 @@ impl SinkEngine {
     /// [`SinkEngine::absorb`]: counters sum, route graph and quarantine
     /// union. Installing the evidence of an uninterrupted run into a fresh
     /// engine reproduces its localization, quarantine, verdict counters
-    /// and evidence bytes exactly; the work counters, the probe lists and
-    /// `first_unequivocal` are not evidence and are left as they are.
+    /// and evidence bytes exactly; the work counters, the chain-tail counts
+    /// and `first_unequivocal` are not evidence and are left as they are.
+    /// The installed edge support joins the lists the resolve stage
+    /// probes.
     ///
     /// The installed evidence joins the pending delta like any other
     /// growth; [`SinkEngine::attach_store`] or
@@ -1202,9 +1213,9 @@ mod tests {
         assert_eq!(c.packets, 200);
         // 200 distinct reports: the 195 packets somebody marked each need
         // their anonymous IDs resolved. Probes of the learned route do it
-        // for most; a probe miss builds the report's table.
+        // for most; a probe miss completes the report's table.
         assert_eq!(anonymous, 195);
-        assert_eq!((c.hash_count, c.table_builds), (1_876, 35));
+        assert_eq!((c.hash_count, c.table_builds), (1_535, 32));
         assert!(c.marks_verified > 0);
     }
 
@@ -1227,8 +1238,9 @@ mod tests {
         assert_eq!(c.table_cache_hit_rate(), Some(0.8));
     }
 
-    /// The cache keeps the last two tables built; a report it evicted is
-    /// probed when it returns, not rebuilt.
+    /// The cache keeps the tables of the last two reports, built or grown
+    /// by probes; a report it evicted is probed when it returns, not
+    /// rebuilt.
     #[test]
     fn table_cache_evicts_lru() {
         let n = 4u16;
@@ -1239,7 +1251,7 @@ mod tests {
         let cfg_sink = SinkConfig::new(VerifyMode::Nested).table_cache_capacity(2);
         let mut engine = SinkEngine::new(Arc::clone(&ks), cfg_sink);
         // Packet `s` carries one mark, node `s`'s: no chain has ended
-        // there yet, so each misses the probes and builds its table.
+        // there yet, so each misses the probes and completes its table.
         let pkts: Vec<Packet> = (0..3)
             .map(|s| {
                 let report = Report::new(vec![s as u8], Location::new(0.0, 0.0), s);
@@ -1255,16 +1267,23 @@ mod tests {
         }
         let c = engine.counters();
         assert_eq!((c.table_builds, c.table_cache_hits), (3, 0));
-        // 0 returns: not cached, and found among the learned chain tails.
+        // 0 returns: not cached, and found among the learned chain tails;
+        // its probe-grown table takes 1's slot.
         engine.ingest(&pkts[0]);
         let c = engine.counters();
         assert_eq!((c.table_builds, c.table_cache_hits), (3, 0));
-        // 2 and then 1 are still cached.
+        // 2 and 0 are cached.
         engine.ingest(&pkts[2]);
         assert_eq!(engine.counters().table_cache_hits, 1);
-        engine.ingest(&pkts[1]);
+        engine.ingest(&pkts[0]);
         assert_eq!(engine.counters().table_cache_hits, 2);
-        assert_eq!(engine.counters().table_builds, 3);
+        // 1 was evicted: probed, not rebuilt.
+        engine.ingest(&pkts[1]);
+        let c = engine.counters();
+        assert_eq!((c.table_builds, c.table_cache_hits), (3, 2));
+        // Three tables of 4, then one probe for 0's return, and three for
+        // 1's: chains have ended at 0 and 2 more often than at 1.
+        assert_eq!(c.hash_count, 3 * 4 + 1 + 3);
     }
 
     /// Over a stream of fresh reports on a large network and a short path,
@@ -1527,12 +1546,13 @@ mod tests {
             batch.counters().hash_count,
             fresh_total
         );
-        // 2 distinct reports along one path: the first builds its table
-        // and is then served from the cache; the second is resolved by
-        // probing the route the first packet's chain showed.
+        // 2 distinct reports along one path, each hashed once per node:
+        // the first builds its table; the second's is grown by probing the
+        // route the first packet's chain showed, one hit per mark. Both
+        // are then served from the cache.
         assert_eq!(batch.counters().table_builds, 1);
-        assert_eq!(batch.counters().table_cache_hits, 2);
-        assert_eq!(batch.counters().hash_count, 12 + 3 * 12);
+        assert_eq!(batch.counters().table_cache_hits, 4);
+        assert_eq!(batch.counters().hash_count, 2 * 12);
     }
 
     #[test]
@@ -2153,15 +2173,15 @@ mod lane_tests {
         let chain_route: Vec<u16> = (0..24).collect();
         // (name, nodes, route, topology, reports, (hash_count, table_builds))
         for (name, nodes, route, topology, reports, work) in [
-            ("none", 24, chain_route.clone(), None, 6, (159, 6)),
-            ("none", 24, chain_route.clone(), None, 80, (8_033, 144)),
+            ("none", 24, chain_route.clone(), None, 6, (144, 6)),
+            ("none", 24, chain_route.clone(), None, 80, (3_551, 141)),
             (
                 "chain",
                 24,
                 chain_route.clone(),
                 Some(chain_adjacency(24)),
                 6,
-                (163, 6),
+                (144, 6),
             ),
             (
                 "chain",
@@ -2169,7 +2189,7 @@ mod lane_tests {
                 chain_route,
                 Some(chain_adjacency(24)),
                 80,
-                (8_128, 144),
+                (3_536, 140),
             ),
             (
                 "grid",
@@ -2177,7 +2197,7 @@ mod lane_tests {
                 grid_route(),
                 Some(grid_adjacency(16)),
                 6,
-                (1_551, 6),
+                (1_536, 6),
             ),
             (
                 "grid",
@@ -2185,7 +2205,7 @@ mod lane_tests {
                 grid_route(),
                 Some(grid_adjacency(16)),
                 80,
-                (40_654, 142),
+                (35_266, 137),
             ),
         ] {
             let keys = Arc::new(KeyStore::derive_from_master(b"lane-sink", nodes));
@@ -2227,12 +2247,12 @@ mod lane_tests {
         let tampered = tampered(&honest);
         let nested = SinkConfig::new(VerifyMode::Nested);
         for (name, cfg, honest_work, all_work) in [
-            ("none", nested.clone(), (37_661, 126), (159_813, 526)),
+            ("none", nested.clone(), (32_628, 114), (135_028, 514)),
             (
                 "grid",
                 nested.topology(grid_adjacency(16)),
-                (37_148, 123),
-                (159_315, 523),
+                (32_386, 113),
+                (134_786, 513),
             ),
         ] {
             let mut engine = SinkEngine::new(Arc::clone(&keys), cfg);
@@ -2245,12 +2265,13 @@ mod lane_tests {
         }
     }
 
-    /// The probe budget: on an engine warmed on the grid stream, a packet
-    /// whose anonymous IDs no node derives, and a packet with forged
-    /// anonymous marks above honest ones, each cost at most `n + 32` `H'`:
-    /// the probes the budget allows, then the report's table.
+    /// On an engine warmed on the grid stream, a packet whose anonymous
+    /// IDs no node derives, and a packet with forged anonymous marks above
+    /// honest ones, each cost exactly the report's table, `n` `H'`: the
+    /// probes the budget allows hash nodes into the table, and its
+    /// completion hashes only the rest.
     #[test]
-    fn probe_budget_bounds_each_packet_at_n_plus_32() {
+    fn no_packet_costs_more_than_its_table() {
         let keys = Arc::new(KeyStore::derive_from_master(b"lane-grid", 256));
         let n = keys.len();
         let mut engine = SinkEngine::new(Arc::clone(&keys), SinkConfig::new(VerifyMode::Nested));
@@ -2299,8 +2320,8 @@ mod lane_tests {
             }
         }
         for (kind, packets, total) in [
-            ("random", &random, 5_520),
-            ("forged above honest", &forged_above_honest, 5_538),
+            ("random", &random, 20 * n),
+            ("forged above honest", &forged_above_honest, 20 * n),
         ] {
             let before = engine.counters().hash_count;
             for pkt in packets {
@@ -2308,7 +2329,7 @@ mod lane_tests {
                 let chain = engine.ingest(pkt).chain.unwrap();
                 assert_eq!(chain, engine.verifier().verify(pkt, VerifyMode::Nested));
                 let cost = engine.counters().hash_count - start;
-                assert!(cost <= n + 32, "{kind}: {cost} H'");
+                assert!(cost <= n, "{kind}: {cost} H'");
             }
             let spent = engine.counters().hash_count - before;
             assert_eq!(spent, total, "{kind}");
@@ -2513,10 +2534,10 @@ mod proptests {
 
         /// `ingest_batch` is observably identical to per-packet `ingest`
         /// across random scenarios and every verify mode: same chains, same
-        /// localization, same counters. No packet costs more than `n + 32`
-        /// `H'`, and where the table cache served a repeated report the
-        /// batch builds strictly fewer tables than N independent
-        /// single-packet engines.
+        /// localization, same counters. No packet costs more than its
+        /// report's table, `n` `H'`, and on nested multi-packet same-report
+        /// workloads the batch performs strictly fewer anon-ID hash
+        /// evaluations than N independent single-packet engines.
         #[test]
         fn batch_equals_sequential_ingest(
             scheme_idx in 0usize..5,
@@ -2532,7 +2553,7 @@ mod proptests {
             for p in &packets {
                 let before = seq.counters().hash_count;
                 seq_out.push(seq.ingest(p));
-                prop_assert!(seq.counters().hash_count - before <= keys.len() + 32);
+                prop_assert!(seq.counters().hash_count - before <= keys.len());
             }
 
             let mut batch = SinkEngine::new(Arc::clone(&keys), SinkConfig::new(mode));
@@ -2556,27 +2577,30 @@ mod proptests {
                 prop_assert_eq!(out.chain.as_ref(), Some(&expect));
             }
 
-            // Amortization vs independent engines: a fresh engine has
-            // learned nothing, so it builds a table for every packet with an
-            // anonymous mark, and each cache hit is a packet the batch
-            // served without one. (Hashes need not fall: a report the
-            // probes resolve is probed again when it returns, and on a
-            // few-node deployment that can cost as much as its table.)
-            if mode == VerifyMode::Nested && batch.counters().table_cache_hits > 0 {
-                let fresh_builds: usize = packets
+            // Strict amortization vs independent engines whenever the
+            // workload actually repeats a report under nested verification
+            // with at least one anonymous mark resolved per duplicate: one
+            // engine hashes each node at most once per cached report, where
+            // a fresh engine pays a table for every packet.
+            if mode == VerifyMode::Nested && n_packets > n_reports {
+                let fresh_total: usize = packets
                     .iter()
                     .map(|p| {
                         let mut e = SinkEngine::new(Arc::clone(&keys), SinkConfig::new(mode));
                         e.ingest(p);
-                        e.counters().table_builds
+                        e.counters().hash_count
                     })
                     .sum();
-                prop_assert!(
-                    batch.counters().table_builds < fresh_builds,
-                    "batch {} vs fresh {}",
-                    batch.counters().table_builds,
-                    fresh_builds
-                );
+                let any_anon_repeat = batch.counters().table_cache_hits > 0
+                    && batch.counters().hash_count > 0;
+                if any_anon_repeat {
+                    prop_assert!(
+                        batch.counters().hash_count < fresh_total,
+                        "batch {} vs fresh {}",
+                        batch.counters().hash_count,
+                        fresh_total
+                    );
+                }
             }
         }
     }

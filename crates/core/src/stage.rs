@@ -22,7 +22,7 @@ pub const STAGE_NAMES: [&str; 5] = ["classify", "resolve", "verify", "reconstruc
 ///
 /// * `classify` — duplicate suppression plus the admission classifier.
 /// * `resolve` — anonymous-ID resolution: table lookups, probes of the
-///   learned route (§7), and table builds (§4.2 brute force).
+///   learned route (§7), and table completions (§4.2 brute force).
 /// * `verify` — backward MAC verification, *excluding* time spent
 ///   resolving anonymous IDs.
 /// * `reconstruct` — folding the verified chain into the route graph.

@@ -8,13 +8,13 @@
 //! neighborhood of the last node whose MAC verified.
 //!
 //! For PNM's anonymous IDs the sink first maps each `i'` back to a real id
-//! in an [`AnonTable`]: either the per-report table of `H'_{k_j}(M | j)`
-//! for every provisioned node `j` — feasible thanks to the sink's computing
-//! power and the low sensor data rate (§4.2) — or a table grown mark by
-//! mark by probing the nodes that earlier verified chains placed directly
-//! upstream of the node resolved for the mark below, then, with
-//! [`crate::SinkConfig::topology`], its physical neighbours (§7). A probe
-//! miss falls back to the report's table.
+//! in an [`AnonTable`], the per-report table of `H'_{k_j}(M | j)` for every
+//! provisioned node `j` — feasible thanks to the sink's computing power and
+//! the low sensor data rate (§4.2). The sink engine grows that table a node
+//! at a time, probing the nodes that earlier verified chains placed
+//! directly upstream of the node resolved for the mark below, then, with
+//! [`crate::SinkConfig::topology`], its physical neighbours (§7); a probe
+//! miss completes it in one batch, and no node is hashed twice.
 //!
 //! Either table is checked by the one nested verifier,
 //! [`SinkVerifier::verify_nested_with_table_batched`]: every mark's MAC in
@@ -30,6 +30,7 @@ use pnm_crypto::{
 };
 use pnm_wire::{Mark, MarkId, NodeId, Packet};
 
+use crate::reconstruct::RouteReconstructor;
 use crate::scheme::ExtendedAms;
 
 /// How the sink interprets a packet's marks, matching the scheme the
@@ -230,6 +231,10 @@ pub struct AnonTable {
     map: HashMap<AnonId, CandidateSet, AnonIdBuildHasher>,
     /// Number of `H'` evaluations spent building the table.
     pub hash_count: usize,
+    /// `None` once every scheduled node is in; for a table grown by
+    /// probes, each node hashed so far with its `H'`, ascending by id
+    /// (`map` holds only those a mark resolved to).
+    probed: Option<Vec<(u16, AnonId)>>,
 }
 
 impl AnonTable {
@@ -249,6 +254,7 @@ impl AnonTable {
         AnonTable {
             map,
             hash_count: schedule.len(),
+            probed: None,
         }
     }
 
@@ -264,20 +270,91 @@ impl AnonTable {
         Self::build(schedule, report_bytes)
     }
 
-    /// The table for a packet without anonymous marks: resolves nothing,
-    /// costs no hashes. [`LearnedRoute::walk`] grows one from here.
+    /// A table with no node hashed yet: resolves nothing, costs no
+    /// hashes. [`Topology::walk`] grows one by probes, and
+    /// [`AnonTable::complete`] finishes it.
     pub(crate) fn empty() -> Self {
         AnonTable {
             map: HashMap::default(),
             hash_count: 0,
+            probed: Some(Vec::new()),
         }
     }
 
-    /// Records `id` as a candidate for `aid`, once.
+    /// `true` once every scheduled node is in the table.
+    pub(crate) fn is_complete(&self) -> bool {
+        self.probed.is_none()
+    }
+
+    /// Whether `id`'s `H'` is already in the table.
+    fn holds(&self, id: u16) -> bool {
+        self.probed
+            .as_ref()
+            .is_none_or(|p| p.binary_search_by_key(&id, |&(n, _)| n).is_ok())
+    }
+
+    /// The node `aid` resolves to, if the table has hashed one.
+    fn find(&mut self, aid: &AnonId) -> Option<u16> {
+        if let Some(&id) = self.resolve(aid).first() {
+            return Some(id);
+        }
+        let (id, _) = *self.probed.as_ref()?.iter().find(|(_, a)| a == aid)?;
+        self.insert(*aid, id);
+        Some(id)
+    }
+
+    /// Hashes one more node into a table grown by probes: one `H'`.
+    fn probe(&mut self, key: &HmacKey, report_bytes: &[u8], id: u16) -> AnonId {
+        let aid = anon_id_prepared(key, report_bytes, id);
+        self.hash_count += 1;
+        if let Some(p) = &mut self.probed {
+            if let Err(at) = p.binary_search_by_key(&id, |&(n, _)| n) {
+                p.insert(at, (id, aid));
+            }
+        }
+        aid
+    }
+
+    /// Hashes every scheduled node the table lacks, in one lane-parallel
+    /// batch. The table then equals [`AnonTable::build`]'s for the report,
+    /// `hash_count` included: no node is hashed twice.
+    pub(crate) fn complete(&mut self, schedule: &KeySchedule, report_bytes: &[u8]) {
+        let Some(probed) = self.probed.take() else {
+            return;
+        };
+        if probed.is_empty() {
+            *self = AnonTable::build(schedule, report_bytes);
+            return;
+        }
+        let (keys, ids): (Vec<HmacKey>, Vec<u16>) = schedule
+            .iter()
+            .filter(|&(id, _)| probed.binary_search_by_key(&id, |&(n, _)| n).is_err())
+            .map(|(id, key)| (*key, id))
+            .unzip();
+        let aids = anon_id_many_prepared(&keys, report_bytes, &ids);
+        self.map.reserve(schedule.len());
+        for (id, aid) in probed.into_iter().chain(ids.iter().copied().zip(aids)) {
+            self.insert(aid, id);
+        }
+        self.hash_count += ids.len();
+    }
+
+    /// Records `id` as a candidate for `aid`, keeping the candidates
+    /// ascending as [`AnonTable::build`] lists them.
     fn insert(&mut self, aid: AnonId, id: u16) {
         let cands = self.map.entry(aid).or_default();
-        if !cands.as_slice().contains(&id) {
-            cands.push(id);
+        let ids = cands.as_slice();
+        match ids.binary_search(&id) {
+            Ok(_) => {}
+            Err(at) if at == ids.len() => cands.push(id),
+            Err(at) => {
+                *cands = ids[..at]
+                    .iter()
+                    .chain([&id])
+                    .chain(&ids[at..])
+                    .copied()
+                    .collect();
+            }
         }
     }
 
@@ -293,7 +370,11 @@ impl AnonTable {
             hash_count += 1;
             map.entry(aid).or_default().push(id);
         }
-        AnonTable { map, hash_count }
+        AnonTable {
+            map,
+            hash_count,
+            probed: None,
+        }
     }
 
     /// Candidate real IDs for an anonymous ID (usually exactly one).
@@ -637,62 +718,38 @@ impl SinkVerifier {
 }
 
 /// `H'` evaluations one packet's walk may spend on probes before it falls
-/// back to the report's §4.2 table, so no packet costs more than `n + 32`.
+/// back to completing the report's §4.2 table.
 const PROBE_BUDGET: usize = 32;
 
-/// The route the sink has learned from its verified chains, as the search
-/// order for anonymous IDs: §7's neighbourhood search (O(d) hashes where
-/// the §4.2 table costs one per node) with the topology learned, not
-/// given, since routes are stable (§2.1). For each node it keeps the nodes
-/// chains placed directly upstream of it, and the nodes chains ended with,
-/// each most support first; with [`crate::SinkConfig::topology`] it also
-/// holds the adjacency, the engine's only copy. [`LearnedRoute::walk`]
-/// probes them into the packet's own [`AnonTable`]. A probe hit stands in
-/// for the table's candidate list, which differs only when two nodes'
-/// 64-bit `AnonId`s collide on one report. Engine-local work state, like
-/// the table cache: not evidence.
+/// The sink-known adjacency ([`crate::SinkConfig::topology`]; empty
+/// without one), the engine's only copy, and the walk that resolves a
+/// packet's anonymous marks by probing: §7's neighbourhood search (O(d)
+/// hashes where the §4.2 table costs one per node), over the route the
+/// sink learned from its verified chains ([`RouteReconstructor`]) and
+/// then the physical neighbours.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct LearnedRoute {
-    /// `upstream[d]`: each node a verified chain placed directly upstream
-    /// of `d`, with its support, most support first.
-    upstream: HashMap<u16, Vec<(u16, u32)>>,
-    /// Each node a verified chain ended with, with its support, most
-    /// support first.
-    tails: Vec<(u16, u32)>,
-    /// adjacency[i] = ids of i's one-hop neighbors (empty without a
-    /// topology).
+pub(crate) struct Topology {
+    /// adjacency[i] = ids of i's one-hop neighbors.
     adjacency: HashMap<u16, Vec<u16>>,
-}
-
-/// What one packet's walk produced.
-#[derive(Debug)]
-pub(crate) struct Walk {
-    /// The packet's table; its `hash_count` is every `H'` the walk spent.
-    pub(crate) table: AnonTable,
-    /// How the walk ended.
-    pub(crate) end: WalkEnd,
 }
 
 /// How a walk ended.
 #[derive(Debug)]
 pub(crate) enum WalkEnd {
-    /// Every mark the backward walk can reach resolved into the table.
+    /// Every mark the backward walk can reach resolved in the table.
     Resolved,
     /// A probe missed, or the budget ran out, and every mark below the
-    /// missed one verified: the report's §4.2 table decides.
+    /// missed one verified: the completed §4.2 table decides.
     Fallback,
     /// The sweep before the fallback found a mark below the missed one
     /// invalid: the packet's chain, final.
     Decided(VerifiedChain),
 }
 
-impl LearnedRoute {
-    /// A route with nothing learned, seeded with the sink-known adjacency.
+impl Topology {
+    /// The sink-known adjacency.
     pub(crate) fn new(adjacency: HashMap<u16, Vec<u16>>) -> Self {
-        LearnedRoute {
-            adjacency,
-            ..LearnedRoute::default()
-        }
+        Topology { adjacency }
     }
 
     /// The one-hop neighbors of `node` (none if the topology omits it).
@@ -700,38 +757,35 @@ impl LearnedRoute {
         self.adjacency.get(&node.raw()).map_or(&[], Vec::as_slice)
     }
 
-    /// Adds one verified chain (path order): its last node, and each
-    /// node's direct upstream. A pair already seen costs no allocation.
-    pub(crate) fn learn(&mut self, chain: &[NodeId]) {
-        let Some(tail) = chain.last() else {
-            return;
-        };
-        support(&mut self.tails, tail.raw());
-        for pair in chain.windows(2) {
-            let list = self.upstream.entry(pair[1].raw()).or_default();
-            support(list, pair[0].raw());
-        }
-    }
-
-    /// Resolves `packet`'s anonymous marks from the sink end upstream into
-    /// the packet's own table, each by probing where earlier chains put
-    /// the marker above the id resolved for the mark below.
+    /// Resolves `packet`'s anonymous marks from the sink end upstream in
+    /// `table`, the report's table: a mark the table lacks is found by
+    /// probing where `learned`'s chains put the marker above the id
+    /// resolved for the mark below, and each probe hashes one more node
+    /// into the table. A probe hit stands in for the table's candidate
+    /// list, which differs only when two nodes' 64-bit `AnonId`s collide
+    /// on one report.
     ///
     /// The §4.1 walk observes a mark only if every mark below it verified,
     /// and for such a mark the id resolved below is the walk's previously
     /// verified node. A probe miss, or a spent budget, sweeps what is
-    /// staged: if a mark below the missed one fails, that chain is final;
-    /// otherwise the report's table decides. A plain-ID mark anchors the
-    /// next probe, and a mark without a MAC is never resolved: nothing at
-    /// or above it verifies.
+    /// resolved: if a mark below the missed one fails, that chain is
+    /// final; otherwise the completed table decides. A plain-ID mark
+    /// anchors the next probe, and a mark without a MAC is never resolved:
+    /// nothing at or above it verifies.
     pub(crate) fn walk(
         &self,
         verifier: &SinkVerifier,
+        learned: &RouteReconstructor,
         packet: &Packet,
         report_bytes: &[u8],
+        table: &mut AnonTable,
         flat: &mut Vec<u8>,
-    ) -> Walk {
-        let mut table = AnonTable::empty();
+    ) -> WalkEnd {
+        let schedule = verifier.schedule();
+        let budget = table.hash_count + PROBE_BUDGET;
+        if let Some(probed) = &mut table.probed {
+            probed.reserve(PROBE_BUDGET);
+        }
         let mut anchor = None;
         for (idx, mark) in packet.marks.iter().enumerate().rev() {
             if mark.mac.is_none() {
@@ -744,77 +798,54 @@ impl LearnedRoute {
                 }
                 MarkId::Anon(aid) => aid,
             };
-            let hashes = &mut table.hash_count;
-            let Some(id) = self.probe(verifier.schedule(), report_bytes, &aid, anchor, hashes)
-            else {
+            let mut found = table.find(&aid);
+            let mut candidates = self.candidates(learned, anchor);
+            while found.is_none() && table.hash_count < budget {
+                let Some(cand) = candidates.next() else {
+                    break;
+                };
+                // A node already hashed does not derive `aid`.
+                if table.holds(cand) {
+                    continue;
+                }
+                if let Some(key) = schedule.get(cand) {
+                    if table.probe(key, report_bytes, cand) == aid {
+                        table.insert(aid, cand);
+                        found = Some(cand);
+                    }
+                }
+            }
+            let Some(id) = found else {
                 let below = packet.marks.len() - 1 - idx;
-                let end =
-                    match (below > 0).then(|| verifier.verify_batched_impl(packet, &table, flat)) {
-                        Some(chain) if chain.nodes.len() < below => WalkEnd::Decided(chain),
-                        _ => WalkEnd::Fallback,
-                    };
-                return Walk { table, end };
+                let swept = (below > 0).then(|| verifier.verify_batched_impl(packet, table, flat));
+                return match swept {
+                    Some(chain) if chain.nodes.len() < below => WalkEnd::Decided(chain),
+                    _ => WalkEnd::Fallback,
+                };
             };
-            table.insert(aid, id);
             anchor = Some(id);
         }
-        Walk {
-            table,
-            end: WalkEnd::Resolved,
-        }
+        WalkEnd::Resolved
     }
 
-    /// Probes for the node whose `H'` over `report_bytes` is `aid`: the
-    /// nodes learned directly upstream of `anchor` (the chain tails
-    /// without one), then `anchor`'s physical neighbours not on that
-    /// list. Each probe of a node with a key costs one `H'`, counted in
-    /// `hashes`; none is made once `hashes` reaches [`PROBE_BUDGET`].
-    fn probe(
-        &self,
-        schedule: &KeySchedule,
-        report_bytes: &[u8],
-        aid: &AnonId,
+    /// Where to probe for the marker above `anchor`: the nodes `learned`
+    /// placed directly upstream of it (the chain tails without one), most
+    /// support first, then its physical neighbours not on that list.
+    fn candidates<'a>(
+        &'a self,
+        learned: &'a RouteReconstructor,
         anchor: Option<u16>,
-        hashes: &mut usize,
-    ) -> Option<u16> {
-        let learned = match anchor {
-            Some(a) => self.upstream.get(&a).map_or(&[][..], Vec::as_slice),
-            None => &self.tails,
+    ) -> impl Iterator<Item = u16> + 'a {
+        let listed = match anchor {
+            Some(a) => learned.upstream_of(a),
+            None => learned.tails(),
         };
         let neighbours = anchor.map_or(&[][..], |a| self.neighbors(NodeId(a)));
-        let untried = neighbours
+        let unlisted = neighbours
             .iter()
-            .filter(|&&n| learned.iter().all(|&(u, _)| u != n));
-        for &cand in learned.iter().map(|(u, _)| u).chain(untried) {
-            let Some(key) = schedule.get(cand) else {
-                continue;
-            };
-            if *hashes >= PROBE_BUDGET {
-                return None;
-            }
-            *hashes += 1;
-            if anon_id_prepared(key, report_bytes, cand) == *aid {
-                return Some(cand);
-            }
-        }
-        None
-    }
-}
-
-/// Counts one more chain for `id` in a most-support-first list, moving it
-/// ahead of every entry it now outnumbers.
-fn support(list: &mut Vec<(u16, u32)>, id: u16) {
-    let mut i = match list.iter().position(|&(n, _)| n == id) {
-        Some(i) => i,
-        None => {
-            list.push((id, 0));
-            list.len() - 1
-        }
-    };
-    list[i].1 += 1;
-    while i > 0 && list[i - 1].1 < list[i].1 {
-        list.swap(i - 1, i);
-        i -= 1;
+            .copied()
+            .filter(move |&n| listed.iter().all(|&(u, _)| u != n));
+        listed.iter().map(|&(u, _)| u).chain(unlisted)
     }
 }
 
@@ -1122,6 +1153,18 @@ mod tests {
             let lanes = AnonTable::build(&schedule, &rb);
             assert_eq!(serial, lanes, "n={n}");
             assert_eq!(lanes.hash_count, n as usize);
+            // Grown by probes, then completed, it is the same table: no
+            // node is hashed twice.
+            let mut grown = AnonTable::empty();
+            for &id in schedule.ids().iter().step_by(7) {
+                let aid = grown.probe(schedule.get(id).unwrap(), &rb, id);
+                assert!(grown.holds(id));
+                assert_eq!(grown.find(&aid), Some(id));
+                assert_eq!(grown.resolve(&aid), lanes.resolve(&aid));
+            }
+            assert!(!grown.is_complete());
+            grown.complete(&schedule, &rb);
+            assert_eq!(grown, lanes, "n={n} grown");
         }
     }
 

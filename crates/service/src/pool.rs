@@ -1040,9 +1040,9 @@ mod tests {
         // The registry keeps the restarted shard's work, whatever the
         // rebuilt engine counts: 40 distinct reports, 39 of them carrying
         // a mark, and each of those either probed along the route its
-        // shard had learned or resolved through a table build.
+        // shard had learned or resolved by completing its table.
         assert_eq!(marked, 39);
-        assert_eq!(report.snapshot.totals.table_builds, 27);
+        assert_eq!(report.snapshot.totals.table_builds, 26);
         assert_eq!(
             report.snapshot.totals.verdict(),
             report.engine.counters().verdict()

@@ -9,17 +9,17 @@
 //! Scenario: the paper's §6.2 setting — a 20-hop path, PNM with np = 3,
 //! seed 2007 — under a *report-cycling* load: the stream cycles through
 //! more distinct reports than any single engine's anonymous-ID table cache
-//! can hold. One engine keeps the tables it built last and resolves the
-//! other reports' packets by probing the route its verified chains have
-//! shown, building a table only on a probe miss, so it no longer rebuilds
-//! a table per packet. The service hash-partitions packets by report, so
-//! `k` shards hold `k×` the aggregate cache capacity; once the per-shard
-//! working set fits, every report's packets are cache hits and per-packet
-//! cost drops to the ~3 mark verifications. The run records, at each shard
-//! count, the cache hits and the `H'` spent (`table_cache_hits`,
-//! `hash_count`) — the work sharding saves, whatever the core count — next
-//! to the wall-clock numbers, which on a multi-core host (`host_cores`)
-//! also include parallelism.
+//! can hold, so one engine's LRU thrashes: no packet finds its report's
+//! table, and each is resolved by probing the route the engine's verified
+//! chains have shown, completing a table only on a probe miss, instead of
+//! building a table per packet. The service hash-partitions packets by
+//! report, so `k` shards hold `k×` the aggregate cache capacity; once the
+//! per-shard working set fits, every report's packets are cache hits and
+//! per-packet cost drops to the ~3 mark verifications. The run records, at
+//! each shard count, the cache hits and the `H'` spent
+//! (`table_cache_hits`, `hash_count`) — the work sharding saves, whatever
+//! the core count — next to the wall-clock numbers, which on a multi-core
+//! host (`host_cores`) also include parallelism.
 //!
 //! Every run also digests the drained evidence bytes (route graph with
 //! support, quarantine set, verdict counters); the sweep fails if any shard
@@ -57,8 +57,7 @@ const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const REPS: usize = 3;
 
 /// Full-sweep load: 128 cycling reports against a 48-entry per-shard
-/// cache. One shard (and two) hold only some reports' tables; four shards
-/// fit (~32 reports each).
+/// cache. One shard (and two) thrash; four shards fit (~32 reports each).
 const FULL_REPORTS: u64 = 128;
 const FULL_CACHE: usize = 48;
 const FULL_ROUNDS: usize = 16;
@@ -298,11 +297,10 @@ fn main() -> ExitCode {
             "  \"scenario\": \"PNM np=3, {}-hop path, {} packets cycling {} reports, ",
             "per-shard table cache {}, seed {}\",\n",
             "  \"mechanism\": \"report-keyed sharding multiplies aggregate anon-table cache ",
-            "capacity: one engine's LRU holds some reports' tables and resolves the other ",
-            "reports' packets by probing its learned route, while 4+ shard-local caches hold ",
-            "every report's table; each run's table_cache_hits and hash_count show the work ",
-            "saved, and on a multi-core host the wall-clock speedup also includes ",
-            "parallelism\",\n",
+            "capacity: cycling reports thrash one engine's LRU, so it resolves every packet by ",
+            "probing its learned route, while 4+ shard-local caches hold every report's table; ",
+            "each run's table_cache_hits and hash_count show the work saved, and on a ",
+            "multi-core host the wall-clock speedup also includes parallelism\",\n",
             "  \"host_cores\": {},\n",
             "  \"outputs_identical_across_shard_counts\": {},\n",
             "  \"speedup_4_over_1\": {:.2},\n",
