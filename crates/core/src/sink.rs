@@ -1100,7 +1100,8 @@ impl SinkEngine {
         let Some(mut writer) = self.store.take() else {
             return Err(StoreError::NotAttached);
         };
-        let appended = writer.append(self.take_evidence_delta());
+        writer.stage(self.take_evidence_delta());
+        let appended = writer.flush();
         self.store = Some(writer);
         appended
     }

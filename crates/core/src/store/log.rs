@@ -293,7 +293,14 @@ impl LogStore {
     /// compaction, matching the paper's sink model where the collection
     /// window — not each packet — is the durability unit.
     ///
+    /// An append is one record, and a service shard appends one record per
+    /// group of packets (up to `pnm_service::GROUP_COMMIT_PACKETS`, fewer
+    /// when its queue empties), so with a pool this is one fsync per group,
+    /// not per packet. [`SinkEngine::checkpoint_to_store`] appends one
+    /// record per call.
+    ///
     /// [`sync`]: EvidenceStore::sync
+    /// [`SinkEngine::checkpoint_to_store`]: crate::SinkEngine::checkpoint_to_store
     pub fn with_fsync(mut self, fsync_every_append: bool) -> Self {
         self.fsync_every_append = fsync_every_append;
         self

@@ -210,18 +210,25 @@ impl EvidenceStore for Arc<dyn EvidenceStore> {
     }
 }
 
-/// One shard's append handle on a store: writes checkpoint deltas as
-/// [`RecordKind::Delta`] records, and carries a delta whose append failed
-/// into the next append, so a failed write is retried rather than lost.
+/// One shard's append handle on a store: stages checkpoint deltas and
+/// writes everything staged as one [`RecordKind::Delta`] record per
+/// [`flush`](DeltaWriter::flush). A failed flush keeps what it staged, so
+/// the next flush retries it merged with whatever was staged since.
 ///
-/// The carried delta lives here, not in an engine, so it survives an
+/// A service shard stages every packet's delta and flushes once per
+/// group (see `pnm_service`'s shard worker);
+/// [`SinkEngine::checkpoint_to_store`](crate::SinkEngine::checkpoint_to_store)
+/// flushes at every call. Evidence merges as a commutative monoid, so a
+/// grouped log replays to the same evidence as a per-delta one.
+///
+/// The staged evidence lives here, not in an engine, so it survives an
 /// engine being rebuilt from its checkpoint.
 #[derive(Clone, Debug)]
 pub struct DeltaWriter {
     store: Arc<dyn EvidenceStore>,
     shard: u32,
-    /// Deltas whose append failed, merged; empty after every success.
-    unpersisted: Evidence,
+    /// Deltas staged since the last successful flush, merged.
+    staged: Evidence,
 }
 
 impl DeltaWriter {
@@ -230,30 +237,33 @@ impl DeltaWriter {
         DeltaWriter {
             store,
             shard,
-            unpersisted: Evidence::default(),
+            staged: Evidence::default(),
         }
     }
 
-    /// Appends `delta`, merged with whatever earlier failed appends left
-    /// unpersisted, as one record. Returns `Ok(false)` when there is
-    /// nothing to write (no record appended).
+    /// Merges `delta` into what the next flush writes. No I/O.
+    pub fn stage(&mut self, delta: Evidence) {
+        if self.staged.is_empty() {
+            self.staged = delta;
+        } else {
+            self.staged.merge(&delta);
+        }
+    }
+
+    /// Appends everything staged as one record. Returns `Ok(false)` when
+    /// nothing is staged (no record appended).
     ///
     /// # Errors
     ///
-    /// Whatever the store's append returns; the merged delta is then kept
-    /// and written by the next call.
-    pub fn append(&mut self, delta: Evidence) -> Result<bool, StoreError> {
-        if self.unpersisted.is_empty() {
-            self.unpersisted = delta;
-        } else {
-            self.unpersisted.merge(&delta);
-        }
-        if self.unpersisted.is_empty() {
+    /// Whatever the store's append returns; the staged evidence is then
+    /// kept and written by the next flush.
+    pub fn flush(&mut self) -> Result<bool, StoreError> {
+        if self.staged.is_empty() {
             return Ok(false);
         }
         self.store
-            .append(self.shard, RecordKind::Delta, &self.unpersisted)?;
-        self.unpersisted = Evidence::default();
+            .append(self.shard, RecordKind::Delta, &self.staged)?;
+        self.staged = Evidence::default();
         Ok(true)
     }
 }
@@ -329,25 +339,29 @@ mod tests {
             e.counters.packets = 1;
             e
         };
-        assert!(
-            !writer.append(Evidence::default()).unwrap(),
-            "empty: no record"
-        );
-        assert!(writer.append(delta(1)).unwrap());
+        writer.stage(Evidence::default());
+        assert!(!writer.flush().unwrap(), "empty: no record");
+        writer.stage(delta(1));
+        assert!(writer.flush().unwrap());
         store
             .failing
             .store(true, std::sync::atomic::Ordering::Relaxed);
-        assert!(writer.append(delta(2)).is_err());
+        writer.stage(delta(2));
+        assert!(writer.flush().is_err());
         store
             .failing
             .store(false, std::sync::atomic::Ordering::Relaxed);
-        // The failed delta rides the next record, merged with the new one.
-        assert!(writer.append(delta(3)).unwrap());
+        // The failed delta rides the next record, merged with the new
+        // ones: staging writes nothing, and one flush writes all of it.
+        writer.stage(delta(3));
+        writer.stage(delta(4));
+        assert_eq!(store.inner.len(), 1);
+        assert!(writer.flush().unwrap());
+        assert!(!writer.flush().unwrap(), "nothing staged: no record");
         assert_eq!(store.inner.len(), 2);
         let replay = store.replay().unwrap();
-        assert_eq!(replay.shards[&3].counters.packets, 3);
-        assert_eq!(replay.shards[&3].nodes.len(), 3);
-        assert!(!writer.append(Evidence::default()).unwrap());
+        assert_eq!(replay.shards[&3].counters.packets, 4);
+        assert_eq!(replay.shards[&3].nodes.len(), 4);
     }
 
     #[test]

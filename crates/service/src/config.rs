@@ -154,15 +154,17 @@ impl ServiceConfig {
         self
     }
 
-    /// Attaches a durable evidence store: every shard appends an evidence
+    /// Attaches a durable evidence store. Every shard stages an evidence
     /// delta at each checkpoint (after every successfully processed
-    /// packet) and again as it exits at drain, so the store always holds
-    /// the pool's evidence up to the last checkpoint. A pool killed
-    /// mid-ingest is rebuilt with
+    /// packet) and appends what it staged as one record when its queue
+    /// is empty, when [`GROUP_COMMIT_PACKETS`](crate::GROUP_COMMIT_PACKETS)
+    /// packets are staged, and as it exits at drain. So the store holds
+    /// the pool's evidence up to each shard's last group, and a drained
+    /// pool's evidence in full. A pool killed mid-ingest is rebuilt with
     /// [`ServicePool::recover`](crate::ServicePool::recover).
-    /// Append failures are counted per shard (see
+    /// Append failures are counted per shard, one per failed record (see
     /// [`ShardSnapshot::store_errors`](crate::ShardSnapshot)) rather than
-    /// crashing the worker; a failed delta is carried into the shard's
+    /// crashing the worker; a failed group is carried into the shard's
     /// next append, across a poison restart too. Without a store,
     /// checkpoints stay in memory.
     pub fn store(mut self, store: Arc<dyn EvidenceStore>) -> Self {

@@ -32,14 +32,16 @@
 //!   answers it `Busy`, and its client retries).
 //! * **Durability.** [`ServiceConfig::store`] attaches an
 //!   [`EvidenceStore`](pnm_core::EvidenceStore) (typically the
-//!   append-only [`LogStore`](pnm_core::LogStore)): each shard appends an
-//!   evidence delta at every checkpoint and once more at drain, and
-//!   [`ServicePool::recover`] (or the [`ServicePool::recover_from_log`]
-//!   shortcut) rebuilds a pool from the log after a process crash — the
-//!   replayed engines are byte-identical in evidence to what the crashed
-//!   shards had last checkpointed. The poison-quarantine restart reuses
-//!   the same replay semantics. Store append failures are counted per
-//!   shard ([`ShardSnapshot::store_errors`]), never fatal.
+//!   append-only [`LogStore`](pnm_core::LogStore)): each shard stages
+//!   every packet's evidence delta and appends what it staged as one
+//!   record when its queue empties, every [`GROUP_COMMIT_PACKETS`]
+//!   packets, and at drain, and [`ServicePool::recover`] (or the
+//!   [`ServicePool::recover_from_log`] shortcut) rebuilds a pool from the
+//!   log after a process crash — the replayed engines are byte-identical
+//!   in evidence to what the crashed shards had last appended. The
+//!   poison-quarantine restart reuses the same replay semantics. Failed
+//!   records are counted per shard ([`ShardSnapshot::store_errors`]),
+//!   never fatal.
 //! * **Telemetry.** The pool's `pnm-obs` [`Registry`](pnm_obs::Registry)
 //!   ([`ServicePool::registry`]) is the only store of its telemetry: each
 //!   shard worker records its counts, latency histograms and the
@@ -62,7 +64,9 @@ mod pool;
 mod telemetry;
 
 pub use config::{BackpressurePolicy, PoisonHook, ServiceConfig};
-pub use pool::{DrainReport, IngestError, PoisonRecord, RecoveryStats, ServicePool};
+pub use pool::{
+    DrainReport, IngestError, PoisonRecord, RecoveryStats, ServicePool, GROUP_COMMIT_PACKETS,
+};
 pub use telemetry::{ServiceSnapshot, ShardSnapshot};
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -43,6 +43,15 @@ impl std::fmt::Display for IngestError {
 }
 
 impl std::error::Error for IngestError {}
+
+/// The most packets a shard worker stages before it appends them to its
+/// store as one record; a shard whose queue empties first appends sooner.
+/// Chosen by measurement on perfbench `durable_hot` (DESIGN.md §12): a
+/// group of 16, 64 or 256 packets takes most of the gain over one record
+/// per packet. A larger group adds a little throughput and shortens
+/// recovery, but the crash window, the processed packets not yet in the
+/// log, grows with it.
+pub const GROUP_COMMIT_PACKETS: usize = 64;
 
 /// One enqueued unit of work.
 struct Job {
@@ -90,12 +99,13 @@ struct ShardContext {
     gate: Arc<(Mutex<bool>, Condvar)>,
     keep_outcomes: bool,
     poison: Option<PoisonHook>,
-    /// Armed black-box: dumped on poison quarantine and store-append
-    /// failure, tagged with the offending trace id.
+    /// Armed black-box: dumped on poison quarantine, tagged with the
+    /// offending trace id, and on a failed store append, tagged with the
+    /// group's packet count.
     flight: Option<Arc<FlightRecorder>>,
     done: Sender<(usize, ShardFinal)>,
     /// Durable evidence backend; when set, every checkpoint delta is also
-    /// appended here.
+    /// staged for it and appended one group at a time.
     store: Option<Arc<dyn EvidenceStore>>,
     /// Evidence replayed from the store for this shard (crash recovery):
     /// the worker's first checkpoint, already in the store.
@@ -644,7 +654,14 @@ fn restore_engine(ctx: &ShardContext, evidence: &Evidence) -> SinkEngine {
 /// After every successful packet the worker adds the engine's counter
 /// growth to the shard's registry cells, takes the engine's evidence
 /// delta ([`SinkEngine::take_evidence_delta`]), merges it into the
-/// in-memory checkpoint, and appends it to the store, if one is attached.
+/// in-memory checkpoint, and, if a store is attached, stages it in the
+/// shard's [`DeltaWriter`]. What is staged is appended as one record when
+/// the queue is empty (before the worker blocks for the next job), when
+/// [`GROUP_COMMIT_PACKETS`] packets are staged, and when the worker
+/// exits. So a packet's evidence reaches the store as soon as the shard
+/// is idle, and a busy shard writes one record per group, not per packet.
+/// With nothing staged, and always without a store, the worker blocks on
+/// its queue directly.
 /// Its processed, panic and store-error counts and latency histograms go
 /// straight into the same cells; nothing is copied per packet.
 /// Each packet runs under [`catch_unwind`]: a panic — whether
@@ -652,9 +669,10 @@ fn restore_engine(ctx: &ShardContext, evidence: &Evidence) -> SinkEngine {
 /// [`PoisonHook`](crate::config::PoisonHook) — is caught, the packet is
 /// recorded as poison, and the shard restarts from a fresh engine holding
 /// the checkpoint, exactly as crash recovery restarts from the replayed
-/// log. The store writer outlives the engine, so a delta whose append
-/// failed is still written after a restart. Before exiting, the worker
-/// hands its final state to the drain watchdog through the `done` channel.
+/// log. The store writer outlives the engine, so staged deltas, and a
+/// group whose append failed, are still written after a restart. Before
+/// exiting, the worker hands its final state to the drain watchdog
+/// through the `done` channel.
 fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
     {
         let (lock, cvar) = &*ctx.gate;
@@ -675,9 +693,25 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
         .store
         .as_ref()
         .map(|store| DeltaWriter::new(Arc::clone(store), ctx.shard as u32));
+    // Packets staged in `writer` since its last append.
+    let mut staged = 0usize;
     let mut outcomes = Vec::new();
     let mut poisoned = Vec::new();
-    while let Ok(job) = rx.recv() {
+    loop {
+        let next = match writer.as_mut().filter(|_| staged > 0) {
+            // A group is staged: if the queue is empty, append it before
+            // blocking, so no packet's evidence waits for later traffic.
+            Some(writer) => match rx.try_recv() {
+                Err(TryRecvError::Empty) => {
+                    append_group(writer, &ctx, staged);
+                    staged = 0;
+                    rx.recv().ok()
+                }
+                next => next.ok(),
+            },
+            None => rx.recv().ok(),
+        };
+        let Some(job) = next else { break };
         let dequeued = Instant::now();
         let queue_wait = dequeued.duration_since(job.enqueued).as_micros() as u64;
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -694,25 +728,14 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
                 metrics.feed_sink_counters(engine.counters(), &mut fed);
                 let delta = engine.take_evidence_delta();
                 checkpoint.merge(&delta);
-                // Durable checkpoint: append the same delta. A failed
-                // append is counted, never fatal — the writer keeps the
-                // delta and retries it with the next one.
-                let store_failed = writer
-                    .as_mut()
-                    .is_some_and(|writer| writer.append(delta).is_err());
-                if store_failed {
-                    metrics.store_errors.inc();
-                    // Growing store_errors is an anomaly: black-box the
-                    // events that led to the failed append.
-                    if let Some(flight) = &ctx.flight {
-                        let _ = flight.dump(
-                            "store_error",
-                            &[
-                                ("trace", FieldValue::U64(job.ctx.trace)),
-                                ("seq", FieldValue::U64(job.seq)),
-                                ("shard", FieldValue::U64(ctx.shard as u64)),
-                            ],
-                        );
+                // Durable checkpoint: stage the same delta for the
+                // group's one record.
+                if let Some(writer) = &mut writer {
+                    writer.stage(delta);
+                    staged += 1;
+                    if staged == GROUP_COMMIT_PACKETS {
+                        append_group(writer, &ctx, staged);
+                        staged = 0;
                     }
                 }
                 metrics.queue_wait_us.record(queue_wait);
@@ -760,13 +783,12 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
             }
         }
     }
-    // Final durable checkpoint: a delta whose append failed is flushed
-    // before the shard hands in its state, so a drained pool's log always
-    // holds its complete evidence.
+    // Final durable checkpoint: what is staged, and a group whose append
+    // failed, is written before the shard hands in its state, so a drained
+    // pool's log always holds its complete evidence.
     if let Some(writer) = &mut writer {
-        if writer.append(engine.take_evidence_delta()).is_err() {
-            metrics.store_errors.inc();
-        }
+        writer.stage(engine.take_evidence_delta());
+        append_group(writer, &ctx, staged);
     }
     // The receiver is gone when drain's watchdog already gave up on the
     // whole pool; nothing useful remains to do with the state then.
@@ -778,6 +800,26 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
             poisoned,
         },
     ));
+}
+
+/// Appends what `writer` has staged as one record. A failed append is
+/// counted in `store_errors`, never fatal: the writer keeps the group and
+/// retries it merged into the next one.
+fn append_group(writer: &mut DeltaWriter, ctx: &ShardContext, packets: usize) {
+    if writer.flush().is_err() {
+        ctx.metrics.store_errors.inc();
+        // Growing store_errors is an anomaly: black-box the events that
+        // led to the failed append.
+        if let Some(flight) = &ctx.flight {
+            let _ = flight.dump(
+                "store_error",
+                &[
+                    ("shard", FieldValue::U64(ctx.shard as u64)),
+                    ("packets", FieldValue::U64(packets as u64)),
+                ],
+            );
+        }
+    }
 }
 
 /// Best-effort extraction of a human-readable panic message.

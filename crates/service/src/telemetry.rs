@@ -30,10 +30,10 @@ pub struct ShardSnapshot {
     /// Packets that crashed this shard's worker (each one was quarantined
     /// as poison and the shard restarted from its last good checkpoint).
     pub panics: u64,
-    /// Evidence-store appends that failed for this shard. Failures are
-    /// counted, not fatal: the engine keeps its in-memory evidence and
-    /// retries the cumulative delta at the next checkpoint. Always 0
-    /// without an attached store.
+    /// Evidence-store records that failed to append for this shard, one
+    /// per failed group. Failures are counted, not fatal: the shard keeps
+    /// its in-memory evidence and retries the failed group merged into its
+    /// next record. Always 0 without an attached store.
     #[serde(default)]
     pub store_errors: u64,
     /// The shard engine's pipeline counters, including the verdict
@@ -69,8 +69,8 @@ pub struct ServiceSnapshot {
     pub processed: u64,
     /// Total packets that crashed a shard worker (quarantined as poison).
     pub panics: u64,
-    /// Total evidence-store append failures across all shards (0 without
-    /// an attached store).
+    /// Total evidence-store records that failed to append, across all
+    /// shards (0 without an attached store).
     #[serde(default)]
     pub store_errors: u64,
 }

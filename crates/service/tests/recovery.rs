@@ -21,7 +21,7 @@ use pnm_core::{
     SinkEngine, VerifyMode,
 };
 use pnm_crypto::KeyStore;
-use pnm_service::{ServiceConfig, ServicePool};
+use pnm_service::{ServiceConfig, ServicePool, GROUP_COMMIT_PACKETS};
 use pnm_wire::{Location, NodeId, Packet, Report};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -135,8 +135,8 @@ fn pool_recovers_from_log_and_matches_uninterrupted_run() {
     let path = temp_log("roundtrip");
 
     // Phase 1: a pool with a durable log ingests the first half, then
-    // "crashes": we drain it (flushing deltas, as every checkpoint
-    // already did) and then damage the tail the way a torn write would.
+    // "crashes": we drain it (appending each shard's last group) and then
+    // damage the tail the way a torn write would.
     let store = Arc::new(LogStore::open(&path).unwrap());
     let config = ServiceConfig::new(sink_config())
         .shards(3)
@@ -270,30 +270,35 @@ impl EvidenceStore for FailNthAppend {
 
 #[test]
 fn failed_append_survives_poison_restart() {
-    // Regression: the append for packet 20 fails, then packet 21 poisons
-    // the shard. The restarted shard must still write the failed delta,
-    // so the log holds every surviving packet — not one fewer than the
-    // drained pool.
+    // Regression: the shard's first grouped append, the full group right
+    // before the poison packet, fails; then that packet poisons the
+    // shard. The restarted shard must still write the failed group, so
+    // the log holds every surviving packet — not one group fewer than the
+    // drained pool. The pool starts paused, so the whole stream is queued
+    // before the worker runs and the queue cannot empty early: which
+    // append fails does not depend on timing.
     let n = 8u16;
     let ks = keys(n);
-    let packets = workload(&ks, n, 40);
+    let packets = workload(&ks, n, GROUP_COMMIT_PACKETS as u64 + 20);
     let store = Arc::new(FailNthAppend {
         inner: MemStore::new(),
         appends: AtomicUsize::new(0),
-        fail_on: 20,
+        fail_on: 1,
     });
     let config = ServiceConfig::new(sink_config())
         .shards(1)
         .store(Arc::clone(&store) as Arc<dyn EvidenceStore>)
-        .poison_hook(is_poison);
+        .poison_hook(is_poison)
+        .start_paused(true);
     let pool = ServicePool::new(Arc::clone(&ks), config);
-    for p in &packets[..20] {
+    for p in &packets[..GROUP_COMMIT_PACKETS] {
         pool.ingest(p.clone()).unwrap();
     }
     pool.ingest(poison_packet(&ks, n)).unwrap();
-    for p in &packets[20..] {
+    for p in &packets[GROUP_COMMIT_PACKETS..] {
         pool.ingest(p.clone()).unwrap();
     }
+    pool.resume();
     // The scrape shows the failed append once the workers are done.
     assert!(pool.close_and_join(Instant::now() + Duration::from_secs(30)));
     assert!(pool
@@ -312,6 +317,79 @@ fn failed_append_survives_poison_restart() {
         rebuilt.to_bytes(),
         reference_engine(&ks, &packets).evidence().to_bytes()
     );
+}
+
+/// Group commit: a busy shard appends one record per
+/// `GROUP_COMMIT_PACKETS` packets, not one per packet, and the grouped
+/// log replays to the drained evidence byte for byte. The pool starts
+/// paused, so each shard's queue holds its whole share when the worker
+/// starts and empties only after the last packet.
+#[test]
+fn busy_shards_append_one_record_per_group() {
+    let n = 8u16;
+    let ks = keys(n);
+    let packets = workload(&ks, n, 1024);
+    let path = temp_log("group");
+    let store = Arc::new(LogStore::open(&path).unwrap());
+    let config = ServiceConfig::new(sink_config())
+        .shards(2)
+        .store(Arc::clone(&store) as Arc<dyn EvidenceStore>)
+        .start_paused(true);
+    let pool = ServicePool::new(Arc::clone(&ks), config);
+    for p in &packets {
+        pool.ingest(p.clone()).unwrap();
+    }
+    pool.resume();
+    let report = pool.drain();
+    assert_eq!(report.snapshot.processed, 1024);
+    assert_eq!(report.snapshot.store_errors, 0);
+
+    let replay = store.replay().unwrap();
+    let bound: usize = (report.snapshot.shards.iter())
+        .map(|shard| (shard.processed as usize).div_ceil(GROUP_COMMIT_PACKETS) + 1)
+        .sum();
+    assert!(
+        replay.records <= bound,
+        "{} records for 1024 packets; at most {bound} allowed",
+        replay.records
+    );
+    let replayed = swept(&ks, &replay.merged()).evidence();
+    assert_eq!(replayed.to_bytes(), report.engine.evidence().to_bytes());
+    std::fs::remove_file(&path).ok();
+}
+
+/// Group commit never holds a packet back for later traffic: a lone
+/// packet reaches the log while the pool is still running, because its
+/// shard appends as soon as its queue is empty.
+#[test]
+fn idle_shard_appends_a_lone_packet_without_a_drain() {
+    let n = 8u16;
+    let ks = keys(n);
+    let packets = workload(&ks, n, 1);
+    let path = temp_log("lone");
+    let store = Arc::new(LogStore::open(&path).unwrap());
+    let config = ServiceConfig::new(sink_config())
+        .shards(2)
+        .store(Arc::clone(&store) as Arc<dyn EvidenceStore>);
+    let pool = ServicePool::new(Arc::clone(&ks), config);
+    pool.ingest(packets[0].clone()).unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut replay = store.replay().unwrap();
+    while replay.merged().counters.packets == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+        replay = store.replay().unwrap();
+    }
+    assert_eq!(
+        (replay.records, replay.merged().counters.packets),
+        (1, 1),
+        "the packet's evidence must reach the log without a drain"
+    );
+    assert!(!pool.is_closed());
+    let report = pool.drain();
+    let replayed = swept(&ks, &store.replay().unwrap().merged()).evidence();
+    assert_eq!(replayed.to_bytes(), report.engine.evidence().to_bytes());
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

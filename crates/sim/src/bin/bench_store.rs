@@ -12,10 +12,13 @@
 //! 2. **Replay time vs log size** — wall time for [`EvidenceStore::replay`]
 //!    over logs of growing record counts, before and after compaction.
 //! 3. **Ingest overhead** — ns/packet through a [`SinkEngine`] with no
-//!    store, a [`MemStore`], and a [`LogStore`] attached (checkpointing
-//!    every packet, the service's default cadence) — the price of
-//!    durability on the hot path. The variants run interleaved, and each
-//!    keeps its fastest round.
+//!    store, a [`MemStore`], and a [`LogStore`] attached, checkpointing
+//!    after every packet: the per-call cost of the engine's
+//!    `checkpoint_to_store`, one record per packet. That is an upper bound
+//!    on what a service shard pays, since a shard appends one record per
+//!    group of packets (`pnm_service::GROUP_COMMIT_PACKETS`) or whenever
+//!    its queue empties. The variants run interleaved, and each keeps its
+//!    fastest round.
 //!
 //! Every mode validates recovery before timing: the replayed evidence must
 //! be byte-identical to the engine that wrote it. `--smoke` runs the
@@ -282,9 +285,10 @@ fn main() -> ExitCode {
             "{{\n",
             "  \"scenario\": \"durable evidence store: append-only CRC-framed log, {}-hop chain workload\",\n",
             "  \"claim\": \"replay is byte-identical to the writing engine (validated before timing, ",
-            "including a torn tail and post-compaction); checkpointing every packet costs ",
-            "{:.0}% per packet into a MemStore and {:.0}% into a LogStore without fsync ",
-            "(interleaved min of {} rounds)\",\n",
+            "including a torn tail and post-compaction); an engine checkpointing every packet, ",
+            "one record each, costs {:.0}% per packet into a MemStore and {:.0}% into a LogStore ",
+            "without fsync (interleaved min of {} rounds), an upper bound on a service shard, ",
+            "which appends one record per group of packets or per empty queue\",\n",
             "  \"mode\": \"{}\",\n",
             "  \"appends\": [\n{}\n  ],\n",
             "  \"ingest\": {{\n",
