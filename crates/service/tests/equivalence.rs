@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use pnm_core::{
     EventRegistry, IsolationPolicy, MarkingScheme, NodeContext, ProbabilisticNestedMarking,
-    SinkConfig, SinkEngine, SinkOutcome, TrafficClassifier, VerifyMode,
+    SinkConfig, SinkCounters, SinkEngine, SinkOutcome, TrafficClassifier, VerifyMode,
 };
 use pnm_crypto::KeyStore;
 use pnm_service::{ServiceConfig, ServicePool};
@@ -92,7 +92,8 @@ fn drain_sweep(keys: &Arc<KeyStore>, config: &SinkConfig, evidence: &SinkEngine)
 /// shard than a shard's cache holds. Each shard keeps every report's
 /// table; the sequential engine's cache thrashes, so it probes every
 /// packet and completes a table only on a probe miss. The work counters
-/// differ; the evidence must not.
+/// differ, exactly as pinned; the evidence must not, with isolation off
+/// or applied at drain.
 #[test]
 fn report_cycling_pool_drains_the_sequential_evidence_bytes() {
     const HOPS: u16 = 20;
@@ -114,43 +115,57 @@ fn report_cycling_pool_drains_the_sequential_evidence_bytes() {
             pkt
         })
         .collect();
-    let config = ServiceConfig::new(SinkConfig::new(VerifyMode::Nested));
 
-    let mut seq = SinkEngine::new(Arc::clone(&keys), config.sink().clone().without_isolation());
+    let mut seq = SinkEngine::new(Arc::clone(&keys), SinkConfig::new(VerifyMode::Nested));
     for p in &packets {
         seq.ingest(p);
     }
     // The 16 reports cycle through a cache of 8, so every packet misses
-    // it and is probed; a probe miss completes its report's table.
+    // it and is probed; a probe miss completes its report's table. One
+    // shard is one engine. At 2 and 4 shards every shard's reports fit
+    // its cache: each table is built once and every later packet hits it.
     let marked = packets.iter().filter(|p| !p.marks.is_empty()).count();
     assert_eq!(marked, 1964);
-    let c = seq.counters();
-    assert_eq!((c.table_builds, c.table_cache_hits), (131, 0), "one engine");
-    let want = drain_sweep(&keys, config.sink(), &seq)
-        .evidence()
-        .to_bytes();
+    let work = |c: SinkCounters| (c.table_builds, c.table_cache_hits, c.hash_count);
+    assert_eq!(work(seq.counters()), (131, 0, 28_948), "one engine");
 
-    for shards in [2, 4] {
-        let pool = ServicePool::new(Arc::clone(&keys), config.clone().shards(shards));
-        for p in &packets {
-            pool.ingest(p.clone()).expect("block policy never sheds");
+    for isolation in [None, Some(IsolationPolicy::SuspectsOnly)] {
+        let mut sink = SinkConfig::new(VerifyMode::Nested);
+        if let Some(policy) = isolation {
+            sink = sink.isolation(policy);
         }
-        let report = pool.drain();
-        for s in &report.snapshot.shards {
+        let want = drain_sweep(&keys, &sink, &seq);
+        let quarantined: Vec<NodeId> = want.quarantine().quarantined().collect();
+        let expected = isolation.map_or(vec![], |_| vec![NodeId(0)]);
+        assert_eq!(quarantined, expected, "{isolation:?}");
+
+        for shards in [1, 2, 4] {
+            let pool = ServicePool::new(
+                Arc::clone(&keys),
+                ServiceConfig::new(sink.clone()).shards(shards),
+            );
+            for p in &packets {
+                pool.ingest(p.clone()).expect("block policy never sheds");
+            }
+            let report = pool.drain();
+            for s in &report.snapshot.shards {
+                assert!(
+                    s.processed > 0,
+                    "shard {} of {shards} got no packet",
+                    s.shard
+                );
+            }
+            let pinned = if shards == 1 {
+                (131, 0, 28_948)
+            } else {
+                (16, 1_948, 320)
+            };
+            assert_eq!(work(report.snapshot.totals), pinned, "{shards} shards");
             assert!(
-                s.processed > 0,
-                "shard {} of {shards} got no packet",
-                s.shard
+                report.engine.evidence().to_bytes() == want.evidence().to_bytes(),
+                "{shards} shards, {isolation:?}: drained evidence unlike one engine's"
             );
         }
-        assert_eq!(
-            report.snapshot.totals.table_builds, REPORTS as usize,
-            "every shard's reports fit its cache"
-        );
-        assert!(
-            report.engine.evidence().to_bytes() == want,
-            "{shards} shards drained evidence unlike one engine's"
-        );
     }
 }
 

@@ -2,11 +2,8 @@
 //!
 //! ```text
 //! trace-demo [--hops N] [--mole POS] [--attack KIND] [--scheme NAME]
-//!            [--packets L] [--seed S] [--every K] [--spec FILE]
+//!            [--packets L] [--seed S] [--every K]
 //! ```
-//!
-//! `--spec FILE` loads a scenario-spec document (see `pnm_sim::spec`);
-//! explicit flags given after it override the file.
 //!
 //! Attacks: no-mark, mark-insertion, mark-removal, mark-reordering,
 //! mark-altering, selective-dropping, identity-swapping.
@@ -21,7 +18,7 @@ use rand::{Rng as _, SeedableRng};
 
 use pnm_adversary::{AttackKind, AttackPlan, ForwardingMole, MoleAction, SourceMole};
 use pnm_core::{Localization, NodeContext, SinkConfig, SinkEngine};
-use pnm_sim::{PathScenario, ScenarioSpec, SchemeKind};
+use pnm_sim::{PathScenario, SchemeKind};
 use pnm_wire::NodeId;
 
 struct Options {
@@ -75,22 +72,14 @@ fn parse_args() -> Result<Options, String> {
                 let v = value("--scheme")?;
                 o.scheme = parse_scheme(&v).ok_or(format!("unknown scheme {v}"))?;
             }
-            "--spec" => {
-                let path = value("--spec")?;
-                let doc = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                let spec = ScenarioSpec::parse(&doc).map_err(|e| format!("{path}: {e}"))?;
-                o.hops = spec.path.path_len;
-                o.mole = spec.attack.mole_position;
-                o.attack = spec.kind;
-                o.packets = spec.attack.packets;
-                o.seed = spec.attack.seed;
-            }
             other => return Err(format!("unknown argument {other}")),
         }
     }
     if o.mole >= o.hops {
         return Err("--mole must be on the path (< --hops)".into());
+    }
+    if o.every == 0 {
+        return Err("--every must be at least 1".into());
     }
     Ok(o)
 }

@@ -15,6 +15,12 @@
 //! ```text
 //! cargo run -p pnm-sim --release --bin regen-figures -- all --runs 100
 //! ```
+//!
+//! The other binaries: `trace-demo` (one traceback packet by packet,
+//! set up by its flags), `chaos_soak` and `chaos_gateway` (fault soaks),
+//! `bench_crypto` and `bench_obs` (equivalence-gated benches) and
+//! `obs_check` (validates trace, bench and flight-recorder files). The
+//! repository benchmark is `perfbench`, a workspace of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +40,6 @@ pub mod one_by_one;
 pub mod overhead;
 pub mod runner;
 pub mod scenario;
-pub mod spec;
 pub mod table;
 
 pub use ablation::{
@@ -57,5 +62,4 @@ pub use one_by_one::{iterative_cleanup, one_by_one_table, CatchRound, CleanupRes
 pub use overhead::{measure_overhead, overhead_table, OverheadCell};
 pub use runner::{bogus_packet, parallel_runs, run_honest_path, HonestRun};
 pub use scenario::{PathScenario, SchemeKind};
-pub use spec::{ScenarioSpec, SpecError};
 pub use table::Table;
