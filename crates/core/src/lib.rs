@@ -89,6 +89,44 @@ pub use store::{
 };
 pub use verify::{AnonTable, CandidateSet, SinkVerifier, StopReason, VerifiedChain, VerifyMode};
 
+/// The one packet builder pnm-core's unit tests share. (Integration
+/// tests build theirs with `pnm_sim`'s generator, which would link a
+/// second pnm-core into these.)
+#[cfg(test)]
+pub(crate) mod test_support {
+    use pnm_crypto::KeyStore;
+    use pnm_wire::{Location, NodeId, Packet, Report};
+    use rand::Rng;
+
+    use crate::scheme::{MarkingScheme, NodeContext};
+
+    /// A packet of `report` marked along the honest path `0..n`.
+    pub(crate) fn honest_packet(
+        keys: &KeyStore,
+        scheme: &dyn MarkingScheme,
+        n: u16,
+        report: Report,
+        rng: &mut dyn Rng,
+    ) -> Packet {
+        let mut pkt = Packet::new(report);
+        for i in 0..n {
+            let ctx = NodeContext::new(NodeId(i), *keys.key(i).unwrap());
+            scheme.mark(&ctx, &mut pkt, rng);
+        }
+        pkt
+    }
+
+    /// Report `seq` of a stream tagged `tag`: event `{tag}-{seq}`, at
+    /// `(seq, 0)`.
+    pub(crate) fn numbered_report(tag: &str, seq: u64) -> Report {
+        Report::new(
+            format!("{tag}-{seq}").into_bytes(),
+            Location::new(seq as f32, 0.0),
+            seq,
+        )
+    }
+}
+
 #[cfg(test)]
 mod proptests {
     use proptest::prelude::*;
@@ -96,27 +134,12 @@ mod proptests {
     use rand::SeedableRng;
 
     use pnm_crypto::KeyStore;
-    use pnm_wire::{Location, NodeId, Packet, Report};
+    use pnm_wire::{Location, NodeId, Report};
 
     use crate::config::MarkingConfig;
-    use crate::scheme::{MarkingScheme, NestedMarking, NodeContext, ProbabilisticNestedMarking};
+    use crate::scheme::{NestedMarking, ProbabilisticNestedMarking};
+    use crate::test_support::honest_packet;
     use crate::verify::{SinkVerifier, StopReason, VerifyMode};
-
-    fn honest_packet(
-        keys: &KeyStore,
-        scheme: &dyn MarkingScheme,
-        n: u16,
-        seed: u64,
-        event: Vec<u8>,
-    ) -> Packet {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut pkt = Packet::new(Report::new(event, Location::new(0.0, 0.0), seed));
-        for i in 0..n {
-            let ctx = NodeContext::new(NodeId(i), *keys.key(i).unwrap());
-            scheme.mark(&ctx, &mut pkt, &mut rng);
-        }
-        pkt
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -131,7 +154,8 @@ mod proptests {
         ) {
             let keys = KeyStore::derive_from_master(b"prop", n);
             let scheme = NestedMarking::new(MarkingConfig::default());
-            let pkt = honest_packet(&keys, &scheme, n, seed, event);
+            let report = Report::new(event, Location::new(0.0, 0.0), seed);
+            let pkt = honest_packet(&keys, &scheme, n, report, &mut StdRng::seed_from_u64(seed));
             let chain = SinkVerifier::new(keys).verify(&pkt, VerifyMode::Nested);
             prop_assert!(chain.fully_verified());
             let expect: Vec<NodeId> = (0..n).map(NodeId).collect();
@@ -149,7 +173,8 @@ mod proptests {
             let keys = KeyStore::derive_from_master(b"prop", n);
             let cfg = MarkingConfig::builder().marking_probability(p).build();
             let scheme = ProbabilisticNestedMarking::new(cfg);
-            let pkt = honest_packet(&keys, &scheme, n, seed, vec![1, 2, 3]);
+            let report = Report::new(vec![1, 2, 3], Location::new(0.0, 0.0), seed);
+            let pkt = honest_packet(&keys, &scheme, n, report, &mut StdRng::seed_from_u64(seed));
             let chain = SinkVerifier::new(keys).verify(&pkt, VerifyMode::Nested);
             if pkt.mark_count() == 0 {
                 // No node chose to mark; nothing to verify.
@@ -172,7 +197,9 @@ mod proptests {
         ) {
             let keys = KeyStore::derive_from_master(b"prop", n);
             let scheme = NestedMarking::new(MarkingConfig::default());
-            let mut pkt = honest_packet(&keys, &scheme, n, seed, vec![9]);
+            let report = Report::new(vec![9], Location::new(0.0, 0.0), seed);
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let mut pkt = honest_packet(&keys, &scheme, n, report, rng);
             let v = victim.index(pkt.marks.len());
             let mac = pkt.marks[v].mac.unwrap();
             pkt.marks[v].mac = Some(mac.with_bit_flipped(bit.index(64)));
@@ -192,7 +219,9 @@ mod proptests {
         ) {
             let keys = KeyStore::derive_from_master(b"prop", n);
             let scheme = NestedMarking::new(MarkingConfig::default());
-            let mut pkt = honest_packet(&keys, &scheme, n, seed, vec![4]);
+            let report = Report::new(vec![4], Location::new(0.0, 0.0), seed);
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let mut pkt = honest_packet(&keys, &scheme, n, report, rng);
             // Remove a mark that is not the last one: some downstream mark
             // covered it, so verification must fail.
             let r = removed.index(pkt.marks.len() - 1);

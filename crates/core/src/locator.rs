@@ -114,34 +114,14 @@ impl MoleLocator {
 mod tests {
     use super::*;
     use crate::config::MarkingConfig;
-    use crate::scheme::{MarkingScheme, NodeContext, ProbabilisticNestedMarking};
+    use crate::scheme::ProbabilisticNestedMarking;
+    use crate::test_support::{honest_packet, numbered_report};
     use pnm_wire::{Location, Report};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn keys(n: u16) -> KeyStore {
         KeyStore::derive_from_master(b"locator-test", n)
-    }
-
-    fn make_packet(
-        ks: &KeyStore,
-        scheme: &dyn MarkingScheme,
-        n: u16,
-        seq: u64,
-        rng: &mut StdRng,
-    ) -> Packet {
-        // Each injected report differs (footnote 4: duplicates are dropped).
-        let report = Report::new(
-            format!("bogus-{seq}").into_bytes(),
-            Location::new(seq as f32, 0.0),
-            seq,
-        );
-        let mut pkt = Packet::new(report);
-        for i in 0..n {
-            let ctx = NodeContext::new(NodeId(i), *ks.key(i).unwrap());
-            scheme.mark(&ctx, &mut pkt, rng);
-        }
-        pkt
     }
 
     #[test]
@@ -152,7 +132,7 @@ mod tests {
         let mut locator = MoleLocator::new(ks.clone(), VerifyMode::Nested);
         let mut rng = StdRng::seed_from_u64(11);
         for seq in 0..200 {
-            let pkt = make_packet(&ks, &scheme, n, seq, &mut rng);
+            let pkt = honest_packet(&ks, &scheme, n, numbered_report("bogus", seq), &mut rng);
             locator.ingest(&pkt);
         }
         assert_eq!(locator.packets_ingested(), 200);
@@ -173,7 +153,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut first_seen = None;
         for seq in 0..300 {
-            let pkt = make_packet(&ks, &scheme, n, seq, &mut rng);
+            let pkt = honest_packet(&ks, &scheme, n, numbered_report("bogus", seq), &mut rng);
             locator.ingest(&pkt);
             if first_seen.is_none() && locator.first_unequivocal().is_some() {
                 first_seen = locator.first_unequivocal();
@@ -188,7 +168,7 @@ mod tests {
         let ks = keys(n);
         let scheme = crate::scheme::NestedMarking::new(MarkingConfig::default());
         let mut rng = StdRng::seed_from_u64(0);
-        let pkt = make_packet(&ks, &scheme, n, 0, &mut rng);
+        let pkt = honest_packet(&ks, &scheme, n, numbered_report("bogus", 0), &mut rng);
         let locator = MoleLocator::new(ks, VerifyMode::Nested);
         assert_eq!(locator.locate_single(&pkt), Some(NodeId(0)));
     }
@@ -215,11 +195,7 @@ mod tests {
         let scheme = ProbabilisticNestedMarking::new(cfg);
         let mut rng = StdRng::seed_from_u64(2);
         let report = Report::new(b"same".to_vec(), Location::default(), 1);
-        let mut pkt = Packet::new(report);
-        for i in 0..n {
-            let ctx = NodeContext::new(NodeId(i), *ks.key(i).unwrap());
-            scheme.mark(&ctx, &mut pkt, &mut rng);
-        }
+        let pkt = honest_packet(&ks, &scheme, n, report, &mut rng);
         let mut locator = MoleLocator::new(ks, VerifyMode::Nested);
         let c1 = locator.ingest(&pkt);
         let c2 = locator.ingest(&pkt);
@@ -237,7 +213,7 @@ mod tests {
         // Several locators share one key table without copying it.
         let mut a = MoleLocator::new(Arc::clone(&ks), VerifyMode::Nested);
         let mut b = MoleLocator::new(Arc::clone(&ks), VerifyMode::Nested);
-        let pkt = make_packet(&ks, &scheme, 6, 0, &mut rng);
+        let pkt = honest_packet(&ks, &scheme, 6, numbered_report("bogus", 0), &mut rng);
         assert_eq!(a.ingest(&pkt), b.ingest(&pkt));
     }
 }

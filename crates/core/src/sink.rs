@@ -1116,6 +1116,7 @@ mod tests {
         ExtendedAms, MarkingScheme, NestedMarking, NodeContext, PlainMarking,
         ProbabilisticNestedMarking,
     };
+    use crate::test_support::{honest_packet, numbered_report};
     use pnm_wire::{Location, Report};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1138,26 +1139,6 @@ mod tests {
 
     fn keys(n: u16) -> Arc<KeyStore> {
         Arc::new(KeyStore::derive_from_master(b"sink-test", n))
-    }
-
-    fn packet(
-        ks: &KeyStore,
-        scheme: &dyn MarkingScheme,
-        n: u16,
-        seq: u64,
-        rng: &mut StdRng,
-    ) -> Packet {
-        let report = Report::new(
-            format!("ev-{seq}").into_bytes(),
-            Location::new(seq as f32, 0.0),
-            seq,
-        );
-        let mut pkt = Packet::new(report);
-        for i in 0..n {
-            let ctx = NodeContext::new(NodeId(i), *ks.key(i).unwrap());
-            scheme.mark(&ctx, &mut pkt, rng);
-        }
-        pkt
     }
 
     pub(super) fn chain_adjacency(n: u16) -> HashMap<u16, Vec<u16>> {
@@ -1201,7 +1182,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut anonymous = 0;
         for seq in 0..200 {
-            let pkt = packet(&ks, &scheme, n, seq, &mut rng);
+            let pkt = honest_packet(&ks, &scheme, n, numbered_report("ev", seq), &mut rng);
             anonymous += usize::from(!pkt.marks.is_empty());
             let out = engine.ingest(&pkt);
             assert!(out.admitted());
@@ -1227,7 +1208,7 @@ mod tests {
         let cfg = MarkingConfig::builder().marking_probability(1.0).build();
         let scheme = ProbabilisticNestedMarking::new(cfg);
         let mut rng = StdRng::seed_from_u64(3);
-        let pkt = packet(&ks, &scheme, n, 1, &mut rng);
+        let pkt = honest_packet(&ks, &scheme, n, numbered_report("ev", 1), &mut rng);
         let mut engine = SinkEngine::new(Arc::clone(&ks), SinkConfig::new(VerifyMode::Nested));
         for _ in 0..5 {
             engine.ingest(&pkt);
@@ -1300,7 +1281,7 @@ mod tests {
         let scheme = ProbabilisticNestedMarking::paper_default(path as usize);
         let mut rng = StdRng::seed_from_u64(5);
         let packets: Vec<Packet> = (0..100)
-            .map(|seq| packet(&ks, &scheme, path, seq, &mut rng))
+            .map(|seq| honest_packet(&ks, &scheme, path, numbered_report("ev", seq), &mut rng))
             .collect();
         let anonymous = packets.iter().filter(|p| !p.marks.is_empty()).count();
 
@@ -1412,7 +1393,7 @@ mod tests {
         let scheme = NestedMarking::new(MarkingConfig::default());
         let mut rng = StdRng::seed_from_u64(12);
         let mut packets: Vec<Packet> = (0..10)
-            .map(|seq| packet(&ks, &scheme, n, seq, &mut rng))
+            .map(|seq| honest_packet(&ks, &scheme, n, numbered_report("ev", seq), &mut rng))
             .collect();
         packets.push(Packet::new(packets[0].report.clone()));
         let nested = SinkConfig::new(VerifyMode::Nested);
@@ -1438,7 +1419,7 @@ mod tests {
         let ks = keys(n);
         let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
         let mut rng = StdRng::seed_from_u64(9);
-        let pkt = packet(&ks, &scheme, n, 0, &mut rng);
+        let pkt = honest_packet(&ks, &scheme, n, numbered_report("ev", 0), &mut rng);
         assert!(!pkt.marks.is_empty());
         let (tracer, ring) = pnm_obs::Tracer::ring(1024);
         let cfg = SinkConfig::new(VerifyMode::Nested)
@@ -1470,7 +1451,7 @@ mod tests {
         let ks = keys(n);
         let scheme = NestedMarking::new(MarkingConfig::default());
         let mut rng = StdRng::seed_from_u64(6);
-        let pkt = packet(&ks, &scheme, n, 1, &mut rng);
+        let pkt = honest_packet(&ks, &scheme, n, numbered_report("ev", 1), &mut rng);
         // A registry corroborating the packet's claimed event: the report
         // is benign and must never reach verification.
         let mut registry = EventRegistry::new(10.0);
@@ -1498,7 +1479,7 @@ mod tests {
             .topology(chain_adjacency(n))
             .isolation(IsolationPolicy::OneHopNeighborhood);
         let mut engine = SinkEngine::new(Arc::clone(&ks), cfg);
-        let pkt = packet(&ks, &scheme, n, 1, &mut rng);
+        let pkt = honest_packet(&ks, &scheme, n, numbered_report("ev", 1), &mut rng);
         engine.ingest(&pkt);
         assert_eq!(engine.unequivocal_source(), Some(NodeId(0)));
         // Node 0 and its one-hop neighbor 1 are quarantined.
@@ -1519,7 +1500,7 @@ mod tests {
         let scheme = ProbabilisticNestedMarking::new(cfg);
         let mut rng = StdRng::seed_from_u64(9);
         let base: Vec<Packet> = (0..2)
-            .map(|s| packet(&ks, &scheme, n, s, &mut rng))
+            .map(|s| honest_packet(&ks, &scheme, n, numbered_report("ev", s), &mut rng))
             .collect();
         let workload: Vec<Packet> = (0..6).map(|i| base[i % 2].clone()).collect();
 
@@ -1565,7 +1546,7 @@ mod tests {
         let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
         let mut rng = StdRng::seed_from_u64(21);
         let packets: Vec<Packet> = (0..40)
-            .map(|s| packet(&ks, &scheme, n, s, &mut rng))
+            .map(|s| honest_packet(&ks, &scheme, n, numbered_report("ev", s), &mut rng))
             .collect();
 
         let mut whole = SinkEngine::new(Arc::clone(&ks), SinkConfig::new(VerifyMode::Nested));
@@ -1601,7 +1582,7 @@ mod tests {
         let cfg = SinkConfig::new(VerifyMode::Nested).isolation(IsolationPolicy::SuspectsOnly);
         let mut engine = SinkEngine::new(Arc::clone(&ks), cfg.clone());
         for seq in 0..80 {
-            let pkt = packet(&ks, &scheme, n, seq, &mut rng);
+            let pkt = honest_packet(&ks, &scheme, n, numbered_report("ev", seq), &mut rng);
             engine.ingest(&pkt);
         }
         engine.refresh_quarantine();
@@ -1651,7 +1632,7 @@ mod tests {
         let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
         let mut rng = StdRng::seed_from_u64(37);
         let packets: Vec<Packet> = (0..20)
-            .map(|s| packet(&ks, &scheme, n, s, &mut rng))
+            .map(|s| honest_packet(&ks, &scheme, n, numbered_report("ev", s), &mut rng))
             .collect();
 
         let store = Arc::new(crate::store::MemStore::new());
@@ -1724,7 +1705,7 @@ mod tests {
         // become counted rejections, never panics.
         let scheme = NestedMarking::new(MarkingConfig::default());
         let mut rng = StdRng::seed_from_u64(13);
-        let valid = packet(&ks, &scheme, n, 1, &mut rng).to_bytes();
+        let valid = honest_packet(&ks, &scheme, n, numbered_report("ev", 1), &mut rng).to_bytes();
         let inputs: Vec<Vec<u8>> = vec![
             Vec::new(),
             vec![0xff; 3],
@@ -1756,7 +1737,7 @@ mod tests {
         let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
         let mut rng = StdRng::seed_from_u64(14);
         let packets: Vec<Packet> = (0..20)
-            .map(|s| packet(&ks, &scheme, n, s, &mut rng))
+            .map(|s| honest_packet(&ks, &scheme, n, numbered_report("ev", s), &mut rng))
             .collect();
         let mut by_packet = SinkEngine::new(Arc::clone(&ks), SinkConfig::new(VerifyMode::Nested));
         let mut by_bytes = SinkEngine::new(Arc::clone(&ks), SinkConfig::new(VerifyMode::Nested));
@@ -1776,7 +1757,7 @@ mod tests {
         let cfg = MarkingConfig::builder().marking_probability(1.0).build();
         let scheme = ProbabilisticNestedMarking::new(cfg);
         let mut rng = StdRng::seed_from_u64(15);
-        let pkt = packet(&ks, &scheme, n, 1, &mut rng);
+        let pkt = honest_packet(&ks, &scheme, n, numbered_report("ev", 1), &mut rng);
 
         let mut once = SinkEngine::new(
             Arc::clone(&ks),
@@ -1816,7 +1797,7 @@ mod tests {
         );
         let mut admitted = 0;
         for _ in 0..20 {
-            let pkt = packet(&ks, &scheme, n, 1, &mut rng);
+            let pkt = honest_packet(&ks, &scheme, n, numbered_report("ev", 1), &mut rng);
             if engine.ingest(&pkt).admitted() {
                 admitted += 1;
             }
@@ -1832,7 +1813,7 @@ mod tests {
         let cfg = MarkingConfig::builder().marking_probability(1.0).build();
         let scheme = ProbabilisticNestedMarking::new(cfg);
         let mut rng = StdRng::seed_from_u64(17);
-        let pkt = packet(&ks, &scheme, n, 1, &mut rng);
+        let pkt = honest_packet(&ks, &scheme, n, numbered_report("ev", 1), &mut rng);
         let mut engine = SinkEngine::new(
             Arc::clone(&ks),
             SinkConfig::new(VerifyMode::Nested).min_localization_support(3),
@@ -1871,7 +1852,7 @@ mod tests {
             ),
             (VerifyMode::Ams, Box::new(ExtendedAms::new(cfg))),
         ] {
-            let pkt = packet(&ks, scheme.as_ref(), n, 1, &mut rng);
+            let pkt = honest_packet(&ks, scheme.as_ref(), n, numbered_report("ev", 1), &mut rng);
             let mut engine = SinkEngine::new(Arc::clone(&ks), SinkConfig::new(mode));
             let out = engine.ingest(&pkt);
             assert!(out.chain.unwrap().nodes.len() == n as usize, "{mode:?}");
@@ -1892,7 +1873,7 @@ mod tests {
         let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
         let mut rng = StdRng::seed_from_u64(31);
         let packets: Vec<Packet> = (0..60)
-            .map(|s| packet(&ks, &scheme, n, s, &mut rng))
+            .map(|s| honest_packet(&ks, &scheme, n, numbered_report("ev", s), &mut rng))
             .collect();
 
         let base_cfg = SinkConfig::new(VerifyMode::Nested)
@@ -1951,7 +1932,7 @@ mod tests {
         let ks = keys(n);
         let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
         let mut rng = StdRng::seed_from_u64(9);
-        let pkt = packet(&ks, &scheme, n, 0, &mut rng);
+        let pkt = honest_packet(&ks, &scheme, n, numbered_report("ev", 0), &mut rng);
 
         let base_cfg = SinkConfig::new(VerifyMode::Nested).table_cache_capacity(4);
         let mut plain = SinkEngine::new(Arc::clone(&ks), base_cfg.clone());
@@ -2004,7 +1985,7 @@ mod tests {
         // An untraced pass on the same engine records a packet-level
         // span only: per-stage detail is reserved for carried traces.
         let mut rng2 = StdRng::seed_from_u64(10);
-        let pkt2 = packet(&ks, &scheme, n, 1, &mut rng2);
+        let pkt2 = honest_packet(&ks, &scheme, n, numbered_report("ev", 1), &mut rng2);
         traced.ingest(&pkt2);
         let untraced: Vec<_> = ring.events().into_iter().filter(|e| e.trace == 0).collect();
         assert!(untraced
@@ -2029,7 +2010,7 @@ mod tests {
             .stage_timing(true);
         let mut engine = SinkEngine::new(Arc::clone(&ks), cfg);
         for seq in 0..40 {
-            let pkt = packet(&ks, &scheme, n, seq, &mut rng);
+            let pkt = honest_packet(&ks, &scheme, n, numbered_report("ev", seq), &mut rng);
             engine.ingest(&pkt);
         }
         let stages = engine.stage_metrics();
@@ -2069,7 +2050,7 @@ mod tests {
         let mut a = SinkEngine::new(Arc::clone(&ks), cfg.clone());
         let mut b = SinkEngine::new(Arc::clone(&ks), cfg);
         for seq in 0..10 {
-            let pkt = packet(&ks, &scheme, n, seq, &mut rng);
+            let pkt = honest_packet(&ks, &scheme, n, numbered_report("ev", seq), &mut rng);
             if seq % 2 == 0 {
                 a.ingest(&pkt);
             } else {
@@ -2343,9 +2324,9 @@ mod proptests {
     use super::*;
     use crate::config::MarkingConfig;
     use crate::scheme::{
-        ExtendedAms, MarkingScheme, NestedMarking, NodeContext, PlainMarking,
-        ProbabilisticNestedMarking,
+        ExtendedAms, MarkingScheme, NestedMarking, PlainMarking, ProbabilisticNestedMarking,
     };
+    use crate::test_support::honest_packet;
     use pnm_wire::{Location, Report};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -2388,12 +2369,7 @@ mod proptests {
                     Location::new(rep as f32, 1.0),
                     rep,
                 );
-                let mut pkt = Packet::new(report);
-                for hop in 0..path_len {
-                    let ctx = NodeContext::new(NodeId(hop), *keys.key(hop).unwrap());
-                    scheme.mark(&ctx, &mut pkt, &mut rng);
-                }
-                pkt
+                honest_packet(&keys, scheme.as_ref(), path_len, report, &mut rng)
             })
             .collect();
         (keys, mode, packets)

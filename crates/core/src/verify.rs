@@ -857,6 +857,7 @@ mod tests {
         ExtendedAms, MarkingScheme, NestedMarking, NodeContext, PlainMarking,
         ProbabilisticNestedMarking,
     };
+    use crate::test_support::honest_packet;
     use pnm_crypto::{anon_id, MacKey};
     use pnm_wire::{Location, Report};
     use proptest::prelude::*;
@@ -875,21 +876,11 @@ mod tests {
         NodeContext::new(NodeId(id), *keys.key(id).unwrap())
     }
 
-    /// Marks a packet along the honest path 0..n with the given scheme.
-    fn marked_packet(keys: &KeyStore, scheme: &dyn MarkingScheme, n: u16, seed: u64) -> Packet {
-        let mut pkt = Packet::new(report());
-        let mut rng = StdRng::seed_from_u64(seed);
-        for i in 0..n {
-            scheme.mark(&ctx(keys, i), &mut pkt, &mut rng);
-        }
-        pkt
-    }
-
     #[test]
     fn nested_full_chain_verifies() {
         let keys = keystore(10);
         let scheme = NestedMarking::new(MarkingConfig::default());
-        let pkt = marked_packet(&keys, &scheme, 10, 0);
+        let pkt = honest_packet(&keys, &scheme, 10, report(), &mut StdRng::seed_from_u64(0));
         let verifier = SinkVerifier::new(keys);
         let chain = verifier.verify(&pkt, VerifyMode::Nested);
         assert!(chain.fully_verified());
@@ -911,7 +902,7 @@ mod tests {
         // *newest* MACs break first.
         let keys = keystore(8);
         let scheme = NestedMarking::new(MarkingConfig::default());
-        let mut pkt = marked_packet(&keys, &scheme, 8, 0);
+        let mut pkt = honest_packet(&keys, &scheme, 8, report(), &mut StdRng::seed_from_u64(0));
         let m = &mut pkt.marks[3];
         m.mac = Some(m.mac.unwrap().corrupted());
         let verifier = SinkVerifier::new(keys);
@@ -960,7 +951,7 @@ mod tests {
     fn nested_mark_removal_detected() {
         let keys = keystore(6);
         let scheme = NestedMarking::new(MarkingConfig::default());
-        let mut pkt = marked_packet(&keys, &scheme, 4, 0);
+        let mut pkt = honest_packet(&keys, &scheme, 4, report(), &mut StdRng::seed_from_u64(0));
         // Remove node 1's mark, then let nodes 4,5 mark the mutilated packet.
         pkt.marks.remove(1);
         let mut rng = StdRng::seed_from_u64(99);
@@ -979,7 +970,7 @@ mod tests {
     fn nested_reorder_detected() {
         let keys = keystore(6);
         let scheme = NestedMarking::new(MarkingConfig::default());
-        let mut pkt = marked_packet(&keys, &scheme, 6, 0);
+        let mut pkt = honest_packet(&keys, &scheme, 6, report(), &mut StdRng::seed_from_u64(0));
         pkt.marks.swap(1, 2);
         let verifier = SinkVerifier::new(keys);
         let chain = verifier.verify(&pkt, VerifyMode::Nested);
@@ -991,7 +982,7 @@ mod tests {
         let keys = keystore(20);
         let cfg = MarkingConfig::builder().marking_probability(1.0).build();
         let scheme = ProbabilisticNestedMarking::new(cfg);
-        let pkt = marked_packet(&keys, &scheme, 20, 0);
+        let pkt = honest_packet(&keys, &scheme, 20, report(), &mut StdRng::seed_from_u64(0));
         assert_eq!(pkt.mark_count(), 20);
         let verifier = SinkVerifier::new(keys);
         let chain = verifier.verify(&pkt, VerifyMode::Nested);
@@ -1004,7 +995,7 @@ mod tests {
     fn pnm_partial_marks_verify() {
         let keys = keystore(30);
         let scheme = ProbabilisticNestedMarking::paper_default(30);
-        let pkt = marked_packet(&keys, &scheme, 30, 7);
+        let pkt = honest_packet(&keys, &scheme, 30, report(), &mut StdRng::seed_from_u64(7));
         let verifier = SinkVerifier::new(keys);
         let chain = verifier.verify(&pkt, VerifyMode::Nested);
         assert!(chain.fully_verified());
@@ -1018,7 +1009,7 @@ mod tests {
         let keys = keystore(15);
         let cfg = MarkingConfig::builder().marking_probability(1.0).build();
         let scheme = ProbabilisticNestedMarking::new(cfg);
-        let pkt = marked_packet(&keys, &scheme, 15, 3);
+        let pkt = honest_packet(&keys, &scheme, 15, report(), &mut StdRng::seed_from_u64(3));
         let verifier = SinkVerifier::new(keys.clone());
         let table = AnonTable::build(&keys.schedule(), &pkt.report.to_bytes());
         assert_eq!(table.hash_count, 15);
@@ -1033,7 +1024,7 @@ mod tests {
         let keys = keystore(5);
         let cfg = MarkingConfig::builder().marking_probability(1.0).build();
         let scheme = ExtendedAms::new(cfg);
-        let pkt = marked_packet(&keys, &scheme, 5, 0);
+        let pkt = honest_packet(&keys, &scheme, 5, report(), &mut StdRng::seed_from_u64(0));
         let verifier = SinkVerifier::new(keys);
         let chain = verifier.verify(&pkt, VerifyMode::Ams);
         assert_eq!(chain.nodes.len(), 5);
@@ -1046,7 +1037,7 @@ mod tests {
         let keys = keystore(5);
         let cfg = MarkingConfig::builder().marking_probability(1.0).build();
         let scheme = ExtendedAms::new(cfg);
-        let mut pkt = marked_packet(&keys, &scheme, 5, 0);
+        let mut pkt = honest_packet(&keys, &scheme, 5, report(), &mut StdRng::seed_from_u64(0));
         pkt.marks.drain(0..2);
         let verifier = SinkVerifier::new(keys);
         let chain = verifier.verify(&pkt, VerifyMode::Ams);
@@ -1060,7 +1051,7 @@ mod tests {
         let keys = keystore(3);
         let cfg = MarkingConfig::builder().marking_probability(1.0).build();
         let scheme = PlainMarking::new(cfg);
-        let mut pkt = marked_packet(&keys, &scheme, 3, 0);
+        let mut pkt = honest_packet(&keys, &scheme, 3, report(), &mut StdRng::seed_from_u64(0));
         // Forge a mark claiming to be node 999 — accepted blindly.
         pkt.push_mark(Mark::unauthenticated(NodeId(999)));
         let verifier = SinkVerifier::new(keys);
@@ -1177,7 +1168,13 @@ mod tests {
         let nested = NestedMarking::new(cfg);
         for scheme in [&pnm as &dyn MarkingScheme, &nested] {
             for seed in 0..4u64 {
-                let intact = marked_packet(&keys, scheme, 12, seed);
+                let intact = honest_packet(
+                    &keys,
+                    scheme,
+                    12,
+                    report(),
+                    &mut StdRng::seed_from_u64(seed),
+                );
                 let mut variants: Vec<Packet> = vec![intact.clone()];
                 for i in [0usize, 5, 11] {
                     // Corrupted MAC at position i.
@@ -1274,7 +1271,7 @@ mod tests {
             let pnm = ProbabilisticNestedMarking::new(cfg);
             let nested = NestedMarking::new(cfg);
             let scheme: &dyn MarkingScheme = if anonymous { &pnm } else { &nested };
-            let mut pkt = marked_packet(&keys, scheme, n, seed);
+            let mut pkt = honest_packet(&keys, scheme, n, report(), &mut StdRng::seed_from_u64(seed));
             if !pkt.marks.is_empty() {
                 let i = at % pkt.marks.len();
                 match tamper {

@@ -15,15 +15,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pnm_core::store::{EvidenceStore, LogStore};
-use pnm_core::{
-    IsolationPolicy, MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig,
-    SinkEngine, VerifyMode,
-};
+use pnm_core::{IsolationPolicy, SinkConfig, SinkEngine, VerifyMode};
 use pnm_crypto::KeyStore;
-use pnm_wire::{Location, NodeId, Packet, Report};
+use pnm_sim::{AttackKind, AttackStream};
+use pnm_wire::Packet;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn temp_log(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -37,32 +33,13 @@ fn temp_log(tag: &str) -> PathBuf {
 
 const HOPS: u16 = 8;
 
-fn keys() -> Arc<KeyStore> {
-    Arc::new(KeyStore::derive_from_master(b"crash-test", HOPS))
-}
+/// Packets on the 8-hop chain past which a verdict has settled:
+/// identity swapping left 16 of 100,000 seeds unsettled at 64, and all
+/// 512 streams this test draws have settled at 128.
+const SETTLED: usize = 128;
 
 fn sink_config() -> SinkConfig {
     SinkConfig::new(VerifyMode::Nested).isolation(IsolationPolicy::SuspectsOnly)
-}
-
-fn workload(ks: &KeyStore, count: u64, seed: u64) -> Vec<Packet> {
-    let scheme = ProbabilisticNestedMarking::paper_default(HOPS as usize);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|seq| {
-            let report = Report::new(
-                format!("crash-{seq}").into_bytes(),
-                Location::new(seq as f32, 0.0),
-                seq,
-            );
-            let mut pkt = Packet::new(report);
-            for hop in 0..HOPS {
-                let ctx = NodeContext::new(NodeId(hop), *ks.key(hop).unwrap());
-                scheme.mark(&ctx, &mut pkt, &mut rng);
-            }
-            pkt
-        })
-        .collect()
 }
 
 /// An uninterrupted engine over `packets`, quarantine refreshed the way
@@ -82,29 +59,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole property. Write a log with one frame per packet,
-    /// cut it at an arbitrary byte (any torn write a SIGKILL can
-    /// produce), recover, and require byte-identical evidence with an
-    /// uninterrupted run over exactly the packets whose frames
-    /// completed. Then feed the rest: the final state must be
-    /// byte-identical to a run that never crashed at all.
+    /// cut it at an arbitrary byte of the first `count` frames (any torn
+    /// write a SIGKILL can produce), recover, and require byte-identical
+    /// evidence with an uninterrupted run over exactly the packets whose
+    /// frames completed. Then feed the rest: the final state must be
+    /// byte-identical to a run that never crashed at all, and its settled
+    /// verdict names only the moles' neighbourhoods — on an honest
+    /// stream and under each of the seven attacks.
     #[test]
     fn kill_at_any_byte_recovers_exactly(
-        count in 4u64..24,
+        count in 4usize..24,
         seed in 0u64..64,
         cut_salt in any::<u64>(),
+        attack in 0usize..8,
     ) {
-        let ks = keys();
-        let packets = workload(&ks, count, seed);
+        // 0 is honest forwarding.
+        let attack = attack.checked_sub(1).map(|k| AttackKind::all()[k]);
+        let stream = AttackStream::pnm(HOPS, attack, SETTLED, seed);
+        let (ks, packets) = (&stream.keys, stream.packets.as_slice());
         let path = temp_log("any-byte");
 
         // Run with a store attached, checkpointing after every packet,
         // and note the log length after each flush: the only places a
         // complete frame can end.
         let store = Arc::new(LogStore::open(&path).expect("open fresh log"));
-        let mut engine = SinkEngine::new(Arc::clone(&ks), sink_config());
+        let mut engine = SinkEngine::new(Arc::clone(ks), sink_config());
         engine.attach_store(Arc::clone(&store) as Arc<dyn EvidenceStore>, 0);
         let mut boundaries = Vec::with_capacity(packets.len());
-        for p in &packets {
+        for p in packets {
             engine.ingest(p);
             engine.checkpoint_to_store().expect("checkpoint");
             boundaries.push(std::fs::metadata(&path).expect("metadata").len());
@@ -113,8 +95,9 @@ proptest! {
         drop(engine);
         drop(store);
 
-        // The kill: truncate the file at an arbitrary byte.
-        let len = *boundaries.last().expect("non-empty workload");
+        // The kill: truncate the file at an arbitrary byte of the first
+        // `count` frames.
+        let len = boundaries[count - 1];
         let cut = cut_salt % (len + 1);
         let bytes = std::fs::read(&path).expect("read log");
         std::fs::write(&path, &bytes[..cut as usize]).expect("cut log");
@@ -124,13 +107,13 @@ proptest! {
         let store = Arc::new(LogStore::open(&path).expect("reopen cut log"));
         let replay = store.replay().expect("replay");
         prop_assert_eq!(replay.records, survived);
-        let mut recovered = SinkEngine::new(Arc::clone(&ks), sink_config());
+        let mut recovered = SinkEngine::new(Arc::clone(ks), sink_config());
         recovered.install_evidence(&replay.merged());
 
         // Equivalence with the run that was never interrupted, over the
         // packets whose frames completed: localization and the entire
         // evidence encoding.
-        let reference = uninterrupted(&ks, &packets[..survived]);
+        let reference = uninterrupted(ks, &packets[..survived]);
         prop_assert_eq!(recovered.localize(), reference.localize());
         prop_assert_eq!(recovered.unequivocal_source(), reference.unequivocal_source());
         prop_assert_eq!(
@@ -153,6 +136,8 @@ proptest! {
         );
         let final_replay = store.replay().expect("final replay").merged();
         prop_assert_eq!(final_replay.to_bytes(), full_run_evidence.to_bytes());
+        let verdict = recovered.localize();
+        prop_assert!(stream.names_only_suspects(&verdict), "{:?} named {:?}", attack, verdict);
 
         std::fs::remove_file(&path).ok();
     }
@@ -166,8 +151,7 @@ proptest! {
         interval in 2u64..6,
         cut_salt in any::<u64>(),
     ) {
-        let ks = keys();
-        let packets = workload(&ks, 30, 7);
+        let AttackStream { keys: ks, packets, .. } = AttackStream::pnm(HOPS, None, 30, 7);
         let path = temp_log("sparse");
 
         let store = Arc::new(LogStore::open(&path).expect("open fresh log"));
@@ -213,8 +197,9 @@ proptest! {
 /// shape but not its meaning: recover after compact ≡ recover before.
 #[test]
 fn compaction_preserves_recovery() {
-    let ks = keys();
-    let packets = workload(&ks, 20, 11);
+    let AttackStream {
+        keys: ks, packets, ..
+    } = AttackStream::pnm(HOPS, None, 20, 11);
     let path = temp_log("compact");
 
     let store = Arc::new(LogStore::open(&path).expect("open"));

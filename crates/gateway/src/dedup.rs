@@ -25,9 +25,9 @@
 //!
 //! * **Sessions per tenant** are capped; adding one beyond the cap evicts
 //!   the least-recently-used session (counted by the caller). A client
-//!   whose session is evicted mid-retry would be double-counted, so size
-//!   the cap generously relative to concurrent client count — the
-//!   default (1024) is far above anything a single gateway serves today.
+//!   whose session is evicted mid-retry would be double-counted, so the
+//!   cap every tenant runs ([`DEFAULT_MAX_SESSIONS`], 1024) sits far
+//!   above anything a single gateway serves today.
 //! * **Out-of-order seqs per session** are capped by the window width.
 //!   Acked seqs are compressed into a watermark (`everything below is
 //!   acked`) as soon as they are contiguous; only acked seqs *above a

@@ -28,7 +28,7 @@ use pnm_service::{IngestError, ServiceConfig, ServicePool};
 use pnm_wire::Packet;
 
 use crate::admission::TokenBucket;
-use crate::dedup::{DedupState, DedupVerdict, DEFAULT_MAX_SESSIONS, DEFAULT_WINDOW};
+use crate::dedup::{DedupState, DedupVerdict};
 use crate::envelope::{AckCode, IngestAck, SeqFrame, MAX_TENANT_LEN};
 
 /// Per-tenant ingest rate limit (token bucket parameters).
@@ -47,8 +47,6 @@ pub struct TenantConfig {
     service: ServiceConfig,
     rate_limit: Option<RateLimit>,
     busy_retry_after_ms: u32,
-    dedup_sessions: usize,
-    dedup_window: usize,
 }
 
 impl TenantConfig {
@@ -59,8 +57,6 @@ impl TenantConfig {
             service,
             rate_limit: None,
             busy_retry_after_ms: 25,
-            dedup_sessions: DEFAULT_MAX_SESSIONS,
-            dedup_window: DEFAULT_WINDOW,
         }
     }
 
@@ -79,16 +75,6 @@ impl TenantConfig {
     /// the client to wait before retrying. Default 25 ms.
     pub fn busy_retry_after_ms(mut self, ms: u32) -> Self {
         self.busy_retry_after_ms = ms;
-        self
-    }
-
-    /// Sizes the tenant's exactly-once dedup window: at most `sessions`
-    /// tracked client sessions (LRU-evicted beyond that) of at most
-    /// `window` non-contiguous acked sequence numbers each. See
-    /// [`crate::dedup`] for the degradation semantics at the bounds.
-    pub fn dedup_window(mut self, sessions: usize, window: usize) -> Self {
-        self.dedup_sessions = sessions;
-        self.dedup_window = window;
         self
     }
 }
@@ -348,7 +334,7 @@ impl TenantRegistryBuilder {
                     .rate_limit
                     .map(|r| Mutex::new(TokenBucket::new(r.packets_per_sec, r.burst))),
                 verdict: Mutex::new(None),
-                dedup: Mutex::new(DedupState::new(config.dedup_sessions, config.dedup_window)),
+                dedup: Mutex::new(DedupState::default()),
                 busy_retry_after_ms: config.busy_retry_after_ms,
                 ingested: counter("pnm_gateway_ingested_total"),
                 duplicate: counter("pnm_gateway_duplicate_total"),

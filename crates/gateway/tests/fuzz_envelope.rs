@@ -11,19 +11,16 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pnm_core::{MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode};
-use pnm_crypto::KeyStore;
+use pnm_core::{SinkConfig, VerifyMode};
 use pnm_gateway::{
     AckCode, Envelope, Gateway, GatewayConfig, IngestAck, OpCode, Response, SeqFrame, Status,
     TenantConfig, TenantRegistry, DEFAULT_MAX_PAYLOAD, FIXED_HEADER,
 };
 use pnm_obs::TraceContext;
 use pnm_service::ServiceConfig;
-use pnm_wire::{Location, NodeId, Packet, Report};
+use pnm_sim::AttackStream;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -130,13 +127,14 @@ fn stale_frame(version: u8, opcode: u8) -> Vec<u8> {
 /// exactly one bad frame under its reason.
 #[test]
 fn hostile_streams_over_socket_never_panic_and_are_exactly_counted() {
-    let keys = Arc::new(KeyStore::derive_from_master(b"fuzz-tenant", 4));
+    const FLIPPED: u64 = 40;
+    let stream = AttackStream::pnm(4, None, FLIPPED as usize, 0xf02a);
     let registry = Arc::new(
         TenantRegistry::builder()
             .tenant(
                 "alpha",
                 TenantConfig::new(
-                    Arc::clone(&keys),
+                    Arc::clone(&stream.keys),
                     ServiceConfig::new(SinkConfig::new(VerifyMode::Nested)).shards(1),
                 ),
             )
@@ -148,30 +146,16 @@ fn hostile_streams_over_socket_never_panic_and_are_exactly_counted() {
     gw.listen_uds(&sock).unwrap();
     let handle = gw.spawn().unwrap();
 
-    let scheme = ProbabilisticNestedMarking::paper_default(4);
-    let mut rng = StdRng::seed_from_u64(0xf02a);
-
     // 40 ingest frames, alternately traced and untraced, each with one
     // bit flipped, pipelined over one connection. Even frames carry the
     // flip inside the packet bytes under a valid CRC (the packet may no
     // longer be canonical: Accepted or Malformed); odd frames carry it in
     // the framed payload, after the CRC was computed (always Corrupt).
-    const FLIPPED: u64 = 40;
     let mut tally: BTreeMap<&'static str, u64> = BTreeMap::new();
     {
         let mut conn = UnixStream::connect(&sock).unwrap();
         let mut sent = Vec::new();
-        for seq in 0..FLIPPED {
-            let report = Report::new(
-                format!("fz-{seq}").into_bytes(),
-                Location::new(seq as f32, 0.0),
-                seq,
-            );
-            let mut pkt = Packet::new(report);
-            for hop in 0..4u16 {
-                let ctx = NodeContext::new(NodeId(hop), *keys.key(hop).unwrap());
-                scheme.mark(&ctx, &mut pkt, &mut rng);
-            }
+        for (seq, pkt) in (0..).zip(&stream.packets) {
             let ctx = if seq % 4 < 2 {
                 TraceContext::NONE
             } else {

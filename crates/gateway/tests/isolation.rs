@@ -6,9 +6,10 @@
 //! The byte comparison is the whole isolation argument: if any byte of
 //! tenant B's traffic — or of the attacker's — reached tenant A's
 //! evidence, A's canonical `Evidence` encoding would differ from the
-//! solo sequential run. The sequential baseline mirrors the pool's drain
-//! semantics (per-packet isolation stripped, policy applied once to the
-//! merged graph), per `crates/service/tests/equivalence.rs`.
+//! solo sequential run. The baseline is `pnm_sim::sequential_reference`,
+//! which mirrors the pool's drain semantics (per-packet isolation
+//! stripped, policy applied once to the merged graph). Each tenant's
+//! stream comes from a mole running one of the seven attacks.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -18,19 +19,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pnm_core::store::Evidence;
-use pnm_core::{
-    IsolationPolicy, MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig,
-    SinkEngine, VerifyMode,
-};
+use pnm_core::{IsolationPolicy, SinkConfig, VerifyMode};
 use pnm_crypto::KeyStore;
 use pnm_gateway::{
     AckCode, Gateway, GatewayClient, GatewayConfig, Response, SeqFrame, Status, TenantConfig,
     TenantRegistry,
 };
 use pnm_service::{ServiceConfig, ServicePool};
-use pnm_wire::{Location, NodeId, Packet, Report};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pnm_sim::{sequential_reference, AttackKind, AttackStream};
 
 fn temp_path(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -46,46 +42,6 @@ fn sink_config() -> SinkConfig {
     SinkConfig::new(VerifyMode::Nested)
         .isolation(IsolationPolicy::SuspectsOnly)
         .table_cache_capacity(4)
-}
-
-fn keys(master: &[u8], n: u16) -> Arc<KeyStore> {
-    Arc::new(KeyStore::derive_from_master(master, n))
-}
-
-fn workload(ks: &KeyStore, n: u16, count: u64, seed: u64) -> Vec<Packet> {
-    let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|seq| {
-            let report = Report::new(
-                format!("iso-{seq}").into_bytes(),
-                Location::new(seq as f32, 0.0),
-                seq,
-            );
-            let mut pkt = Packet::new(report);
-            for hop in 0..n {
-                let ctx = NodeContext::new(NodeId(hop), *ks.key(hop).unwrap());
-                scheme.mark(&ctx, &mut pkt, &mut rng);
-            }
-            pkt
-        })
-        .collect()
-}
-
-/// The canonical evidence a solo sequential run produces, mirroring the
-/// pool's drain semantics exactly: per-packet processing without the
-/// isolation stage, then absorb into a fresh engine and apply the policy
-/// once (the same steps `ServicePool::drain` performs on its shards).
-fn sequential_verdict_bytes(ks: &Arc<KeyStore>, packets: &[Packet]) -> Vec<u8> {
-    let mut seq = SinkEngine::new(Arc::clone(ks), sink_config().without_isolation());
-    for p in packets {
-        seq.ingest(p);
-    }
-    let mut merged = SinkEngine::new(Arc::clone(ks), sink_config());
-    merged.absorb(&seq);
-    merged.refresh_quarantine();
-    merged.quarantine_source_regions();
-    merged.evidence().to_bytes()
 }
 
 fn two_tenant_registry(alpha: &Arc<KeyStore>, beta: &Arc<KeyStore>) -> Arc<TenantRegistry> {
@@ -120,12 +76,11 @@ fn wait_for_quiescence(registry: &TenantRegistry) {
 
 #[test]
 fn gateway_verdicts_byte_identical_to_sequential_runs() {
-    let alpha_keys = keys(b"alpha-secret", 8);
-    let beta_keys = keys(b"beta-secret", 6);
-    let alpha_packets = workload(&alpha_keys, 8, 160, 11);
-    let beta_packets = workload(&beta_keys, 6, 120, 22);
+    let alpha = AttackStream::pnm(8, Some(AttackKind::IdentitySwap), 160, 11);
+    let beta = AttackStream::pnm(6, Some(AttackKind::MarkInsertion), 120, 22);
+    let (alpha_packets, beta_packets) = (&alpha.packets, &beta.packets);
 
-    let registry = two_tenant_registry(&alpha_keys, &beta_keys);
+    let registry = two_tenant_registry(&alpha.keys, &beta.keys);
     let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
     let sock = temp_path("isolation.sock");
     gw.listen_uds(&sock).unwrap();
@@ -218,17 +173,22 @@ fn gateway_verdicts_byte_identical_to_sequential_runs() {
     assert_eq!(va.summary_json, va2.summary_json);
 
     // The isolation property, in one line per tenant: gateway-served
-    // evidence is byte-identical to the tenant's solo sequential run.
-    assert_eq!(
-        va.evidence_bytes,
-        sequential_verdict_bytes(&alpha_keys, &alpha_packets),
-        "alpha verdict must match its solo sequential run byte for byte"
-    );
-    assert_eq!(
-        vb.evidence_bytes,
-        sequential_verdict_bytes(&beta_keys, &beta_packets),
-        "beta verdict must match its solo sequential run byte for byte"
-    );
+    // evidence is byte-identical to the tenant's solo sequential run, so
+    // the drain's verdict is the reference's, which names only the
+    // tenant's moles' neighbourhoods.
+    for (tenant, verdict, stream) in [("alpha", &va, &alpha), ("beta", &vb, &beta)] {
+        let want = sequential_reference(&stream.keys, &sink_config(), &stream.packets).engine;
+        assert_eq!(
+            verdict.evidence_bytes,
+            want.evidence().to_bytes(),
+            "{tenant} verdict must match its solo sequential run byte for byte"
+        );
+        let localization = want.localize();
+        assert!(
+            stream.names_only_suspects(&localization),
+            "{tenant}: {localization:?}"
+        );
+    }
     assert_ne!(va.evidence_bytes, vb.evidence_bytes);
 
     // Decoded sanity: each tenant saw exactly its own valid packets —
@@ -253,23 +213,22 @@ fn gateway_verdicts_byte_identical_to_sequential_runs() {
 fn per_tenant_evidence_logs_are_namespaced_and_recover_independently() {
     let dir = temp_path("logs");
     std::fs::create_dir_all(&dir).unwrap();
-    let alpha_keys = keys(b"alpha-secret", 8);
-    let beta_keys = keys(b"beta-secret", 6);
-    let alpha_packets = workload(&alpha_keys, 8, 40, 5);
-    let beta_packets = workload(&beta_keys, 6, 30, 6);
+    let alpha = AttackStream::pnm(8, None, 40, 5);
+    let beta = AttackStream::pnm(6, None, 30, 6);
+    let (alpha_keys, beta_keys) = (&alpha.keys, &beta.keys);
 
     let registry = TenantRegistry::builder()
         .tenant(
             "alpha",
             TenantConfig::new(
-                Arc::clone(&alpha_keys),
+                Arc::clone(alpha_keys),
                 ServiceConfig::new(sink_config()).shards(1),
             ),
         )
         .tenant(
             "beta",
             TenantConfig::new(
-                Arc::clone(&beta_keys),
+                Arc::clone(beta_keys),
                 ServiceConfig::new(sink_config()).shards(1),
             ),
         )
@@ -278,7 +237,7 @@ fn per_tenant_evidence_logs_are_namespaced_and_recover_independently() {
         .unwrap();
 
     let now = Instant::now();
-    for (tenant, packets) in [(&b"alpha"[..], &alpha_packets), (b"beta", &beta_packets)] {
+    for (tenant, packets) in [(&b"alpha"[..], &alpha.packets), (b"beta", &beta.packets)] {
         for (seq, p) in (0..).zip(packets) {
             let frame = SeqFrame::encode_payload(tenant, 1, seq, &p.to_bytes());
             assert_eq!(
@@ -299,7 +258,7 @@ fn per_tenant_evidence_logs_are_namespaced_and_recover_independently() {
 
     // Each tenant's log recovers exactly that tenant's evidence.
     let (pool, stats) = ServicePool::recover_from_log(
-        Arc::clone(&alpha_keys),
+        Arc::clone(alpha_keys),
         ServiceConfig::new(sink_config()).shards(1),
         &alpha_log,
     )
@@ -308,7 +267,7 @@ fn per_tenant_evidence_logs_are_namespaced_and_recover_independently() {
     assert_eq!(pool.drain().engine.evidence().to_bytes(), va.evidence_bytes);
 
     let (pool, stats) = ServicePool::recover_from_log(
-        Arc::clone(&beta_keys),
+        Arc::clone(beta_keys),
         ServiceConfig::new(sink_config()).shards(1),
         &beta_log,
     )
@@ -323,14 +282,14 @@ fn per_tenant_evidence_logs_are_namespaced_and_recover_independently() {
 fn restarted_registry_starts_from_its_evidence_logs() {
     let dir = temp_path("restart");
     std::fs::create_dir_all(&dir).unwrap();
-    let alpha_keys = keys(b"alpha-secret", 8);
-    let packets = workload(&alpha_keys, 8, 30, 7);
+    let alpha = AttackStream::pnm(8, None, 30, 7);
+    let (alpha_keys, packets) = (&alpha.keys, &alpha.packets);
     let build = || {
         TenantRegistry::builder()
             .tenant(
                 "alpha",
                 TenantConfig::new(
-                    Arc::clone(&alpha_keys),
+                    Arc::clone(alpha_keys),
                     ServiceConfig::new(sink_config()).shards(2),
                 ),
             )
@@ -341,7 +300,7 @@ fn restarted_registry_starts_from_its_evidence_logs() {
 
     let first = build();
     let now = Instant::now();
-    for (seq, p) in (0..).zip(&packets) {
+    for (seq, p) in (0..).zip(packets) {
         let frame = SeqFrame::encode_payload(b"alpha", 1, seq, &p.to_bytes());
         assert_eq!(
             first.ingest_seq(b"alpha", &frame, now).code,

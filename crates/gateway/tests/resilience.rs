@@ -6,9 +6,10 @@
 //! retrying [`GatewayClient`] whose every connection is wrapped in a
 //! [`ChaosTransport`] (kills, resets, partial writes, bit flips, stalls)
 //! must produce evidence **byte-identical** to the same packet stream sent
-//! over a fault-free connection. Retries resend the same (session, seq)
-//! identity, the server's dedup window absorbs each frame at most once,
-//! and the client's accounting balances exactly.
+//! over a fault-free connection, and to the sequential reference of that
+//! stream — here a mole's identity-swapping stream. Retries resend the
+//! same (session, seq) identity, the server's dedup window absorbs each
+//! frame at most once, and the client's accounting balances exactly.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -18,19 +19,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pnm_core::store::Evidence;
-use pnm_core::{
-    IsolationPolicy, MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig,
-    SinkEngine, VerifyMode,
-};
-use pnm_crypto::KeyStore;
+use pnm_core::{IsolationPolicy, SinkConfig, VerifyMode};
 use pnm_gateway::{
     AckCode, BackoffPolicy, ChaosPlan, ClientConfig, Envelope, Gateway, GatewayClient,
     GatewayConfig, GatewayHandle, IngestAck, Response, SendOutcome, TenantConfig, TenantRegistry,
 };
 use pnm_service::{BackpressurePolicy, ServiceConfig, ServicePool};
-use pnm_wire::{Location, NodeId, Packet, Report};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pnm_sim::{sequential_reference, AttackKind, AttackStream};
 
 const NODES: u16 = 6;
 
@@ -50,28 +45,12 @@ fn sink_config() -> SinkConfig {
         .table_cache_capacity(4)
 }
 
-fn keys(master: &[u8]) -> Arc<KeyStore> {
-    Arc::new(KeyStore::derive_from_master(master, NODES))
-}
-
-fn workload(ks: &KeyStore, count: u64, seed: u64) -> Vec<Vec<u8>> {
-    let scheme = ProbabilisticNestedMarking::paper_default(NODES as usize);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|seq| {
-            let report = Report::new(
-                format!("res-{seq}").into_bytes(),
-                Location::new(seq as f32, 0.0),
-                seq,
-            );
-            let mut pkt = Packet::new(report);
-            for hop in 0..NODES {
-                let ctx = NodeContext::new(NodeId(hop), *ks.key(hop).unwrap());
-                scheme.mark(&ctx, &mut pkt, &mut rng);
-            }
-            pkt.to_bytes()
-        })
-        .collect()
+/// `count` reports over a `NODES`-hop chain, the mole running `attack`,
+/// with each packet's wire bytes.
+fn workload(attack: Option<AttackKind>, count: usize, seed: u64) -> (AttackStream, Vec<Vec<u8>>) {
+    let stream = AttackStream::pnm(NODES, attack, count, seed);
+    let bytes = stream.packets.iter().map(|p| p.to_bytes()).collect();
+    (stream, bytes)
 }
 
 /// First integer value of the metrics line carrying `name` and every
@@ -91,18 +70,18 @@ fn metric(text: &str, name: &str, labels: &[&str]) -> Option<u64> {
 #[test]
 fn acked_ingest_under_full_chaos_is_exactly_once() {
     const PACKETS: u64 = 100;
-    let ks = keys(b"chaos-secret");
-    let packets = workload(&ks, PACKETS, 0xC0FFEE);
+    let (stream, packets) = workload(Some(AttackKind::IdentitySwap), 100, 0xC0FFEE);
+    let ks = &stream.keys;
 
     let registry = Arc::new(
         TenantRegistry::builder()
             .tenant(
                 "chaos",
-                TenantConfig::new(Arc::clone(&ks), ServiceConfig::new(sink_config()).shards(1)),
+                TenantConfig::new(Arc::clone(ks), ServiceConfig::new(sink_config()).shards(1)),
             )
             .tenant(
                 "calm",
-                TenantConfig::new(Arc::clone(&ks), ServiceConfig::new(sink_config()).shards(1)),
+                TenantConfig::new(Arc::clone(ks), ServiceConfig::new(sink_config()).shards(1)),
             )
             .build()
             .unwrap(),
@@ -183,11 +162,17 @@ fn acked_ingest_under_full_chaos_is_exactly_once() {
     );
 
     // The whole point: chaos-tenant evidence is byte-identical to the
-    // fault-free run — no lost packet, no double count, no stray bytes.
+    // fault-free run and to the sequential reference — no lost packet, no
+    // double count, no stray bytes — so the drain's verdict is the
+    // reference's, which names only the moles' neighbourhoods.
     let mut c = GatewayClient::connect_uds(&sock).unwrap();
     let v_chaos = c.drain(b"chaos").unwrap();
     let v_calm = c.drain(b"calm").unwrap();
     assert_eq!(v_chaos.evidence_bytes, v_calm.evidence_bytes);
+    let want = sequential_reference(ks, &sink_config(), &stream.packets).engine;
+    assert_eq!(v_chaos.evidence_bytes, want.evidence().to_bytes());
+    let verdict = want.localize();
+    assert!(stream.names_only_suspects(&verdict), "{verdict:?}");
     let ev = Evidence::from_bytes(&v_chaos.evidence_bytes).unwrap();
     assert_eq!(ev.counters.packets, PACKETS as usize);
     assert!(v_chaos.summary_json.contains("\"panics\": 0"));
@@ -201,13 +186,13 @@ fn acked_ingest_under_full_chaos_is_exactly_once() {
 /// structured* rejection — not a hang, not a protocol error.
 #[test]
 fn drain_twice_is_cached_and_ingest_after_drain_is_structured_rejection() {
-    let ks = keys(b"drain-secret");
-    let packets = workload(&ks, 10, 0xD12A);
+    let (stream, packets) = workload(None, 10, 0xD12A);
+    let ks = &stream.keys;
     let registry = Arc::new(
         TenantRegistry::builder()
             .tenant(
                 "alpha",
-                TenantConfig::new(Arc::clone(&ks), ServiceConfig::new(sink_config()).shards(1)),
+                TenantConfig::new(Arc::clone(ks), ServiceConfig::new(sink_config()).shards(1)),
             )
             .build()
             .unwrap(),
@@ -259,13 +244,13 @@ fn graceful_shutdown_flushes_a_recoverable_final_checkpoint() {
     const PACKETS: u64 = 30;
     let dir = temp_path("graceful-logs");
     std::fs::create_dir_all(&dir).unwrap();
-    let ks = keys(b"graceful-secret");
-    let packets = workload(&ks, PACKETS, 0x6F0D);
+    let (stream, packets) = workload(None, PACKETS as usize, 0x6F0D);
+    let ks = &stream.keys;
     let registry = Arc::new(
         TenantRegistry::builder()
             .tenant(
                 "alpha",
-                TenantConfig::new(Arc::clone(&ks), ServiceConfig::new(sink_config()).shards(2)),
+                TenantConfig::new(Arc::clone(ks), ServiceConfig::new(sink_config()).shards(2)),
             )
             .evidence_dir(&dir)
             .build()
@@ -299,7 +284,7 @@ fn graceful_shutdown_flushes_a_recoverable_final_checkpoint() {
     // The final checkpoint recovers into exactly the evidence a solo
     // sequential run of the same packets produces.
     let (pool, stats) = ServicePool::recover_from_log(
-        Arc::clone(&ks),
+        Arc::clone(ks),
         ServiceConfig::new(sink_config()).shards(2),
         dir.join("alpha.pnme"),
     )
@@ -307,15 +292,8 @@ fn graceful_shutdown_flushes_a_recoverable_final_checkpoint() {
     assert_eq!(stats.packets_restored, PACKETS as usize);
     let recovered = pool.drain().engine.evidence().to_bytes();
 
-    let mut seq_engine = SinkEngine::new(Arc::clone(&ks), sink_config().without_isolation());
-    for p in &packets {
-        seq_engine.ingest(&Packet::from_bytes(p).unwrap());
-    }
-    let mut merged = SinkEngine::new(Arc::clone(&ks), sink_config());
-    merged.absorb(&seq_engine);
-    merged.refresh_quarantine();
-    merged.quarantine_source_regions();
-    assert_eq!(recovered, merged.evidence().to_bytes());
+    let want = sequential_reference(ks, &sink_config(), &stream.packets).engine;
+    assert_eq!(recovered, want.evidence().to_bytes());
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -326,14 +304,14 @@ fn graceful_shutdown_flushes_a_recoverable_final_checkpoint() {
 /// space — dedup sits in front of admission.
 #[test]
 fn busy_shed_carries_retry_hint_and_dedup_needs_no_queue_space() {
-    let ks = keys(b"busy-secret");
-    let packets = workload(&ks, 6, 0xB059);
+    let (stream, packets) = workload(None, 6, 0xB059);
+    let ks = &stream.keys;
     let registry = Arc::new(
         TenantRegistry::builder()
             .tenant(
                 "busy",
                 TenantConfig::new(
-                    Arc::clone(&ks),
+                    Arc::clone(ks),
                     ServiceConfig::new(sink_config())
                         .shards(1)
                         .queue_capacity(1)
@@ -402,14 +380,14 @@ fn busy_shed_carries_retry_hint_and_dedup_needs_no_queue_space() {
 /// the second, and the third parks A's ingest until the shard takes the
 /// second.
 fn stalled_gateway() -> (GatewayHandle, PathBuf, UnixStream, usize) {
-    let ks = keys(b"stall-secret");
-    let packets = workload(&ks, 3, 0x57A1);
+    let (stream, packets) = workload(None, 3, 0x57A1);
+    let ks = &stream.keys;
     let registry = Arc::new(
         TenantRegistry::builder()
             .tenant(
                 "slow",
                 TenantConfig::new(
-                    Arc::clone(&ks),
+                    Arc::clone(ks),
                     ServiceConfig::new(sink_config())
                         .shards(1)
                         .queue_capacity(1)

@@ -18,9 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pnm_core::{
-    IsolationPolicy, MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode,
-};
+use pnm_core::{IsolationPolicy, SinkConfig, VerifyMode};
 use pnm_crypto::KeyStore;
 use pnm_gateway::{
     BackoffPolicy, ChaosPlan, ClientConfig, Gateway, GatewayClient, GatewayConfig, TenantConfig,
@@ -28,7 +26,8 @@ use pnm_gateway::{
 };
 use pnm_obs::{Event, EventKind, ShardedRingCollector, Tracer};
 use pnm_service::ServiceConfig;
-use pnm_wire::{Location, NodeId, Packet, Report};
+use pnm_sim::{AttackPath, AttackStream, SchemeKind};
+use pnm_wire::{Location, Packet, Report};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,30 +48,6 @@ fn sink_config() -> SinkConfig {
     SinkConfig::new(VerifyMode::Nested)
         .isolation(IsolationPolicy::SuspectsOnly)
         .table_cache_capacity(4)
-}
-
-fn keys(master: &[u8]) -> Arc<KeyStore> {
-    Arc::new(KeyStore::derive_from_master(master, NODES))
-}
-
-fn workload(ks: &KeyStore, count: u64, seed: u64) -> Vec<Vec<u8>> {
-    let scheme = ProbabilisticNestedMarking::paper_default(NODES as usize);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|seq| {
-            let report = Report::new(
-                format!("tw-{seq}").into_bytes(),
-                Location::new(seq as f32, 0.0),
-                seq,
-            );
-            let mut pkt = Packet::new(report);
-            for hop in 0..NODES {
-                let ctx = NodeContext::new(NodeId(hop), *ks.key(hop).unwrap());
-                scheme.mark(&ctx, &mut pkt, &mut rng);
-            }
-            pkt.to_bytes()
-        })
-        .collect()
 }
 
 /// Index one trace's span-open events by name.
@@ -153,9 +128,19 @@ fn assert_single_chain(events: &[Event], trace: u64) {
 /// the evidence is byte-identical to an untraced calm run.
 #[test]
 fn chaos_wire_yields_one_complete_trace_per_packet() {
-    const PACKETS: u64 = 60;
-    let ks = keys(b"trace-secret");
-    let packets = workload(&ks, PACKETS, 0xBEEF);
+    let ks = &Arc::new(KeyStore::derive_from_master(b"trace-secret", NODES));
+    let mut path = AttackPath::new(Arc::clone(ks), SchemeKind::Pnm, 0, NODES);
+    let mut rng = StdRng::seed_from_u64(0xBEEF);
+    let packets: Vec<Packet> = (0..60u64)
+        .map(|seq| {
+            let report = Report::new(
+                format!("tw-{seq}").into_bytes(),
+                Location::new(seq as f32, 0.0),
+                seq,
+            );
+            path.forward(Packet::new(report), &mut rng).expect("honest")
+        })
+        .collect();
 
     let ring = Arc::new(ShardedRingCollector::new(8, 1 << 14));
     let tracer = Tracer::new(ring.clone());
@@ -165,7 +150,7 @@ fn chaos_wire_yields_one_complete_trace_per_packet() {
             .tenant(
                 "traced",
                 TenantConfig::new(
-                    Arc::clone(&ks),
+                    Arc::clone(ks),
                     ServiceConfig::new(sink_config().tracer(tracer.clone()))
                         .shards(2)
                         .keep_outcomes(true),
@@ -173,7 +158,7 @@ fn chaos_wire_yields_one_complete_trace_per_packet() {
             )
             .tenant(
                 "plain",
-                TenantConfig::new(Arc::clone(&ks), ServiceConfig::new(sink_config()).shards(2)),
+                TenantConfig::new(Arc::clone(ks), ServiceConfig::new(sink_config()).shards(2)),
             )
             .build()
             .unwrap(),
@@ -199,7 +184,7 @@ fn chaos_wire_yields_one_complete_trace_per_packet() {
         .with_tracer(tracer.clone());
     let mut traces = Vec::new();
     for p in &packets {
-        let out = traced.send(b"traced", p).unwrap();
+        let out = traced.send(b"traced", &p.to_bytes()).unwrap();
         assert!(out.is_counted(), "chaos wire still lands every packet");
         assert_ne!(out.trace(), 0, "a traced client reports its trace id");
         traces.push(out.trace());
@@ -214,7 +199,7 @@ fn chaos_wire_yields_one_complete_trace_per_packet() {
     // Untraced reference stream over a calm wire.
     let mut plain = GatewayClient::connect_uds(&sock).unwrap().with_session(12);
     for p in &packets {
-        let out = plain.send(b"plain", p).unwrap();
+        let out = plain.send(b"plain", &p.to_bytes()).unwrap();
         assert!(out.is_counted());
         assert_eq!(out.trace(), 0, "no tracer, no trace");
     }
@@ -251,10 +236,10 @@ proptest! {
     fn acked_equals_traced_across_chaos_seeds(
         seed in 0u64..1 << 48,
         intensity in 0.0f64..=1.0,
-        count in 8u64..24,
+        count in 8usize..24,
     ) {
-        let ks = keys(b"trace-prop");
-        let packets = workload(&ks, count, seed ^ 0xD1CE);
+        let stream = AttackStream::pnm(NODES, None, count, seed ^ 0xD1CE);
+        let (ks, packets) = (&stream.keys, &stream.packets);
         let ring = Arc::new(ShardedRingCollector::new(4, 1 << 13));
         let tracer = Tracer::new(ring.clone());
         let registry = Arc::new(
@@ -262,7 +247,7 @@ proptest! {
                 .tenant(
                     "t",
                     TenantConfig::new(
-                        Arc::clone(&ks),
+                        Arc::clone(ks),
                         ServiceConfig::new(sink_config().tracer(tracer.clone())).shards(2),
                     ),
                 )
@@ -290,8 +275,8 @@ proptest! {
             .with_tracer(tracer.clone());
 
         let mut counted = BTreeSet::new();
-        for p in &packets {
-            let out = client.send(b"t", p).unwrap();
+        for p in packets {
+            let out = client.send(b"t", &p.to_bytes()).unwrap();
             prop_assert!(out.is_counted());
             prop_assert!(counted.insert(out.trace()), "trace ids never repeat");
         }

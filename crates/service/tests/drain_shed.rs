@@ -10,57 +10,31 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use pnm_core::{MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig, VerifyMode};
-use pnm_crypto::KeyStore;
+use pnm_core::{SinkConfig, VerifyMode};
 use pnm_service::{BackpressurePolicy, IngestError, ServiceConfig, ServicePool};
-use pnm_wire::{Location, NodeId, Packet, Report};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-const PATH_LEN: u16 = 8;
-
-fn keys() -> Arc<KeyStore> {
-    Arc::new(KeyStore::derive_from_master(b"svc-drain", PATH_LEN))
-}
-
-/// A fully marked packet whose report varies with `rep` (distinct reports
-/// spread across shards).
-fn packet(ks: &KeyStore, rep: u64, rng: &mut StdRng) -> Packet {
-    let scheme = ProbabilisticNestedMarking::paper_default(PATH_LEN as usize);
-    let report = Report::new(
-        format!("drain-{rep}").into_bytes(),
-        Location::new(rep as f32, 0.0),
-        rep,
-    );
-    let mut pkt = Packet::new(report);
-    for hop in 0..PATH_LEN {
-        let ctx = NodeContext::new(NodeId(hop), *ks.key(hop).unwrap());
-        scheme.mark(&ctx, &mut pkt, rng);
-    }
-    pkt
-}
+use pnm_sim::AttackStream;
+use pnm_wire::NodeId;
 
 #[test]
 fn drain_processes_every_predrain_packet_and_closes_ingestion() {
-    let ks = keys();
+    let stream = AttackStream::pnm(8, None, 61, 41);
     let pool = ServicePool::new(
-        Arc::clone(&ks),
+        Arc::clone(&stream.keys),
         ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
             .shards(3)
             .keep_outcomes(true),
     );
-    let mut rng = StdRng::seed_from_u64(41);
-    let n = 60u64;
-    for rep in 0..n {
-        pool.ingest(packet(&ks, rep, &mut rng)).unwrap();
+    let (packets, late) = stream.packets.split_at(60);
+    let n = packets.len() as u64;
+    for p in packets {
+        pool.ingest(p.clone()).unwrap();
     }
 
     // Close first: everything already queued must still be verified, and
     // nothing new gets in.
     pool.close();
     assert!(pool.is_closed());
-    let late = packet(&ks, 999, &mut rng);
-    assert_eq!(pool.ingest(late), Err(IngestError::Closed));
+    assert_eq!(pool.ingest(late[0].clone()), Err(IngestError::Closed));
 
     let report = pool.drain();
     assert_eq!(report.snapshot.accepted, n);
@@ -79,11 +53,11 @@ fn drain_processes_every_predrain_packet_and_closes_ingestion() {
 
 #[test]
 fn shed_drops_are_exactly_accounted() {
-    let ks = keys();
+    let stream = AttackStream::pnm(8, None, 40, 43);
     let shards = 2usize;
     let capacity = 4usize;
     let pool = ServicePool::new(
-        Arc::clone(&ks),
+        Arc::clone(&stream.keys),
         ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
             .shards(shards)
             .queue_capacity(capacity)
@@ -91,7 +65,6 @@ fn shed_drops_are_exactly_accounted() {
             .keep_outcomes(true)
             .start_paused(true),
     );
-    let mut rng = StdRng::seed_from_u64(43);
 
     // Workers are parked at the start gate, so each shard's queue holds at
     // most `capacity` packets and every overflow sheds — deterministically.
@@ -99,8 +72,7 @@ fn shed_drops_are_exactly_accounted() {
     let mut expect_shed = vec![0u64; shards];
     let mut accepted_tickets = BTreeSet::new();
     let mut offered = 0u64;
-    for rep in 0..40u64 {
-        let pkt = packet(&ks, rep, &mut rng);
+    for pkt in stream.packets {
         let shard = pool.shard_of(&pkt);
         match pool.ingest(pkt) {
             Ok(ticket) => {
@@ -140,19 +112,18 @@ fn shed_drops_are_exactly_accounted() {
 
 #[test]
 fn block_policy_never_sheds_even_past_capacity() {
-    let ks = keys();
+    let stream = AttackStream::pnm(8, None, 30, 47);
     let pool = ServicePool::new(
-        Arc::clone(&ks),
+        Arc::clone(&stream.keys),
         ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
             .shards(2)
             .queue_capacity(2)
             .backpressure(BackpressurePolicy::Block),
     );
-    let mut rng = StdRng::seed_from_u64(47);
     // 30 packets through 2-slot queues: the producer must block-and-wait
     // rather than drop.
-    for rep in 0..30u64 {
-        pool.ingest(packet(&ks, rep, &mut rng)).unwrap();
+    for pkt in stream.packets {
+        pool.ingest(pkt).unwrap();
     }
     let report = pool.drain();
     assert_eq!(report.snapshot.accepted, 30);
@@ -162,14 +133,13 @@ fn block_policy_never_sheds_even_past_capacity() {
 
 #[test]
 fn snapshot_is_safe_while_live() {
-    let ks = keys();
+    let stream = AttackStream::pnm(8, None, 20, 53);
     let pool = ServicePool::new(
-        Arc::clone(&ks),
+        Arc::clone(&stream.keys),
         ServiceConfig::new(SinkConfig::new(VerifyMode::Nested)).shards(2),
     );
-    let mut rng = StdRng::seed_from_u64(53);
-    for rep in 0..20u64 {
-        pool.ingest(packet(&ks, rep, &mut rng)).unwrap();
+    for pkt in stream.packets {
+        pool.ingest(pkt).unwrap();
         let snap = pool.snapshot();
         // Live counters may lag in-flight work but never overshoot.
         assert!(snap.processed <= snap.accepted);

@@ -2,24 +2,25 @@
 //! sharded ingestion is observably equivalent to a single sequential
 //! [`SinkEngine`] over the same packet stream — verdict for verdict,
 //! chain for chain, and evidence byte for byte — for any shard count, any
-//! table-cache capacity, any number of moles, and any report mix.
+//! table-cache capacity, any number of moles, any report mix, and a mole
+//! running any of the seven attacks.
 //!
-//! The sequential baseline mirrors the service's drain semantics exactly:
-//! per-packet processing runs without the isolation stage (shard-local
-//! quarantine would be partition-dependent), and the configured policy is
-//! applied once, at end of stream, to the full route graph — the same
-//! refresh + source-region sweep [`ServicePool::drain`] performs on the
-//! merged engine.
+//! The baseline is [`sequential_reference`]: per-packet processing runs
+//! without the isolation stage (shard-local quarantine would be
+//! partition-dependent), and the configured policy is applied once, at
+//! end of stream, to the full route graph — the refresh + source-region
+//! sweep [`ServicePool::drain`] performs on the merged engine.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pnm_core::{
-    EventRegistry, IsolationPolicy, MarkingScheme, NodeContext, ProbabilisticNestedMarking,
-    SinkConfig, SinkCounters, SinkEngine, SinkOutcome, TrafficClassifier, VerifyMode,
+    EventRegistry, IsolationPolicy, SinkConfig, SinkCounters, SinkEngine, TrafficClassifier,
+    VerifyMode,
 };
 use pnm_crypto::KeyStore;
 use pnm_service::{ServiceConfig, ServicePool};
+use pnm_sim::{sequential_reference, AttackKind, AttackPath, AttackStream, SchemeKind};
 use pnm_wire::{Location, NodeId, Packet, Report};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,6 +29,11 @@ use rand::SeedableRng;
 /// Nodes reserved per mole path; path `p` marks through nodes
 /// `[p*BAND, p*BAND + path_len)`.
 const BAND: u16 = 8;
+
+/// Packets on the 8-hop chain past which a drained verdict has settled:
+/// identity swapping left 16 of 100,000 seeds unsettled at 64, and
+/// 100,000 seeds per attack found none at 128.
+const SETTLED: usize = 128;
 
 /// Builds a multi-mole stream: `n_paths` disjoint mole routes, each
 /// cycling `n_reports` distinct reports, `n_packets` packets total, for
@@ -43,7 +49,9 @@ fn scenario(
     seed: u64,
 ) -> (Arc<KeyStore>, SinkConfig, Vec<Packet>) {
     let keys = Arc::new(KeyStore::derive_from_master(b"svc-equiv", n_paths * BAND));
-    let scheme = ProbabilisticNestedMarking::paper_default(path_len as usize);
+    let mut paths: Vec<AttackPath> = (0..n_paths)
+        .map(|p| AttackPath::new(Arc::clone(&keys), SchemeKind::Pnm, p * BAND, path_len))
+        .collect();
     let mut rng = StdRng::seed_from_u64(seed);
 
     let mut registry = EventRegistry::new(1.0);
@@ -66,26 +74,58 @@ fn scenario(
                 Location::new(r as f32 * 10.0, p as f32 * 10.0),
                 r,
             );
-            let mut pkt = Packet::new(report);
-            for hop in 0..path_len {
-                let node = p * BAND + hop;
-                let ctx = NodeContext::new(NodeId(node), *keys.key(node).unwrap());
-                scheme.mark(&ctx, &mut pkt, &mut rng);
-            }
-            pkt
+            paths[p as usize]
+                .forward(Packet::new(report), &mut rng)
+                .expect("an honest path drops nothing")
         })
         .collect();
     (keys, config, packets)
 }
 
-/// The end-of-stream quarantine sweep the service runs at drain, applied
-/// to a sequential engine's evidence.
-fn drain_sweep(keys: &Arc<KeyStore>, config: &SinkConfig, evidence: &SinkEngine) -> SinkEngine {
-    let mut merged = SinkEngine::new(Arc::clone(keys), config.clone());
-    merged.absorb(evidence);
-    merged.refresh_quarantine();
-    merged.quarantine_source_regions();
-    merged
+/// Drains `packets` through a pool of `shards` and checks it against the
+/// sequential reference: the same per-packet outcomes (in admission
+/// order), the same localization and source regions, and the same
+/// evidence bytes. Returns the drained engine.
+fn pool_equals_reference(
+    keys: &Arc<KeyStore>,
+    config: &SinkConfig,
+    packets: &[Packet],
+    shards: usize,
+) -> Result<SinkEngine, TestCaseError> {
+    let want = sequential_reference(keys, config, packets);
+    let pool = ServicePool::new(
+        Arc::clone(keys),
+        ServiceConfig::new(config.clone())
+            .shards(shards)
+            .queue_capacity(8)
+            .keep_outcomes(true),
+    );
+    for pkt in packets {
+        pool.ingest(pkt.clone()).expect("block policy never sheds");
+    }
+    let report = pool.drain();
+
+    // Verdict-for-verdict: admission order is ingestion order here
+    // (single producer, no shedding), so seq tickets are 0..n.
+    prop_assert_eq!(report.outcomes.len(), want.outcomes.len());
+    for (i, ((ticket, got), want)) in report.outcomes.iter().zip(&want.outcomes).enumerate() {
+        prop_assert_eq!(*ticket, i as u64);
+        prop_assert_eq!(got, want);
+    }
+
+    // Same localization story.
+    let (got, want) = (&report.engine, &want.engine);
+    prop_assert_eq!(got.localize(), want.localize());
+    prop_assert_eq!(got.source_regions(), want.source_regions());
+    prop_assert_eq!(got.unequivocal_source(), want.unequivocal_source());
+
+    // Evidence byte-identical, whatever each shard's cache did; the
+    // registry carries the drained engine's counters.
+    prop_assert_eq!(got.evidence().to_bytes(), want.evidence().to_bytes());
+    prop_assert_eq!(report.snapshot.totals, got.counters());
+    prop_assert_eq!(report.snapshot.processed as usize, packets.len());
+    prop_assert_eq!(report.snapshot.shed, 0);
+    Ok(report.engine)
 }
 
 /// More live reports than one engine's table cache holds, but no more per
@@ -100,26 +140,18 @@ fn report_cycling_pool_drains_the_sequential_evidence_bytes() {
     const REPORTS: u64 = 16;
     const PACKETS: u64 = 2048;
     let keys = Arc::new(KeyStore::derive_from_master(b"svc-cycling", HOPS));
-    let scheme = ProbabilisticNestedMarking::paper_default(HOPS as usize);
+    let mut path = AttackPath::new(Arc::clone(&keys), SchemeKind::Pnm, 0, HOPS);
     let mut rng = StdRng::seed_from_u64(2048);
     // Event bytes that spread under the pool's partitioning hash.
     let packets: Vec<Packet> = (0..PACKETS)
         .map(|i| {
             let r = i % REPORTS;
             let event = format!("{:016x}", r.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let mut pkt = Packet::new(Report::new(event.into_bytes(), Location::new(0.0, 0.0), r));
-            for hop in 0..HOPS {
-                let ctx = NodeContext::new(NodeId(hop), *keys.key(hop).unwrap());
-                scheme.mark(&ctx, &mut pkt, &mut rng);
-            }
-            pkt
+            let report = Report::new(event.into_bytes(), Location::new(0.0, 0.0), r);
+            path.forward(Packet::new(report), &mut rng).expect("honest")
         })
         .collect();
 
-    let mut seq = SinkEngine::new(Arc::clone(&keys), SinkConfig::new(VerifyMode::Nested));
-    for p in &packets {
-        seq.ingest(p);
-    }
     // The 16 reports cycle through a cache of 8, so every packet misses
     // it and is probed; a probe miss completes its report's table. One
     // shard is one engine. At 2 and 4 shards every shard's reports fit
@@ -127,14 +159,15 @@ fn report_cycling_pool_drains_the_sequential_evidence_bytes() {
     let marked = packets.iter().filter(|p| !p.marks.is_empty()).count();
     assert_eq!(marked, 1964);
     let work = |c: SinkCounters| (c.table_builds, c.table_cache_hits, c.hash_count);
-    assert_eq!(work(seq.counters()), (131, 0, 28_948), "one engine");
 
     for isolation in [None, Some(IsolationPolicy::SuspectsOnly)] {
         let mut sink = SinkConfig::new(VerifyMode::Nested);
         if let Some(policy) = isolation {
             sink = sink.isolation(policy);
         }
-        let want = drain_sweep(&keys, &sink, &seq);
+        // The reference's one engine carries its work into the drained one.
+        let want = sequential_reference(&keys, &sink, &packets).engine;
+        assert_eq!(work(want.counters()), (131, 0, 28_948), "one engine");
         let quarantined: Vec<NodeId> = want.quarantine().quarantined().collect();
         let expected = isolation.map_or(vec![], |_| vec![NodeId(0)]);
         assert_eq!(quarantined, expected, "{isolation:?}");
@@ -175,7 +208,11 @@ proptest! {
     /// For any shard count, any table-cache capacity and any stream,
     /// `ServicePool` produces the same per-packet outcomes (in admission
     /// order), the same localization, the same source regions, and the
-    /// same evidence bytes as one sequential engine.
+    /// same evidence bytes as one sequential engine. Each case runs an
+    /// honest multi-mole stream and a stream from a forwarding mole
+    /// running one of the seven attacks, long enough for the verdict to
+    /// settle; on the attacked one the drain names only the moles'
+    /// neighbourhoods.
     #[test]
     fn sharded_service_equals_sequential_engine(
         n_paths in 1u16..4,
@@ -185,59 +222,20 @@ proptest! {
         shards in 1usize..=6,
         cache in 1usize..=8,
         seed in any::<u64>(),
+        attack in 0usize..7,
     ) {
         let (keys, config, packets) =
             scenario(n_paths, path_len, n_reports, n_packets, cache, seed);
+        pool_equals_reference(&keys, &config, &packets, shards)?;
 
-        // Sequential baseline: isolation stripped per packet, policy
-        // applied once at end of stream (the drain semantics).
-        let mut seq = SinkEngine::new(
-            Arc::clone(&keys),
-            config.clone().without_isolation(),
-        );
-        let seq_out: Vec<SinkOutcome> = packets.iter().map(|p| seq.ingest(p)).collect();
-        let seq_final = drain_sweep(&keys, &config, &seq);
-
-        // Sharded service over the identical stream.
-        let pool = ServicePool::new(
-            Arc::clone(&keys),
-            ServiceConfig::new(config.clone())
-                .shards(shards)
-                .queue_capacity(8)
-                .keep_outcomes(true),
-        );
-        for pkt in &packets {
-            pool.ingest(pkt.clone()).expect("block policy never sheds");
-        }
-        let report = pool.drain();
-
-        // Verdict-for-verdict: admission order is ingestion order here
-        // (single producer, no shedding), so seq tickets are 0..n.
-        prop_assert_eq!(report.outcomes.len(), seq_out.len());
-        for (i, ((ticket, got), want)) in
-            report.outcomes.iter().zip(seq_out.iter()).enumerate()
-        {
-            prop_assert_eq!(*ticket, i as u64);
-            prop_assert_eq!(got, want);
-        }
-
-        // Same localization story.
-        prop_assert_eq!(report.engine.localize(), seq_final.localize());
-        prop_assert_eq!(report.engine.source_regions(), seq_final.source_regions());
-        prop_assert_eq!(
-            report.engine.unequivocal_source(),
-            seq_final.unequivocal_source()
-        );
-
-        // Evidence byte-identical, whatever each shard's cache did; the
-        // registry carries the drained engine's counters.
-        prop_assert_eq!(
-            report.engine.evidence().to_bytes(),
-            seq_final.evidence().to_bytes()
-        );
-        prop_assert_eq!(report.snapshot.totals, report.engine.counters());
-        prop_assert_eq!(report.snapshot.processed as usize, packets.len());
-        prop_assert_eq!(report.snapshot.shed, 0);
+        let kind = AttackKind::all()[attack];
+        let attacked = AttackStream::pnm(8, Some(kind), SETTLED, seed);
+        let config = SinkConfig::new(VerifyMode::Nested)
+            .table_cache_capacity(cache)
+            .isolation(IsolationPolicy::SuspectsOnly);
+        let verdict =
+            pool_equals_reference(&attacked.keys, &config, &attacked.packets, shards)?.localize();
+        prop_assert!(attacked.names_only_suspects(&verdict), "{:?} named {:?}", kind, verdict);
     }
 
     /// A shard killed by an injected panicking packet restarts, the
@@ -258,7 +256,7 @@ proptest! {
 
         // Poison packets are ordinary, fully marked packets whose event
         // bytes trip the injected hook before the engine sees them.
-        let scheme = ProbabilisticNestedMarking::paper_default(path_len as usize);
+        let mut path = AttackPath::new(Arc::clone(&keys), SchemeKind::Pnm, 0, path_len);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
         let mut stream: Vec<(bool, Packet)> =
             packets.into_iter().map(|p| (false, p)).collect();
@@ -268,27 +266,15 @@ proptest! {
                 Location::new(0.0, 0.0),
                 i as u64,
             );
-            let mut pkt = Packet::new(report);
-            for hop in 0..path_len {
-                let ctx = NodeContext::new(NodeId(hop), *keys.key(hop).unwrap());
-                scheme.mark(&ctx, &mut pkt, &mut rng);
-            }
+            let pkt = path.forward(Packet::new(report), &mut rng).expect("honest");
             let pos = (seed as usize).wrapping_add(i * 7919) % (stream.len() + 1);
             stream.insert(pos, (true, pkt));
         }
 
         // Sequential baseline over the survivors only.
-        let mut seq = SinkEngine::new(
-            Arc::clone(&keys),
-            config.clone().without_isolation(),
-        );
-        let mut seq_out = Vec::new();
-        for (is_poison, pkt) in &stream {
-            if !*is_poison {
-                seq_out.push(seq.ingest(pkt));
-            }
-        }
-        let seq_final = drain_sweep(&keys, &config, &seq);
+        let survivors: Vec<Packet> =
+            stream.iter().filter(|(poison, _)| !poison).map(|(_, p)| p.clone()).collect();
+        let want = sequential_reference(&keys, &config, &survivors);
 
         let pool = ServicePool::new(
             Arc::clone(&keys),
@@ -318,11 +304,11 @@ proptest! {
         prop_assert_eq!(&caught, &poison_seqs);
 
         // Survivor outcomes: verdict-for-verdict, in admission order.
-        prop_assert_eq!(report.outcomes.len(), seq_out.len());
+        prop_assert_eq!(report.outcomes.len(), want.outcomes.len());
         for (((ticket, got), want), expect_seq) in report
             .outcomes
             .iter()
-            .zip(seq_out.iter())
+            .zip(want.outcomes.iter())
             .zip(survivor_seqs.iter())
         {
             prop_assert_eq!(ticket, expect_seq);
@@ -332,12 +318,13 @@ proptest! {
         // Same localization story and the same evidence bytes as the
         // survivor-only sequential engine; the registry's verdict counters
         // survive the restarts.
-        prop_assert_eq!(report.engine.localize(), seq_final.localize());
-        prop_assert_eq!(report.engine.source_regions(), seq_final.source_regions());
+        let want = &want.engine;
+        prop_assert_eq!(report.engine.localize(), want.localize());
+        prop_assert_eq!(report.engine.source_regions(), want.source_regions());
         prop_assert_eq!(
             report.engine.evidence().to_bytes(),
-            seq_final.evidence().to_bytes()
+            want.evidence().to_bytes()
         );
-        prop_assert_eq!(report.snapshot.totals.verdict(), seq.counters().verdict());
+        prop_assert_eq!(report.snapshot.totals.verdict(), want.counters().verdict());
     }
 }

@@ -16,15 +16,11 @@ use std::time::{Duration, Instant};
 use pnm_core::store::{
     Evidence, EvidenceStore, LogStore, MemStore, RecordKind, StoreError, StoreReplay,
 };
-use pnm_core::{
-    IsolationPolicy, MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig,
-    SinkEngine, VerifyMode,
-};
+use pnm_core::{IsolationPolicy, SinkConfig, VerifyMode};
 use pnm_crypto::KeyStore;
 use pnm_service::{ServiceConfig, ServicePool, GROUP_COMMIT_PACKETS};
-use pnm_wire::{Location, NodeId, Packet, Report};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pnm_sim::{drained_evidence, sequential_reference, AttackKind, AttackStream};
+use pnm_wire::{Location, Packet, Report};
 
 fn temp_log(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -36,56 +32,8 @@ fn temp_log(tag: &str) -> PathBuf {
     ))
 }
 
-fn keys(n: u16) -> Arc<KeyStore> {
-    Arc::new(KeyStore::derive_from_master(b"recovery-test", n))
-}
-
-fn marked_packet(ks: &KeyStore, n: u16, seq: u64, rng: &mut StdRng) -> Packet {
-    let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
-    let report = Report::new(
-        format!("rec-{seq}").into_bytes(),
-        Location::new(seq as f32, 0.0),
-        seq,
-    );
-    let mut pkt = Packet::new(report);
-    for hop in 0..n {
-        let ctx = NodeContext::new(NodeId(hop), *ks.key(hop).unwrap());
-        scheme.mark(&ctx, &mut pkt, rng);
-    }
-    pkt
-}
-
 fn sink_config() -> SinkConfig {
     SinkConfig::new(VerifyMode::Nested).isolation(IsolationPolicy::SuspectsOnly)
-}
-
-fn workload(ks: &KeyStore, n: u16, count: u64) -> Vec<Packet> {
-    let mut rng = StdRng::seed_from_u64(4057);
-    (0..count)
-        .map(|s| marked_packet(ks, n, s, &mut rng))
-        .collect()
-}
-
-/// An engine holding `evidence` with the drain-time quarantine sweep
-/// applied: what a pool's drain answers for that evidence.
-fn swept(ks: &Arc<KeyStore>, evidence: &Evidence) -> SinkEngine {
-    let mut engine = SinkEngine::new(Arc::clone(ks), sink_config());
-    engine.install_evidence(evidence);
-    engine.refresh_quarantine();
-    engine.quarantine_source_regions();
-    engine
-}
-
-/// The uninterrupted sequential reference: one engine over the whole
-/// stream with isolation stripped per packet, swept once at the end as a
-/// drain sweeps. A drained pool's evidence equals its evidence byte for
-/// byte, whatever the shard count and whether or not the pool recovered.
-fn reference_engine(ks: &Arc<KeyStore>, packets: &[Packet]) -> SinkEngine {
-    let mut engine = SinkEngine::new(Arc::clone(ks), sink_config().without_isolation());
-    for p in packets {
-        engine.ingest(p);
-    }
-    swept(ks, &engine.evidence())
 }
 
 /// A recovered pool's telemetry starts from the evidence it restored:
@@ -94,8 +42,9 @@ fn reference_engine(ks: &Arc<KeyStore>, packets: &[Packet]) -> SinkEngine {
 /// after drain the snapshot's totals are the merged engine's counters.
 #[test]
 fn recovered_pool_telemetry_counts_the_restored_evidence() {
-    let ks = keys(8);
-    let packets = workload(&ks, 8, 30);
+    let AttackStream {
+        keys: ks, packets, ..
+    } = AttackStream::pnm(8, None, 30, 4057);
     let path = temp_log("telemetry");
     let config = ServiceConfig::new(sink_config()).shards(2);
     let store = Arc::new(LogStore::open(&path).unwrap());
@@ -127,11 +76,19 @@ fn recovered_pool_telemetry_counts_the_restored_evidence() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Recovered ≡ uninterrupted on an honest stream and on each of the
+/// seven attacks.
 #[test]
 fn pool_recovers_from_log_and_matches_uninterrupted_run() {
-    let n = 10u16;
-    let ks = keys(n);
-    let packets = workload(&ks, n, 120);
+    for attack in [None].into_iter().chain(AttackKind::all().map(Some)) {
+        let stream = AttackStream::pnm(10, attack, 120, 4057);
+        recovers_and_matches_uninterrupted_run(&stream);
+    }
+}
+
+fn recovers_and_matches_uninterrupted_run(stream: &AttackStream) {
+    let (ks, packets) = (&stream.keys, &stream.packets);
+    let half = packets.len() / 2;
     let path = temp_log("roundtrip");
 
     // Phase 1: a pool with a durable log ingests the first half, then
@@ -141,12 +98,12 @@ fn pool_recovers_from_log_and_matches_uninterrupted_run() {
     let config = ServiceConfig::new(sink_config())
         .shards(3)
         .store(Arc::clone(&store) as Arc<dyn EvidenceStore>);
-    let pool = ServicePool::new(Arc::clone(&ks), config);
-    for p in &packets[..60] {
+    let pool = ServicePool::new(Arc::clone(ks), config);
+    for p in &packets[..half] {
         pool.ingest(p.clone()).unwrap();
     }
     let first = pool.drain();
-    assert_eq!(first.snapshot.processed, 60);
+    assert_eq!(first.snapshot.processed as usize, half);
     assert_eq!(first.snapshot.store_errors, 0);
     drop(store);
     let mut f = std::fs::OpenOptions::new()
@@ -158,19 +115,21 @@ fn pool_recovers_from_log_and_matches_uninterrupted_run() {
 
     // Phase 2: recover and continue with the second half.
     let config = ServiceConfig::new(sink_config()).shards(3);
-    let (pool, stats) = ServicePool::recover_from_log(Arc::clone(&ks), config, &path).unwrap();
+    let (pool, stats) = ServicePool::recover_from_log(Arc::clone(ks), config, &path).unwrap();
     assert_eq!(stats.rejected_frames, 1);
     assert!(stats.records > 0);
-    assert_eq!(stats.packets_restored, 60);
-    for p in &packets[60..] {
+    assert_eq!(stats.packets_restored, half);
+    for p in &packets[half..] {
         pool.ingest(p.clone()).unwrap();
     }
     let report = pool.drain();
 
     // The localization and the full evidence equal the uninterrupted
     // sequential run's.
-    let reference = reference_engine(&ks, &packets);
-    assert_eq!(report.engine.localize(), reference.localize());
+    let reference = sequential_reference(ks, &sink_config(), packets).engine;
+    let verdict = report.engine.localize();
+    assert_eq!(verdict, reference.localize());
+    assert!(stream.names_only_suspects(&verdict), "{verdict:?}");
     let recovered_evidence = report.engine.evidence();
     assert_eq!(
         recovered_evidence.to_bytes(),
@@ -181,8 +140,8 @@ fn pool_recovers_from_log_and_matches_uninterrupted_run() {
     // A second recovery from the drained log alone (no further packets)
     // also reproduces the full evidence: the final flush covered it.
     let config = ServiceConfig::new(sink_config()).shards(3);
-    let (pool, stats) = ServicePool::recover_from_log(Arc::clone(&ks), config, &path).unwrap();
-    assert_eq!(stats.packets_restored, 120);
+    let (pool, stats) = ServicePool::recover_from_log(Arc::clone(ks), config, &path).unwrap();
+    assert_eq!(stats.packets_restored, packets.len());
     let report = pool.drain();
     assert_eq!(
         report.engine.evidence().to_bytes(),
@@ -196,9 +155,9 @@ fn recovery_remaps_shards_when_count_changes() {
     // A log written by a 4-shard pool recovers into a 2-shard pool: the
     // evidence is a commutative monoid, so the remap (log shard % 2)
     // loses nothing.
-    let n = 8u16;
-    let ks = keys(n);
-    let packets = workload(&ks, n, 80);
+    let AttackStream {
+        keys: ks, packets, ..
+    } = AttackStream::pnm(8, None, 80, 4057);
     let path = temp_log("remap");
 
     let store = Arc::new(LogStore::open(&path).unwrap());
@@ -222,16 +181,10 @@ fn recovery_remaps_shards_when_count_changes() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A marked packet the tests' poison hooks crash on.
-fn poison_packet(ks: &KeyStore, n: u16) -> Packet {
-    let mut rng = StdRng::seed_from_u64(99);
-    let report = Report::new(b"poison-x".to_vec(), Location::new(0.0, 0.0), 7);
-    let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
-    let mut pkt = Packet::new(report);
-    for hop in 0..n {
-        let ctx = NodeContext::new(NodeId(hop), *ks.key(hop).unwrap());
-        scheme.mark(&ctx, &mut pkt, &mut rng);
-    }
+/// A packet the tests' poison hooks crash on before the engine sees it.
+fn poison_packet(like: &Packet) -> Packet {
+    let mut pkt = like.clone();
+    pkt.report = Report::new(b"poison-x".to_vec(), Location::new(0.0, 0.0), 7);
     pkt
 }
 
@@ -277,9 +230,9 @@ fn failed_append_survives_poison_restart() {
     // drained pool. The pool starts paused, so the whole stream is queued
     // before the worker runs and the queue cannot empty early: which
     // append fails does not depend on timing.
-    let n = 8u16;
-    let ks = keys(n);
-    let packets = workload(&ks, n, GROUP_COMMIT_PACKETS as u64 + 20);
+    let AttackStream {
+        keys: ks, packets, ..
+    } = AttackStream::pnm(8, None, GROUP_COMMIT_PACKETS + 20, 4057);
     let store = Arc::new(FailNthAppend {
         inner: MemStore::new(),
         appends: AtomicUsize::new(0),
@@ -294,7 +247,7 @@ fn failed_append_survives_poison_restart() {
     for p in &packets[..GROUP_COMMIT_PACKETS] {
         pool.ingest(p.clone()).unwrap();
     }
-    pool.ingest(poison_packet(&ks, n)).unwrap();
+    pool.ingest(poison_packet(&packets[0])).unwrap();
     for p in &packets[GROUP_COMMIT_PACKETS..] {
         pool.ingest(p.clone()).unwrap();
     }
@@ -311,11 +264,15 @@ fn failed_append_survives_poison_restart() {
     // Rebuilt from the log alone (the drain-time quarantine sweep
     // re-applied), the evidence is byte-identical to the drained pool's
     // and to the poison-free run's.
-    let rebuilt = swept(&ks, &store.replay().unwrap().merged()).evidence();
+    let rebuilt =
+        drained_evidence(&ks, &sink_config(), &store.replay().unwrap().merged()).evidence();
     assert_eq!(rebuilt.to_bytes(), report.engine.evidence().to_bytes());
     assert_eq!(
         rebuilt.to_bytes(),
-        reference_engine(&ks, &packets).evidence().to_bytes()
+        sequential_reference(&ks, &sink_config(), &packets)
+            .engine
+            .evidence()
+            .to_bytes()
     );
 }
 
@@ -326,9 +283,9 @@ fn failed_append_survives_poison_restart() {
 /// starts and empties only after the last packet.
 #[test]
 fn busy_shards_append_one_record_per_group() {
-    let n = 8u16;
-    let ks = keys(n);
-    let packets = workload(&ks, n, 1024);
+    let AttackStream {
+        keys: ks, packets, ..
+    } = AttackStream::pnm(8, None, 1024, 4057);
     let path = temp_log("group");
     let store = Arc::new(LogStore::open(&path).unwrap());
     let config = ServiceConfig::new(sink_config())
@@ -353,7 +310,7 @@ fn busy_shards_append_one_record_per_group() {
         "{} records for 1024 packets; at most {bound} allowed",
         replay.records
     );
-    let replayed = swept(&ks, &replay.merged()).evidence();
+    let replayed = drained_evidence(&ks, &sink_config(), &replay.merged()).evidence();
     assert_eq!(replayed.to_bytes(), report.engine.evidence().to_bytes());
     std::fs::remove_file(&path).ok();
 }
@@ -363,9 +320,9 @@ fn busy_shards_append_one_record_per_group() {
 /// shard appends as soon as its queue is empty.
 #[test]
 fn idle_shard_appends_a_lone_packet_without_a_drain() {
-    let n = 8u16;
-    let ks = keys(n);
-    let packets = workload(&ks, n, 1);
+    let AttackStream {
+        keys: ks, packets, ..
+    } = AttackStream::pnm(8, None, 1, 4057);
     let path = temp_log("lone");
     let store = Arc::new(LogStore::open(&path).unwrap());
     let config = ServiceConfig::new(sink_config())
@@ -387,7 +344,8 @@ fn idle_shard_appends_a_lone_packet_without_a_drain() {
     );
     assert!(!pool.is_closed());
     let report = pool.drain();
-    let replayed = swept(&ks, &store.replay().unwrap().merged()).evidence();
+    let replayed =
+        drained_evidence(&ks, &sink_config(), &store.replay().unwrap().merged()).evidence();
     assert_eq!(replayed.to_bytes(), report.engine.evidence().to_bytes());
     std::fs::remove_file(&path).ok();
 }
@@ -397,9 +355,9 @@ fn poison_restart_with_store_does_not_double_count() {
     // A shard that panics restarts from its checkpoint and re-attaches
     // the store; the evidence the log accumulates must still match the
     // poison-free packet set exactly (no delta written twice).
-    let n = 8u16;
-    let ks = keys(n);
-    let packets = workload(&ks, n, 40);
+    let AttackStream {
+        keys: ks, packets, ..
+    } = AttackStream::pnm(8, None, 40, 4057);
     let path = temp_log("poison");
 
     let store = Arc::new(LogStore::open(&path).unwrap());
@@ -411,7 +369,7 @@ fn poison_restart_with_store_does_not_double_count() {
     for p in &packets[..20] {
         pool.ingest(p.clone()).unwrap();
     }
-    pool.ingest(poison_packet(&ks, n)).unwrap();
+    pool.ingest(poison_packet(&packets[0])).unwrap();
     for p in &packets[20..] {
         pool.ingest(p.clone()).unwrap();
     }
@@ -420,11 +378,15 @@ fn poison_restart_with_store_does_not_double_count() {
     assert_eq!(report.snapshot.store_errors, 0);
 
     // Replay equals the merged engine equals the poison-free reference.
-    let replayed = swept(&ks, &store.replay().unwrap().merged()).evidence();
+    let replayed =
+        drained_evidence(&ks, &sink_config(), &store.replay().unwrap().merged()).evidence();
     assert_eq!(replayed.to_bytes(), report.engine.evidence().to_bytes());
     assert_eq!(
         replayed.to_bytes(),
-        reference_engine(&ks, &packets).evidence().to_bytes()
+        sequential_reference(&ks, &sink_config(), &packets)
+            .engine
+            .evidence()
+            .to_bytes()
     );
     std::fs::remove_file(&path).ok();
 }
@@ -433,9 +395,9 @@ fn poison_restart_with_store_does_not_double_count() {
 fn memstore_pool_matches_storeless_pool() {
     // MemStore is the null backend: attaching it changes nothing about
     // the drained evidence.
-    let n = 8u16;
-    let ks = keys(n);
-    let packets = workload(&ks, n, 60);
+    let AttackStream {
+        keys: ks, packets, ..
+    } = AttackStream::pnm(8, None, 60, 4057);
 
     let mem = Arc::new(MemStore::new());
     let config = ServiceConfig::new(sink_config())
@@ -456,7 +418,7 @@ fn memstore_pool_matches_storeless_pool() {
     );
     // And the MemStore replay reproduces the same merged evidence (the
     // merged engines carry drain-time quarantine the shards never see).
-    let replayed = swept(&ks, &mem.replay().unwrap().merged());
+    let replayed = drained_evidence(&ks, &sink_config(), &mem.replay().unwrap().merged());
     assert_eq!(
         replayed.evidence().to_bytes(),
         a.engine.evidence().to_bytes()
@@ -465,7 +427,7 @@ fn memstore_pool_matches_storeless_pool() {
 
 #[test]
 fn recover_without_store_is_an_error() {
-    let ks = keys(4);
+    let ks = Arc::new(KeyStore::derive_from_master(b"recovery-test", 4));
     let config = ServiceConfig::new(sink_config()).shards(1);
     assert!(ServicePool::recover(ks, config).is_err());
 }

@@ -20,15 +20,14 @@
 use core::fmt;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng as _, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use pnm_adversary::{AttackKind, AttackPlan, ForwardingMole, MoleAction, SourceMole};
-use pnm_core::{Localization, NodeContext, SinkConfig, SinkEngine};
+use pnm_adversary::{AttackKind, AttackPlan};
+use pnm_core::{Localization, SinkConfig, SinkEngine};
 use pnm_wire::NodeId;
 
-use crate::scenario::{PathScenario, SchemeKind};
+use crate::attack_stream::{AttackPath, AttackStream};
+use crate::scenario::SchemeKind;
 use crate::table::Table;
 
 /// Classification of a traceback outcome under attack.
@@ -86,40 +85,6 @@ impl AttackScenario {
             seed,
         }
     }
-
-    /// The source mole's node id (provisioned, one-hop upstream of V1).
-    pub fn source_id(&self) -> NodeId {
-        NodeId(self.path_len)
-    }
-
-    /// Ground-truth one-hop adjacency on the chain (plus the source mole
-    /// sitting next to V1).
-    fn neighborhood(&self, c: NodeId) -> Vec<NodeId> {
-        let n = self.path_len;
-        let mut out = vec![c];
-        if c == self.source_id() {
-            out.push(NodeId(0));
-            return out;
-        }
-        if c.raw() < n {
-            if c.raw() == 0 {
-                out.push(self.source_id());
-            }
-            if c.raw() > 0 {
-                out.push(NodeId(c.raw() - 1));
-            }
-            if c.raw() + 1 < n {
-                out.push(NodeId(c.raw() + 1));
-            }
-        }
-        out
-    }
-
-    /// Whether a mole ({S, X}) lies in `c`'s one-hop neighborhood.
-    fn mole_adjacent(&self, c: NodeId) -> bool {
-        let moles = [self.source_id(), NodeId(self.mole_position)];
-        self.neighborhood(c).iter().any(|n| moles.contains(n))
-    }
 }
 
 /// Runs one cell: `scheme` under `attack`, returning the classified
@@ -129,73 +94,32 @@ pub fn evaluate_cell(
     attack: AttackKind,
     scenario: &AttackScenario,
 ) -> (Outcome, Localization) {
-    let n = scenario.path_len;
-    let sc = PathScenario::paper(n);
-    // Nested marks every hop regardless; probabilistic schemes use np=3.
-    let config = sc.config();
-    let keys = Arc::new(sc.keystore(1)); // +1 identity for the source mole
-    let scheme = scheme_kind.build(config);
-
-    let source_id = scenario.source_id();
-    let mole_id = NodeId(scenario.mole_position);
-    let mut source = SourceMole::new(source_id, *keys.key(source_id.raw()).unwrap());
     // Canonical selective dropping targets the most-upstream forwarder.
     let plan = AttackPlan::canonical(attack, &[0]);
-    let mut mole = ForwardingMole::new(mole_id, *keys.key(mole_id.raw()).unwrap(), plan)
-        .with_partner(source_id, *keys.key(source_id.raw()).unwrap());
-
+    let stream = AttackPath::paper(scheme_kind, scenario.path_len)
+        .with_mole(scenario.mole_position, plan)
+        .stream(scenario.packets, scenario.seed);
     let mut sink = SinkEngine::new(
-        Arc::clone(&keys),
+        Arc::clone(&stream.keys),
         SinkConfig::new(scheme_kind.verify_mode()),
     );
-    let mut rng = StdRng::seed_from_u64(scenario.seed);
-    let mut delivered = 0usize;
-
-    for _ in 0..scenario.packets {
-        let mut pkt = source.inject(&mut rng);
-        // Identity swapping involves the *source* too (§4.2 Fig. 2): it
-        // sometimes marks as itself, sometimes as its partner X.
-        if attack == AttackKind::IdentitySwap {
-            let use_own = rng.next_u64() & 1 == 0;
-            let ctx = if use_own {
-                NodeContext::new(source_id, *keys.key(source_id.raw()).unwrap())
-            } else {
-                NodeContext::new(mole_id, *keys.key(mole_id.raw()).unwrap())
-            };
-            scheme.mark(&ctx, &mut pkt, &mut rng);
-        }
-        let mut dropped = false;
-        for hop in 0..n {
-            if hop == mole_id.raw() {
-                if mole.process(&mut pkt, scheme.as_ref(), &mut rng) == MoleAction::Dropped {
-                    dropped = true;
-                    break;
-                }
-            } else {
-                let ctx = NodeContext::new(NodeId(hop), *keys.key(hop).unwrap());
-                scheme.mark(&ctx, &mut pkt, &mut rng);
-            }
-        }
-        if !dropped {
-            sink.ingest(&pkt);
-            delivered += 1;
-        }
+    for pkt in &stream.packets {
+        sink.ingest(pkt);
     }
-
     let loc = sink.localize();
-    let outcome = classify(scenario, &loc, delivered);
-    (outcome, loc)
+    (classify(&stream, &loc), loc)
 }
 
 /// Maps a localization to an [`Outcome`] given ground truth.
-fn classify(scenario: &AttackScenario, loc: &Localization, delivered: usize) -> Outcome {
-    if delivered == 0 {
+fn classify(stream: &AttackStream, loc: &Localization) -> Outcome {
+    let mole_adjacent = |c: &NodeId| stream.suspects.contains(c);
+    if stream.packets.is_empty() {
         return Outcome::Starved;
     }
     match loc {
         Localization::NoEvidence => Outcome::Inconclusive,
         Localization::MostUpstream(c) => {
-            if scenario.mole_adjacent(*c) {
+            if mole_adjacent(c) {
                 Outcome::Secure
             } else {
                 Outcome::Misled
@@ -215,16 +139,16 @@ fn classify(scenario: &AttackScenario, loc: &Localization, delivered: usize) -> 
             };
             if anchor.is_empty() {
                 Outcome::Inconclusive
-            } else if anchor.iter().all(|j| scenario.mole_adjacent(*j)) {
+            } else if anchor.iter().all(mole_adjacent) {
                 Outcome::Secure
-            } else if anchor.iter().any(|j| scenario.mole_adjacent(*j)) {
+            } else if anchor.iter().any(mole_adjacent) {
                 Outcome::Inconclusive
             } else {
                 Outcome::Misled
             }
         }
         Localization::Ambiguous(cands) => {
-            if !cands.is_empty() && cands.iter().all(|c| scenario.mole_adjacent(*c)) {
+            if !cands.is_empty() && cands.iter().all(mole_adjacent) {
                 // Every remaining candidate pins a mole: actionable.
                 Outcome::Secure
             } else {

@@ -8,16 +8,17 @@
 //! ```
 //!
 //! At every sweep point a retrying [`GatewayClient`] pushes the same marked
-//! packet stream through a [`ChaosTransport`](pnm_gateway::ChaosTransport)-wrapped wire into a fresh
+//! packet stream — an identity-swapping mole's, from the attack-stream
+//! generator — through a [`ChaosTransport`](pnm_gateway::ChaosTransport)-wrapped wire into a fresh
 //! gateway, then the tenant is drained and the gateway shut down
 //! gracefully. The gates, all of which must hold at every intensity:
 //!
 //! - **exactly once**: every send resolves `Counted`, and the server's
 //!   `ingested_total` equals the packet count — no loss, no double count,
 //!   no matter how many retries and reconnects the faults forced;
-//! - **evidence identity**: the drained evidence is byte-identical to a
-//!   fault-free sequential run of the same packets — wire faults never
-//!   alter (and therefore never falsely implicate) anything;
+//! - **evidence identity**: the drained evidence is byte-identical to the
+//!   sequential reference of the same packets — wire faults never alter
+//!   (and therefore never falsely implicate) anything;
 //! - **balanced accounting**: `attempts − packets == retries` and
 //!   `connects − 1 == reconnects`, exactly; at intensity zero every
 //!   fault/retry/duplicate counter is zero;
@@ -41,10 +42,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pnm_core::{
-    IsolationPolicy, MarkingScheme, NodeContext, ProbabilisticNestedMarking, SinkConfig,
-    SinkEngine, VerifyMode,
-};
+use pnm_core::{IsolationPolicy, SinkConfig, VerifyMode};
 use pnm_crypto::KeyStore;
 use pnm_gateway::{
     BackoffPolicy, ChaosPlan, ClientConfig, ClientReport, Gateway, GatewayClient, GatewayConfig,
@@ -52,9 +50,7 @@ use pnm_gateway::{
 };
 use pnm_obs::{JsonValue, Registry};
 use pnm_service::ServiceConfig;
-use pnm_wire::{Location, NodeId, Packet, Report};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pnm_sim::{sequential_reference, AttackKind, AttackStream};
 
 const NODES: u16 = 6;
 const SEED: u64 = 2007;
@@ -68,40 +64,6 @@ fn sink_config() -> SinkConfig {
     SinkConfig::new(VerifyMode::Nested)
         .isolation(IsolationPolicy::SuspectsOnly)
         .table_cache_capacity(4)
-}
-
-fn workload(ks: &KeyStore, count: u64) -> Vec<Vec<u8>> {
-    let scheme = ProbabilisticNestedMarking::paper_default(NODES as usize);
-    let mut rng = StdRng::seed_from_u64(SEED);
-    (0..count)
-        .map(|seq| {
-            let report = Report::new(
-                format!("edge-{seq}").into_bytes(),
-                Location::new(seq as f32, 0.0),
-                seq,
-            );
-            let mut pkt = Packet::new(report);
-            for hop in 0..NODES {
-                let ctx = NodeContext::new(NodeId(hop), *ks.key(hop).unwrap());
-                scheme.mark(&ctx, &mut pkt, &mut rng);
-            }
-            pkt.to_bytes()
-        })
-        .collect()
-}
-
-/// The fault-free reference: a solo sequential run mirroring the pool's
-/// drain semantics (per-packet isolation stripped, policy applied once).
-fn reference_evidence(ks: &Arc<KeyStore>, packets: &[Vec<u8>]) -> Vec<u8> {
-    let mut seq = SinkEngine::new(Arc::clone(ks), sink_config().without_isolation());
-    for p in packets {
-        seq.ingest(&Packet::from_bytes(p).expect("workload packets are canonical"));
-    }
-    let mut merged = SinkEngine::new(Arc::clone(ks), sink_config());
-    merged.absorb(&seq);
-    merged.refresh_quarantine();
-    merged.quarantine_source_regions();
-    merged.evidence().to_bytes()
 }
 
 /// First integer value of the metrics line carrying `name` and every
@@ -372,16 +334,25 @@ fn main() -> ExitCode {
         &[0.0, 0.25, 0.5, 0.75, 1.0]
     };
 
-    let ks = Arc::new(KeyStore::derive_from_master(b"edge-chaos", NODES));
-    let packets = workload(&ks, packets_per_point);
-    let reference = reference_evidence(&ks, &packets);
+    let stream = AttackStream::pnm(
+        NODES,
+        Some(AttackKind::IdentitySwap),
+        packets_per_point as usize,
+        SEED,
+    );
+    let ks = &stream.keys;
+    let packets: Vec<Vec<u8>> = stream.packets.iter().map(|p| p.to_bytes()).collect();
+    let reference = sequential_reference(ks, &sink_config(), &stream.packets)
+        .engine
+        .evidence()
+        .to_bytes();
 
     let mut points = Vec::new();
     let mut panicked = false;
     for &intensity in intensities {
         eprintln!("chaos-gateway: intensity {intensity:.2}, {packets_per_point} packets over UDS");
         match catch_unwind(AssertUnwindSafe(|| {
-            run_point(intensity, &ks, &packets, &reference)
+            run_point(intensity, ks, &packets, &reference)
         })) {
             Ok(p) => points.push(p),
             Err(_) => {
@@ -407,8 +378,8 @@ fn main() -> ExitCode {
     let section = format!(
         concat!(
             "{{\n",
-            "    \"scenario\": \"gateway edge chaos over UDS, {} packets per point, ",
-            "{} nodes, seed {}\",\n",
+            "    \"scenario\": \"gateway edge chaos over UDS, {} packets per point ",
+            "from an identity-swapping mole, {} nodes, seed {}\",\n",
             "    \"claim\": \"acked ingest is exactly-once under arbitrary wire chaos: ",
             "evidence byte-identical to the fault-free run, accounting balanced, ",
             "zero panics, graceful drain\",\n",

@@ -10,15 +10,16 @@
 //! Schemes: pnm (default), nested, extended-ams, plain, prob-nested-plain-id.
 
 use std::env;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng as _, SeedableRng};
+use rand::SeedableRng;
 
-use pnm_adversary::{AttackKind, AttackPlan, ForwardingMole, MoleAction, SourceMole};
-use pnm_core::{Localization, NodeContext, SinkConfig, SinkEngine};
-use pnm_sim::{PathScenario, SchemeKind};
+use pnm_adversary::{AttackKind, AttackPlan};
+use pnm_core::{Localization, SinkConfig, SinkEngine};
+use pnm_sim::{AttackPath, SchemeKind};
 use pnm_wire::NodeId;
 
 struct Options {
@@ -85,7 +86,13 @@ fn parse_args() -> Result<Options, String> {
 }
 
 /// Renders the chain with the sink's current knowledge.
-fn render_chain(hops: u16, mole: u16, observed: &[NodeId], suspect: Option<NodeId>) {
+fn render_chain(
+    out: &mut impl Write,
+    hops: u16,
+    mole: u16,
+    observed: &[NodeId],
+    suspect: Option<NodeId>,
+) -> io::Result<()> {
     let mut line = String::from("  S☠ ─");
     for v in 0..hops {
         let id = NodeId(v);
@@ -99,7 +106,7 @@ fn render_chain(hops: u16, mole: u16, observed: &[NodeId], suspect: Option<NodeI
         line.push_str(&format!(" {cell} ─"));
     }
     line.push_str(" SINK");
-    println!("{line}");
+    writeln!(out, "{line}")
 }
 
 fn main() -> ExitCode {
@@ -110,8 +117,19 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // A reader that stops early (`trace-demo | head`) ends the demo quietly.
+    match run(&o, &mut io::stdout().lock()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+        _ => ExitCode::SUCCESS,
+    }
+}
 
-    println!(
+fn run(o: &Options, out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
         "trace-demo: {} vs {} | {}-hop chain, forwarding mole X at v{}, source mole S upstream \
          of v0, {} packets\n(☠ marks ground-truth moles the sink must find; [vK] = current \
          suspect; ·K = mark not yet collected)\n",
@@ -120,47 +138,22 @@ fn main() -> ExitCode {
         o.hops,
         o.mole,
         o.packets
+    )?;
+
+    let mut path = AttackPath::paper(o.scheme, o.hops)
+        .with_mole(o.mole, AttackPlan::canonical(o.attack, &[0]));
+    let mut sink = SinkEngine::new(
+        Arc::clone(path.keys()),
+        SinkConfig::new(o.scheme.verify_mode()),
     );
-
-    let scenario = PathScenario::paper(o.hops);
-    let keys = Arc::new(scenario.keystore(1));
-    let scheme = o.scheme.build(scenario.config());
-    let source_id = NodeId(o.hops);
-    let mut source = SourceMole::new(source_id, *keys.key(source_id.raw()).unwrap());
-    let plan = AttackPlan::canonical(o.attack, &[0]);
-    let mut mole = ForwardingMole::new(NodeId(o.mole), *keys.key(o.mole).unwrap(), plan)
-        .with_partner(source_id, *keys.key(source_id.raw()).unwrap());
-
-    let mut sink = SinkEngine::new(Arc::clone(&keys), SinkConfig::new(o.scheme.verify_mode()));
     let mut rng = StdRng::seed_from_u64(o.seed);
     let mut dropped = 0usize;
 
     for seq in 1..=o.packets {
-        let mut pkt = source.inject(&mut rng);
-        if o.attack == AttackKind::IdentitySwap {
-            let ctx = if rng.next_u64() & 1 == 0 {
-                NodeContext::new(source_id, *keys.key(source_id.raw()).unwrap())
-            } else {
-                NodeContext::new(NodeId(o.mole), *keys.key(o.mole).unwrap())
-            };
-            scheme.mark(&ctx, &mut pkt, &mut rng);
-        }
-        let mut was_dropped = false;
-        for hop in 0..o.hops {
-            if hop == o.mole {
-                if mole.process(&mut pkt, scheme.as_ref(), &mut rng) == MoleAction::Dropped {
-                    was_dropped = true;
-                    break;
-                }
-            } else {
-                let ctx = NodeContext::new(NodeId(hop), *keys.key(hop).unwrap());
-                scheme.mark(&ctx, &mut pkt, &mut rng);
-            }
-        }
-        if was_dropped {
+        let Some(pkt) = path.inject(&mut rng) else {
             dropped += 1;
             continue;
-        }
+        };
         sink.ingest(&pkt);
 
         if seq % o.every == 0 || seq == o.packets {
@@ -170,7 +163,8 @@ fn main() -> ExitCode {
                 Localization::MostUpstream(c) => Some(*c),
                 _ => None,
             };
-            println!(
+            writeln!(
+                out,
                 "after {seq:>4} pkts ({dropped} dropped): {} marks collected, {}",
                 observed.len(),
                 match &loc {
@@ -180,14 +174,15 @@ fn main() -> ExitCode {
                         format!("LOOP of {} nodes, junction {junction:?}", members.len()),
                     Localization::NoEvidence => "no evidence".to_string(),
                 }
-            );
-            render_chain(o.hops, o.mole, &observed, suspect);
+            )?;
+            render_chain(out, o.hops, o.mole, &observed, suspect)?;
         }
     }
 
-    println!();
+    writeln!(out)?;
     let c = sink.counters();
-    println!(
+    writeln!(
+        out,
         "sink pipeline: {} packets, {} marks verified ({} rejected), {} MAC evaluations for \
          anon-id resolution, {} anon-table builds ({} cache hits)",
         c.packets,
@@ -196,29 +191,28 @@ fn main() -> ExitCode {
         c.hash_count,
         c.table_builds,
         c.table_cache_hits
-    );
+    )?;
     match sink.localize() {
         Localization::MostUpstream(c) => {
-            let caught = c.raw() == o.mole
-                || c.raw().abs_diff(o.mole) == 1
-                || c == source_id
-                || c.raw() == 0;
-            println!(
+            let caught = path.suspects().contains(&c);
+            writeln!(
+                out,
                 "verdict: the sink pins {c}'s one-hop neighborhood — {}",
                 if caught {
                     "a mole is inside it. CAUGHT."
                 } else {
                     "no mole there. The sink was MISLED."
                 }
-            );
+            )
         }
-        Localization::Loop { junction, .. } => {
-            println!(
-                "verdict: identity-swap loop found; the mole hides at the junction {junction:?}'s \
-                 neighborhood. CAUGHT."
-            );
-        }
-        other => println!("verdict: inconclusive ({other:?}) — the attack hid the moles."),
+        Localization::Loop { junction, .. } => writeln!(
+            out,
+            "verdict: identity-swap loop found; the mole hides at the junction {junction:?}'s \
+             neighborhood. CAUGHT."
+        ),
+        other => writeln!(
+            out,
+            "verdict: inconclusive ({other:?}) — the attack hid the moles."
+        ),
     }
-    ExitCode::SUCCESS
 }

@@ -5,6 +5,8 @@
 //! - [`runner`] — seeded, parallel Monte-Carlo runs.
 //! - [`figures`] — regenerates Figures 4–7.
 //! - [`attack_matrix`](mod@attack_matrix) — the scheme × attack security matrix (§3, §5).
+//! - [`attack_stream`] — the one attack-stream generator and the sequential
+//!   reference every pairwise equivalence suite checks against.
 //! - [`latency`] — the §7 traceback-latency claim on the Mica2 radio model.
 //! - [`chaos`] — fault-injection soak: localization degradation under
 //!   bursty loss, corruption, and duplication (the `chaos_soak` binary).
@@ -27,6 +29,7 @@
 
 pub mod ablation;
 pub mod attack_matrix;
+pub mod attack_stream;
 pub mod background;
 pub mod baselines_cmp;
 pub mod chaos;
@@ -46,6 +49,9 @@ pub use ablation::{
     mac_width_table, measure_mac_width, measure_tradeoff, tradeoff_table, MacWidthRow, TradeoffRow,
 };
 pub use attack_matrix::{attack_matrix, evaluate_cell, AttackScenario, Outcome};
+pub use attack_stream::{
+    composite_plan, drained_evidence, sequential_reference, AttackPath, AttackStream, Reference,
+};
 pub use background::{background_table, run_background_traffic, BackgroundRun};
 pub use baselines_cmp::{baselines_table, compare_approaches, ApproachCost};
 pub use chaos::{
@@ -63,3 +69,6 @@ pub use overhead::{measure_overhead, overhead_table, OverheadCell};
 pub use runner::{bogus_packet, parallel_runs, run_honest_path, HonestRun};
 pub use scenario::{PathScenario, SchemeKind};
 pub use table::Table;
+
+/// The seven attack classes, which [`AttackStream::pnm`] takes by name.
+pub use pnm_adversary::AttackKind;
