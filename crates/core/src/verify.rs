@@ -22,13 +22,14 @@
 //! only in tests, as the oracle the lane paths are checked against.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use pnm_crypto::{
     anon_id_many_prepared, anon_id_prepared, verify_mark_mac_prepared, verify_mark_macs_prepared,
     AnonId, HmacKey, KeySchedule, KeyStore,
 };
-use pnm_wire::{Mark, MarkId, NodeId, Packet};
+use pnm_wire::{MarkId, NodeId, Packet};
 
 use crate::reconstruct::RouteReconstructor;
 use crate::scheme::ExtendedAms;
@@ -538,20 +539,6 @@ impl SinkVerifier {
         table: &AnonTable,
         flat: &mut Vec<u8>,
     ) -> VerifiedChain {
-        /// How one mark resolves once the batch verdicts are in.
-        enum MarkPlan {
-            /// No MAC on the mark: always invalid.
-            MissingMac,
-            /// Plain id; `job` is `None` when the id has no provisioned key
-            /// (invalid without hashing, same as the scalar path).
-            Plain { id: NodeId, job: Option<usize> },
-            /// Anon id candidates in table order, each with its job index.
-            /// The list is truncated at the first candidate without a key:
-            /// the scalar walk aborts the mark there, so later candidates
-            /// are never consulted.
-            Anon { cands: Vec<(u16, usize)> },
-        }
-
         let total_marks = packet.marks.len();
         if total_marks == 0 {
             return VerifiedChain {
@@ -561,75 +548,65 @@ impl SinkVerifier {
             };
         }
 
-        // Pass 1 — backward walk collecting jobs: pop each mark, stage its
-        // candidate message(s) (`prefix ‖ id` or `prefix ‖ aid`) in `flat`,
-        // and remember (key, message range) per job. `plans[k]` describes
-        // mark index `total_marks - 1 - k`.
-        let mut prefix = Packet {
-            report: packet.report.clone(),
-            marks: packet.marks.clone(),
-        };
-        let mut plans: Vec<MarkPlan> = Vec::with_capacity(total_marks);
-        let mut marks_rev: Vec<Mark> = Vec::with_capacity(total_marks);
-        let mut job_keys: Vec<&HmacKey> = Vec::new();
-        let mut job_ranges: Vec<(usize, usize)> = Vec::new();
-        let mut job_marks: Vec<usize> = Vec::new();
+        // Pass 1 — backward walk collecting jobs. Mark `i` signs
+        // `M_{i-1} ‖ id_i`, where `M_{i-1} = report ‖ count(i) ‖ marks[..i]`
+        // is the encoding of the packet's first `i` marks. The report and
+        // the marks are encoded once at the front of `flat`; a mark's input
+        // is copied out of that encoding, with its 2-byte count, and
+        // appended after it. A job is (key, input range, mark, candidate
+        // id): a plain id is its own one candidate, an anonymous id's are
+        // its table entries in table order, up to the first without a key
+        // (the scalar walk aborts the mark there), and a mark without a MAC
+        // has none. `plans[k]` is the job range of mark
+        // `total_marks - 1 - k`; a mark with no job is invalid.
+        // One allocation at most: room for the encoding and every input.
+        let report_len = packet.report.encoded_len();
+        let (mut marks_len, mut inputs_len) = (0, 0);
+        for mark in &packet.marks {
+            inputs_len += report_len + 2 + marks_len + mark.id.encoded_len();
+            marks_len += mark.encoded_len();
+        }
         flat.clear();
-        for _ in 0..total_marks {
-            let mark = prefix.marks.pop().expect("mark present by construction");
-            let msg_prefix = prefix.to_bytes();
-            let plan = if mark.mac.is_none() {
-                MarkPlan::MissingMac
-            } else {
-                match mark.id {
-                    MarkId::Plain(id) => match self.schedule.get(id.raw()) {
-                        None => MarkPlan::Plain { id, job: None },
-                        Some(key) => {
-                            let start = flat.len();
-                            flat.extend_from_slice(&msg_prefix);
-                            flat.extend_from_slice(&id.to_bytes());
-                            job_keys.push(key);
-                            job_ranges.push((start, flat.len()));
-                            job_marks.push(marks_rev.len());
-                            MarkPlan::Plain {
-                                id,
-                                job: Some(job_keys.len() - 1),
-                            }
-                        }
-                    },
-                    MarkId::Anon(aid) => {
-                        let start = flat.len();
-                        flat.extend_from_slice(&msg_prefix);
-                        flat.extend_from_slice(aid.as_bytes());
-                        let range = (start, flat.len());
-                        let mut cands = Vec::new();
-                        for &cand in table.resolve(&aid) {
-                            let Some(key) = self.schedule.get(cand) else {
-                                break;
-                            };
-                            job_keys.push(key);
-                            job_ranges.push(range);
-                            job_marks.push(marks_rev.len());
-                            cands.push((cand, job_keys.len() - 1));
-                        }
-                        MarkPlan::Anon { cands }
-                    }
+        flat.reserve(report_len + marks_len + inputs_len);
+        packet.report.encode_into(flat);
+        for mark in &packet.marks {
+            mark.encode_into(flat);
+        }
+        // Where the encoding of `marks[..idx]` ends, walking down.
+        let mut prefix_end = flat.len();
+        let mut plans: Vec<Range<usize>> = Vec::with_capacity(total_marks);
+        let mut staged: Vec<(&HmacKey, (usize, usize), usize, u16)> =
+            Vec::with_capacity(total_marks);
+        for (idx, mark) in packet.marks.iter().enumerate().rev() {
+            prefix_end -= mark.encoded_len();
+            let first = staged.len();
+            if mark.mac.is_some() {
+                let cands = match &mark.id {
+                    MarkId::Plain(id) => std::slice::from_ref(&id.0),
+                    MarkId::Anon(aid) => table.resolve(aid),
+                };
+                let mut input = None;
+                for &cand in cands {
+                    let Some(key) = self.schedule.get(cand) else {
+                        break;
+                    };
+                    let range = *input.get_or_insert_with(|| {
+                        stage_mac_input(flat, report_len, idx, prefix_end, &mark.id)
+                    });
+                    staged.push((key, range, idx, cand));
                 }
-            };
-            plans.push(plan);
-            marks_rev.push(mark);
+            }
+            plans.push(first..staged.len());
         }
 
         // Pass 2 — one lane-parallel MAC batch over every candidate job.
-        let jobs: Vec<(&HmacKey, &[u8], &pnm_crypto::MacTag)> = job_keys
+        let jobs: Vec<(&HmacKey, &[u8], &pnm_crypto::MacTag)> = staged
             .iter()
-            .zip(&job_ranges)
-            .zip(&job_marks)
-            .map(|((&key, &(start, end)), &mark_idx)| {
-                let tag = marks_rev[mark_idx]
+            .map(|&(key, (start, end), idx, _)| {
+                let tag = packet.marks[idx]
                     .mac
                     .as_ref()
-                    .expect("jobs only collected for marks with a MAC");
+                    .expect("jobs only staged for marks with a MAC");
                 (key, &flat[start..end], tag)
             })
             .collect();
@@ -640,19 +617,12 @@ impl SinkVerifier {
         let mut verified_rev: Vec<NodeId> = Vec::new();
         let mut stop = StopReason::AllVerified;
         for (k, plan) in plans.iter().enumerate() {
-            let idx = total_marks - 1 - k;
-            let resolved = match plan {
-                MarkPlan::MissingMac => None,
-                MarkPlan::Plain { id, job } => job.and_then(|j| verdicts[j].then_some(*id)),
-                MarkPlan::Anon { cands } => cands
-                    .iter()
-                    .find(|&&(_, j)| verdicts[j])
-                    .map(|&(cand, _)| NodeId(cand)),
-            };
-            match resolved {
-                Some(id) => verified_rev.push(id),
+            match plan.clone().find(|&j| verdicts[j]) {
+                Some(j) => verified_rev.push(NodeId(staged[j].3)),
                 None => {
-                    stop = StopReason::InvalidMac { mark_index: idx };
+                    stop = StopReason::InvalidMac {
+                        mark_index: total_marks - 1 - k,
+                    };
                     break;
                 }
             }
@@ -715,6 +685,29 @@ impl SinkVerifier {
             total_marks: packet.marks.len(),
         }
     }
+}
+
+/// Appends mark `idx`'s nested MAC input, `M_{idx-1} ‖ id` with
+/// `M_{idx-1} = report ‖ count(idx) ‖ marks[..idx]`, to `flat`, whose
+/// front holds the packet's report (`report_len` bytes) followed by its
+/// encoded marks, `marks[..idx]` ending at `prefix_end`. The id is signed
+/// without its kind byte. Returns the input's range in `flat`.
+fn stage_mac_input(
+    flat: &mut Vec<u8>,
+    report_len: usize,
+    idx: usize,
+    prefix_end: usize,
+    id: &MarkId,
+) -> (usize, usize) {
+    let start = flat.len();
+    flat.extend_from_within(..report_len);
+    flat.extend_from_slice(&(idx as u16).to_be_bytes());
+    flat.extend_from_within(report_len..prefix_end);
+    match id {
+        MarkId::Plain(id) => flat.extend_from_slice(&id.to_bytes()),
+        MarkId::Anon(aid) => flat.extend_from_slice(aid.as_bytes()),
+    }
+    (start, flat.len())
 }
 
 /// `H'` evaluations one packet's walk may spend on probes before it falls
@@ -859,7 +852,7 @@ mod tests {
     };
     use crate::test_support::honest_packet;
     use pnm_crypto::{anon_id, MacKey};
-    use pnm_wire::{Location, Report};
+    use pnm_wire::{Location, Mark, Report};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1235,6 +1228,49 @@ mod tests {
             oracle
         );
         assert_eq!(verifier.verify(&pkt, VerifyMode::Nested), oracle);
+    }
+
+    /// The batched verifier stages each mark's MAC input from one
+    /// encoding of the packet: after the report and the marks, `flat`
+    /// holds, last mark first, `Packet::to_bytes` of each mark's prefix
+    /// followed by the mark's id, for plain and anonymous marks alike.
+    #[test]
+    fn staged_mac_inputs_equal_each_prefix_encoding() {
+        let keys = keystore(12);
+        let mut rng = StdRng::seed_from_u64(5);
+        let nested = NestedMarking::new(MarkingConfig::default());
+        let all = MarkingConfig::builder().marking_probability(1.0).build();
+        let pnm = ProbabilisticNestedMarking::new(all);
+        let mut pkt = Packet::new(report());
+        for i in 0..12u16 {
+            let scheme: &dyn MarkingScheme = if i % 3 == 0 { &nested } else { &pnm };
+            scheme.mark(&ctx(&keys, i), &mut pkt, &mut rng);
+        }
+        assert!(pkt.marks.iter().any(|m| m.id.as_plain().is_some()));
+        assert!(pkt.marks.iter().any(|m| m.id.as_anon().is_some()));
+        let verifier = SinkVerifier::new(keys.clone());
+        let table = AnonTable::build(&keys.schedule(), &pkt.report.to_bytes());
+        let mut flat = Vec::new();
+        let chain = verifier.verify_batched_impl(&pkt, &table, &mut flat);
+        assert_eq!(chain, verifier.verify_nested_scalar(&pkt));
+        assert!(chain.fully_verified());
+
+        let mut expect = pkt.report.to_bytes();
+        for mark in &pkt.marks {
+            mark.encode_into(&mut expect);
+        }
+        for (idx, mark) in pkt.marks.iter().enumerate().rev() {
+            let prefix = Packet {
+                report: pkt.report.clone(),
+                marks: pkt.marks[..idx].to_vec(),
+            };
+            expect.extend_from_slice(&prefix.to_bytes());
+            match mark.id {
+                MarkId::Plain(id) => expect.extend_from_slice(&id.to_bytes()),
+                MarkId::Anon(aid) => expect.extend_from_slice(aid.as_bytes()),
+            }
+        }
+        assert_eq!(flat, expect);
     }
 
     proptest! {

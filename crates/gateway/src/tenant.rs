@@ -492,7 +492,7 @@ impl TenantRegistry {
         if let Some(mut pool) = pool {
             // Callers that cloned the pool before the take still hold it,
             // a `Block` ingest parked on a full queue among them. Release
-            // the workers so its send completes, refuse new sends, and
+            // the workers so its push completes, refuse new pushes, and
             // wait for the last clone to go.
             pool.resume();
             pool.close();
@@ -575,7 +575,8 @@ impl TenantRegistry {
     /// [`metrics_text`](Self::metrics_text) block, keyed exactly as its
     /// Prometheus sample line starts, with histogram summaries keyed in
     /// the family's unit (`p99_us` for `pnm_service_total_us`, `p99_ns`
-    /// for `pnm_sink_stage_ns`) — and the tenant's flight recorder:
+    /// for `pnm_sink_stage_ns`, `p99_jobs` for `pnm_service_take_jobs`) —
+    /// and the tenant's flight recorder:
     /// `flight_dumps` and the `last_anomaly` it dumped.
     pub fn ops_snapshot_json(&self, tenant: &[u8]) -> Option<String> {
         Some(self.tenants.get(tenant)?.ops_value().render_pretty())
@@ -879,7 +880,10 @@ mod tests {
                 panic!("{key} renders as {value:?}");
             };
             let unit = name.rsplit('_').next().unwrap();
-            assert!(unit == "ns" || unit == "us", "{name} names its unit");
+            assert!(
+                ["ns", "us", "jobs"].contains(&unit),
+                "{name} names its unit"
+            );
             let suffixed = |k: &String| k == "count" || k.ends_with(&format!("_{unit}"));
             assert!(
                 summary.iter().all(|(k, _)| suffixed(k)),

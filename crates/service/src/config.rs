@@ -16,8 +16,9 @@ pub type PoisonHook = Arc<dyn Fn(&Packet) -> bool + Send + Sync>;
 /// What `ingest` does when a shard's bounded queue is full.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackpressurePolicy {
-    /// Block the caller until the shard drains a slot. Ingestion never
-    /// loses a packet; a slow sink slows its producers (the default).
+    /// Block the caller until the shard's next take makes room. Ingestion
+    /// never loses a packet; a slow sink slows its producers (the
+    /// default).
     #[default]
     Block,
     /// Shed the packet immediately and count the drop. Producers never
@@ -92,7 +93,11 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets each shard's bounded queue capacity (≥ 1).
+    /// Sets each shard's bounded queue capacity (≥ 1). The shard worker
+    /// takes up to [`GROUP_COMMIT_PACKETS`](crate::GROUP_COMMIT_PACKETS)
+    /// queued packets at a time; the ones it has taken but not started
+    /// keep counting against the capacity until its next take, so a shard
+    /// holds at most `capacity + 1` accepted packets it has not finished.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
         self
@@ -156,11 +161,12 @@ impl ServiceConfig {
 
     /// Attaches a durable evidence store. Every shard stages an evidence
     /// delta at each checkpoint (after every successfully processed
-    /// packet) and appends what it staged as one record when its queue
-    /// is empty, when [`GROUP_COMMIT_PACKETS`](crate::GROUP_COMMIT_PACKETS)
-    /// packets are staged, and as it exits at drain. So the store holds
-    /// the pool's evidence up to each shard's last group, and a drained
-    /// pool's evidence in full. A pool killed mid-ingest is rebuilt with
+    /// packet) and appends what it staged as one record when a take from
+    /// its queue finds it empty, when
+    /// [`GROUP_COMMIT_PACKETS`](crate::GROUP_COMMIT_PACKETS) packets are
+    /// staged, and as it exits at drain. So the store holds the pool's
+    /// evidence up to each shard's last group, and a drained pool's
+    /// evidence in full. A pool killed mid-ingest is rebuilt with
     /// [`ServicePool::recover`](crate::ServicePool::recover).
     /// Append failures are counted per shard, one per failed record (see
     /// [`ShardSnapshot::store_errors`](crate::ShardSnapshot)) rather than

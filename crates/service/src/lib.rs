@@ -12,7 +12,9 @@
 //!   `k×` the aggregate table-cache capacity.
 //! * **Backpressure.** Ingestion goes through bounded queues with an
 //!   explicit full-queue policy ([`BackpressurePolicy`]): block the
-//!   producer, or shed the packet and count the drop exactly.
+//!   producer, or shed the packet and count the drop exactly. A shard
+//!   worker takes up to [`GROUP_COMMIT_PACKETS`] queued packets per lock
+//!   and wakes blocked producers once per take.
 //! * **Drain.** [`ServicePool::drain`] closes ingestion, lets shards
 //!   finish their backlogs, then merges every shard's evidence — counters,
 //!   route graph, quarantine — into one engine via
@@ -34,7 +36,7 @@
 //!   [`EvidenceStore`](pnm_core::EvidenceStore) (typically the
 //!   append-only [`LogStore`](pnm_core::LogStore)): each shard stages
 //!   every packet's evidence delta and appends what it staged as one
-//!   record when its queue empties, every [`GROUP_COMMIT_PACKETS`]
+//!   record when a take finds its queue empty, every [`GROUP_COMMIT_PACKETS`]
 //!   packets, and at drain, and [`ServicePool::recover`] (or the
 //!   [`ServicePool::recover_from_log`] shortcut) rebuilds a pool from the
 //!   log after a process crash — the replayed engines are byte-identical
@@ -61,6 +63,7 @@
 
 mod config;
 mod pool;
+mod queue;
 mod telemetry;
 
 pub use config::{BackpressurePolicy, PoisonHook, ServiceConfig};

@@ -4,7 +4,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -19,6 +19,7 @@ use pnm_obs::{FieldValue, FlightRecorder, Registry, TraceContext};
 use pnm_wire::Packet;
 
 use crate::config::{BackpressurePolicy, PoisonHook, ServiceConfig};
+use crate::queue::{PushError, ShardQueue};
 use crate::telemetry::{ServiceSnapshot, ShardMetrics};
 
 /// Why `ingest` refused a packet.
@@ -44,13 +45,13 @@ impl std::fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
-/// The most packets a shard worker stages before it appends them to its
-/// store as one record; a shard whose queue empties first appends sooner.
-/// Chosen by measurement on perfbench `durable_hot` (DESIGN.md §12): a
-/// group of 16, 64 or 256 packets takes most of the gain over one record
-/// per packet. A larger group adds a little throughput and shortens
-/// recovery, but the crash window, the processed packets not yet in the
-/// log, grows with it.
+/// The most packets a shard worker takes from its queue at once, and
+/// stages before it appends them to its store as one record; a shard whose
+/// queue empties first appends sooner. Chosen by measurement on perfbench
+/// `durable_hot` (DESIGN.md §12): a group of 16, 64 or 256 packets takes
+/// most of the gain over one record per packet. A larger group adds a
+/// little throughput and shortens recovery, but the crash window, the
+/// processed packets not yet in the log, grows with it.
 pub const GROUP_COMMIT_PACKETS: usize = 64;
 
 /// One enqueued unit of work.
@@ -195,8 +196,8 @@ pub struct DrainReport {
 /// ```
 pub struct ServicePool {
     config: ServiceConfig,
-    /// `None` once closed; senders dropped so workers run the queue dry.
-    senders: Mutex<Option<Vec<SyncSender<Job>>>>,
+    /// Each shard's job queue, indexed by shard; closed by `close`.
+    queues: Vec<Arc<ShardQueue<Job>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Workers report their final state here before exiting; `drain`
     /// collects with a timeout so a wedged shard cannot hang it.
@@ -330,14 +331,14 @@ impl ServicePool {
         let registry = Registry::new();
 
         let (done_tx, done_rx) = std::sync::mpsc::channel::<(usize, ShardFinal)>();
-        let mut senders = Vec::with_capacity(shards);
+        let mut queues = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         // Every shard's series exists before any worker starts.
         let metrics: Vec<ShardMetrics> = (0..shards)
             .map(|shard| ShardMetrics::register(&registry, shard))
             .collect();
         for (shard, shard_metrics) in metrics.iter().enumerate() {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(config.queue_capacity_per_shard());
+            let queue = Arc::new(ShardQueue::new(config.queue_capacity_per_shard()));
             let recover = recover.remove(&shard);
             // The replayed checkpoint's counters count once, before any
             // packet: the shard engine starts holding them.
@@ -358,15 +359,16 @@ impl ServicePool {
                 store: config.store_handle().cloned(),
                 recover,
             };
-            handles.push(std::thread::spawn(move || shard_worker(rx, ctx)));
-            senders.push(tx);
+            let worker_queue = Arc::clone(&queue);
+            handles.push(std::thread::spawn(move || shard_worker(&worker_queue, ctx)));
+            queues.push(queue);
         }
         // Workers hold the only senders: once every shard has exited (or
         // wedged), the done channel disconnects instead of blocking drain.
         drop(done_tx);
 
         ServicePool {
-            senders: Mutex::new(Some(senders)),
+            queues,
             handles: Mutex::new(handles),
             done_rx: Mutex::new(Some(done_rx)),
             metrics,
@@ -402,11 +404,14 @@ impl ServicePool {
     /// classifier's rate window.
     ///
     /// Under [`BackpressurePolicy::Block`] a full shard queue blocks the
-    /// caller until the shard catches up; under
+    /// caller until the shard's next take makes room; under
     /// [`BackpressurePolicy::Shed`] the packet is dropped, the drop is
     /// counted, and `Err(IngestError::Shed)` is returned. Sequence numbers
     /// are admission tickets: a shed ticket never reappears, so retained
-    /// outcomes may have gaps under shedding.
+    /// outcomes may have gaps under shedding. A closed pool refuses a
+    /// packet before it takes a ticket; so does a shard whose worker has
+    /// died, except to a caller already blocked on its full queue, whose
+    /// ticket is lost like a shed one.
     pub fn ingest_at(&self, packet: Packet, now_us: u64) -> Result<u64, IngestError> {
         self.ingest_ctx(packet, now_us, TraceContext::NONE)
     }
@@ -423,35 +428,31 @@ impl ServicePool {
         ctx: TraceContext,
     ) -> Result<u64, IngestError> {
         let shard = self.shard_of(&packet);
-        // Clone the sender out of the lock so a blocking send never holds
-        // the senders mutex against `close`.
-        let tx = {
-            let guard = self.senders.lock().expect("senders lock");
-            match guard.as_ref() {
-                Some(senders) => senders[shard].clone(),
-                None => return Err(IngestError::Closed),
-            }
-        };
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let job = Job {
-            seq,
-            now_us,
-            enqueued: Instant::now(),
-            ctx,
-            packet,
-        };
-        match self.config.backpressure_policy() {
-            BackpressurePolicy::Block => {
-                tx.send(job).map_err(|_| IngestError::Closed)?;
-            }
-            BackpressurePolicy::Shed => match tx.try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    self.metrics[shard].shed.inc();
-                    return Err(IngestError::Shed);
+        let wait = self.config.backpressure_policy() == BackpressurePolicy::Block;
+        let enqueued = Instant::now();
+        // The ticket is taken only once the shard has not refused the
+        // packet as closed.
+        let mut seq = 0;
+        let pushed = self.queues[shard].push(
+            || {
+                seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+                Job {
+                    seq,
+                    now_us,
+                    enqueued,
+                    ctx,
+                    packet,
                 }
-                Err(TrySendError::Disconnected(_)) => return Err(IngestError::Closed),
             },
+            wait,
+        );
+        match pushed {
+            Ok(()) => {}
+            Err(PushError::Full) => {
+                self.metrics[shard].shed.inc();
+                return Err(IngestError::Shed);
+            }
+            Err(PushError::Closed) => return Err(IngestError::Closed),
         }
         self.metrics[shard].accepted.inc();
         Ok(seq)
@@ -468,12 +469,14 @@ impl ServicePool {
     /// [`IngestError::Closed`]; already-enqueued packets are still
     /// processed. Idempotent.
     pub fn close(&self) {
-        self.senders.lock().expect("senders lock").take();
+        for queue in &self.queues {
+            queue.close();
+        }
     }
 
     /// Whether [`ServicePool::close`] has been called.
     pub fn is_closed(&self) -> bool {
-        self.senders.lock().expect("senders lock").is_none()
+        self.queues.iter().all(|queue| queue.is_closed())
     }
 
     /// Closes ingestion and waits (until `deadline`) for every shard
@@ -628,7 +631,7 @@ impl ServicePool {
 impl Drop for ServicePool {
     fn drop(&mut self) {
         // Un-drained pools must not strand workers: release the gate and
-        // drop the senders so every shard runs dry and exits.
+        // close the queues so every shard runs dry and exits.
         self.resume();
         self.close();
     }
@@ -651,19 +654,22 @@ fn restore_engine(ctx: &ShardContext, evidence: &Evidence) -> SinkEngine {
 
 /// One shard's supervised processing loop.
 ///
-/// After every successful packet the worker adds the engine's counter
-/// growth to the shard's registry cells, takes the engine's evidence
-/// delta ([`SinkEngine::take_evidence_delta`]), merges it into the
-/// in-memory checkpoint, and, if a store is attached, stages it in the
-/// shard's [`DeltaWriter`]. What is staged is appended as one record when
-/// the queue is empty (before the worker blocks for the next job), when
+/// The worker takes up to [`GROUP_COMMIT_PACKETS`] jobs from its queue at
+/// a time and processes them in arrival order. After every successful
+/// packet it adds the engine's counter growth to the shard's registry
+/// cells, takes the engine's evidence delta
+/// ([`SinkEngine::take_evidence_delta`]), merges it into the in-memory
+/// checkpoint, and, if a store is attached, stages it in the shard's
+/// [`DeltaWriter`]. What is staged is appended as one record when a take
+/// finds the queue empty (before the worker parks for the next job), when
 /// [`GROUP_COMMIT_PACKETS`] packets are staged, and when the worker
 /// exits. So a packet's evidence reaches the store as soon as the shard
 /// is idle, and a busy shard writes one record per group, not per packet.
-/// With nothing staged, and always without a store, the worker blocks on
+/// With nothing staged, and always without a store, the worker parks on
 /// its queue directly.
-/// Its processed, panic and store-error counts and latency histograms go
-/// straight into the same cells; nothing is copied per packet.
+/// Its processed, panic and store-error counts, its take sizes and its
+/// latency histograms go straight into the same cells; nothing is copied
+/// per packet.
 /// Each packet runs under [`catch_unwind`]: a panic — whether
 /// from the engine or from an injected
 /// [`PoisonHook`](crate::config::PoisonHook) — is caught, the packet is
@@ -673,7 +679,11 @@ fn restore_engine(ctx: &ShardContext, evidence: &Evidence) -> SinkEngine {
 /// group whose append failed, are still written after a restart. Before
 /// exiting, the worker hands its final state to the drain watchdog
 /// through the `done` channel.
-fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
+fn shard_worker(queue: &ShardQueue<Job>, mut ctx: ShardContext) {
+    // However the worker ends, its queue stops accepting packets: a worker
+    // that died outside the per-packet `catch_unwind` (a panicking store,
+    // say) leaves no one to take them.
+    let _guard = queue.worker_guard();
     {
         let (lock, cvar) = &*ctx.gate;
         let mut paused = lock.lock().expect("gate lock");
@@ -697,89 +707,89 @@ fn shard_worker(rx: Receiver<Job>, mut ctx: ShardContext) {
     let mut staged = 0usize;
     let mut outcomes = Vec::new();
     let mut poisoned = Vec::new();
-    loop {
-        let next = match writer.as_mut().filter(|_| staged > 0) {
-            // A group is staged: if the queue is empty, append it before
-            // blocking, so no packet's evidence waits for later traffic.
-            Some(writer) => match rx.try_recv() {
-                Err(TryRecvError::Empty) => {
-                    append_group(writer, &ctx, staged);
-                    staged = 0;
-                    rx.recv().ok()
-                }
-                next => next.ok(),
-            },
-            None => rx.recv().ok(),
-        };
-        let Some(job) = next else { break };
-        let dequeued = Instant::now();
-        let queue_wait = dequeued.duration_since(job.enqueued).as_micros() as u64;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(hook) = &ctx.poison {
-                if hook(&job.packet) {
-                    panic!("injected poison packet (seq {})", job.seq);
-                }
+    let mut batch = Vec::with_capacity(GROUP_COMMIT_PACKETS);
+    // With a group staged the take does not wait: if it finds the queue
+    // empty, the group is appended before the worker parks, so no
+    // packet's evidence waits for later traffic.
+    while queue.take(&mut batch, staged == 0) {
+        if batch.is_empty() {
+            if let Some(writer) = &mut writer {
+                append_group(writer, &ctx, staged);
             }
-            engine.ingest_ctx(&job.packet, job.now_us, job.ctx)
-        }));
-        let service = dequeued.elapsed().as_micros() as u64;
-        match result {
-            Ok(outcome) => {
-                metrics.feed_sink_counters(engine.counters(), &mut fed);
-                let delta = engine.take_evidence_delta();
-                checkpoint.merge(&delta);
-                // Durable checkpoint: stage the same delta for the
-                // group's one record.
-                if let Some(writer) = &mut writer {
-                    writer.stage(delta);
-                    staged += 1;
-                    if staged == GROUP_COMMIT_PACKETS {
-                        append_group(writer, &ctx, staged);
-                        staged = 0;
+            staged = 0;
+            continue;
+        }
+        metrics.take_jobs.record(batch.len() as u64);
+        for job in batch.drain(..) {
+            let dequeued = Instant::now();
+            let queue_wait = dequeued.duration_since(job.enqueued).as_micros() as u64;
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(hook) = &ctx.poison {
+                    if hook(&job.packet) {
+                        panic!("injected poison packet (seq {})", job.seq);
                     }
                 }
-                metrics.queue_wait_us.record(queue_wait);
-                metrics.service_us.record(service);
-                metrics.total_us.record(queue_wait.saturating_add(service));
-                // Last: a reader that sees the packet processed sees all
-                // of the above.
-                metrics.processed.inc();
-                if ctx.keep_outcomes {
-                    outcomes.push((job.seq, outcome));
+                engine.ingest_ctx(&job.packet, job.now_us, job.ctx)
+            }));
+            let service = dequeued.elapsed().as_micros() as u64;
+            match result {
+                Ok(outcome) => {
+                    metrics.feed_sink_counters(engine.counters(), &mut fed);
+                    let delta = engine.take_evidence_delta();
+                    checkpoint.merge(&delta);
+                    // Durable checkpoint: stage the same delta for the
+                    // group's one record.
+                    if let Some(writer) = &mut writer {
+                        writer.stage(delta);
+                        staged += 1;
+                        if staged == GROUP_COMMIT_PACKETS {
+                            append_group(writer, &ctx, staged);
+                            staged = 0;
+                        }
+                    }
+                    metrics.queue_wait_us.record(queue_wait);
+                    metrics.service_us.record(service);
+                    metrics.total_us.record(queue_wait.saturating_add(service));
+                    // Last: a reader that sees the packet processed sees all
+                    // of the above.
+                    metrics.processed.inc();
+                    if ctx.keep_outcomes {
+                        outcomes.push((job.seq, outcome));
+                    }
                 }
-            }
-            Err(payload) => {
-                // The panic may have left the engine mid-mutation (memory
-                // safe but logically partial), so restart from the last
-                // state known to be a complete merge. Its counters never
-                // reached the registry; the stage laps it completed before
-                // the panic stay recorded. The checkpoint holds no work
-                // counters, so the new engine counts its work from zero
-                // while the registry keeps the shard's totals.
-                engine = restore_engine(&ctx, &checkpoint);
-                fed = engine.counters();
-                let record = PoisonRecord {
-                    seq: job.seq,
-                    shard: ctx.shard,
-                    bytes: job.packet.to_bytes(),
-                    panic: panic_message(payload.as_ref()),
-                };
-                // Black-box the quarantine: the dump names the poisoned
-                // trace so an operator can walk the packet's whole
-                // journey up to the crash.
-                if let Some(flight) = &ctx.flight {
-                    let _ = flight.dump(
-                        "poison_quarantine",
-                        &[
-                            ("trace", FieldValue::U64(job.ctx.trace)),
-                            ("seq", FieldValue::U64(job.seq)),
-                            ("shard", FieldValue::U64(ctx.shard as u64)),
-                            ("panic", FieldValue::Str(record.panic.clone())),
-                        ],
-                    );
+                Err(payload) => {
+                    // The panic may have left the engine mid-mutation (memory
+                    // safe but logically partial), so restart from the last
+                    // state known to be a complete merge. Its counters never
+                    // reached the registry; the stage laps it completed before
+                    // the panic stay recorded. The checkpoint holds no work
+                    // counters, so the new engine counts its work from zero
+                    // while the registry keeps the shard's totals.
+                    engine = restore_engine(&ctx, &checkpoint);
+                    fed = engine.counters();
+                    let record = PoisonRecord {
+                        seq: job.seq,
+                        shard: ctx.shard,
+                        bytes: job.packet.to_bytes(),
+                        panic: panic_message(payload.as_ref()),
+                    };
+                    // Black-box the quarantine: the dump names the poisoned
+                    // trace so an operator can walk the packet's whole
+                    // journey up to the crash.
+                    if let Some(flight) = &ctx.flight {
+                        let _ = flight.dump(
+                            "poison_quarantine",
+                            &[
+                                ("trace", FieldValue::U64(job.ctx.trace)),
+                                ("seq", FieldValue::U64(job.seq)),
+                                ("shard", FieldValue::U64(ctx.shard as u64)),
+                                ("panic", FieldValue::Str(record.panic.clone())),
+                            ],
+                        );
+                    }
+                    poisoned.push(record);
+                    metrics.panics.inc();
                 }
-                poisoned.push(record);
-                metrics.panics.inc();
             }
         }
     }

@@ -6,6 +6,7 @@
 //! (`pnm_service_{accepted,shed}_total`), processed, panic and store-error
 //! counts, queue-wait, service and end-to-end latency
 //! (`pnm_service_{queue_wait,service,total}_us`, [`LatencyHistogram`]s),
+//! the size of each take from the shard's queue (`pnm_service_take_jobs`),
 //! the shard engine's [`SinkCounters`] (`pnm_sink_<counter>_total`) and
 //! its stage histograms (`pnm_sink_stage_ns{stage=...}`). The shard
 //! worker and its engine record straight into those cells; the Prometheus
@@ -51,6 +52,12 @@ pub struct ShardSnapshot {
     pub service_us: LatencyHistogram,
     /// End-to-end (enqueue → verdict) latency.
     pub total_us: LatencyHistogram,
+    /// Jobs per non-empty take from the shard's queue (at most
+    /// [`GROUP_COMMIT_PACKETS`](crate::GROUP_COMMIT_PACKETS)): one sample
+    /// per take, so `count` is the number of takes and `sum` the packets
+    /// they handed the worker.
+    #[serde(default)]
+    pub take_jobs: LatencyHistogram,
 }
 
 /// The merged, serializable service view: per-shard snapshots plus
@@ -136,6 +143,7 @@ pub(crate) struct ShardMetrics {
     pub(crate) queue_wait_us: Histogram,
     pub(crate) service_us: Histogram,
     pub(crate) total_us: Histogram,
+    pub(crate) take_jobs: Histogram,
     /// The shard's stage cells: every engine the shard builds records
     /// into them.
     pub(crate) stages: StageHistograms,
@@ -160,6 +168,7 @@ impl ShardMetrics {
             queue_wait_us: histogram("pnm_service_queue_wait_us"),
             service_us: histogram("pnm_service_service_us"),
             total_us: histogram("pnm_service_total_us"),
+            take_jobs: histogram("pnm_service_take_jobs"),
             stages: StageHistograms::in_registry(registry, &labels),
             sink: sink_fields(&mut SinkCounters::default())
                 .map(|(name, _)| counter(&format!("pnm_sink_{name}_total"))),
@@ -202,6 +211,7 @@ impl ShardMetrics {
             queue_wait_us: self.queue_wait_us.snapshot(),
             service_us: self.service_us.snapshot(),
             total_us: self.total_us.snapshot(),
+            take_jobs: self.take_jobs.snapshot(),
         }
     }
 }

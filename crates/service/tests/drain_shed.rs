@@ -5,13 +5,21 @@
 //! every overflow packet sheds — no timing dependence. The tests then
 //! check the service's books balance to the packet: every admission ticket
 //! is either processed (and appears in the retained outcomes) or counted
-//! shed, and a closed service rejects everything.
+//! shed, and a closed service rejects everything. Two more pin how a
+//! worker takes from its queue: up to `GROUP_COMMIT_PACKETS` jobs at a
+//! time, and never more than `queue_capacity + 1` unfinished; and one
+//! that a shard whose worker died refuses its packets.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
-use pnm_core::{SinkConfig, VerifyMode};
-use pnm_service::{BackpressurePolicy, IngestError, ServiceConfig, ServicePool};
+use pnm_core::{
+    Evidence, EvidenceStore, MemStore, RecordKind, SinkConfig, StoreError, StoreReplay, VerifyMode,
+};
+use pnm_service::{
+    BackpressurePolicy, IngestError, ServiceConfig, ServicePool, GROUP_COMMIT_PACKETS,
+};
 use pnm_sim::AttackStream;
 use pnm_wire::NodeId;
 
@@ -147,4 +155,157 @@ fn snapshot_is_safe_while_live() {
     }
     let report = pool.drain();
     assert_eq!(report.snapshot.processed, 20);
+}
+
+/// A shard holds at most `queue_capacity + 1` accepted packets it has not
+/// finished. The worker's first take hands it 64 of a full queue's 100
+/// packets and it holds the first in the poison hook; the 63 others still
+/// count against the capacity, so one ingest (the held packet's slot) is
+/// accepted and the next sheds.
+#[test]
+fn a_shard_holds_at_most_capacity_plus_one_unprocessed_packets() {
+    let stream = AttackStream::pnm(8, None, 102, 59);
+    let (held_tx, held_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let first = Mutex::new(Some((held_tx, release_rx)));
+    let pool = ServicePool::new(
+        Arc::clone(&stream.keys),
+        ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
+            .shards(1)
+            .queue_capacity(100)
+            .backpressure(BackpressurePolicy::Shed)
+            .start_paused(true)
+            .poison_hook(move |_| {
+                let hold = first.lock().unwrap().take();
+                if let Some((held, release)) = hold {
+                    held.send(()).unwrap();
+                    release.recv().unwrap();
+                }
+                false
+            }),
+    );
+    let mut packets = stream.packets.into_iter();
+    for p in packets.by_ref().take(100) {
+        pool.ingest(p).unwrap();
+    }
+    pool.resume();
+    held_rx.recv().unwrap();
+    pool.ingest(packets.next().unwrap()).unwrap();
+    assert_eq!(
+        pool.ingest(packets.next().unwrap()),
+        Err(IngestError::Shed),
+        "a 102nd packet would put capacity + 2 in the shard"
+    );
+    assert_eq!(pool.backlog(), 101);
+    release_tx.send(()).unwrap();
+    let report = pool.drain();
+    assert_eq!((report.snapshot.accepted, report.snapshot.shed), (101, 1));
+    assert_eq!(report.snapshot.processed, 101);
+}
+
+/// A shard worker takes up to `GROUP_COMMIT_PACKETS` queued packets per
+/// lock, and records each take's size in the pool registry: a burst of
+/// 256 queued while the pool is paused is four takes of 64, in the drain
+/// snapshot and the scrape alike.
+#[test]
+fn a_paused_burst_is_taken_in_groups_of_64() {
+    assert_eq!(GROUP_COMMIT_PACKETS, 64);
+    let stream = AttackStream::pnm(8, None, 256, 67);
+    let pool = ServicePool::new(
+        Arc::clone(&stream.keys),
+        ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
+            .shards(1)
+            .start_paused(true),
+    );
+    for p in stream.packets {
+        pool.ingest(p).unwrap();
+    }
+    assert!(pool.close_and_join(Instant::now() + Duration::from_secs(30)));
+    let text = pool.metrics_text();
+    for line in [
+        "pnm_service_take_jobs_count{shard=\"0\"} 4\n",
+        "pnm_service_take_jobs_sum{shard=\"0\"} 256\n",
+    ] {
+        assert!(text.contains(line), "no {line} in:\n{text}");
+    }
+    let report = pool.drain();
+    let takes = &report.snapshot.shards[0].take_jobs;
+    assert_eq!(
+        (takes.count(), takes.sum_us(), takes.max_us()),
+        (4, 256, 64)
+    );
+    assert_eq!(report.snapshot.processed, 256);
+}
+
+/// A store that reports its first append, then panics: the shard worker
+/// appends outside its per-packet `catch_unwind`, so the panic kills it.
+#[derive(Debug)]
+struct PanickingStore(Mutex<mpsc::Sender<()>>);
+
+impl EvidenceStore for PanickingStore {
+    fn append(&self, _: u32, _: RecordKind, _: &Evidence) -> Result<(), StoreError> {
+        let _ = self.0.lock().unwrap().send(());
+        panic!("injected store panic");
+    }
+
+    fn replay(&self) -> Result<StoreReplay, StoreError> {
+        MemStore::new().replay()
+    }
+
+    fn compact(&self) -> Result<(), StoreError> {
+        Ok(())
+    }
+
+    fn sync(&self) -> Result<(), StoreError> {
+        Ok(())
+    }
+}
+
+/// A shard whose worker died refuses its packets: a producer blocked on
+/// its full queue and every later ingest get `Closed`, none waits
+/// forever or is accepted for nothing to process, and drain reports the
+/// shard wedged.
+#[test]
+fn a_dead_shard_worker_refuses_its_ingests() {
+    let stream = AttackStream::pnm(8, None, 12, 73);
+    let (died_tx, died_rx) = mpsc::channel();
+    let pool = Arc::new(ServicePool::new(
+        Arc::clone(&stream.keys),
+        ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
+            .shards(1)
+            .queue_capacity(2)
+            .backpressure(BackpressurePolicy::Block)
+            .store(Arc::new(PanickingStore(Mutex::new(died_tx)))),
+    ));
+    let mut packets = stream.packets.into_iter();
+    pool.ingest(packets.next().unwrap()).unwrap();
+    // Its queue empty, the worker appends that packet's group and dies.
+    died_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker appends");
+    // The rest go in on another thread, so a producer blocked for good
+    // fails the test instead of hanging it.
+    let (done_tx, done_rx) = mpsc::channel();
+    let feeder = {
+        let pool = Arc::clone(&pool);
+        std::thread::spawn(move || {
+            let got: Vec<_> = packets.map(|p| pool.ingest(p)).collect();
+            done_tx.send(got).unwrap();
+        })
+    };
+    let got = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("no ingest blocks on a dead shard");
+    feeder.join().unwrap();
+    // Ingests racing the worker's unwinding may still land (at most the
+    // queue's capacity); every later one is refused.
+    assert!(
+        got.iter()
+            .all(|r| matches!(r, Ok(_) | Err(IngestError::Closed))),
+        "{got:?}"
+    );
+    assert!(got.iter().filter(|r| r.is_ok()).count() <= 2, "{got:?}");
+    assert_eq!(got.last(), Some(&Err(IngestError::Closed)));
+    let report = Arc::into_inner(pool).unwrap().drain();
+    assert_eq!(report.wedged, [0]);
 }

@@ -66,7 +66,7 @@ impl Packet {
     /// `report | mark_count(u16) | marks…`.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&self.report.to_bytes());
+        self.report.encode_into(&mut out);
         out.extend_from_slice(&(self.marks.len() as u16).to_be_bytes());
         for mark in &self.marks {
             mark.encode_into(&mut out);

@@ -84,12 +84,17 @@ impl Report {
     /// big-endian. MACs are always computed over these bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the canonical wire encoding ([`Report::to_bytes`]) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.event.len() as u16).to_be_bytes());
         out.extend_from_slice(&self.event);
         out.extend_from_slice(&self.location.x.to_be_bytes());
         out.extend_from_slice(&self.location.y.to_be_bytes());
         out.extend_from_slice(&self.timestamp.to_be_bytes());
-        out
     }
 
     /// Parses a report, requiring the buffer to be exactly consumed.
