@@ -607,9 +607,10 @@ impl SinkEngine {
         // the packet timeline around an anomaly. Per-stage spans (below,
         // via `span_traced`) open only inside a carried trace: without a
         // trace id they would be orphan detail nobody can correlate, and
-        // on the hot path they are the difference between a ~2% and a
-        // ~8% always-on overhead (see `bench_obs`). Traced entry points
-        // already opened `sink.ingest` inside the trace.
+        // they would put six times the events per packet into an
+        // always-on ring (`instrumented_engine_matches_uninstrumented`
+        // pins the untraced count). Traced entry points already opened
+        // `sink.ingest` inside the trace.
         let _packet_span = if ctx.is_traced() {
             None
         } else {
@@ -1862,12 +1863,16 @@ mod tests {
         }
     }
 
-    /// Instrumentation is observably free: with a tracer and stage timing
-    /// on, every verdict, counter, and localization matches the
-    /// uninstrumented engine exactly, while stage histograms fill and the
-    /// trace balances.
+    /// Instrumentation is observably free: with a ring tracer and stage
+    /// timing on, an armed flight recorder, or a root trace carried into
+    /// every packet, each verdict, counter, localization and evidence byte
+    /// matches the uninstrumented engine exactly. Untraced, the always-on
+    /// ring costs one `sink.ingest` span per packet plus one
+    /// `sink.table_build` instant per table completion, and nothing more.
     #[test]
     fn instrumented_engine_matches_uninstrumented() {
+        use pnm_obs::{EventKind, FlightRecorder, ShardedRingCollector};
+
         let n = 8u16;
         let ks = keys(n);
         let scheme = ProbabilisticNestedMarking::paper_default(n as usize);
@@ -1885,39 +1890,64 @@ mod tests {
         let plain_out: Vec<SinkOutcome> = packets.iter().map(|p| plain.ingest(p)).collect();
         assert!(plain.stage_metrics().is_empty(), "timing off by default");
 
-        let (tracer, ring) = pnm_obs::Tracer::ring(100_000);
-        let mut traced = SinkEngine::new(
-            Arc::clone(&ks),
-            base_cfg.clone().tracer(tracer).stage_timing(true),
-        );
-        let traced_out: Vec<SinkOutcome> = packets.iter().map(|p| traced.ingest(p)).collect();
+        let (tracer, ring) = Tracer::ring(100_000);
+        let flight_dir = std::env::temp_dir().join(format!(
+            "pnm-sink-flight-never-dumps-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&flight_dir);
+        let recorder = Tracer::new(Arc::new(FlightRecorder::new(&flight_dir, 8, 1 << 16)));
+        let rooted = Tracer::new(Arc::new(ShardedRingCollector::new(8, 1 << 16)));
+        let variants = [
+            (base_cfg.clone().tracer(tracer).stage_timing(true), None),
+            (base_cfg.clone().tracer(recorder), None),
+            (base_cfg.clone().tracer(rooted.clone()), Some(rooted)),
+        ];
+        let engines: Vec<SinkEngine> = variants
+            .into_iter()
+            .map(|(cfg, root)| {
+                let mut engine = SinkEngine::new(Arc::clone(&ks), cfg);
+                let out: Vec<SinkOutcome> = packets
+                    .iter()
+                    .map(|p| match &root {
+                        Some(root) => {
+                            let span = root.span_root("test.ingest");
+                            let ctx = span.context().expect("root span carries a context");
+                            engine.ingest_ctx(p, p.report.timestamp, ctx)
+                        }
+                        None => engine.ingest(p),
+                    })
+                    .collect();
+                assert_eq!(plain_out, out);
+                assert_eq!(plain.counters(), engine.counters());
+                assert_eq!(plain.localize(), engine.localize());
+                assert_eq!(plain.unequivocal_source(), engine.unequivocal_source());
+                assert_eq!(plain.evidence().to_bytes(), engine.evidence().to_bytes());
+                engine
+            })
+            .collect();
+        assert!(!flight_dir.exists(), "an armed recorder writes nothing");
 
-        assert_eq!(plain_out, traced_out);
-        assert_eq!(plain.counters(), traced.counters());
-        assert_eq!(plain.localize(), traced.localize());
-        assert_eq!(plain.unequivocal_source(), traced.unequivocal_source());
+        // Every stage histogram of the timed engine saw every packet.
+        for (stage, h) in engines[0].stage_metrics().iter() {
+            assert_eq!(h.count(), 60, "{stage}");
+        }
 
-        // Every stage histogram saw every admitted packet.
-        let stages = traced.stage_metrics();
-        assert_eq!(stages.classify.count(), 60);
-        assert_eq!(stages.verify.count(), 60);
-        assert_eq!(stages.resolve.count(), 60);
-        assert_eq!(stages.reconstruct.count(), 60);
-        assert_eq!(stages.localize.count(), 60);
-
-        // The trace carries balanced spans plus table-build events.
-        use pnm_obs::EventKind;
+        // The untraced ring holds exactly a `sink.ingest` open and close
+        // per packet plus one instant per table completion.
         let events = ring.events();
-        let opens = events
-            .iter()
-            .filter(|e| e.kind == EventKind::SpanOpen)
-            .count();
-        let closes = events
-            .iter()
-            .filter(|e| e.kind == EventKind::SpanClose)
-            .count();
-        assert_eq!(opens, closes);
-        assert!(events.iter().any(|e| e.name == "sink.table_build"));
+        let count = |name: &str, kind: EventKind| {
+            events
+                .iter()
+                .filter(|e| e.name == name && e.kind == kind)
+                .count()
+        };
+        let builds = plain.counters().table_builds;
+        assert!(builds > 0);
+        assert_eq!(events.len(), 2 * packets.len() + builds);
+        assert_eq!(count("sink.ingest", EventKind::SpanOpen), packets.len());
+        assert_eq!(count("sink.ingest", EventKind::SpanClose), packets.len());
+        assert_eq!(count("sink.table_build", EventKind::Instant), builds);
         assert_eq!(ring.dropped(), 0);
     }
 

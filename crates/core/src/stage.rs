@@ -2,23 +2,23 @@
 //!
 //! [`StageMetrics`] holds one histogram per pipeline stage (classify →
 //! anon-resolve → verify → reconstruct → localize): [`LatencyHistogram`]
-//! values for reports and bench artifacts, or shared [`Histogram`] cells
+//! values for reports and tests, or shared [`Histogram`] cells
 //! ([`StageHistograms`]) for an engine to record into, which it does only
 //! when [`SinkConfig::stage_timing`](crate::SinkConfig::stage_timing) is
 //! on — an attached tracer does not turn it on. A service registers the
 //! cells in its metrics registry and hands them to each engine it builds.
 
-use pnm_obs::{Histogram, JsonValue, LatencyHistogram, Registry};
+use pnm_obs::{Histogram, LatencyHistogram, Registry};
 
-/// Stage names in pipeline order — the canonical key set every JSON
-/// breakdown and metric label uses.
+/// Stage names in pipeline order — the `stage` label every
+/// `pnm_sink_stage_ns` series and the name every `sink.<stage>` span uses.
 pub const STAGE_NAMES: [&str; 5] = ["classify", "resolve", "verify", "reconstruct", "localize"];
 
 /// Per-stage latency histograms for one engine (nanosecond samples).
 ///
 /// Nanosecond resolution is load-bearing: classify and localize complete
 /// well under a microsecond, so µs-resolution laps recorded 0 for them at
-/// every percentile. The JSON breakdown carries `_ns`-suffixed keys.
+/// every percentile. The `pnm_sink_stage_ns` series render `_ns` keys.
 ///
 /// * `classify` — duplicate suppression plus the admission classifier.
 /// * `resolve` — anonymous-ID resolution: table lookups, probes of the
@@ -90,21 +90,6 @@ impl StageMetrics {
     pub fn is_empty(&self) -> bool {
         self.iter().all(|(_, h)| h.count() == 0)
     }
-
-    /// The per-stage breakdown as a JSON tree: stage name → histogram
-    /// summary (nanosecond-suffixed keys), in pipeline order.
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::Object(
-            self.iter()
-                .map(|(name, h)| (name.to_string(), h.to_json_value_with_unit("ns")))
-                .collect(),
-        )
-    }
-
-    /// Renders [`StageMetrics::to_json_value`] compactly.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().render()
-    }
 }
 
 impl StageHistograms {
@@ -152,24 +137,5 @@ mod tests {
         assert_eq!(merged.verify.count(), 0);
         assert!(!merged.is_empty());
         assert!(StageMetrics::new().is_empty());
-    }
-
-    #[test]
-    fn json_breakdown_carries_every_stage_in_order() {
-        let metrics = StageMetrics::new();
-        let json = metrics.to_json();
-        pnm_obs::json::validate(&json).unwrap();
-        let mut last = 0;
-        for name in STAGE_NAMES {
-            let pos = json
-                .find(&format!("\"{name}\""))
-                .expect("stage key present");
-            assert!(pos >= last, "stages out of pipeline order");
-            last = pos;
-        }
-        // Stage samples are nanoseconds; the keys must say so.
-        assert!(json.contains("\"mean_ns\""));
-        assert!(json.contains("\"p99_ns\""));
-        assert!(!json.contains("_us\""), "stale microsecond key in {json}");
     }
 }

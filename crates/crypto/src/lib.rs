@@ -269,36 +269,42 @@ mod proptests {
         }
 
         /// Batched mark-MAC verification and anon IDs ≡ their scalar
-        /// prepared forms for an arbitrary node population and report:
-        /// every scalar `mark_mac_prepared` tag verifies in the batch, and
-        /// a corrupted one fails at its own index only.
+        /// prepared forms for an arbitrary node population (one to 64
+        /// nodes: one mark up to several full lane groups) and report:
+        /// with every tag genuine, each one verifies in the batch, and with
+        /// the tags `corrupt`'s bits select corrupted, exactly those fail.
         #[test]
         fn batched_domain_functions_equal_scalar(
             master in proptest::collection::vec(any::<u8>(), 1..32),
             report in proptest::collection::vec(any::<u8>(), 0..128),
-            nodes in proptest::collection::vec(any::<u16>(), 1..19),
+            nodes in proptest::collection::vec(any::<u16>(), 1..=64),
             width in 1usize..=32,
-            corrupt in any::<prop::sample::Index>(),
+            corrupt in any::<u64>(),
         ) {
             let prepared: Vec<HmacKey> = nodes
                 .iter()
                 .map(|&n| MacKey::derive(&master, n as u64).prepare())
                 .collect();
-            let mut tags: Vec<crate::MacTag> = prepared
-                .iter()
-                .map(|k| crate::mac::mark_mac_prepared(k, &report, width))
-                .collect();
-            let bad = corrupt.index(tags.len());
-            tags[bad] = tags[bad].corrupted();
-            let verify_jobs: Vec<(&HmacKey, &[u8], &crate::MacTag)> = prepared
-                .iter()
-                .zip(&tags)
-                .map(|(k, tag)| (k, report.as_slice(), tag))
-                .collect();
-            let verdicts = crate::mac::verify_mark_macs_prepared(&verify_jobs);
-            for (i, &(k, msg, tag)) in verify_jobs.iter().enumerate() {
-                prop_assert_eq!(verdicts[i], i != bad);
-                prop_assert_eq!(verdicts[i], crate::mac::verify_mark_mac_prepared(k, msg, tag));
+            for mask in [0, corrupt] {
+                let tags: Vec<crate::MacTag> = prepared
+                    .iter()
+                    .enumerate()
+                    .map(|(i, k)| {
+                        let tag = crate::mac::mark_mac_prepared(k, &report, width);
+                        if mask >> i & 1 == 1 { tag.corrupted() } else { tag }
+                    })
+                    .collect();
+                let verify_jobs: Vec<(&HmacKey, &[u8], &crate::MacTag)> = prepared
+                    .iter()
+                    .zip(&tags)
+                    .map(|(k, tag)| (k, report.as_slice(), tag))
+                    .collect();
+                let verdicts = crate::mac::verify_mark_macs_prepared(&verify_jobs);
+                prop_assert_eq!(verdicts.len(), nodes.len());
+                for (i, &(k, msg, tag)) in verify_jobs.iter().enumerate() {
+                    prop_assert_eq!(verdicts[i], mask >> i & 1 == 0);
+                    prop_assert_eq!(verdicts[i], crate::mac::verify_mark_mac_prepared(k, msg, tag));
+                }
             }
 
             let ids = crate::anon::anon_id_many_prepared(&prepared, &report, &nodes);

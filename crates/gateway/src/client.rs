@@ -628,8 +628,9 @@ impl GatewayClient {
     }
 
     /// One control request: an `Ok` payload goes through `parse` (a parse
-    /// failure is a wire failure, retried); a `Rejected` or `Error` status
-    /// is the gateway's final answer.
+    /// failure is a wire failure, retried); so is an `Error` status, which
+    /// answers a frame the gateway could not trust (a failed CRC, a
+    /// damaged header). `Rejected` is the gateway's final answer.
     fn control<T>(
         &mut self,
         op: OpCode,
@@ -639,7 +640,8 @@ impl GatewayClient {
         let frame = Envelope::control(op, tenant).encode();
         self.request(&frame, false, |_, resp| match resp.status {
             Status::Ok => parse(resp.payload).map(|v| Answer::Final(Ok(v))),
-            _ => Ok(Answer::Final(Err(refusal(&resp)))),
+            Status::Rejected => Ok(Answer::Final(Err(refusal(&resp)))),
+            Status::Error => Err(refusal(&resp)),
         })
     }
 
@@ -656,15 +658,14 @@ impl GatewayClient {
     }
 
     /// Readiness probe: `Ok(true)` when the gateway accepts new work,
-    /// `Ok(false)` once it is draining.
+    /// `Ok(false)` once it is draining. An `Error` status is a wire
+    /// failure, retried as in every control request.
     pub fn ready(&mut self) -> io::Result<bool> {
         let frame = Envelope::control(OpCode::Ready, b"_").encode();
-        self.request(&frame, false, |_, resp| {
-            Ok(Answer::Final(match resp.status {
-                Status::Ok => Ok(true),
-                Status::Rejected => Ok(false),
-                Status::Error => Err(refusal(&resp)),
-            }))
+        self.request(&frame, false, |_, resp| match resp.status {
+            Status::Ok => Ok(Answer::Final(Ok(true))),
+            Status::Rejected => Ok(Answer::Final(Ok(false))),
+            Status::Error => Err(refusal(&resp)),
         })
     }
 

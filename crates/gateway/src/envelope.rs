@@ -1,8 +1,9 @@
 //! The gateway's framed envelope protocol.
 //!
 //! Every request on a gateway connection is one length-prefixed frame
-//! carrying `pnm-wire` canonical packet bytes (or nothing, for control
-//! opcodes) plus a small envelope identifying the tenant:
+//! carrying `pnm-wire` canonical packet bytes (or, for control opcodes,
+//! a CRC-32 over `opcode | tenant`) plus a small envelope identifying the
+//! tenant:
 //!
 //! ```text
 //! magic(2 = "PG") | version(1) | opcode(1) | tenant_len(1) | tenant |
@@ -34,8 +35,8 @@ pub const MAGIC: [u8; 2] = *b"PG";
 
 /// Protocol version this build speaks, and the only one it decodes: a
 /// frame carrying any other version byte is a counted `bad_version`
-/// rejection.
-pub const VERSION: u8 = 4;
+/// rejection. Version 5 added the control frames' CRC.
+pub const VERSION: u8 = 5;
 
 /// Fixed bytes before the tenant id: magic + version + opcode + tenant_len.
 pub const FIXED_HEADER: usize = 5;
@@ -108,18 +109,28 @@ pub struct Envelope {
     pub opcode: OpCode,
     /// Tenant id bytes (1..=[`MAX_TENANT_LEN`]).
     pub tenant: Vec<u8>,
-    /// Operation payload (a [`SeqFrame`] for `IngestSeq`).
+    /// Operation payload: a [`SeqFrame`] for `IngestSeq`, the 4-byte
+    /// CRC-32 (BE) over `opcode | tenant` for every control opcode.
     pub payload: Vec<u8>,
 }
 
 impl Envelope {
-    /// Builds a payload-less control frame.
+    /// Builds a control frame, whose payload is the CRC-32 over
+    /// `opcode | tenant`: a `Drain` whose tenant byte flips on the wire is
+    /// answered [`Status::Error`]`("corrupt request")` instead of naming
+    /// another, or no, tenant.
     pub fn control(opcode: OpCode, tenant: &[u8]) -> Self {
         Envelope {
             opcode,
             tenant: tenant.to_vec(),
-            payload: Vec::new(),
+            payload: control_crc(opcode, tenant).to_be_bytes().to_vec(),
         }
+    }
+
+    /// Whether this control frame's payload is the CRC of its opcode and
+    /// tenant.
+    pub(crate) fn control_intact(&self) -> bool {
+        self.payload == control_crc(self.opcode, &self.tenant).to_be_bytes()
     }
 
     /// Builds an untraced ingest frame (see [`SeqFrame`]).
@@ -230,6 +241,14 @@ impl Envelope {
             end,
         )))
     }
+}
+
+/// CRC-32/IEEE over `opcode | tenant`: a control frame's payload.
+fn control_crc(opcode: OpCode, tenant: &[u8]) -> u32 {
+    let mut bound = Vec::with_capacity(1 + tenant.len());
+    bound.push(opcode as u8);
+    bound.extend_from_slice(tenant);
+    pnm_core::store::crc32(&bound)
 }
 
 /// The payload of an [`OpCode::IngestSeq`] frame:
@@ -727,7 +746,7 @@ mod tests {
         );
         // Only the current version decodes: a stale client's frame is a
         // version mismatch, never misread as wire damage.
-        for version in [b"PG\x01", b"PG\x02", b"PG\x03", b"PG\x07"] {
+        for version in [b"PG\x01", b"PG\x02", b"PG\x03", b"PG\x04", b"PG\x07"] {
             assert_eq!(
                 Envelope::decode(version, 64).unwrap_err().reason(),
                 "bad_version"
@@ -735,14 +754,14 @@ mod tests {
         }
         // The removed ingest opcodes (0 and 7) and the removed `Snapshot`
         // opcode (1) are unknown opcodes now.
-        for opcode in [b"PG\x04\x63", b"PG\x04\x00", b"PG\x04\x01", b"PG\x04\x07"] {
+        for opcode in [b"PG\x05\x63", b"PG\x05\x00", b"PG\x05\x01", b"PG\x05\x07"] {
             assert_eq!(
                 Envelope::decode(opcode, 64).unwrap_err().reason(),
                 "bad_opcode"
             );
         }
         assert_eq!(
-            Envelope::decode(b"PG\x04\x02\x00", 64)
+            Envelope::decode(b"PG\x05\x02\x00", 64)
                 .unwrap_err()
                 .reason(),
             "bad_tenant_len"

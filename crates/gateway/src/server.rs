@@ -447,6 +447,15 @@ impl Shared {
     }
 
     fn dispatch(&self, env: Envelope) -> Response {
+        // A control frame whose CRC fails was damaged on the wire; it is
+        // still well delimited, so the connection stays open.
+        if env.opcode != OpCode::IngestSeq && !env.control_intact() {
+            self.registry
+                .registry()
+                .counter("pnm_gateway_rejected_total", &[("reason", "corrupt")])
+                .inc();
+            return Response::new(Status::Error, "corrupt request");
+        }
         match env.opcode {
             OpCode::MetricsText => Response::new(Status::Ok, self.registry.metrics_text()),
             OpCode::Drain => match self.registry.drain(&env.tenant) {
@@ -596,6 +605,37 @@ mod tests {
         assert!(String::from_utf8_lossy(&resp.payload).contains("magic"));
         let text = handle.registry().metrics_text();
         assert!(text.contains("pnm_gateway_bad_frames_total{reason=\"bad_magic\"} 1"));
+        handle.shutdown();
+    }
+
+    /// A control frame damaged on the wire fails its CRC: a `Drain` for
+    /// `alpha` with its first tenant byte flipped is answered corrupt and
+    /// counted, not refused as an unknown tenant, and the connection stays
+    /// open for the resend.
+    #[test]
+    fn damaged_control_frame_is_answered_corrupt() {
+        let (handle, addr) = tcp_gateway(ConnLimits::default());
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let mut answer = |frame: &[u8]| {
+            raw.write_all(frame).unwrap();
+            let mut buf = Vec::new();
+            loop {
+                if let Some((resp, _)) = Response::decode(&buf, 1 << 20).unwrap() {
+                    return (resp.status, String::from_utf8(resp.payload).unwrap());
+                }
+                let mut chunk = [0u8; 256];
+                let n = raw.read(&mut chunk).unwrap();
+                assert!(n > 0, "connection closed");
+                buf.extend_from_slice(&chunk[..n]);
+            }
+        };
+        let mut frame = Envelope::control(OpCode::Drain, b"alpha").encode();
+        frame[crate::envelope::FIXED_HEADER] ^= 0x01;
+        assert_eq!(answer(&frame), (Status::Error, "corrupt request".into()));
+        let health = Envelope::control(OpCode::Health, b"_").encode();
+        assert_eq!(answer(&health), (Status::Ok, "ok".into()));
+        let text = handle.registry().metrics_text();
+        assert!(text.contains("pnm_gateway_rejected_total{reason=\"corrupt\"} 1"));
         handle.shutdown();
     }
 

@@ -228,7 +228,7 @@ fn hostile_streams_over_socket_never_panic_and_are_exactly_counted() {
             0 => (b"\x00\x00\x00\x00".to_vec(), "bad_magic"),
             1 => (b"Qmost-of-a-frame".to_vec(), "bad_magic"),
             2 => (b"PG\xff".to_vec(), "bad_version"),
-            3 => (b"PG\x04\x7f".to_vec(), "bad_opcode"),
+            3 => (b"PG\x05\x7f".to_vec(), "bad_opcode"),
             4 => {
                 // Valid prefix, absurd declared payload length.
                 let mut f = Envelope::ingest_seq(b"alpha", 1, 0, b"x").encode();

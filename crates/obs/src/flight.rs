@@ -68,7 +68,8 @@ impl ShardBuf {
 /// Total capacity is `shards * capacity_per_shard`; each shard keeps its
 /// newest events and counts what it overwrote. The hot path has no deque
 /// rotation and no cross-thread lock contention, which is what makes it
-/// cheap enough to leave armed (`bench_obs` pins the overhead).
+/// cheap enough to leave armed (perfbench's traced runs report what
+/// tracing costs as `obs.trace_overhead_pct`).
 /// [`Tracer::ring`](crate::Tracer::ring) builds a one-shard ring.
 #[derive(Debug)]
 pub struct ShardedRingCollector {

@@ -6,16 +6,20 @@
 //! * **Tracing** ([`trace`]): [`Tracer`] hands out RAII [`Span`] guards
 //!   with monotonic microsecond timing and structured fields, delivering
 //!   events to a pluggable [`Collector`]. The no-op tracer is completely
-//!   inert — instrumented code pays one `Option` check, pinned < 2%
-//!   end-to-end by the `bench_obs` bin in `pnm-sim`. [`Tracer::ring`]
-//!   buffers the newest events in a bounded ring that exports JSONL.
+//!   inert — instrumented code pays one `Option` check, and
+//!   `trace::tests::noop_tracer_is_inert` pins that it records nothing and
+//!   never builds an event's fields. [`Tracer::ring`] buffers the newest
+//!   events in a bounded ring that exports JSONL.
 //!   Spans carry causal identity: a [`TraceContext`] (trace id + parent
 //!   span) crosses threads, queues, and the gateway wire, so one
 //!   packet's journey is one trace.
 //! * **Flight recording** ([`flight`]): the sharded
 //!   [`ShardedRingCollector`] is cheap enough to leave armed always-on
-//!   (pinned < 5% by `bench_obs`); [`FlightRecorder`] dumps its recent
-//!   history as an anomaly-tagged JSONL black-box when something breaks.
+//!   (an untraced sink records one span per packet and one instant per
+//!   table build into it, which `pnm-core`'s
+//!   `sink::tests::instrumented_engine_matches_uninstrumented` pins);
+//!   [`FlightRecorder`] dumps its recent history as an anomaly-tagged
+//!   JSONL black-box when something breaks.
 //! * **Metrics** ([`metrics`]): a labeled [`Registry`] of counters and
 //!   histograms; [`prometheus_text`] and [`series_json`] render the
 //!   series of one or several registries deterministically. [`LatencyHistogram`] (formerly in `pnm-service`) lives
@@ -65,6 +69,4 @@ pub use metrics::{
     prometheus_text, series_json, Counter, Histogram, LatencyHistogram, Registry, Series,
     SeriesValue, BUCKETS,
 };
-pub use trace::{
-    Collector, Event, EventKind, FieldValue, NoopCollector, Span, TraceContext, Tracer,
-};
+pub use trace::{Collector, Event, EventKind, FieldValue, Span, TraceContext, Tracer};

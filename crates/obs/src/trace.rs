@@ -12,11 +12,11 @@
 //! The design center is zero cost when disabled: a [`Tracer::noop`]
 //! tracer holds no allocation and no collector, [`Tracer::span`] returns
 //! an inert guard without reading the clock, and
-//! [`Tracer::event_with`] never runs its field-building closure. The
-//! `bench_obs` bin in `pnm-sim` pins this with an end-to-end overhead
-//! assertion. When enabled, a [`Span`] guard records a `span_open` event
-//! at creation and a `span_close` event (with duration and any attached
-//! fields) on drop; instant events carry fields directly. Events flow
+//! [`Tracer::event_with`] never runs its field-building closure
+//! (`tests::noop_tracer_is_inert` pins the inert guard and the closure).
+//! When enabled, a [`Span`] guard records a `span_open` event at creation
+//! and a `span_close` event (with duration and any attached fields) on
+//! drop; instant events carry fields directly. Events flow
 //! into a pluggable [`Collector`] — typically the bounded
 //! [`ShardedRingCollector`], which keeps the newest events and exports
 //! JSONL.
@@ -253,16 +253,6 @@ impl Event {
 pub trait Collector: Send + Sync {
     /// Accepts one event.
     fn record(&self, event: Event);
-}
-
-/// A collector that discards everything. Useful to measure the cost of
-/// event *construction* separately from event *storage* (see `bench_obs`);
-/// for a tracer that skips construction entirely, use [`Tracer::noop`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopCollector;
-
-impl Collector for NoopCollector {
-    fn record(&self, _event: Event) {}
 }
 
 struct TracerInner {
@@ -709,6 +699,5 @@ mod tests {
     fn tracer_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Tracer>();
-        assert_send_sync::<NoopCollector>();
     }
 }

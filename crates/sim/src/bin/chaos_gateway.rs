@@ -50,6 +50,7 @@ use pnm_gateway::{
 };
 use pnm_obs::{JsonValue, Registry};
 use pnm_service::ServiceConfig;
+use pnm_sim::chaos::{append_gateway_section, split_gateway_section};
 use pnm_sim::{sequential_reference, AttackKind, AttackStream};
 
 const NODES: u16 = 6;
@@ -279,33 +280,6 @@ fn run_point(
     }
 }
 
-fn merge_gateway_section(existing: Option<String>, section: &str) -> String {
-    let head = match existing {
-        Some(text) => {
-            // Replace an earlier gateway section, or open up the closing
-            // brace of the soak's summary object.
-            let cut = text
-                .find("\n  \"gateway\":")
-                .map(|i| text[..i].trim_end().trim_end_matches(',').to_string())
-                .or_else(|| {
-                    text.trim_end()
-                        .strip_suffix('}')
-                        .map(|t| t.trim_end().trim_end_matches(',').to_string())
-                });
-            match cut {
-                Some(h) if !h.trim().is_empty() && h.trim() != "{" => h,
-                _ => "{".to_string(),
-            }
-        }
-        None => "{".to_string(),
-    };
-    if head == "{" {
-        format!("{{\n  \"gateway\": {section}\n}}\n")
-    } else {
-        format!("{head},\n  \"gateway\": {section}\n}}\n")
-    }
-}
-
 fn main() -> ExitCode {
     let mut out = "BENCH_chaos.json".to_string();
     let mut smoke = false;
@@ -414,7 +388,9 @@ fn main() -> ExitCode {
             .join(",\n"),
     );
 
-    let merged = merge_gateway_section(std::fs::read_to_string(&out).ok(), &section);
+    // Replace only the gateway section; the soak's part stays as written.
+    let existing = std::fs::read_to_string(&out).unwrap_or_default();
+    let merged = append_gateway_section(split_gateway_section(&existing).0, Some(&section));
     if let Err(e) = std::fs::write(&out, &merged) {
         eprintln!("error: cannot write {out}: {e}");
         return ExitCode::FAILURE;

@@ -57,8 +57,8 @@ use pnm_crypto::KeyStore;
 use pnm_obs::{FlightRecorder, Tracer};
 use pnm_service::{ServiceConfig, ServicePool};
 use pnm_sim::chaos::{
-    recovery_sweep, run_point_traced, run_recovery_point, sweep_points, ChaosConfig, ChaosPoint,
-    ChaosRun, RecoveryRun,
+    append_gateway_section, recovery_sweep, run_point_traced, run_recovery_point,
+    split_gateway_section, sweep_points, ChaosConfig, ChaosPoint, ChaosRun, RecoveryRun,
 };
 use pnm_wire::{Location, NodeId, Packet, Report};
 use rand::rngs::StdRng;
@@ -208,29 +208,6 @@ fn recovery_json(r: &RecoveryRun) -> String {
         r.contains_true_source,
         r.false_implication_rate,
     )
-}
-
-/// `chaos_gateway` merges a `"gateway"` section into this same artifact;
-/// carry it over when re-recording the soak's own fields so the two bins
-/// can run in either order without losing each other's results.
-fn keep_gateway_section(existing: Option<&str>, fresh: &str) -> String {
-    let Some(section) = existing.and_then(|text| {
-        let i = text.find("\n  \"gateway\":")?;
-        Some(
-            text[i..]
-                .trim_end()
-                .strip_suffix('}')?
-                .trim_end()
-                .to_string(),
-        )
-    }) else {
-        return fresh.to_string();
-    };
-    let Some(head) = fresh.trim_end().strip_suffix('}') else {
-        return fresh.to_string();
-    };
-    let head = head.trim_end().trim_end_matches(',');
-    format!("{head},{section}\n}}\n")
 }
 
 fn write_artifact(path: &str, json: &str) -> bool {
@@ -450,8 +427,12 @@ fn main() -> ExitCode {
         acceptance_json.trim_start(),
     );
 
-    let bench_json =
-        keep_gateway_section(std::fs::read_to_string(&out).ok().as_deref(), &bench_json);
+    // Keep the gateway section `chaos_gateway` wrote into the same file.
+    let existing = std::fs::read_to_string(&out).unwrap_or_default();
+    let bench_json = append_gateway_section(
+        split_gateway_section(&bench_json).0,
+        split_gateway_section(&existing).1,
+    );
     if !write_artifact(&degradation, &degradation_json) || !write_artifact(&out, &bench_json) {
         return ExitCode::FAILURE;
     }
@@ -490,34 +471,4 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-#[cfg(test)]
-mod tests {
-    use super::keep_gateway_section;
-
-    const FRESH: &str = "{\n  \"mode\": \"full\",\n  \"zero_panics\": true\n}\n";
-
-    #[test]
-    fn no_existing_file_passes_fresh_through() {
-        assert_eq!(keep_gateway_section(None, FRESH), FRESH);
-    }
-
-    #[test]
-    fn existing_without_gateway_passes_fresh_through() {
-        let old = "{\n  \"mode\": \"smoke\"\n}\n";
-        assert_eq!(keep_gateway_section(Some(old), FRESH), FRESH);
-    }
-
-    #[test]
-    fn gateway_section_survives_a_soak_rewrite() {
-        let old = "{\n  \"mode\": \"smoke\",\n  \"gateway\": {\n    \"points\": 5\n  }\n}\n";
-        let merged = keep_gateway_section(Some(old), FRESH);
-        assert_eq!(
-            merged,
-            "{\n  \"mode\": \"full\",\n  \"zero_panics\": true,\n  \"gateway\": {\n    \"points\": 5\n  }\n}\n"
-        );
-        // Idempotent: re-running the soak keeps the same section.
-        assert_eq!(keep_gateway_section(Some(&merged), FRESH), merged);
-    }
 }

@@ -1,7 +1,7 @@
 //! CI validator for observability artifacts.
 //!
 //! ```text
-//! obs-check [--trace FILE]... [--bench FILE]... [--flight FILE]...
+//! obs-check [--trace FILE]... [--flight FILE]...
 //! ```
 //!
 //! For every `--trace` file (JSONL from a ring collector): each line must
@@ -13,10 +13,6 @@
 //! trace** somewhere in the file, and every traced instant's enclosing
 //! span must belong to its trace — the causal-chain invariant behind
 //! "one packet, one trace".
-//!
-//! For every `--bench` file: the document must parse and contain, at some
-//! depth, a per-stage breakdown object carrying all five pipeline stage
-//! keys ([`STAGE_NAMES`]).
 //!
 //! For every `--flight` file (a flight-recorder black-box): the first
 //! line must be the anomaly header (a JSON object with string `anomaly`
@@ -30,7 +26,6 @@ use std::collections::HashMap;
 use std::env;
 use std::process::ExitCode;
 
-use pnm_core::STAGE_NAMES;
 use pnm_obs::JsonValue;
 
 /// Validates one event line's envelope and returns its decoded identity.
@@ -196,35 +191,8 @@ fn check_flight(path: &str) -> Result<(usize, String), String> {
     Ok((events, anomaly))
 }
 
-/// True when `v` (at any depth) is an object carrying every pipeline
-/// stage key — the shape `StageMetrics::to_json_value` emits.
-fn has_stage_block(v: &JsonValue) -> bool {
-    match v {
-        JsonValue::Object(entries) => {
-            STAGE_NAMES
-                .iter()
-                .all(|stage| entries.iter().any(|(k, _)| k == stage))
-                || entries.iter().any(|(_, child)| has_stage_block(child))
-        }
-        JsonValue::Array(items) => items.iter().any(has_stage_block),
-        _ => false,
-    }
-}
-
-fn check_bench(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
-    let v = pnm_obs::json::parse(&text).map_err(|e| format!("{path}: bad JSON: {e}"))?;
-    if !has_stage_block(&v) {
-        return Err(format!(
-            "{path}: no object carries all five stage keys {STAGE_NAMES:?}"
-        ));
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let mut traces = Vec::new();
-    let mut benches = Vec::new();
     let mut flights = Vec::new();
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -233,13 +201,6 @@ fn main() -> ExitCode {
                 Some(v) => traces.push(v),
                 None => {
                     eprintln!("error: --trace needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--bench" => match args.next() {
-                Some(v) => benches.push(v),
-                None => {
-                    eprintln!("error: --bench needs a value");
                     return ExitCode::FAILURE;
                 }
             },
@@ -256,8 +217,8 @@ fn main() -> ExitCode {
             }
         }
     }
-    if traces.is_empty() && benches.is_empty() && flights.is_empty() {
-        eprintln!("usage: obs-check [--trace FILE]... [--bench FILE]... [--flight FILE]...");
+    if traces.is_empty() && flights.is_empty() {
+        eprintln!("usage: obs-check [--trace FILE]... [--flight FILE]...");
         return ExitCode::FAILURE;
     }
 
@@ -266,15 +227,6 @@ fn main() -> ExitCode {
             Ok((events, spans)) => {
                 println!("{path}: ok ({events} events, {spans} spans, balanced)");
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    for path in &benches {
-        match check_bench(path) {
-            Ok(()) => println!("{path}: ok (stage breakdown present)"),
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;

@@ -519,6 +519,39 @@ pub fn sweep_points(smoke: bool) -> Vec<ChaosPoint> {
     points
 }
 
+/// The key that opens `BENCH_chaos.json`'s gateway section.
+const GATEWAY_KEY: &str = "\n  \"gateway\":";
+
+/// Splits a `BENCH_chaos.json` document, which two bins write, into the
+/// soak's part — the object's text before its closing brace or its
+/// `"gateway"` key, trailing comma and whitespace trimmed — and the
+/// `"gateway"` section's value, if there is one. `chaos_soak` rewrites the
+/// first part and `chaos_gateway` the second; each joins the two with
+/// [`append_gateway_section`], so either can run first.
+pub fn split_gateway_section(text: &str) -> (&str, Option<&str>) {
+    let (soak, gateway) = match text.find(GATEWAY_KEY) {
+        Some(i) => {
+            let value = text[i + GATEWAY_KEY.len()..].trim_end().strip_suffix('}');
+            (&text[..i], value.map(str::trim))
+        }
+        None => (text.trim_end().strip_suffix('}').unwrap_or(""), None),
+    };
+    (soak.trim_end().trim_end_matches(','), gateway)
+}
+
+/// Joins the soak's part and a gateway section as
+/// [`split_gateway_section`] splits them.
+pub fn append_gateway_section(soak: &str, gateway: Option<&str>) -> String {
+    let (soak, comma) = match soak.trim() {
+        "" | "{" => ("{", ""),
+        _ => (soak, ","),
+    };
+    match gateway {
+        Some(value) => format!("{soak}{comma}{GATEWAY_KEY} {value}\n}}\n"),
+        None => format!("{soak}\n}}\n"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,6 +561,28 @@ mod tests {
             path_len: 6,
             packets: 80,
             ..ChaosConfig::smoke()
+        }
+    }
+
+    /// A soak rewrite keeps the gateway section, a gateway run replaces
+    /// only it (into an empty file too), and a split-append round trip is
+    /// the identity.
+    #[test]
+    fn gateway_section_splits_and_appends_both_ways() {
+        let soak = "{\n  \"mode\": \"full\",\n  \"zero_panics\": true\n}\n";
+        let fields = "{\n  \"mode\": \"full\",\n  \"zero_panics\": true";
+        let gateway = "{\n    \"points\": 5\n  }";
+        let both = format!("{fields},\n  \"gateway\": {gateway}\n}}\n");
+        assert_eq!(split_gateway_section(soak), (fields, None));
+        assert_eq!(split_gateway_section(&both), (fields, Some(gateway)));
+        assert_eq!(append_gateway_section(fields, None), soak);
+        assert_eq!(append_gateway_section(fields, Some(gateway)), both);
+        for empty in ["", "{}", "{\n}\n"] {
+            assert_eq!(split_gateway_section(empty).1, None);
+            assert_eq!(
+                append_gateway_section(split_gateway_section(empty).0, Some(gateway)),
+                format!("{{\n  \"gateway\": {gateway}\n}}\n")
+            );
         }
     }
 

@@ -19,10 +19,10 @@
 //! ```
 //!
 //! The other binaries: `trace-demo` (one traceback packet by packet,
-//! set up by its flags), `chaos_soak` and `chaos_gateway` (fault soaks),
-//! `bench_crypto` and `bench_obs` (equivalence-gated benches) and
-//! `obs_check` (validates trace, bench and flight-recorder files). The
-//! repository benchmark is `perfbench`, a workspace of its own.
+//! set up by its flags), `chaos_soak` and `chaos_gateway` (fault soaks)
+//! and `obs_check` (validates trace and flight-recorder files). The
+//! repository benchmark is `perfbench`, a workspace of its own; it times
+//! every layer these crates' tests check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
