@@ -101,7 +101,7 @@ impl ChaosPlan {
     }
 
     /// [`full`](Self::full) scaled by `intensity` in `[0, 1]` — the knob
-    /// the `chaos_gateway` sweep turns. Intensity 0 is exactly
+    /// the `resilience` suite turns per tenant. Intensity 0 is exactly
     /// [`calm`](Self::calm) (zero injected faults).
     pub fn at_intensity(intensity: f64) -> Self {
         let x = intensity.clamp(0.0, 1.0);

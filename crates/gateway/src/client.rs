@@ -1,7 +1,7 @@
 //! The gateway client: one blocking connection that redials and retries.
 //!
-//! Used by the chaos soak, the integration tests, and the README
-//! quickstart; also a reference implementation for anyone speaking the
+//! Used by the integration tests, perfbench's round-trip probe, and the
+//! README quickstart; also a reference implementation for anyone speaking the
 //! envelope protocol from another language. One request at a time, every
 //! request answered in order — including each ingest frame, whose
 //! [`IngestAck`] is checked before it is returned.
@@ -23,11 +23,11 @@
 //! also keeps the server's per-session window at its minimal footprint
 //! (see [`crate::dedup`]).
 //!
-//! Accounting is exact by construction and exposed both as a plain
-//! [`ClientReport`] and (optionally) through a [`pnm_obs::Registry`]:
-//! `attempts − ingest frames == retries`, and every reconnect beyond the
-//! first connection is counted — the client-side half of the chaos soak's
-//! balance gates.
+//! Accounting is exact by construction and exposed as a plain
+//! [`ClientReport`]: `attempts − ingest frames == retries`, and every
+//! reconnect beyond the first connection is counted — the client-side
+//! half of the balance the `resilience` suite checks at every chaos
+//! intensity.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pnm_obs::{Registry, TraceContext, Tracer};
+use pnm_obs::{TraceContext, Tracer};
 
 use crate::backoff::BackoffPolicy;
 use crate::chaos::{splitmix64, ChaosCounters, ChaosPlan, ChaosTransport};
@@ -188,28 +188,6 @@ impl SendOutcome {
     }
 }
 
-struct Metrics {
-    registry: Registry,
-    label: String,
-}
-
-impl Metrics {
-    fn inc(&self, name: &str) {
-        self.registry
-            .counter(name, &[("client", &self.label)])
-            .inc();
-    }
-
-    fn ack(&self, code: AckCode) {
-        self.registry
-            .counter(
-                "pnm_client_acks_total",
-                &[("client", &self.label), ("code", code.reason())],
-            )
-            .inc();
-    }
-}
-
 enum Target {
     Tcp(SocketAddr),
     Uds(PathBuf),
@@ -293,7 +271,6 @@ pub struct GatewayClient {
     next_seq: u64,
     report: ClientReport,
     chaos: Arc<ChaosCounters>,
-    metrics: Option<Metrics>,
     tracer: Option<Tracer>,
 }
 
@@ -352,7 +329,6 @@ impl GatewayClient {
             next_seq: 0,
             report: ClientReport::default(),
             chaos: Arc::new(ChaosCounters::default()),
-            metrics: None,
             tracer: None,
         }
     }
@@ -377,16 +353,6 @@ impl GatewayClient {
         self
     }
 
-    /// Mirrors the report counters into `registry` as
-    /// `pnm_client_*_total{client="<label>"}` series.
-    pub fn with_metrics(mut self, registry: &Registry, label: &str) -> Self {
-        self.metrics = Some(Metrics {
-            registry: registry.clone(),
-            label: label.to_string(),
-        });
-        self
-    }
-
     /// The accounting so far.
     pub fn report(&self) -> ClientReport {
         self.report
@@ -396,12 +362,6 @@ impl GatewayClient {
     /// when no chaos is configured).
     pub fn chaos_counters(&self) -> Arc<ChaosCounters> {
         Arc::clone(&self.chaos)
-    }
-
-    fn mark(&self, name: &str) {
-        if let Some(m) = &self.metrics {
-            m.inc(name);
-        }
     }
 
     /// Dials one connection to the target, through a fresh
@@ -441,7 +401,6 @@ impl GatewayClient {
         self.report.connects += 1;
         if self.report.connects > 1 {
             self.report.reconnects += 1;
-            self.mark("pnm_client_reconnects_total");
         }
         Ok(Conn {
             transport,
@@ -479,12 +438,10 @@ impl GatewayClient {
                 std::thread::sleep(backoff.delay(attempt - 1).max(std::mem::take(&mut hint)));
                 if ingest {
                     self.report.retries += 1;
-                    self.mark("pnm_client_retries_total");
                 }
             }
             if ingest {
                 self.report.attempts += 1;
-                self.mark("pnm_client_attempts_total");
             }
             match self.round_trip(frame).and_then(|resp| answer(self, resp)) {
                 Ok(Answer::Final(result)) => return result,
@@ -494,7 +451,6 @@ impl GatewayClient {
                 }
                 Err(e) => {
                     self.report.io_errors += 1;
-                    self.mark("pnm_client_io_errors_total");
                     self.conn = None;
                     last = Err(e);
                 }
@@ -549,9 +505,6 @@ impl GatewayClient {
                     ack.trace,
                     ctx.trace
                 )));
-            }
-            if let Some(m) = &client.metrics {
-                m.ack(ack.code);
             }
             let report = &mut client.report;
             if ack.code.is_retryable() {

@@ -2,11 +2,12 @@
 //! chaos, graceful drain, and the health/readiness surface — all over real
 //! sockets.
 //!
-//! The headline property mirrors `isolation.rs`: a tenant fed through a
-//! retrying [`GatewayClient`] whose every connection is wrapped in a
-//! [`ChaosTransport`] (kills, resets, partial writes, bit flips, stalls)
-//! must produce evidence **byte-identical** to the same packet stream sent
-//! over a fault-free connection, and to the sequential reference of that
+//! The headline property mirrors `isolation.rs`: tenants fed through
+//! retrying [`GatewayClient`]s whose every connection is wrapped in a
+//! [`ChaosTransport`] at intensity 0.25, 0.5 and 1.0 (kills, resets,
+//! partial writes, bit flips, stalls) must produce evidence
+//! **byte-identical** to the same packet stream sent over a calm
+//! (intensity 0) connection, and to the sequential reference of that
 //! stream — here a mole's identity-swapping stream. Retries resend the
 //! same (session, seq) identity, the server's dedup window absorbs each
 //! frame at most once, and the client's accounting balances exactly.
@@ -22,8 +23,9 @@ use pnm_core::store::Evidence;
 use pnm_core::{IsolationPolicy, SinkConfig, VerifyMode};
 use pnm_gateway::{
     AckCode, BackoffPolicy, ChaosPlan, ClientConfig, Envelope, Gateway, GatewayClient,
-    GatewayConfig, GatewayHandle, IngestAck, Response, SendOutcome, TenantConfig, TenantRegistry,
+    GatewayConfig, GatewayHandle, IngestAck, Response, TenantConfig, TenantRegistry,
 };
+use pnm_obs::JsonValue;
 use pnm_service::{BackpressurePolicy, ServiceConfig, ServicePool};
 use pnm_sim::{sequential_reference, AttackKind, AttackStream};
 
@@ -63,122 +65,157 @@ fn metric(text: &str, name: &str, labels: &[&str]) -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
-/// The tentpole: full-intensity chaos on the client's wire, and the acked
-/// packet stream still lands exactly once — evidence byte-identical to a
-/// fault-free run of the same packets, client accounting balanced to the
-/// last attempt, zero panics anywhere.
+/// A retrying client whose every connection runs
+/// `ChaosPlan::at_intensity(intensity)`: kills, resets, half-writes, bit
+/// flips, stalls and delays, none at intensity 0. The short read timeout
+/// turns the rare silently-swallowed frame (a bit flip that lands on the
+/// opcode) into a prompt retry.
+fn chaotic_client(sock: &Path, intensity: f64, session: u64) -> GatewayClient {
+    let wire = ClientConfig::default()
+        .connect_timeout(Duration::from_secs(2))
+        .read_timeout(Duration::from_millis(400))
+        .write_timeout(Duration::from_millis(400))
+        .chaos(
+            ChaosPlan::at_intensity(intensity),
+            0x5EED ^ intensity.to_bits(),
+        )
+        .backoff(
+            BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(30)).jitter(0.25),
+        )
+        .max_attempts(400);
+    GatewayClient::connect_uds_with(sock, wire)
+        .unwrap()
+        .with_session(session)
+}
+
+/// Whether an ops snapshot names `tenant`, running with a clean flight
+/// recorder, `packets` ingested and no shard panic.
+fn ops_agree(text: &str, tenant: &str, packets: u64) -> bool {
+    let Ok(v) = pnm_obs::json::parse(text) else {
+        return false;
+    };
+    let Some(all @ JsonValue::Object(series)) = v.get("series") else {
+        return false;
+    };
+    let ingested = all.get(&format!(
+        "pnm_gateway_ingested_total{{tenant=\"{tenant}\"}}"
+    ));
+    // One panic series per shard, each at zero.
+    let panics: Vec<Option<u64>> = (series.iter())
+        .filter(|(k, _)| k.starts_with("pnm_service_panics_total{"))
+        .map(|(_, x)| x.as_u64())
+        .collect();
+    v.get("tenant").and_then(JsonValue::as_str) == Some(tenant)
+        && v.get("state").and_then(JsonValue::as_str) == Some("running")
+        && v.get("flight_dumps").and_then(JsonValue::as_u64) == Some(0)
+        && ingested.and_then(JsonValue::as_u64) == Some(packets)
+        && !panics.is_empty()
+        && panics.iter().all(|p| *p == Some(0))
+}
+
+/// The headline property: chaos on the client's wire at every intensity up to
+/// full, and the acked packet stream still lands exactly once — evidence
+/// byte-identical to a fault-free run of the same packets, client
+/// accounting balanced to the last attempt, zero panics anywhere, and a
+/// graceful shutdown after.
 #[test]
 fn acked_ingest_under_full_chaos_is_exactly_once() {
     const PACKETS: u64 = 100;
+    const TENANTS: [(&str, f64); 4] = [
+        ("calm", 0.0),
+        ("light", 0.25),
+        ("medium", 0.5),
+        ("full", 1.0),
+    ];
     let (stream, packets) = workload(Some(AttackKind::IdentitySwap), 100, 0xC0FFEE);
     let ks = &stream.keys;
 
-    let registry = Arc::new(
-        TenantRegistry::builder()
-            .tenant(
-                "chaos",
-                TenantConfig::new(Arc::clone(ks), ServiceConfig::new(sink_config()).shards(1)),
-            )
-            .tenant(
-                "calm",
-                TenantConfig::new(Arc::clone(ks), ServiceConfig::new(sink_config()).shards(1)),
-            )
-            .build()
-            .unwrap(),
-    );
+    let mut builder = TenantRegistry::builder();
+    for (tenant, _) in TENANTS {
+        builder = builder.tenant(
+            tenant,
+            TenantConfig::new(Arc::clone(ks), ServiceConfig::new(sink_config()).shards(1)),
+        );
+    }
+    let registry = Arc::new(builder.build().unwrap());
     let mut gw = Gateway::new(Arc::clone(&registry), GatewayConfig::default());
     let sock = temp_path("chaos.sock");
     gw.listen_uds(&sock).unwrap();
     let handle = gw.spawn().unwrap();
 
-    // Fault-free reference stream into the "calm" tenant.
-    let mut calm = GatewayClient::connect_uds(&sock).unwrap().with_session(1);
-    for p in &packets {
-        let out = calm.send(b"calm", p).unwrap();
-        assert!(matches!(
-            out,
-            SendOutcome::Counted {
-                code: AckCode::Accepted,
-                attempts: 1,
-                trace: 0
-            }
-        ));
+    let want = sequential_reference(ks, &sink_config(), &stream.packets).engine;
+    let verdict = want.localize();
+    assert!(stream.names_only_suspects(&verdict), "{verdict:?}");
+    for (session, (tenant, intensity)) in (1..).zip(TENANTS) {
+        let mut client = chaotic_client(&sock, intensity, session);
+        for p in &packets {
+            let out = client.send(tenant.as_bytes(), p).unwrap();
+            assert!(
+                out.is_counted(),
+                "{tenant}: the wire never loses an acked packet"
+            );
+        }
+
+        // Client accounting is exact by construction.
+        let report = client.report();
+        assert_eq!(report.counted, PACKETS, "{tenant}");
+        assert_eq!(report.rejected, 0, "{tenant}");
+        assert_eq!(report.attempts - PACKETS, report.retries, "{tenant}");
+        assert_eq!(report.connects - 1, report.reconnects, "{tenant}");
+        let faults = client.chaos_counters().total();
+        if intensity == 0.0 {
+            assert_eq!(faults, 0, "a calm wire injects nothing");
+            assert_eq!(report.attempts, PACKETS, "a calm wire needs no retry");
+        } else {
+            assert!(faults > 0, "{tenant}: chaos must actually fire");
+        }
+
+        // An ops snapshot read over the same wire agrees. Its body carries
+        // no CRC, so a fault can garble one: re-request, up to five times,
+        // until one parses and agrees.
+        let ops_agreed = (0..5).any(|_| {
+            (client.ops_snapshot(tenant.as_bytes()))
+                .is_ok_and(|text| ops_agree(&text, tenant, PACKETS))
+        });
+        assert!(ops_agreed, "{tenant}: no ops snapshot agreed");
+
+        // Server-side balance: despite every retry, the tenant absorbed
+        // the stream exactly once.
+        let text = registry.metrics_text();
+        let tenant_label = format!("tenant=\"{tenant}\"");
+        assert_eq!(
+            metric(&text, "pnm_gateway_ingested_total", &[&tenant_label]),
+            Some(PACKETS),
+            "{tenant}"
+        );
+        let dup = metric(&text, "pnm_gateway_duplicate_total", &[&tenant_label]).unwrap_or(0);
+        assert!(
+            dup >= report.duplicates,
+            "{tenant}: server saw every duplicate the client trusted ({dup} < {})",
+            report.duplicates
+        );
     }
-    assert_eq!(
-        calm.chaos_counters().total(),
-        0,
-        "calm wire injects nothing"
-    );
 
-    // Same packets into the "chaos" tenant, through a wire that kills,
-    // resets, half-writes, bit-flips, stalls, and delays. The short read
-    // timeout turns the rare silently-swallowed frame (a bit flip that
-    // lands on the opcode) into a prompt retry.
-    let chaotic_wire = ClientConfig::default()
-        .connect_timeout(Duration::from_secs(2))
-        .read_timeout(Duration::from_millis(400))
-        .write_timeout(Duration::from_millis(400))
-        .chaos(ChaosPlan::at_intensity(1.0), 0x5EED)
-        .backoff(
-            BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(30)).jitter(0.25),
-        )
-        .max_attempts(400);
-    let mut chaos = GatewayClient::connect_uds_with(&sock, chaotic_wire)
-        .unwrap()
-        .with_session(7);
-    for p in &packets {
-        let out = chaos.send(b"chaos", p).unwrap();
-        assert!(out.is_counted(), "chaos wire never loses an acked packet");
-    }
-
-    // Client accounting is exact by construction.
-    let report = chaos.report();
-    assert_eq!(report.counted, PACKETS);
-    assert_eq!(report.rejected, 0);
-    assert_eq!(report.attempts - PACKETS, report.retries);
-    assert_eq!(report.connects - 1, report.reconnects);
-    assert!(
-        chaos.chaos_counters().total() > 0,
-        "full-intensity chaos must actually fire"
-    );
-
-    // Server-side balance: despite every retry, each tenant absorbed the
-    // stream exactly once.
-    let text = registry.metrics_text();
-    let ingested = |tenant: &str| {
-        metric(
-            text.as_str(),
-            "pnm_gateway_ingested_total",
-            &[&format!("tenant=\"{tenant}\"")],
-        )
-    };
-    assert_eq!(ingested("chaos"), Some(PACKETS));
-    assert_eq!(ingested("calm"), Some(PACKETS));
-    let dup = metric(&text, "pnm_gateway_duplicate_total", &["tenant=\"chaos\""]).unwrap_or(0);
-    assert!(
-        dup >= report.duplicates,
-        "server saw every duplicate the client trusted ({dup} < {})",
-        report.duplicates
-    );
-
-    // The whole point: chaos-tenant evidence is byte-identical to the
+    // The whole point: every tenant's evidence is byte-identical to the
     // fault-free run and to the sequential reference — no lost packet, no
     // double count, no stray bytes — so the drain's verdict is the
     // reference's, which names only the moles' neighbourhoods.
     let mut c = GatewayClient::connect_uds(&sock).unwrap();
-    let v_chaos = c.drain(b"chaos").unwrap();
-    let v_calm = c.drain(b"calm").unwrap();
-    assert_eq!(v_chaos.evidence_bytes, v_calm.evidence_bytes);
-    let want = sequential_reference(ks, &sink_config(), &stream.packets).engine;
-    assert_eq!(v_chaos.evidence_bytes, want.evidence().to_bytes());
-    let verdict = want.localize();
-    assert!(stream.names_only_suspects(&verdict), "{verdict:?}");
-    let ev = Evidence::from_bytes(&v_chaos.evidence_bytes).unwrap();
+    let calm = c.drain(b"calm").unwrap();
+    assert_eq!(calm.evidence_bytes, want.evidence().to_bytes());
+    let ev = Evidence::from_bytes(&calm.evidence_bytes).unwrap();
     assert_eq!(ev.counters.packets, PACKETS as usize);
-    assert!(v_chaos.summary_json.contains("\"panics\": 0"));
-    assert!(v_calm.summary_json.contains("\"panics\": 0"));
+    for (tenant, _) in TENANTS {
+        let v = c.drain(tenant.as_bytes()).unwrap();
+        assert_eq!(v.evidence_bytes, calm.evidence_bytes, "{tenant}");
+        assert!(v.summary_json.contains("\"panics\": 0"), "{tenant}");
+    }
+    drop(c);
 
-    handle.shutdown();
+    assert!(
+        handle.shutdown_graceful(Duration::from_secs(10)),
+        "graceful shutdown flushes connections and pools within budget"
+    );
 }
 
 /// Satellite regression: a second `Drain` returns the cached verdict

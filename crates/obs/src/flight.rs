@@ -14,8 +14,9 @@
 //! store-error growth, corrupt-frame storms), [`FlightRecorder::dump`]
 //! writes the ring's recent history to a JSONL file whose first line is
 //! an anomaly header naming the trigger and — when known — the trace id
-//! of the packet that caused it. The `obs_check` bin validates dumps in
-//! CI.
+//! of the packet that caused it. Tests pin the header and events
+//! (`flight::tests::dump_writes_anomaly_header_then_events`) and each
+//! trigger the service fires (pnm-service's `recovery` and `pool` tests).
 
 use std::cell::Cell;
 use std::path::{Path, PathBuf};

@@ -1116,8 +1116,11 @@ mod tests {
     #[test]
     fn drain_watchdog_detaches_a_wedged_shard() {
         let ks = keys(4);
+        let dir = std::env::temp_dir().join(format!("pnm-watchdog-{}", std::process::id()));
+        let recorder = Arc::new(FlightRecorder::new(&dir, 1, 64));
         let config = ServiceConfig::new(SinkConfig::new(VerifyMode::Nested))
             .shards(1)
+            .flight_recorder(Arc::clone(&recorder))
             .drain_timeout(Duration::from_millis(200))
             .poison_hook(|pkt: &Packet| {
                 if pkt.report.event.starts_with(b"wedge") {
@@ -1146,6 +1149,10 @@ mod tests {
         // missing rather than the drain hanging.
         assert_eq!(report.engine.counters().packets, 0);
         assert!(report.poisoned.is_empty());
+        // The detach is black-boxed.
+        let last = recorder.last_anomaly().expect("the detach dumps");
+        assert_eq!(last.reason, "watchdog_detach");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -18,6 +18,7 @@ use pnm_core::store::{
 };
 use pnm_core::{IsolationPolicy, SinkConfig, VerifyMode};
 use pnm_crypto::KeyStore;
+use pnm_obs::{FlightRecorder, Tracer};
 use pnm_service::{ServiceConfig, ServicePool, GROUP_COMMIT_PACKETS};
 use pnm_sim::{drained_evidence, sequential_reference, AttackKind, AttackStream};
 use pnm_wire::{Location, Packet, Report};
@@ -238,16 +239,27 @@ fn failed_append_survives_poison_restart() {
         appends: AtomicUsize::new(0),
         fail_on: 1,
     });
-    let config = ServiceConfig::new(sink_config())
+    // An armed flight recorder, which the sink's tracer feeds too.
+    let dir = temp_log("flight").with_extension("");
+    let recorder = Arc::new(FlightRecorder::new(&dir, 4, 1 << 12));
+    let tracer = Tracer::new(recorder.clone());
+    let config = ServiceConfig::new(sink_config().tracer(tracer.clone()))
         .shards(1)
         .store(Arc::clone(&store) as Arc<dyn EvidenceStore>)
         .poison_hook(is_poison)
+        .flight_recorder(Arc::clone(&recorder))
         .start_paused(true);
     let pool = ServicePool::new(Arc::clone(&ks), config);
     for p in &packets[..GROUP_COMMIT_PACKETS] {
         pool.ingest(p.clone()).unwrap();
     }
-    pool.ingest(poison_packet(&packets[0])).unwrap();
+    // The poison packet travels under a root span of its own.
+    let poison = poison_packet(&packets[0]);
+    let now_us = poison.report.timestamp;
+    let span = tracer.span_root("test.ingest");
+    let poison_ctx = span.context().expect("a root span carries a context");
+    pool.ingest_ctx(poison, now_us, poison_ctx).unwrap();
+    drop(span);
     for p in &packets[GROUP_COMMIT_PACKETS..] {
         pool.ingest(p.clone()).unwrap();
     }
@@ -260,6 +272,16 @@ fn failed_append_survives_poison_restart() {
     let report = pool.drain();
     assert_eq!(report.poisoned.len(), 1);
     assert_eq!(report.snapshot.store_errors, 1);
+
+    // Each anomaly is black-boxed in order: the failed append, then the
+    // quarantine, whose dump names the poisoned packet's trace.
+    assert_eq!(recorder.dumps(), 2);
+    assert!(dir.join("flight-0001-store_error.jsonl").is_file());
+    let last = recorder.last_anomaly().expect("the quarantine dumps");
+    assert_eq!(last.reason, "poison_quarantine");
+    assert_eq!(last.trace, poison_ctx.trace);
+    assert!(last.path.ends_with("flight-0002-poison_quarantine.jsonl"));
+    std::fs::remove_dir_all(&dir).ok();
 
     // Rebuilt from the log alone (the drain-time quarantine sweep
     // re-applied), the evidence is byte-identical to the drained pool's

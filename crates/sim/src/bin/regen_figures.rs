@@ -1,7 +1,7 @@
 //! Regenerates every figure and table of the paper's evaluation.
 //!
 //! ```text
-//! regen-figures [fig4|fig5|fig6|fig7|attack-matrix|latency|all]
+//! regen-figures [fig4|fig5|fig6|fig7|attack-matrix|latency|chaos|all]
 //!               [--runs N] [--csv] [--packets N]
 //! ```
 //!
@@ -12,9 +12,10 @@ use std::env;
 use std::process::ExitCode;
 
 use pnm_sim::{
-    attack_matrix, background_table, baselines_table, dynamics_table, field_study_table, fig4,
-    fig5, fig67, filtering_table, frames_table, latency_table, mac_width_table, one_by_one_table,
-    overhead_table, tradeoff_table, AttackScenario, Table,
+    attack_matrix, background_table, baselines_table, chaos_table, dynamics_table,
+    field_study_table, fig4, fig5, fig67, filtering_table, frames_table, latency_table,
+    mac_width_table, one_by_one_table, overhead_table, tradeoff_table, AttackScenario, ChaosConfig,
+    Table,
 };
 
 struct Options {
@@ -70,7 +71,7 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: regen-figures [fig4|fig5|fig6|fig7|attack-matrix|latency|background|\
-                 dynamics|overhead|all] [--runs N] [--csv] [--packets N]"
+                 dynamics|overhead|chaos|all] [--runs N] [--csv] [--packets N]"
             );
             return ExitCode::FAILURE;
         }
@@ -104,6 +105,7 @@ fn main() -> ExitCode {
         "mac-width" => emit(&mac_width_table(4000, 7), opts.csv),
         "field-study" => emit(&field_study_table(3, 300, 7), opts.csv),
         "frames" => emit(&frames_table(2000, 0.01, 7), opts.csv),
+        "chaos" => emit(&chaos_table(&ChaosConfig::full()), opts.csv),
         "all" => {
             emit(&fig4(opts.packets), opts.csv);
             emit(&fig5(fig5_runs, 40), opts.csv);
@@ -125,6 +127,7 @@ fn main() -> ExitCode {
             emit(&mac_width_table(4000, 7), opts.csv);
             emit(&field_study_table(3, 300, 7), opts.csv);
             emit(&frames_table(2000, 0.01, 7), opts.csv);
+            emit(&chaos_table(&ChaosConfig::full()), opts.csv);
         }
         other => {
             eprintln!("error: unknown target {other}");

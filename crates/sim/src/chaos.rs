@@ -13,18 +13,20 @@
 //! The quantities of interest are the paper-level robustness claims:
 //!
 //! * **Precision** — does the (possibly widened) localization region
-//!   still contain the true most-upstream forwarder? Loss and corruption
-//!   thin the evidence, so the honest failure mode is a *wider region* or
-//!   lower confidence, never a different node.
+//!   still contain the true most-upstream forwarder? Loss thins the
+//!   evidence, so its failure mode is a *wider region* or lower
+//!   confidence. Corruption breaks a nested chain at the flipped byte, so
+//!   only marks added downstream of it verify: from about 1% per byte the
+//!   region moves toward the sink and no longer holds the source.
 //! * **False implication** — the fraction of implicated nodes that are
 //!   not on the true forwarding path. Nested MACs make fabricating
 //!   evidence under random corruption computationally negligible, so this
-//!   stays at zero across the whole sweep; corruption can only shorten
-//!   chains, not redirect them.
+//!   stays at zero across the whole sweep. On a chain every node is on
+//!   the path, so the rate only catches node ids the path lacks.
 //!
 //! Every run is a pure function of its seed: the fault plan draws from
-//! its own RNG stream, so runs are reproducible bit-for-bit and the
-//! emitted JSON artifacts are deterministic.
+//! its own RNG stream, so runs are reproducible bit-for-bit, and so is
+//! the sweep's table ([`chaos_table`], `regen-figures chaos`).
 
 use std::sync::Arc;
 
@@ -40,6 +42,7 @@ use pnm_obs::Tracer;
 use pnm_wire::{NodeId, Packet};
 
 use crate::runner::bogus_packet;
+use crate::table::Table;
 
 /// One point in the fault-intensity sweep.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -74,7 +77,7 @@ impl ChaosPoint {
         }
     }
 
-    /// Short human-readable tag for tables and JSON.
+    /// Short human-readable tag naming the point in test failures.
     pub fn label(&self) -> String {
         format!(
             "loss={:.3} corrupt={:.4} dup={:.3}",
@@ -103,7 +106,7 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// The full-soak scenario.
+    /// The sweep's scenario: a 10-hop chain, 400 packets per point.
     pub fn full() -> Self {
         ChaosConfig {
             path_len: 10,
@@ -113,14 +116,6 @@ impl ChaosConfig {
             dedup_capacity: 1024,
             min_support: 2,
             seed: 2007,
-        }
-    }
-
-    /// A CI-sized scenario: same shape, fewer packets.
-    pub fn smoke() -> Self {
-        ChaosConfig {
-            packets: 120,
-            ..Self::full()
         }
     }
 }
@@ -172,16 +167,11 @@ pub fn fault_plan(cfg: &ChaosConfig, point: &ChaosPoint) -> FaultPlan {
 }
 
 /// Runs the marked bogus stream through the faulty network and returns
-/// the keystore plus the raw simulation report.
-pub fn simulate_faulty_path(cfg: &ChaosConfig, point: &ChaosPoint) -> (Arc<KeyStore>, SimReport) {
-    simulate_faulty_path_traced(cfg, point, &Tracer::noop())
-}
-
-/// [`simulate_faulty_path`] with a tracer attached to the network's fault
-/// layer: every injected fault emits a structured event. Tracing is
+/// the keystore plus the raw simulation report. Every injected fault emits
+/// an event to `tracer` ([`Tracer::noop`] for none). Tracing is
 /// observation only — the simulation's RNG streams, deliveries, and fault
 /// counters are bit-identical with or without it.
-pub fn simulate_faulty_path_traced(
+pub fn simulate_faulty_path(
     cfg: &ChaosConfig,
     point: &ChaosPoint,
     tracer: &Tracer,
@@ -217,46 +207,63 @@ pub fn chaos_sink_config(cfg: &ChaosConfig) -> SinkConfig {
         .min_localization_support(cfg.min_support)
 }
 
-/// Feeds everything the network emitted — deliveries and garbled frames,
-/// interleaved in arrival order — to a fresh engine through the total
-/// ingestion paths. Returns the engine and the per-arrival outcomes
-/// (deliveries only; garbled frames are counted rejections by
-/// construction).
+/// One arrival at the sink.
+#[derive(Clone, Copy, Debug)]
+pub enum Arrival<'a> {
+    /// A packet that still decodes, clean or corrupted.
+    Delivered(&'a Packet),
+    /// A frame that no longer decodes.
+    Garbled(&'a [u8]),
+}
+
+impl Arrival<'_> {
+    /// Feeds the arrival to `engine` through its total ingestion path. A
+    /// garbled frame is a counted rejection by construction.
+    pub fn feed(self, engine: &mut SinkEngine) -> SinkOutcome {
+        match self {
+            Arrival::Delivered(pkt) => engine.ingest(pkt),
+            Arrival::Garbled(bytes) => engine.ingest_bytes(bytes),
+        }
+    }
+}
+
+/// Everything the network emitted, deliveries and garbled frames
+/// interleaved in arrival order (a delivery first on a tie).
+pub fn arrivals(sim: &SimReport) -> Vec<Arrival<'_>> {
+    let (deliveries, garbled) = (&sim.deliveries, &sim.garbled);
+    let mut out = Vec::with_capacity(deliveries.len() + garbled.len());
+    let (mut d, mut g) = (0, 0);
+    while d < deliveries.len() || g < garbled.len() {
+        if g < garbled.len()
+            && (d >= deliveries.len() || garbled[g].time_us < deliveries[d].time_us)
+        {
+            out.push(Arrival::Garbled(&garbled[g].bytes));
+            g += 1;
+        } else {
+            out.push(Arrival::Delivered(&deliveries[d].packet));
+            d += 1;
+        }
+    }
+    out
+}
+
+/// Feeds every [`arrivals`] of `sim` to a fresh engine whose pipeline
+/// stages emit spans to `tracer`. Verdicts, counters, and localization are
+/// unchanged by the instrumentation.
 pub fn ingest_sim_report(
     cfg: &ChaosConfig,
     keys: &Arc<KeyStore>,
     sim: &SimReport,
-) -> (SinkEngine, Vec<SinkOutcome>) {
-    ingest_sim_report_traced(cfg, keys, sim, &Tracer::noop())
-}
-
-/// [`ingest_sim_report`] with a tracer attached to the sink engine: every
-/// pipeline stage emits a span. Verdicts, counters, and localization are
-/// unchanged by the instrumentation.
-pub fn ingest_sim_report_traced(
-    cfg: &ChaosConfig,
-    keys: &Arc<KeyStore>,
-    sim: &SimReport,
     tracer: &Tracer,
-) -> (SinkEngine, Vec<SinkOutcome>) {
+) -> SinkEngine {
     let mut engine = SinkEngine::new(
         Arc::clone(keys),
         chaos_sink_config(cfg).tracer(tracer.clone()),
     );
-    let mut outcomes = Vec::with_capacity(sim.deliveries.len());
-    let (mut d, mut g) = (0, 0);
-    while d < sim.deliveries.len() || g < sim.garbled.len() {
-        let take_garbled = g < sim.garbled.len()
-            && (d >= sim.deliveries.len() || sim.garbled[g].time_us < sim.deliveries[d].time_us);
-        if take_garbled {
-            engine.ingest_bytes(&sim.garbled[g].bytes);
-            g += 1;
-        } else {
-            outcomes.push(engine.ingest(&sim.deliveries[d].packet));
-            d += 1;
-        }
+    for arrival in arrivals(sim) {
+        arrival.feed(&mut engine);
     }
-    (engine, outcomes)
+    engine
 }
 
 /// The nodes a localization verdict implicates as most-upstream
@@ -277,18 +284,14 @@ pub fn implicated_nodes(loc: &Localization) -> Vec<u16> {
     nodes
 }
 
-/// Runs one sweep point end to end and computes the degradation metrics.
-pub fn run_point(cfg: &ChaosConfig, point: &ChaosPoint) -> ChaosRun {
-    run_point_traced(cfg, point, &Tracer::noop())
-}
-
-/// [`run_point`] with spans and fault events flowing to `tracer`. The
-/// returned [`ChaosRun`] is bit-identical to the untraced run — timing
-/// never enters the degradation metrics, so the JSON artifacts stay a
-/// pure function of the seed.
-pub fn run_point_traced(cfg: &ChaosConfig, point: &ChaosPoint, tracer: &Tracer) -> ChaosRun {
-    let (keys, sim) = simulate_faulty_path_traced(cfg, point, tracer);
-    let (engine, _outcomes) = ingest_sim_report_traced(cfg, &keys, &sim, tracer);
+/// Runs one sweep point end to end and computes the degradation metrics,
+/// with spans and fault events flowing to `tracer`. The returned
+/// [`ChaosRun`] is bit-identical to an untraced run's — timing never
+/// enters the degradation metrics, so they stay a pure function of the
+/// seed.
+pub fn run_point(cfg: &ChaosConfig, point: &ChaosPoint, tracer: &Tracer) -> ChaosRun {
+    let (keys, sim) = simulate_faulty_path(cfg, point, tracer);
+    let engine = ingest_sim_report(cfg, &keys, &sim, tracer);
 
     let annotated = engine.localize_annotated();
     let implicated = implicated_nodes(&annotated.localization);
@@ -352,7 +355,7 @@ pub struct RecoveryRun {
 /// on-disk log gets a torn garbage tail (the bytes a process killed
 /// mid-`write` leaves behind), which recovery must count and discard.
 /// Determinism note: every recorded field is a pure function of the
-/// seed — replay wall-clock never enters the artifact.
+/// seed — replay wall-clock never enters the result.
 pub fn run_recovery_point(
     cfg: &ChaosConfig,
     point: &ChaosPoint,
@@ -368,40 +371,13 @@ pub fn run_recovery_point(
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
 
-    let (keys, sim) = simulate_faulty_path(cfg, point);
-
-    // The arrival stream, deliveries and garbled frames interleaved in
-    // arrival order — the same merge `ingest_sim_report` performs.
-    enum Arrival<'a> {
-        Delivered(&'a Packet),
-        Garbled(&'a [u8]),
-    }
-    let mut arrivals: Vec<Arrival<'_>> = Vec::with_capacity(sim.deliveries.len());
-    let (mut d, mut g) = (0, 0);
-    while d < sim.deliveries.len() || g < sim.garbled.len() {
-        let take_garbled = g < sim.garbled.len()
-            && (d >= sim.deliveries.len() || sim.garbled[g].time_us < sim.deliveries[d].time_us);
-        if take_garbled {
-            arrivals.push(Arrival::Garbled(&sim.garbled[g].bytes));
-            g += 1;
-        } else {
-            arrivals.push(Arrival::Delivered(&sim.deliveries[d].packet));
-            d += 1;
-        }
-    }
-    let feed = |engine: &mut SinkEngine, a: &Arrival<'_>| match a {
-        Arrival::Delivered(pkt) => {
-            engine.ingest(pkt);
-        }
-        Arrival::Garbled(bytes) => {
-            engine.ingest_bytes(bytes);
-        }
-    };
+    let (keys, sim) = simulate_faulty_path(cfg, point, &Tracer::noop());
+    let arrivals = arrivals(&sim);
 
     // The run that is never interrupted.
     let mut uninterrupted = SinkEngine::new(Arc::clone(&keys), chaos_sink_config(cfg));
     for a in &arrivals {
-        feed(&mut uninterrupted, a);
+        a.feed(&mut uninterrupted);
     }
 
     // The killed run: log-backed, checkpointing every arrival.
@@ -410,7 +386,7 @@ pub fn run_recovery_point(
     let mut engine = SinkEngine::new(Arc::clone(&keys), chaos_sink_config(cfg));
     engine.attach_store(Arc::clone(&store) as Arc<dyn EvidenceStore>, 0);
     for a in &arrivals[..killed_after] {
-        feed(&mut engine, a);
+        a.feed(&mut engine);
         engine.checkpoint_to_store().expect("checkpoint");
     }
     drop(engine);
@@ -432,7 +408,7 @@ pub fn run_recovery_point(
     recovered.install_evidence(&restored);
     recovered.attach_store(Arc::clone(&store) as Arc<dyn EvidenceStore>, 0);
     for a in &arrivals[killed_after..] {
-        feed(&mut recovered, a);
+        a.feed(&mut recovered);
         recovered.checkpoint_to_store().expect("checkpoint");
     }
     std::fs::remove_file(&path).ok();
@@ -458,39 +434,21 @@ pub fn run_recovery_point(
 }
 
 /// The kill-and-recover sweep: clean and acceptance fault intensities,
-/// killed at one (smoke) or three (full) points of the stream.
-pub fn recovery_sweep(smoke: bool) -> Vec<(ChaosPoint, f64)> {
-    let fractions: &[f64] = if smoke { &[0.5] } else { &[0.25, 0.5, 0.75] };
+/// each killed at a quarter, half and three quarters of the stream.
+pub fn recovery_sweep() -> Vec<(ChaosPoint, f64)> {
     let mut sweep = Vec::new();
-    for &f in fractions {
+    for f in [0.25, 0.5, 0.75] {
         sweep.push((ChaosPoint::clean(), f));
         sweep.push((ChaosPoint::acceptance(), f));
     }
     sweep
 }
 
-/// The fault-intensity sweep: one axis at a time from the clean origin,
-/// plus combined-stress points including [`ChaosPoint::acceptance`].
-pub fn sweep_points(smoke: bool) -> Vec<ChaosPoint> {
+/// The fault-intensity sweep, 17 points: one axis at a time from the
+/// clean origin, plus combined-stress points including
+/// [`ChaosPoint::acceptance`].
+pub fn sweep_points() -> Vec<ChaosPoint> {
     let clean = ChaosPoint::clean();
-    if smoke {
-        return vec![
-            clean,
-            ChaosPoint {
-                burst_loss: 0.20,
-                ..clean
-            },
-            ChaosPoint {
-                corrupt_byte: 0.01,
-                ..clean
-            },
-            ChaosPoint {
-                duplicate: 0.05,
-                ..clean
-            },
-            ChaosPoint::acceptance(),
-        ];
-    }
     let mut points = vec![clean];
     for loss in [0.05, 0.10, 0.20, 0.30, 0.40] {
         points.push(ChaosPoint {
@@ -519,76 +477,98 @@ pub fn sweep_points(smoke: bool) -> Vec<ChaosPoint> {
     points
 }
 
-/// The key that opens `BENCH_chaos.json`'s gateway section.
-const GATEWAY_KEY: &str = "\n  \"gateway\":";
-
-/// Splits a `BENCH_chaos.json` document, which two bins write, into the
-/// soak's part — the object's text before its closing brace or its
-/// `"gateway"` key, trailing comma and whitespace trimmed — and the
-/// `"gateway"` section's value, if there is one. `chaos_soak` rewrites the
-/// first part and `chaos_gateway` the second; each joins the two with
-/// [`append_gateway_section`], so either can run first.
-pub fn split_gateway_section(text: &str) -> (&str, Option<&str>) {
-    let (soak, gateway) = match text.find(GATEWAY_KEY) {
-        Some(i) => {
-            let value = text[i + GATEWAY_KEY.len()..].trim_end().strip_suffix('}');
-            (&text[..i], value.map(str::trim))
-        }
-        None => (text.trim_end().strip_suffix('}').unwrap_or(""), None),
-    };
-    (soak.trim_end().trim_end_matches(','), gateway)
-}
-
-/// Joins the soak's part and a gateway section as
-/// [`split_gateway_section`] splits them.
-pub fn append_gateway_section(soak: &str, gateway: Option<&str>) -> String {
-    let (soak, comma) = match soak.trim() {
-        "" | "{" => ("{", ""),
-        _ => (soak, ","),
-    };
-    match gateway {
-        Some(value) => format!("{soak}{comma}{GATEWAY_KEY} {value}\n}}\n"),
-        None => format!("{soak}\n}}\n"),
+/// The degradation table: one row per [`sweep_points`] point, from
+/// fault-free to combined stress. Loss and corruption thin the evidence,
+/// so a row may show fewer chains, a wider region or no evidence at all;
+/// its false-implication rate is zero throughout.
+pub fn chaos_table(cfg: &ChaosConfig) -> Table {
+    let mut t = Table::new(
+        format!(
+            "Chaos soak: localization under bursty loss, corruption and duplication \
+             ({}-hop chain, {} pkts per point, dedup {}, min support {}, seed {})",
+            cfg.path_len, cfg.packets, cfg.dedup_capacity, cfg.min_support, cfg.seed
+        ),
+        vec![
+            "loss",
+            "corrupt/B",
+            "dup",
+            "delivered/injected",
+            "garbled",
+            "suppressed",
+            "chains",
+            "confidence",
+            "implicated",
+            "has source",
+            "false implication",
+        ],
+    );
+    for point in sweep_points() {
+        let r = run_point(cfg, &point, &Tracer::noop());
+        let implicated: Vec<String> = r.implicated.iter().map(u16::to_string).collect();
+        t.push_row(vec![
+            format!("{:.2}", point.burst_loss),
+            format!("{:.3}", point.corrupt_byte),
+            format!("{:.2}", point.duplicate),
+            format!("{}/{}", r.delivered, r.injected),
+            r.garbled.to_string(),
+            r.counters.duplicates_suppressed.to_string(),
+            r.annotated.chains.to_string(),
+            format!("{:.3}", r.annotated.confidence),
+            if implicated.is_empty() {
+                "-".to_string()
+            } else {
+                implicated.join(" ")
+            },
+            if r.contains_true_source { "yes" } else { "no" }.to_string(),
+            format!("{:.3}", r.false_implication_rate),
+        ]);
     }
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pnm_obs::EventKind;
+    use std::collections::HashSet;
 
     pub(super) fn small() -> ChaosConfig {
         ChaosConfig {
             path_len: 6,
             packets: 80,
-            ..ChaosConfig::smoke()
+            ..ChaosConfig::full()
         }
     }
 
-    /// A soak rewrite keeps the gateway section, a gateway run replaces
-    /// only it (into an empty file too), and a split-append round trip is
-    /// the identity.
+    /// The soak's gates at every point of the full sweep: no panic, no
+    /// off-path implication, and every arrival counted; at every
+    /// kill-and-recover point the recovered verdict is the uninterrupted
+    /// run's and the torn tail is counted.
     #[test]
-    fn gateway_section_splits_and_appends_both_ways() {
-        let soak = "{\n  \"mode\": \"full\",\n  \"zero_panics\": true\n}\n";
-        let fields = "{\n  \"mode\": \"full\",\n  \"zero_panics\": true";
-        let gateway = "{\n    \"points\": 5\n  }";
-        let both = format!("{fields},\n  \"gateway\": {gateway}\n}}\n");
-        assert_eq!(split_gateway_section(soak), (fields, None));
-        assert_eq!(split_gateway_section(&both), (fields, Some(gateway)));
-        assert_eq!(append_gateway_section(fields, None), soak);
-        assert_eq!(append_gateway_section(fields, Some(gateway)), both);
-        for empty in ["", "{}", "{\n}\n"] {
-            assert_eq!(split_gateway_section(empty).1, None);
+    fn every_sweep_point_degrades_without_false_implication() {
+        let cfg = ChaosConfig::full();
+        for point in sweep_points() {
+            let run = run_point(&cfg, &point, &Tracer::noop());
+            assert_eq!(run.false_implication_rate, 0.0, "{}", point.label());
             assert_eq!(
-                append_gateway_section(split_gateway_section(empty).0, Some(gateway)),
-                format!("{{\n  \"gateway\": {gateway}\n}}\n")
+                run.counters.packets,
+                run.delivered + run.garbled,
+                "{}",
+                point.label()
             );
+        }
+        for (point, fraction) in recovery_sweep() {
+            let run = run_recovery_point(&cfg, &point, fraction);
+            let at = format!("{} kill {fraction}", point.label());
+            assert!(run.verdict_identical, "{at}");
+            assert_eq!(run.false_implication_rate, 0.0, "{at}");
+            assert_eq!(run.rejected_frames, 1, "{at}");
         }
     }
 
     #[test]
     fn clean_point_injects_no_faults_and_identifies() {
-        let run = run_point(&ChaosConfig::smoke(), &ChaosPoint::clean());
+        let run = run_point(&ChaosConfig::full(), &ChaosPoint::clean(), &Tracer::noop());
         assert_eq!(run.faults.total(), 0);
         assert_eq!(run.delivered, run.injected);
         assert_eq!(run.garbled, 0);
@@ -599,8 +579,8 @@ mod tests {
 
     #[test]
     fn acceptance_point_survives_and_degrades_gracefully() {
-        let cfg = ChaosConfig::smoke();
-        let run = run_point(&cfg, &ChaosPoint::acceptance());
+        let cfg = ChaosConfig::full();
+        let run = run_point(&cfg, &ChaosPoint::acceptance(), &Tracer::noop());
         // Every fault class actually fired.
         assert!(run.faults.burst_losses > 0);
         assert!(run.faults.corrupted > 0);
@@ -618,11 +598,12 @@ mod tests {
     #[test]
     fn pure_burst_loss_thins_evidence_but_keeps_the_answer() {
         let run = run_point(
-            &ChaosConfig::smoke(),
+            &ChaosConfig::full(),
             &ChaosPoint {
                 burst_loss: 0.20,
                 ..ChaosPoint::clean()
             },
+            &Tracer::noop(),
         );
         // Compounded per-hop loss costs most deliveries...
         assert!(run.delivered < run.injected);
@@ -637,8 +618,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic_in_seed() {
         let cfg = small();
-        let a = run_point(&cfg, &ChaosPoint::acceptance());
-        let b = run_point(&cfg, &ChaosPoint::acceptance());
+        let a = run_point(&cfg, &ChaosPoint::acceptance(), &Tracer::noop());
+        let b = run_point(&cfg, &ChaosPoint::acceptance(), &Tracer::noop());
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.garbled, b.garbled);
         assert_eq!(a.faults, b.faults);
@@ -650,9 +631,9 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_run() {
         let cfg = small();
-        let plain = run_point(&cfg, &ChaosPoint::acceptance());
+        let plain = run_point(&cfg, &ChaosPoint::acceptance(), &Tracer::noop());
         let (tracer, ring) = Tracer::ring(1 << 16);
-        let traced = run_point_traced(&cfg, &ChaosPoint::acceptance(), &tracer);
+        let traced = run_point(&cfg, &ChaosPoint::acceptance(), &tracer);
         assert_eq!(plain.faults, traced.faults);
         assert_eq!(plain.counters, traced.counters);
         assert_eq!(plain.annotated, traced.annotated);
@@ -664,6 +645,24 @@ mod tests {
         assert!(events.iter().any(|e| e.name.starts_with("net.fault.")));
         assert!(events.iter().any(|e| e.name == "sink.ingest"));
         assert_eq!(ring.dropped(), 0);
+        // Every span opens once and closes once, after it opened, and
+        // none is left open.
+        let (mut opened, mut open) = (HashSet::new(), HashSet::new());
+        for e in &events {
+            match e.kind {
+                EventKind::SpanOpen => {
+                    assert!(opened.insert(e.span), "span {} opened twice", e.span);
+                    open.insert(e.span);
+                }
+                EventKind::SpanClose => assert!(
+                    open.remove(&e.span),
+                    "span {} closed twice or before it opened",
+                    e.span
+                ),
+                EventKind::Instant => {}
+            }
+        }
+        assert!(open.is_empty(), "spans left open: {open:?}");
     }
 
     #[test]
@@ -694,11 +693,7 @@ mod tests {
 
     #[test]
     fn sweep_contains_the_acceptance_combo() {
-        for smoke in [true, false] {
-            assert!(sweep_points(smoke)
-                .iter()
-                .any(|p| *p == ChaosPoint::acceptance()));
-        }
+        assert!(sweep_points().contains(&ChaosPoint::acceptance()));
     }
 }
 
@@ -724,35 +719,27 @@ mod proptests {
         ) {
             let cfg = ChaosConfig { seed, ..super::tests::small() };
             let point = ChaosPoint { burst_loss, corrupt_byte, duplicate };
-            let (keys, sim) = simulate_faulty_path(&cfg, &point);
+            let (keys, sim) = simulate_faulty_path(&cfg, &point, &Tracer::noop());
 
             let mut chaos = SinkEngine::new(Arc::clone(&keys), chaos_sink_config(&cfg));
             let mut clean = SinkEngine::new(
                 Arc::clone(&keys),
                 SinkConfig::new(VerifyMode::Nested),
             );
-            let (mut d, mut g) = (0, 0);
-            while d < sim.deliveries.len() || g < sim.garbled.len() {
-                let take_garbled = g < sim.garbled.len()
-                    && (d >= sim.deliveries.len()
-                        || sim.garbled[g].time_us < sim.deliveries[d].time_us);
-                if take_garbled {
+            for arrival in arrivals(&sim) {
+                let out = arrival.feed(&mut chaos);
+                match arrival {
                     // Garbled frames never decode, so they are counted
                     // rejections that leave the evidence untouched.
-                    let out = chaos.ingest_bytes(&sim.garbled[g].bytes);
-                    prop_assert!(out.rejected());
-                    g += 1;
-                } else {
-                    let pkt = &sim.deliveries[d].packet;
-                    let out = chaos.ingest(pkt);
-                    if !out.rejected() {
-                        // A surviving (non-duplicate) packet: the clean
-                        // engine must reach the identical verdict.
+                    Arrival::Garbled(_) => prop_assert!(out.rejected()),
+                    // A surviving (non-duplicate) packet: the clean
+                    // engine must reach the identical verdict.
+                    Arrival::Delivered(pkt) if !out.rejected() => {
                         let want = clean.ingest(pkt);
                         prop_assert_eq!(&out.verdict, &want.verdict);
                         prop_assert_eq!(&out.chain, &want.chain);
                     }
-                    d += 1;
+                    Arrival::Delivered(_) => {}
                 }
             }
             // Same survivors, same evidence: localization agrees too.

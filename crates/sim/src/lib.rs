@@ -9,7 +9,7 @@
 //!   reference every pairwise equivalence suite checks against.
 //! - [`latency`] — the §7 traceback-latency claim on the Mica2 radio model.
 //! - [`chaos`] — fault-injection soak: localization degradation under
-//!   bursty loss, corruption, and duplication (the `chaos_soak` binary).
+//!   bursty loss, corruption, and duplication.
 //! - [`table`] — console/CSV result tables.
 //!
 //! The `regen-figures` binary drives all of it:
@@ -18,11 +18,11 @@
 //! cargo run -p pnm-sim --release --bin regen-figures -- all --runs 100
 //! ```
 //!
-//! The other binaries: `trace-demo` (one traceback packet by packet,
-//! set up by its flags), `chaos_soak` and `chaos_gateway` (fault soaks)
-//! and `obs_check` (validates trace and flight-recorder files). The
-//! repository benchmark is `perfbench`, a workspace of its own; it times
-//! every layer these crates' tests check.
+//! The other binary is `trace-demo` (one traceback packet by packet, set
+//! up by its flags). The fault soaks' gates are named tests: the sweep's
+//! in [`chaos`], the gateway edge's in pnm-gateway's `resilience` suite.
+//! The repository benchmark is `perfbench`, a workspace of its own; it
+//! times every layer these crates' tests check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,8 +55,8 @@ pub use attack_stream::{
 pub use background::{background_table, run_background_traffic, BackgroundRun};
 pub use baselines_cmp::{baselines_table, compare_approaches, ApproachCost};
 pub use chaos::{
-    run_point as run_chaos_point, sweep_points as chaos_sweep_points, ChaosConfig, ChaosPoint,
-    ChaosRun,
+    chaos_table, run_point as run_chaos_point, sweep_points as chaos_sweep_points, ChaosConfig,
+    ChaosPoint, ChaosRun,
 };
 pub use dynamics::{dynamics_table, run_with_churn, DynamicsRun};
 pub use field_study::{field_study_table, run_field_study, FieldRound, FieldStudy};
